@@ -13,15 +13,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (
     BasketData,
     BetaShape,
     ConfigurationError,
     NullRate,
-    beta_tail,
+    beta_tails,
+    log_beta,
     log_beta_function,
+    row_sums,
 )
 
 MAX_BASKETS = 12  # Bell(12) is ~4.2M models; beyond this enumeration is hopeless
@@ -95,45 +96,78 @@ class _ModelSpace:
 
     ``subsets`` lists every distinct block appearing in any partition;
     ``member_matrix`` pools per-basket counts into per-subset counts;
-    ``partition_subsets`` maps each partition to its subset indices and
-    ``basket_subset[j, k]`` names the subset containing basket k in model j.
+    ``partition_index[j]`` lists the subsets of partition j, padded with
+    the index one past the last subset; ``basket_subset[j, k]`` names the
+    subset containing basket k in model j.
     """
 
     def __init__(self, k: int):
         assignments = _partition_assignments(k)
         subset_index: dict[tuple[int, ...], int] = {}
-        partition_subsets: list[tuple[int, ...]] = []
+        partition_subsets: list[list[int]] = []
         basket_subset = np.empty((len(assignments), k), dtype=np.intp)
         for j, assignment in enumerate(assignments):
-            blocks = Partition(assignment).blocks()
             indices = []
-            for block in blocks:
+            for block in Partition(assignment).blocks():
                 idx = subset_index.setdefault(block, len(subset_index))
                 indices.append(idx)
                 for basket in block:
                     basket_subset[j, basket] = idx
-            partition_subsets.append(tuple(indices))
+            partition_subsets.append(indices)
         self.k = k
         self.block_counts = np.array([max(a) + 1 for a in assignments], dtype=float)
         self.subsets = list(subset_index)
         self.member_matrix = np.zeros((len(self.subsets), k))
         for idx, block in enumerate(self.subsets):
             self.member_matrix[idx, list(block)] = 1.0
-        self.partition_subsets = partition_subsets
+        self.partition_index = np.full((len(assignments), k), len(self.subsets))
+        for j, indices in enumerate(partition_subsets):
+            self.partition_index[j, :len(indices)] = indices
         self.basket_subset = basket_subset
 
-    def log_marginals(self, data: BasketData, prior: BetaShape) -> np.ndarray:
-        """Per-partition log marginal likelihood via the pooled subsets."""
-        r = self.member_matrix @ np.asarray(data.responses, dtype=float)
-        n = self.member_matrix @ np.asarray(data.sample_sizes, dtype=float)
-        lb0 = log_beta_function(prior.alpha, prior.beta)
-        subset_lm = (
-            gammaln(prior.alpha + r) + gammaln(prior.beta + n - r)
-            - gammaln(prior.alpha + prior.beta + n) - lb0
-        )
-        return np.array([
-            sum(subset_lm[i] for i in indices) for indices in self.partition_subsets
-        ])
+    def subset_shapes(self, responses, sample_sizes, prior: BetaShape):
+        """Posterior beta shapes [..., S] of every pooled subset."""
+        r = np.asarray(responses, dtype=float) @ self.member_matrix.T
+        n = np.asarray(sample_sizes, dtype=float) @ self.member_matrix.T
+        return prior.alpha + r, prior.beta + (n - r)
+
+    def log_marginals(self, alphas: np.ndarray, betas: np.ndarray,
+                      prior: BetaShape) -> np.ndarray:
+        """Per-partition log marginal likelihood [..., M] from subset shapes [..., S]."""
+        subset_lm = log_beta(alphas, betas) - log_beta_function(prior.alpha, prior.beta)
+        padded = np.concatenate([subset_lm, np.zeros(subset_lm.shape[:-1] + (1,))], axis=-1)
+        return row_sums(padded[..., self.partition_index])
+
+    def model_probs(self, log_marginals: np.ndarray, psi: float) -> np.ndarray:
+        """Posterior model probabilities [..., M], each row normalized to sum 1."""
+        log_w = self.block_counts * psi + log_marginals
+        log_w -= log_w.max(axis=-1, keepdims=True)
+        probs = np.exp(log_w)
+        return probs / row_sums(probs)[..., None]
+
+
+class BmaBank:
+    """Parameter-free BMA statistics of a bank of count vectors [R, K].
+
+    Subset marginals, tails and means are computed once at construction;
+    ``tails_means`` averages them over the models for one psi.
+    """
+
+    def __init__(self, responses, sample_sizes, prior: BetaShape, p0: float):
+        responses = np.asarray(responses, dtype=float)
+        self._space = _model_space(responses.shape[-1])
+        alphas, betas = self._space.subset_shapes(responses, sample_sizes, prior)
+        self._log_marginals = self._space.log_marginals(alphas, betas, prior)
+        # [R, K, M]: the subset holding basket k in model j, models innermost
+        gather = self._space.basket_subset.T
+        self._tails = beta_tails(alphas, betas, p0)[:, gather]
+        self._means = (alphas / (alphas + betas))[:, gather]
+
+    def tails_means(self, params: BmaParams) -> tuple[np.ndarray, np.ndarray]:
+        probs = self._space.model_probs(self._log_marginals, params.psi)[:, None, :]
+        # rounding in the average can lift a sure tail an ulp above 1
+        tails = np.minimum(row_sums(probs * self._tails), 1.0)
+        return tails, row_sums(probs * self._means)
 
 
 @lru_cache(maxsize=None)
@@ -168,10 +202,8 @@ def log_marginal_likelihood(partition: Partition, data: BasketData, prior: BetaS
 def posterior_model_probs(data: BasketData, params: BmaParams, prior: BetaShape) -> np.ndarray:
     """Posterior probability of every partition model, normalized to sum 1."""
     space = _model_space(data.k)
-    log_w = space.block_counts * params.psi + space.log_marginals(data, prior)
-    log_w -= log_w.max()
-    probs = np.exp(log_w)
-    return probs / probs.sum()
+    alphas, betas = space.subset_shapes(data.responses, data.sample_sizes, prior)
+    return space.model_probs(space.log_marginals(alphas, betas, prior), params.psi)
 
 
 def decision_stats(
@@ -181,19 +213,8 @@ def decision_stats(
     p0: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Model-averaged (tail probability, posterior mean) per basket."""
-    space = _model_space(data.k)
-    probs = posterior_model_probs(data, params, prior)
-    r = space.member_matrix @ np.asarray(data.responses, dtype=float)
-    n = space.member_matrix @ np.asarray(data.sample_sizes, dtype=float)
-    alphas = prior.alpha + r
-    betas = prior.beta + (n - r)
-    subset_tails = np.array([
-        beta_tail(BetaShape(a, b), p0) for a, b in zip(alphas, betas)
-    ])
-    subset_means = alphas / (alphas + betas)
-    tails = probs @ subset_tails[space.basket_subset]
-    means = probs @ subset_means[space.basket_subset]
-    return tails, means
+    tails, means = BmaBank([data.responses], data.sample_sizes, prior, p0).tails_means(params)
+    return tails[0], means[0]
 
 
 def bma_tail_probs(

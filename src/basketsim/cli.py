@@ -327,12 +327,26 @@ def _design_setup(manifest: RunManifest, config_file: dict, family: str, design:
     raw = (config_file.get("designs") or {}).get(design)
     if raw is not None:
         params = design_params_from_mapping(design, raw)
-        fixed_lambda = float(raw["lambda"]) if "lambda" in raw else None
+        fixed_lambda = None
+        if "lambda" in raw:
+            try:
+                fixed_lambda = float(raw["lambda"])
+            except (TypeError, ValueError):
+                raise CatalogError(
+                    f"designs.{design}.lambda: {raw['lambda']!r} is not a number"
+                ) from None
+            if not 0.0 < fixed_lambda <= 1.0:
+                raise CatalogError(f"designs.{design}.lambda: {fixed_lambda} outside (0, 1]")
     else:
         params = TUNED_PARAMS[family][design]
         fixed_lambda = None
     mcmc = McmcConfig(total_samples=manifest.mcmc_samples)
     return DesignConfig(design, params, mcmc=mcmc), fixed_lambda
+
+
+def _families(scenarios: list[Scenario]) -> list[str]:
+    """Size families of the selected scenarios, in first-seen order."""
+    return list(dict.fromkeys(s.size_family for s in scenarios))
 
 
 def _family_null_scenario(catalog: list[Scenario], family: str, p0: float) -> Scenario:
@@ -347,10 +361,7 @@ def command_simulate(manifest: RunManifest) -> int:
     config_file = load_config(manifest.config_path) if manifest.config_path else {}
     scenarios = select_scenarios(catalog, manifest.scenario_selector)
     rows = []
-    families = []
-    for s in scenarios:
-        if s.size_family not in families:
-            families.append(s.size_family)
+    families = _families(scenarios)
     for family in families:
         family_scenarios = [s for s in scenarios if s.size_family == family]
         for design in manifest.designs:
@@ -396,10 +407,7 @@ def command_calibrate(manifest: RunManifest) -> int:
     catalog = load_catalog(manifest.config_path)
     config_file = load_config(manifest.config_path) if manifest.config_path else {}
     scenarios = select_scenarios(catalog, manifest.scenario_selector)
-    families = []
-    for s in scenarios:
-        if s.size_family not in families:
-            families.append(s.size_family)
+    families = _families(scenarios)
     rows = []
     for family in families:
         null_scenario = _family_null_scenario(catalog, family, manifest.p0)
@@ -426,10 +434,7 @@ def command_calibrate(manifest: RunManifest) -> int:
 def command_tune(manifest: RunManifest) -> int:
     catalog = load_catalog(manifest.config_path)
     scenarios = select_scenarios(catalog, manifest.scenario_selector)
-    families = []
-    for s in scenarios:
-        if s.size_family not in families:
-            families.append(s.size_family)
+    families = _families(scenarios)
     rows = []
     for family in families:
         family_scenarios = [s for s in catalog if s.size_family == family]
@@ -437,7 +442,7 @@ def command_tune(manifest: RunManifest) -> int:
             result = grid_search(
                 design, family_scenarios, manifest.reps, alpha=manifest.alpha,
                 seed=manifest.seed, mcmc=McmcConfig(total_samples=manifest.mcmc_samples),
-                p0=manifest.p0, jobs=manifest.jobs,
+                p0=manifest.p0,
             )
             for i, rec in enumerate(result.records):
                 row = [
@@ -643,14 +648,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(args: argparse.Namespace) -> None:
+    """Reject out-of-range numeric flags as usage errors."""
+    if args.reps < 1:
+        raise CatalogError(f"--reps must be at least 1, got {args.reps}")
+    if args.seed < 0:
+        raise CatalogError(f"--seed must be nonnegative, got {args.seed}")
+    if not 0.0 < args.p0 < 1.0:
+        raise CatalogError(f"--p0 must lie in (0, 1), got {args.p0}")
+    if not 0.0 < args.alpha < 1.0:
+        raise CatalogError(f"--alpha must lie in (0, 1), got {args.alpha}")
+    try:
+        McmcConfig(total_samples=args.mcmc_samples)
+    except ValueError as exc:
+        raise CatalogError(f"--mcmc-samples: {exc}") from None
+
+
 def manifest_from_args(args: argparse.Namespace) -> RunManifest:
+    """Validated manifest; ``--jobs`` is clamped to [1, number of CPUs]."""
+    _check_args(args)
     return RunManifest(
         command=args.command,
         config_path=args.config,
         seed=args.seed,
         reps=args.reps,
         out_dir=args.out,
-        jobs=max(1, args.jobs),
+        jobs=max(1, min(args.jobs, os.cpu_count() or 1)),
         mcmc_samples=args.mcmc_samples,
         designs=select_designs(args.design),
         scenario_selector=args.scenario,

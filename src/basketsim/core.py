@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betaincc, gammaln
 
 PATTERNS = ("Null", "Alternative", "Ascending", "Descending", "BGN", "SGN")
 SIZE_FAMILIES = ("Linear", "Grouped", "HighVariance")
@@ -163,6 +163,13 @@ class Scenario:
         return tuple(p > p0 for p in self.true_rates)
 
 
+def set_unit_diagonal(weights: np.ndarray) -> np.ndarray:
+    """Set the diagonal of every K x K matrix in ``weights`` [..., K, K] to 1, in place."""
+    idx = np.arange(weights.shape[-1])
+    weights[..., idx, idx] = 1.0
+    return weights
+
+
 def validate_weight_matrix(matrix: np.ndarray) -> np.ndarray:
     """Check a K x K borrowing-weight matrix: entries in [0,1], unit diagonal."""
     m = np.asarray(matrix, dtype=float)
@@ -180,11 +187,16 @@ def validate_weight_matrix(matrix: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def log_beta(a, b) -> np.ndarray:
+    """ln B(a, b) elementwise over arrays of positive arguments."""
+    return gammaln(a) + gammaln(b) - gammaln(a + b)
+
+
 def log_beta_function(a: float, b: float) -> float:
     """ln B(a, b) via log-gamma; finite for all positive arguments."""
     if not (a > 0 and b > 0):
         raise ValueError(f"log_beta_function needs positive arguments, got ({a}, {b})")
-    return float(gammaln(a) + gammaln(b) - gammaln(a + b))
+    return float(log_beta(a, b))
 
 
 def beta_mean(shape: BetaShape) -> float:
@@ -198,69 +210,34 @@ def beta_log_pdf(shape: BetaShape, x: np.ndarray) -> np.ndarray:
     return (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - log_beta_function(a, b)
 
 
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta ratio (modified Lentz)."""
-    tiny = 1e-30
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 500):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h
-    raise NumericError(f"incomplete beta continued fraction stalled at a={a}, b={b}, x={x}")
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b), computed by continued fraction with the symmetry switch."""
-    if not (a > 0 and b > 0):
-        raise ValueError(f"incomplete beta needs positive shape, got ({a}, {b})")
+def beta_tails(alphas, betas, x: float) -> np.ndarray:
+    """Pr(p > x) elementwise over arrays of beta shapes, in one ufunc call."""
     if not 0.0 <= x <= 1.0:
-        raise ValueError(f"incomplete beta argument {x} outside [0, 1]")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        gammaln(a + b) - gammaln(a) - gammaln(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
+        raise ValueError(f"beta_tail threshold {x} outside [0, 1]")
+    return betaincc(alphas, betas, x)
 
 
 def beta_tail(shape: BetaShape, x: float) -> float:
     """Pr(p > x) under Beta(alpha, beta), the design decision statistic."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"beta_tail threshold {x} outside [0, 1]")
-    return min(1.0, max(0.0, 1.0 - regularized_incomplete_beta(shape.alpha, shape.beta, x)))
+    return float(beta_tails(shape.alpha, shape.beta, x))
+
+
+def row_sums(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, adding the terms in index order.
+
+    numpy's reductions choose their summation order from the array's shape,
+    so one replicate could sum differently alone and inside a bank; the
+    fixed order keeps every row's bits independent of the bank around it.
+    """
+    total = terms[..., 0].copy()
+    for j in range(1, terms.shape[-1]):
+        total += terms[..., j]
+    return total
+
+
+def weighted_sums(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_i weights[..., k, i] * values[..., i] for every k."""
+    return row_sums(weights * values[..., None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -349,29 +326,3 @@ def integrate(
         err = np.concatenate([err[~split], cerr])
         order = np.argsort(a, kind="stable")
         a, b, k15, err = a[order], b[order], k15[order], err[order]
-
-
-def integrate_beta_density(shape: BetaShape, lo: float = 0.0, hi: float = 1.0,
-                           tol: float = DEFAULT_QUAD_TOL) -> float:
-    """Quadrature of a beta density over [lo, hi].
-
-    Quadrature nodes are strictly interior, so a density unbounded at 0 is
-    handled by refinement alone.  A density unbounded at 1 is integrated in
-    reflected coordinates (where floats resolve the endpoint), using the
-    mirror identity between Beta(a, b) at 1-y and Beta(b, a) at y.
-    """
-    def density(x: np.ndarray) -> np.ndarray:
-        return np.exp(beta_log_pdf(shape, x))
-
-    if shape.beta >= 1.0 or hi <= 0.5:
-        return integrate(density, lo, hi, tol=tol)
-    mirrored = BetaShape(shape.beta, shape.alpha)
-
-    def mirrored_density(y: np.ndarray) -> np.ndarray:
-        return np.exp(beta_log_pdf(mirrored, y))
-
-    cut = max(lo, 0.5)
-    upper = integrate(mirrored_density, 1.0 - hi, 1.0 - cut, tol=0.5 * tol)
-    if lo >= 0.5:
-        return upper
-    return integrate(density, lo, cut, tol=0.5 * tol) + upper

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,7 +20,9 @@ from .core import (
     EDGE_EPS,
     beta_log_pdf,
     integrate,
+    set_unit_diagonal,
     validate_weight_matrix,
+    weighted_sums,
 )
 
 _LN2 = math.log(2.0)
@@ -49,6 +52,19 @@ def individual_posteriors(data: BasketData, priors: list[BetaShape]) -> list[Bet
     ]
 
 
+def _jsd_integrand(f: BetaShape, g: BetaShape):
+    """Integrand of jsd(f, g); bitwise symmetric in (f, g) at every abscissa."""
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        lw = beta_log_pdf(f, x)
+        lq = beta_log_pdf(g, x)
+        lm = np.logaddexp(lw, lq) - _LN2
+        # exp underflow makes the 0 * log 0 convention automatic here
+        return (np.exp(lw) * (lw - lm) + np.exp(lq) * (lq - lm)) / (2.0 * _LN2)
+
+    return integrand
+
+
 def jsd(f: BetaShape, g: BetaShape, tol: float = DEFAULT_QUAD_TOL) -> float:
     """Jensen-Shannon divergence between two beta densities, base-2 logs.
 
@@ -59,39 +75,51 @@ def jsd(f: BetaShape, g: BetaShape, tol: float = DEFAULT_QUAD_TOL) -> float:
     """
     if f == g:
         return 0.0
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        lw = beta_log_pdf(f, x)
-        lq = beta_log_pdf(g, x)
-        lm = np.logaddexp(lw, lq) - _LN2
-        # exp underflow makes the 0 * log 0 convention automatic here
-        return (np.exp(lw) * (lw - lm) + np.exp(lq) * (lq - lm)) / (2.0 * _LN2)
-
-    value = integrate(integrand, EDGE_EPS, 1.0 - EDGE_EPS, tol=tol)
+    value = integrate(_jsd_integrand(f, g), EDGE_EPS, 1.0 - EDGE_EPS, tol=tol)
     return min(1.0, max(0.0, value))
 
 
+@lru_cache(maxsize=1 << 16)
+def _memo_jsd(f_alpha: float, f_beta: float, g_alpha: float, g_beta: float,
+              tol: float) -> float:
+    return jsd(BetaShape(f_alpha, f_beta), BetaShape(g_alpha, g_beta), tol=tol)
+
+
+def jsd_matrices(alphas, betas, tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
+    """Pairwise JSD [..., K, K] between the beta shapes given as [..., K] arrays.
+
+    Values are memoized per shape pair and ``tol`` for the life of the
+    process: a study meets only a few thousand distinct pairs.  ``jsd`` is
+    bitwise symmetric, so each pair is keyed in sorted order.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    k = alphas.shape[-1]
+    shapes = np.stack([alphas, np.asarray(betas, dtype=float)], axis=-1)
+    rows = shapes.reshape(-1, k, 2).tolist()
+    out = np.zeros((len(rows), k, k))
+    for row, matrix in zip(rows, out):
+        for a in range(k):
+            for b in range(a + 1, k):
+                f, g = sorted((row[a], row[b]))
+                matrix[a, b] = matrix[b, a] = _memo_jsd(*f, *g, tol)
+    return out.reshape(alphas.shape + (k,))
+
+
 def jsd_matrix(posteriors: list[BetaShape], tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
-    """Pairwise JSD matrix; each unordered pair is integrated once per call."""
-    k = len(posteriors)
-    out = np.zeros((k, k))
-    cache: dict[tuple, float] = {}
-    for a in range(k):
-        for b in range(a + 1, k):
-            f, g = posteriors[a], posteriors[b]
-            key = (f.alpha, f.beta, g.alpha, g.beta)
-            if key not in cache:
-                cache[key] = jsd(f, g, tol=tol)
-            out[a, b] = out[b, a] = cache[key]
-    return out
+    """Pairwise JSD matrix of a list of beta shapes."""
+    return jsd_matrices(
+        [p.alpha for p in posteriors], [p.beta for p in posteriors], tol=tol
+    )
 
 
 def weights_from_jsd(jsd_mat: np.ndarray, params: FujikawaParams) -> np.ndarray:
-    """Threshold the similarity (1 - JSD)^epsilon at tau (strictly above)."""
+    """Threshold the similarity (1 - JSD)^epsilon at tau (strictly above).
+
+    Works on one K x K matrix or a stack [..., K, K].
+    """
     w = (1.0 - np.asarray(jsd_mat)) ** params.epsilon
     w[w <= params.tau] = 0.0
-    np.fill_diagonal(w, 1.0)
-    return w
+    return set_unit_diagonal(w)
 
 
 def fujikawa_weights(posteriors: list[BetaShape], params: FujikawaParams) -> np.ndarray:
@@ -113,6 +141,6 @@ def fujikawa_posterior(
     alphas = np.array([s.alpha for s in singles])
     betas = np.array([s.beta for s in singles])
     return [
-        BetaShape(float(matrix[k] @ alphas), float(matrix[k] @ betas))
-        for k in range(data.k)
+        BetaShape(float(a), float(b))
+        for a, b in zip(weighted_sums(matrix, alphas), weighted_sums(matrix, betas))
     ]

@@ -15,8 +15,11 @@ from .core import (
     BasketData,
     BetaShape,
     ConfigurationError,
+    log_beta,
     log_beta_function,
+    set_unit_diagonal,
     validate_weight_matrix,
+    weighted_sums,
 )
 
 POWER_PRIOR_VARIANTS = ("CPP", "APP", "LCPP")
@@ -113,12 +116,12 @@ def hellinger_gamma(d_k: tuple[int, int], d_i: tuple[int, int]) -> float:
     return math.sqrt(d_sq)
 
 
-def scaled_ks_matrix(data: BasketData) -> np.ndarray:
-    """Matrix of size-scaled rate-difference statistics (zero diagonal)."""
-    n = np.asarray(data.sample_sizes, dtype=float)
-    rates = np.asarray(data.responses, dtype=float) / n
+def scaled_ks_matrix(responses, sample_sizes) -> np.ndarray:
+    """Size-scaled rate differences [..., K, K] (zero diagonal) of counts [..., K]."""
+    n = np.asarray(sample_sizes, dtype=float)
+    rates = np.asarray(responses, dtype=float) / n
     scale = np.maximum.outer(n, n) ** 0.25
-    return scale * np.abs(rates[:, None] - rates[None, :])
+    return scale * np.abs(rates[..., :, None] - rates[..., None, :])
 
 
 def cpp_weights_from_scaled(s: np.ndarray, params: CppParams) -> np.ndarray:
@@ -136,13 +139,61 @@ def alpha0_matrix(sample_sizes) -> np.ndarray:
     return np.minimum(1.0, n[:, None] / n[None, :])
 
 
-def gamma_matrix(data: BasketData) -> np.ndarray:
-    k = data.k
-    gam = np.zeros((k, k))
-    for a in range(k):
-        for b in range(a + 1, k):
-            gam[a, b] = gam[b, a] = hellinger_gamma(data.basket(a), data.basket(b))
-    return gam
+def gamma_matrix(responses, sample_sizes) -> np.ndarray:
+    """``hellinger_gamma`` of every basket pair, [..., K, K] from counts [..., K].
+
+    Entry (k, i) above the diagonal takes basket k as the first argument;
+    the lower triangle mirrors it and the diagonal is zero.
+    """
+    n = np.asarray(sample_sizes, dtype=float)
+    r = np.asarray(responses, dtype=float)
+    # power[k, i]: exponent on basket k's likelihood when compared with basket i
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = np.where(n[:, None] > 0, np.minimum(1.0, n[None, :] / n[:, None]), 1.0)
+    fa = power * r[..., :, None] + 1.0
+    fb = power * (n - r)[..., :, None] + 1.0
+    ga, gb = np.swapaxes(fa, -1, -2), np.swapaxes(fb, -1, -2)
+    lb_f = log_beta(fa, fb)
+    bc = np.exp(
+        log_beta(0.5 * (fa + ga), 0.5 * (fb + gb))
+        - 0.5 * lb_f
+        - 0.5 * np.swapaxes(lb_f, -1, -2)
+    )
+    gam = np.triu(np.sqrt(np.clip(1.0 - bc, 0.0, 1.0)), 1)
+    return gam + np.swapaxes(gam, -1, -2)
+
+
+class PowerPriorBank:
+    """Borrowing weights of one variant over a bank of count vectors [R, K].
+
+    The parameter-free statistics (scaled rate differences, the size cap,
+    the Hellinger commensurability) are computed once at construction;
+    ``weights`` assembles the [R, K, K] matrices for one parameter set.
+    """
+
+    def __init__(self, variant: str, responses, sample_sizes):
+        if variant not in POWER_PRIOR_VARIANTS:
+            raise ConfigurationError(f"unknown power-prior variant {variant!r}")
+        self.variant = variant
+        self.alpha0 = None if variant == "CPP" else alpha0_matrix(sample_sizes)
+        self.gamma = gamma_matrix(responses, sample_sizes) if variant == "APP" else None
+        self._scaled = (
+            None if variant == "APP" else scaled_ks_matrix(responses, sample_sizes)
+        )
+
+    def weights(self, cpp_params: CppParams | None) -> np.ndarray:
+        needs_params = self.variant != "APP"
+        if needs_params and cpp_params is None:
+            raise ConfigurationError(f"{self.variant} weights require CppParams")
+        if not needs_params and cpp_params is not None:
+            raise ConfigurationError("APP weights take no tuning parameters")
+        if self.variant == "APP":
+            matrix = self.alpha0 * (1.0 - self.gamma)
+        else:
+            matrix = cpp_weights_from_scaled(self._scaled, cpp_params)
+            if self.variant == "LCPP":
+                matrix = self.alpha0 * matrix
+        return set_unit_diagonal(matrix)
 
 
 def build_weights(
@@ -151,26 +202,13 @@ def build_weights(
     cpp_params: CppParams | None = None,
 ) -> PowerPriorWeights:
     """Assemble the full K x K weight matrix for one variant (unit diagonal)."""
-    if variant not in POWER_PRIOR_VARIANTS:
-        raise ConfigurationError(f"unknown power-prior variant {variant!r}")
-    needs_params = variant in ("CPP", "LCPP")
-    if needs_params and cpp_params is None:
-        raise ConfigurationError(f"{variant} weights require CppParams")
-    if not needs_params and cpp_params is not None:
-        raise ConfigurationError("APP weights take no tuning parameters")
-
-    a0 = gam = None
-    if variant == "CPP":
-        matrix = cpp_weights_from_scaled(scaled_ks_matrix(data), cpp_params)
-    elif variant == "APP":
-        a0 = alpha0_matrix(data.sample_sizes)
-        gam = gamma_matrix(data)
-        matrix = a0 * (1.0 - gam)
-    else:  # LCPP
-        a0 = alpha0_matrix(data.sample_sizes)
-        matrix = a0 * cpp_weights_from_scaled(scaled_ks_matrix(data), cpp_params)
-    np.fill_diagonal(matrix, 1.0)
-    return PowerPriorWeights(matrix=matrix, variant=variant, alpha0=a0, gamma=gam)
+    bank = PowerPriorBank(variant, [data.responses], data.sample_sizes)
+    return PowerPriorWeights(
+        matrix=bank.weights(cpp_params)[0],
+        variant=variant,
+        alpha0=bank.alpha0,
+        gamma=None if bank.gamma is None else bank.gamma[0],
+    )
 
 
 def power_prior_posterior(
@@ -192,8 +230,8 @@ def power_prior_posterior(
         raise ConfigurationError(f"expected {data.k} priors, got {len(priors)}")
     r = np.asarray(data.responses, dtype=float)
     misses = np.asarray(data.sample_sizes, dtype=float) - r
-    alphas = matrix @ r
-    betas = matrix @ misses
+    alphas = weighted_sums(matrix, r)
+    betas = weighted_sums(matrix, misses)
     return [
         BetaShape(prior.alpha + alphas[k], prior.beta + betas[k])
         for k, prior in enumerate(priors)

@@ -12,31 +12,29 @@ computed once per bank and shared across the grid.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from . import bma as bma_mod
 from .bma import BmaParams
 from .core import (
-    BasketData,
     BetaShape,
     CalibrationError,
     ConfigurationError,
     NullRate,
+    NumericError,
     Scenario,
-    beta_tail,
 )
 from .engine import (
+    MCMC_DESIGNS,
+    ClosedFormBank,
     DesignConfig,
     decisions_from_tails,
     generate_responses,
     mcmc_seed_sequence,
     scenario_tails_means,
 )
-from .fujikawa import FujikawaParams, jsd_matrix
+from .fujikawa import FujikawaParams
 from .hierarchical import (
     BhmParams,
     ExnexParams,
@@ -44,13 +42,7 @@ from .hierarchical import (
     bhm_posterior_batch,
     exnex_posterior_batch,
 )
-from .powerprior import (
-    CppParams,
-    alpha0_matrix,
-    cpp_weights_from_scaled,
-    gamma_matrix,
-    scaled_ks_matrix,
-)
+from .powerprior import CppParams
 
 LAMBDA_STEPS = 999  # grid 0.001 .. 0.999, three-decimal resolution
 
@@ -86,13 +78,12 @@ def smallest_lambda(max_tails: np.ndarray, alpha: float, strict: bool) -> float:
         return _lambda_value(lo)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        e_mid = errors(mid)
-        assert e_mid <= errors(lo), "rejection count must be nonincreasing in lambda"
-        if e_mid <= allowed:
+        if errors(mid) <= allowed:
             hi = mid
         else:
             lo = mid
-    assert errors(hi) <= allowed < errors(hi - 1)  # minimality on this bank
+    if not errors(hi) <= allowed < errors(hi - 1):
+        raise NumericError(f"threshold {_lambda_value(hi)} is not minimal on this bank")
     return _lambda_value(hi)
 
 
@@ -154,23 +145,11 @@ def default_grid(design: str) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _fujikawa_jsd_chunk(args):
-    responses, sizes, priors_ab, tol = args
-    n_reps, k = responses.shape
-    out = np.empty((n_reps, k, k))
-    for i in range(n_reps):
-        posts = [
-            BetaShape(a + r, b + (n - r))
-            for (a, b), r, n in zip(priors_ab, responses[i], sizes)
-        ]
-        out[i] = jsd_matrix(posts, tol=tol)
-    return out
-
-
 class BankEvaluator:
     """Tail statistics for one (design, scenario bank) across a parameter grid.
 
-    MCMC designs have no parameter-independent precomputation, so their
+    Closed-form designs compute their parameter-independent statistics once
+    per bank (``engine.ClosedFormBank``).  MCMC designs have none, so their
     ``tails_means`` reruns the sampler per combination on per-replicate
     streams keyed exactly like the engine's.
     """
@@ -184,7 +163,6 @@ class BankEvaluator:
         p0: NullRate | float = NullRate(),
         priors: list[BetaShape] | None = None,
         mcmc: McmcConfig | None = None,
-        jobs: int = 1,
     ):
         self.design = design
         self.scenario = scenario
@@ -193,138 +171,24 @@ class BankEvaluator:
         self.p0 = p0.p0 if isinstance(p0, NullRate) else float(p0)
         self.priors = priors or [BetaShape(1.0, 1.0)] * scenario.k
         self.mcmc = mcmc or McmcConfig()
-        self.jobs = jobs
         self.responses = generate_responses(scenario, n_reps, master_seed)
-        self._sizes = np.asarray(scenario.sample_sizes, dtype=float)
-        self._prior_alpha = np.array([p.alpha for p in self.priors])
-        self._prior_beta = np.array([p.beta for p in self.priors])
-        if design in ("CPP", "LCPP"):
-            self._scaled = np.stack([
-                scaled_ks_matrix(self._data(i)) for i in range(n_reps)
-            ])
-            self._alpha0 = alpha0_matrix(scenario.sample_sizes)
-        elif design == "APP":
-            a0 = alpha0_matrix(scenario.sample_sizes)
-            weights = np.stack([
-                a0 * (1.0 - gamma_matrix(self._data(i))) for i in range(n_reps)
-            ])
-            self._set_unit_diagonal(weights)
-            self._app_stats = self._power_prior_stats(weights)
-        elif design == "Fujikawa":
-            self._jsd = self._jsd_matrices(jobs)
-            self._post_alpha = self._prior_alpha[None, :] + self.responses
-            self._post_beta = (
-                self._prior_beta[None, :] + self._sizes[None, :] - self.responses
+        self._bank = None
+        if design not in MCMC_DESIGNS:
+            self._bank = ClosedFormBank(
+                design, self.responses, scenario.sample_sizes, self.priors, self.p0
             )
-        elif design == "BMA":
-            self._init_bma()
-        elif design not in ("BHM", "EXNEX"):
-            raise ConfigurationError(f"unknown design {design!r}")
-
-    # -- construction helpers ------------------------------------------------
-
-    def _data(self, i: int) -> BasketData:
-        return BasketData(
-            tuple(int(v) for v in self.responses[i]), self.scenario.sample_sizes
-        )
-
-    @staticmethod
-    def _set_unit_diagonal(weights: np.ndarray) -> None:
-        k = weights.shape[-1]
-        idx = np.arange(k)
-        weights[:, idx, idx] = 1.0
-
-    def _jsd_matrices(self, jobs: int) -> np.ndarray:
-        priors_ab = [(p.alpha, p.beta) for p in self.priors]
-        sizes = self.scenario.sample_sizes
-        if jobs <= 1 or self.n_reps < 2 * jobs:
-            return _fujikawa_jsd_chunk((self.responses, sizes, priors_ab, 1e-8))
-        bounds = np.linspace(0, self.n_reps, jobs + 1, dtype=int)
-        tasks = [
-            (self.responses[a:b], sizes, priors_ab, 1e-8)
-            for a, b in zip(bounds[:-1], bounds[1:]) if b > a
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_fujikawa_jsd_chunk, tasks))
-        return np.concatenate(parts)
-
-    def _init_bma(self):
-        space = bma_mod._model_space(self.scenario.k)
-        prior = self.priors[0]
-        pooled_r = self.responses @ space.member_matrix.T
-        pooled_n = (
-            np.broadcast_to(self._sizes, self.responses.shape) @ space.member_matrix.T
-        )
-        alphas = prior.alpha + pooled_r
-        betas = prior.beta + (pooled_n - pooled_r)
-        lb0 = (
-            gammaln(prior.alpha) + gammaln(prior.beta)
-            - gammaln(prior.alpha + prior.beta)
-        )
-        self._subset_lm = gammaln(alphas) + gammaln(betas) - gammaln(alphas + betas) - lb0
-        self._subset_tails = self._tails_of(alphas, betas)
-        self._subset_means = alphas / (alphas + betas)
-        self._space = space
-        self._partition_matrix = np.zeros(
-            (len(space.partition_subsets), len(space.subsets))
-        )
-        for j, indices in enumerate(space.partition_subsets):
-            self._partition_matrix[j, list(indices)] = 1.0
-
-    # -- evaluation ----------------------------------------------------------
-
-    def _tails_of(self, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        tails = np.empty_like(alphas)
-        flat_t, flat_a, flat_b = tails.reshape(-1), alphas.reshape(-1), betas.reshape(-1)
-        for i in range(flat_a.size):
-            flat_t[i] = beta_tail(BetaShape(flat_a[i], flat_b[i]), self.p0)
-        return tails
-
-    def _power_prior_stats(self, weights: np.ndarray):
-        r = self.responses.astype(float)
-        misses = self._sizes[None, :] - r
-        alphas = self._prior_alpha[None, :] + np.einsum("rki,ri->rk", weights, r)
-        betas = self._prior_beta[None, :] + np.einsum("rki,ri->rk", weights, misses)
-        return self._tails_of(alphas, betas), alphas / (alphas + betas)
 
     def tails_means(self, params) -> tuple[np.ndarray, np.ndarray]:
         """Per-replicate tails and posterior means at one grid point."""
-        design = self.design
-        if design == "APP":
-            return self._app_stats
-        if design in ("CPP", "LCPP"):
-            weights = cpp_weights_from_scaled(self._scaled, params)
-            if design == "LCPP":
-                weights = weights * self._alpha0[None, :, :]
-            self._set_unit_diagonal(weights)
-            return self._power_prior_stats(weights)
-        if design == "Fujikawa":
-            weights = (1.0 - self._jsd) ** params.epsilon
-            weights[weights <= params.tau] = 0.0
-            self._set_unit_diagonal(weights)
-            alphas = np.einsum("rki,ri->rk", weights, self._post_alpha)
-            betas = np.einsum("rki,ri->rk", weights, self._post_beta)
-            return self._tails_of(alphas, betas), alphas / (alphas + betas)
-        if design == "BMA":
-            log_w = (
-                self._space.block_counts[None, :] * params.psi
-                + self._subset_lm @ self._partition_matrix.T
-            )
-            log_w -= log_w.max(axis=1, keepdims=True)
-            probs = np.exp(log_w)
-            probs /= probs.sum(axis=1, keepdims=True)
-            rows = np.arange(self.n_reps)[:, None, None]
-            gather = self._space.basket_subset[None, :, :]
-            tails = np.einsum("rj,rjk->rk", probs, self._subset_tails[rows, gather])
-            means = np.einsum("rj,rjk->rk", probs, self._subset_means[rows, gather])
-            return tails, means
+        if self._bank is not None:
+            return self._bank.tails_means(params)
         # MCMC designs: a fresh run per grid point, streams keyed per replicate
-        config = DesignConfig(design, params, mcmc=self.mcmc)
         seeds = [
-            mcmc_seed_sequence(self.master_seed, self.scenario.id, design, i)
+            mcmc_seed_sequence(self.master_seed, self.scenario.id, self.design, i)
             for i in range(self.n_reps)
         ]
-        runner = bhm_posterior_batch if design == "BHM" else exnex_posterior_batch
+        config = DesignConfig(self.design, params, mcmc=self.mcmc)
+        runner = bhm_posterior_batch if self.design == "BHM" else exnex_posterior_batch
         tails, means, _ = runner(
             self.responses, self.scenario.sample_sizes, config.params,
             self.mcmc, seeds, self.p0,
@@ -359,14 +223,6 @@ class TuningResult:
         return self.records[self.selected_index]
 
 
-def mean_correct_decisions(
-    decisions: np.ndarray, true_rates, p0: float
-) -> float:
-    truth = np.asarray(true_rates, dtype=float) > p0
-    correct = (decisions == truth[None, :]).sum(axis=1)
-    return math.fsum(correct.astype(float).tolist()) / decisions.shape[0]
-
-
 def grid_search(
     design: str,
     scenarios: list[Scenario],
@@ -377,7 +233,6 @@ def grid_search(
     priors: list[BetaShape] | None = None,
     mcmc: McmcConfig | None = None,
     p0: NullRate | float = NullRate(),
-    jobs: int = 1,
 ) -> TuningResult:
     """Score every parameter combination on one size family.
 
@@ -399,11 +254,12 @@ def grid_search(
     evaluators = [
         BankEvaluator(
             design, scenario, n_reps, seed,
-            p0=threshold, priors=priors, mcmc=mcmc, jobs=jobs,
+            p0=threshold, priors=priors, mcmc=mcmc,
         )
         for scenario in scenarios
     ]
     records = []
+    totals = []  # correct decisions summed over patterns, exact in integers
     for params in grid:
         per_scenario = [ev.tails_means(params)[0] for ev in evaluators]
         null_tails = per_scenario[scenarios.index(null_scenarios[0])]
@@ -411,19 +267,21 @@ def grid_search(
             lam = smallest_lambda(null_tails.max(axis=1), alpha, strict)
         except CalibrationError:
             records.append(TuningRecord(params, math.nan, {}, -math.inf, feasible=False))
+            totals.append(None)
             continue
-        pattern_ecd = {}
+        correct = {}
         for scenario, tails in zip(scenarios, per_scenario):
             decisions = decisions_from_tails(tails, lam, strict)
-            pattern_ecd[scenario.pattern] = mean_correct_decisions(
-                decisions, scenario.true_rates, threshold
-            )
+            truth = np.asarray(scenario.true_rates, dtype=float) > threshold
+            correct[scenario.pattern] = int((decisions == truth).sum())
+        pattern_ecd = {pattern: c / n_reps for pattern, c in correct.items()}
         mean_ecd = math.fsum(pattern_ecd.values()) / len(pattern_ecd)
         records.append(TuningRecord(params, lam, pattern_ecd, mean_ecd))
+        totals.append(sum(correct.values()))
     feasible = [i for i, rec in enumerate(records) if rec.feasible]
     if not feasible:
         raise CalibrationError("no grid combination could be calibrated", min_fwer=math.nan)
-    best = max(feasible, key=lambda i: records[i].mean_ecd)
-    # max() keeps the earliest index on ties, matching lexicographic order
-    assert all(records[best].mean_ecd >= records[i].mean_ecd for i in feasible)
+    # every pattern has n_reps replicates, so the integer total orders the
+    # mean ECDs exactly; max() keeps the earliest index on ties
+    best = max(feasible, key=totals.__getitem__)
     return TuningResult(design=design, records=tuple(records), selected_index=best)

@@ -245,6 +245,7 @@ class TestCriterion04DegenerateWeights:
 
 
 class TestCriterion05EcdTables:
+    @pytest.mark.slow
     def test_grouped_ecd_reproduction(self, grouped_tables):
         tol = 0.05
         failures = []
@@ -274,6 +275,7 @@ class TestCriterion05EcdTables:
 
 
 class TestCriterion06RejectionRates:
+    @pytest.mark.slow
     def test_grouped_rejection_rates(self, grouped_tables):
         tol = 0.02
         failures = []
@@ -300,6 +302,7 @@ class TestCriterion06RejectionRates:
 
 
 class TestCriterion07McmcDesigns:
+    @pytest.mark.slow
     def test_bhm_exnex_reduced_scale(self):
         start = time.perf_counter()
         failures = []
@@ -343,6 +346,7 @@ class TestCriterion07McmcDesigns:
 
 
 class TestCriterion08BiasSpotChecks:
+    @pytest.mark.slow
     def test_null_basket1_bias(self, grouped_tables):
         failures = []
         details = []
@@ -355,6 +359,7 @@ class TestCriterion08BiasSpotChecks:
 
 
 class TestCriterion09TuningProtocol:
+    @pytest.mark.slow
     def test_lambda_minimality_every_design(self):
         null_scenario = next(s for s in grouped_scenarios() if s.pattern == "Null")
         failures = []
@@ -381,10 +386,11 @@ class TestCriterion09TuningProtocol:
                 not failures, "minimal thresholds on the 2000-replicate bank"
                 + ("; " + "; ".join(failures) if failures else ""))
 
+    @pytest.mark.slow
     def test_fujikawa_linear_grid_search(self):
         start = time.perf_counter()
         linear = [s for s in builtin_catalog() if s.size_family == "Linear"]
-        result = grid_search("Fujikawa", linear, 2000, alpha=0.05, seed=SEED, jobs=JOBS)
+        result = grid_search("Fujikawa", linear, 2000, alpha=0.05, seed=SEED)
         reference = next(
             rec for rec in result.records
             if rec.params == FujikawaParams(1.5, 0.2)

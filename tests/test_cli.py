@@ -1,15 +1,18 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
 from basketsim.cli import (
     CatalogError,
+    build_parser,
     builtin_catalog,
     design_params_from_mapping,
     load_catalog,
     main,
+    manifest_from_args,
     select_designs,
     select_scenarios,
 )
@@ -214,3 +217,35 @@ class TestCommands:
         monkeypatch.setenv("BASKETSIM_JOBS", "junk")
         args = build_parser().parse_args(["simulate"])
         assert args.jobs == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--reps", "0"],
+        ["--reps", "-5"],
+        ["--p0", "1.5"],
+        ["--p0", "0"],
+        ["--alpha", "0"],
+        ["--mcmc-samples", "2"],
+        ["--seed", "-1"],
+    ])
+    def test_bad_numeric_flag_is_a_usage_error(self, flags, tmp_path, capsys):
+        args = ["simulate", "--scenario", "2", "--design", "CPP", "--reps", "5"]
+        assert main(args + flags + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "oc.csv").exists()
+
+    @pytest.mark.parametrize("value", ["abc", None, [0.9], 0.0, 1.5])
+    def test_bad_config_lambda_is_a_usage_error(self, value, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"designs": {"CPP": {"a": 4, "b": 4.5, "lambda": value}}}))
+        code = main(["simulate", "--config", str(path), "--scenario", "2",
+                     "--design", "CPP", "--reps", "5", "--out", str(tmp_path)])
+        assert code == 2
+        assert "designs.CPP.lambda" in capsys.readouterr().err
+
+    def test_jobs_clamped_to_cpu_count(self):
+        cpus = os.cpu_count() or 1
+        args = build_parser().parse_args(["simulate", "--jobs", str(cpus + 1000)])
+        assert manifest_from_args(args).jobs == cpus
+        args = build_parser().parse_args(["simulate", "--jobs", "-3"])
+        assert manifest_from_args(args).jobs == 1

@@ -11,13 +11,38 @@ from basketsim.core import (
     NullRate,
     QuadratureError,
     Scenario,
+    beta_log_pdf,
     beta_mean,
     beta_tail,
     integrate,
-    integrate_beta_density,
     log_beta_function,
     validate_weight_matrix,
 )
+
+def integrate_beta_density(shape, lo=0.0, hi=1.0, tol=1e-8):
+    """Quadrature oracle: the integral of a beta density over [lo, hi].
+
+    Nodes are strictly interior, so a density unbounded at 0 is handled by
+    refinement alone.  A density unbounded at 1 is integrated in reflected
+    coordinates (where floats resolve the endpoint), using the mirror
+    identity between Beta(a, b) at 1-y and Beta(b, a) at y.
+    """
+    def density(x):
+        return np.exp(beta_log_pdf(shape, x))
+
+    if shape.beta >= 1.0 or hi <= 0.5:
+        return integrate(density, lo, hi, tol=tol)
+    mirrored = BetaShape(shape.beta, shape.alpha)
+
+    def mirrored_density(y):
+        return np.exp(beta_log_pdf(mirrored, y))
+
+    cut = max(lo, 0.5)
+    upper = integrate(mirrored_density, 1.0 - hi, 1.0 - cut, tol=0.5 * tol)
+    if lo >= 0.5:
+        return upper
+    return integrate(density, lo, cut, tol=0.5 * tol) + upper
+
 
 shapes = st.builds(
     BetaShape,

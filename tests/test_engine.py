@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basketsim.bma import BmaParams
 from basketsim.core import BasketData, BetaShape, ConfigurationError, NullRate, Scenario
 from basketsim.engine import (
+    ClosedFormBank,
     DesignConfig,
     aggregate,
     correct_decisions,
@@ -16,9 +19,9 @@ from basketsim.engine import (
     scenario_tails_means,
     simulate,
 )
-from basketsim.fujikawa import FujikawaParams
+from basketsim.fujikawa import FujikawaParams, jsd_matrices, weights_from_jsd
 from basketsim.hierarchical import BhmParams, McmcConfig
-from basketsim.powerprior import CppParams
+from basketsim.powerprior import CppParams, PowerPriorBank
 
 LINEAR_NULL = Scenario(1, (10, 15, 20, 25, 30), (0.15,) * 5, "Null", "Linear")
 GROUPED_ASC = Scenario(8, (10, 10, 25, 25, 30), (0.15, 0.15, 0.25, 0.35, 0.35),
@@ -28,6 +31,24 @@ GROUPED_ALT = Scenario(5, (10, 10, 25, 25, 30), (0.35,) * 5, "Alternative", "Gro
 CPP_CFG = DesignConfig("CPP", CppParams(4, 4.5), lambda_=0.9)
 FUJI_CFG = DesignConfig("Fujikawa", FujikawaParams(1.5, 0.0), lambda_=0.9)
 BMA_CFG = DesignConfig("BMA", BmaParams(-2.0), lambda_=0.9)
+
+CLOSED_FORM = {
+    "CPP": CppParams(4, 4.5),
+    "APP": None,
+    "LCPP": CppParams(3, 4.5),
+    "Fujikawa": FujikawaParams(1.5, 0.2),
+    "BMA": BmaParams(-2.0),
+}
+
+
+@st.composite
+def trials(draw):
+    """(responses, sizes, permutation) for 3 to 5 baskets."""
+    k = draw(st.integers(3, 5))
+    sizes = draw(st.lists(st.integers(1, 40), min_size=k, max_size=k))
+    responses = [draw(st.integers(0, n)) for n in sizes]
+    perm = draw(st.permutations(range(k)))
+    return np.array(responses), np.array(sizes), list(perm)
 
 
 class TestDesignConfig:
@@ -204,3 +225,49 @@ class TestAggregate:
         assert oc.ecd_mean == pytest.approx((2 + 1 + 1 + 2) / 4)
         assert oc.bias[0] == pytest.approx(0.4 - 0.35)
         assert oc.bias[1] == pytest.approx(0.2 - 0.15)
+
+
+class TestClosedFormBank:
+    @pytest.mark.parametrize("design", sorted(CLOSED_FORM))
+    def test_bank_of_one_is_bitwise_a_row_of_the_bank(self, design):
+        params = CLOSED_FORM[design]
+        priors = [BetaShape(1, 1)] * 5
+        responses = generate_responses(GROUPED_ASC, 40, 19)
+        sizes = GROUPED_ASC.sample_sizes
+        tails, means = ClosedFormBank(design, responses, sizes, priors, 0.15).tails_means(params)
+        config = DesignConfig(design, params, lambda_=0.9)
+        for i, row in enumerate(responses):
+            one_t, one_m = ClosedFormBank(design, row[None], sizes, priors, 0.15).tails_means(params)
+            np.testing.assert_array_equal(one_t[0], tails[i])
+            np.testing.assert_array_equal(one_m[0], means[i])
+            single = run_design(config, BasketData(tuple(map(int, row)), sizes), 0.15)
+            np.testing.assert_array_equal(single.tail_probs, tails[i])
+            np.testing.assert_array_equal(single.posterior_means, means[i])
+
+    def test_unknown_design_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ClosedFormBank("BHM", [[1, 2]], (5, 5), [BetaShape(1, 1)] * 2, 0.15)
+
+    @pytest.mark.parametrize("design", sorted(CLOSED_FORM))
+    @settings(max_examples=25, deadline=None)
+    @given(trial=trials())
+    def test_label_permutation_equivariance_and_ranges(self, design, trial):
+        responses, sizes, perm = trial
+        params = CLOSED_FORM[design]
+        priors = [BetaShape(1, 1)] * len(sizes)
+        tails, means = ClosedFormBank(
+            design, responses[None], sizes, priors, 0.15).tails_means(params)
+        tails_p, means_p = ClosedFormBank(
+            design, responses[perm][None], sizes[perm], priors, 0.15).tails_means(params)
+        np.testing.assert_allclose(tails_p[0], tails[0][perm], atol=1e-12)
+        np.testing.assert_allclose(means_p[0], means[0][perm], atol=1e-12)
+        assert np.all((tails >= 0.0) & (tails <= 1.0))
+        assert np.all((means > 0.0) & (means < 1.0))
+        if design == "BMA":
+            return
+        if design == "Fujikawa":
+            weights = weights_from_jsd(jsd_matrices(1.0 + responses, 1.0 + sizes - responses), params)
+        else:
+            weights = PowerPriorBank(design, responses, sizes).weights(params)
+        assert np.all((weights >= 0.0) & (weights <= 1.0))
+        assert np.all(np.diag(weights) == 1.0)

@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basketsim.core import BasketData, BetaShape, beta_log_pdf
+from basketsim.core import EDGE_EPS, BasketData, BetaShape, beta_log_pdf
 from basketsim.fujikawa import (
     FujikawaParams,
+    _jsd_integrand,
     fujikawa_posterior,
     fujikawa_weights,
     individual_posteriors,
     jsd,
+    jsd_matrices,
     jsd_matrix,
     weights_from_jsd,
 )
@@ -74,6 +76,48 @@ class TestJsd:
 
     def test_zero_iff_equal(self):
         assert jsd(BetaShape(3, 5), BetaShape(3.2, 5)) > 1e-6
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=shapes, g=shapes)
+    def test_integrand_bitwise_symmetric(self, f, g):
+        # integrate() sees the same values in either order, so jsd(f, g) and
+        # jsd(g, f) share bits and the memo may key pairs in sorted order
+        xs = np.linspace(EDGE_EPS, 1.0 - EDGE_EPS, 4001)
+        np.testing.assert_array_equal(_jsd_integrand(f, g)(xs), _jsd_integrand(g, f)(xs))
+
+
+class TestJsdMatrices:
+    def test_memo_returns_the_bits_of_a_fresh_quadrature(self):
+        rng = np.random.default_rng(4)
+        sizes = np.array([10, 10, 25, 25, 30])
+        responses = rng.binomial(sizes, 0.3, size=(30, 5))
+        alphas, betas = 1.0 + responses, 1.0 + sizes - responses
+        memo = jsd_matrices(alphas, betas)
+        again = jsd_matrices(alphas, betas)
+        np.testing.assert_array_equal(memo, again)
+        for row in range(30):
+            for a in range(5):
+                for b in range(5):
+                    if a == b:
+                        continue
+                    fresh = jsd(BetaShape(alphas[row, a], betas[row, a]),
+                                BetaShape(alphas[row, b], betas[row, b]))
+                    assert memo[row, a, b] == fresh
+
+    def test_bank_rows_match_single_matrices(self):
+        post = [[BetaShape(2, 9), BetaShape(5, 7), BetaShape(1, 1)],
+                [BetaShape(5, 7), BetaShape(2, 9), BetaShape(3, 3)]]
+        alphas = [[p.alpha for p in row] for row in post]
+        betas = [[p.beta for p in row] for row in post]
+        bank = jsd_matrices(alphas, betas)
+        for row, matrix in zip(post, bank):
+            np.testing.assert_array_equal(jsd_matrix(row), matrix)
+
+    def test_tolerance_is_part_of_the_key(self):
+        f, g = BetaShape(4, 8), BetaShape(9, 3)
+        loose = jsd_matrices([[4, 9]], [[8, 3]], tol=1e-3)[0, 0, 1]
+        assert loose == jsd(f, g, tol=1e-3)
+        assert jsd_matrices([[4, 9]], [[8, 3]])[0, 0, 1] == jsd(f, g)
 
 
 class TestFujikawaWeights:

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from basketsim.bma import BmaParams
-from basketsim.core import CalibrationError, Scenario
+from basketsim.bma import BmaParams, enumerate_partitions, log_marginal_likelihood
+from basketsim.cli import builtin_catalog
+from basketsim.core import (
+    BasketData,
+    BetaShape,
+    CalibrationError,
+    Scenario,
+    beta_mean,
+    beta_tail,
+)
 from basketsim.engine import DesignConfig, scenario_tails_means
-from basketsim.fujikawa import FujikawaParams
+from basketsim.fujikawa import FujikawaParams, jsd
 from basketsim.hierarchical import BhmParams, ExnexParams, McmcConfig
-from basketsim.powerprior import CppParams
+from basketsim.powerprior import CppParams, alpha0, cpp_weight, hellinger_gamma
 from basketsim.tuning import (
     BankEvaluator,
     calibrate_lambda,
@@ -21,6 +29,60 @@ GROUPED_ASC = Scenario(8, (10, 10, 25, 25, 30), (0.15, 0.15, 0.25, 0.35, 0.35),
 GROUPED_SGN = Scenario(17, (10, 10, 25, 25, 30), (0.40, 0.15, 0.15, 0.15, 0.15),
                        "SGN", "Grouped")
 MINI_FAMILY = [GROUPED_NULL, GROUPED_ASC, GROUPED_SGN]
+
+
+def reference_tails_means(design, params, data, p0=0.15):
+    """One replicate's tails and means from the scalar formulas, pair by pair."""
+    k = data.k
+    baskets = [data.basket(i) for i in range(k)]
+    if design == "BMA":
+        prior = BetaShape(1, 1)
+        partitions = enumerate_partitions(k)
+        log_w = np.array([
+            p.block_count * params.psi + log_marginal_likelihood(p, data, prior)
+            for p in partitions
+        ])
+        w = np.exp(log_w - log_w.max())
+        w /= w.sum()
+        tails, means = np.zeros(k), np.zeros(k)
+        for w_j, partition in zip(w, partitions):
+            for block in partition.blocks():
+                r = sum(baskets[i][0] for i in block)
+                n = sum(baskets[i][1] for i in block)
+                shape = BetaShape(1 + r, 1 + n - r)
+                for i in block:
+                    tails[i] += w_j * beta_tail(shape, p0)
+                    means[i] += w_j * beta_mean(shape)
+        return tails, means
+    singles = [BetaShape(1 + r, 1 + n - r) for r, n in baskets]
+    shapes = []
+    for a in range(k):
+        alpha = beta = 0.0 if design == "Fujikawa" else 1.0
+        for b in range(k):
+            if a == b:
+                w = 1.0
+            elif design == "Fujikawa":
+                w = (1.0 - jsd(singles[a], singles[b])) ** params.epsilon
+                w = 0.0 if w <= params.tau else w
+            elif design == "APP":
+                w = alpha0(baskets[a][1], baskets[b][1]) * (
+                    1.0 - hellinger_gamma(baskets[a], baskets[b])
+                )
+            else:
+                w = cpp_weight(baskets[a], baskets[b], params)
+                if design == "LCPP":
+                    w *= alpha0(baskets[a][1], baskets[b][1])
+            if design == "Fujikawa":
+                alpha += w * singles[b].alpha
+                beta += w * singles[b].beta
+            else:
+                alpha += w * baskets[b][0]
+                beta += w * (baskets[b][1] - baskets[b][0])
+        shapes.append(BetaShape(alpha, beta))
+    return (
+        np.array([beta_tail(shape, p0) for shape in shapes]),
+        np.array([beta_mean(shape) for shape in shapes]),
+    )
 
 
 def empirical_fwer(max_tails, lam, strict):
@@ -113,11 +175,22 @@ class TestBankEvaluator:
         ],
     )
     def test_fast_path_matches_engine(self, design, params):
+        """Closed-form banks match the scalar formulas; MCMC banks match the engine."""
         mc = McmcConfig(total_samples=900)
         ev = BankEvaluator(design, GROUPED_ASC, 50, 37, mcmc=mc)
         tails_fast, means_fast = ev.tails_means(params)
-        cfg = DesignConfig(design, params, mcmc=mc)
-        tails_ref, means_ref = scenario_tails_means(cfg, GROUPED_ASC, 50, 37, 0.15)
+        if design in ("BHM", "EXNEX"):
+            cfg = DesignConfig(design, params, mcmc=mc)
+            tails_ref, means_ref = scenario_tails_means(cfg, GROUPED_ASC, 50, 37, 0.15)
+        else:
+            refs = [
+                reference_tails_means(
+                    design, params, BasketData(tuple(map(int, r)), GROUPED_ASC.sample_sizes)
+                )
+                for r in ev.responses
+            ]
+            tails_ref = np.array([t for t, _ in refs])
+            means_ref = np.array([m for _, m in refs])
         np.testing.assert_allclose(tails_fast, tails_ref, atol=1e-10)
         np.testing.assert_allclose(means_fast, means_ref, atol=1e-10)
 
@@ -152,3 +225,16 @@ class TestGridSearch:
                              grid=[BmaParams(-2.0), BmaParams(0.0)])
         for rec in result.records:
             assert rec.lambda_ == round(rec.lambda_, 3)
+
+    def test_exact_ties_break_toward_earliest_point(self):
+        linear = [s for s in builtin_catalog() if s.size_family == "Linear"]
+        result = grid_search("Fujikawa", linear, 100, seed=1008)
+        early, late = result.records[7], result.records[12]
+        assert early.params == FujikawaParams(1.0, 0.1)
+        assert late.params == FujikawaParams(1.5, 0.0)
+        # both score 2483 correct decisions over 6 x 100 replicates; their
+        # float means differ in the last bit, the later one upward
+        assert early.mean_ecd == pytest.approx(2483 / 600, abs=1e-12)
+        assert late.mean_ecd == pytest.approx(2483 / 600, abs=1e-12)
+        assert max(rec.mean_ecd for rec in result.records) == pytest.approx(2483 / 600, abs=1e-12)
+        assert result.selected_index == 7
