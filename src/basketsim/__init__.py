@@ -44,15 +44,7 @@ from .fujikawa import (
     individual_posteriors,
     jsd,
 )
-from .hierarchical import (
-    BhmParams,
-    ExnexParams,
-    McmcConfig,
-    PosteriorSummary,
-    bhm_posterior,
-    exnex_posterior,
-    tail_from_chain,
-)
+from .hierarchical import BhmParams, ExnexParams
 from .powerprior import (
     CppParams,
     PowerPriorWeights,

@@ -36,7 +36,7 @@ from .engine import (
     scenario_tails_means,
 )
 from .fujikawa import FujikawaParams
-from .hierarchical import BhmParams, ExnexParams, McmcConfig
+from .hierarchical import BhmParams, ExnexParams
 from .powerprior import CppParams
 from .tuning import grid_search, smallest_lambda
 
@@ -112,7 +112,6 @@ class RunManifest:
     reps: int
     out_dir: str
     jobs: int
-    mcmc_samples: int
     designs: tuple[str, ...]
     scenario_selector: str
     p0: float = 0.15
@@ -125,7 +124,6 @@ class RunManifest:
             "command": self.command,
             "seed": self.seed,
             "reps": self.reps,
-            "mcmc_samples": self.mcmc_samples,
             "designs": list(self.designs),
             "scenarios": self.scenario_selector,
             "p0": self.p0,
@@ -199,7 +197,12 @@ def load_catalog(path: str | None = None) -> list[Scenario]:
     config = load_config(path)
     if "scenarios" not in config:
         return builtin_catalog()
-    return [_scenario_from_mapping(i, raw) for i, raw in enumerate(config["scenarios"])]
+    scenarios = [_scenario_from_mapping(i, raw) for i, raw in enumerate(config["scenarios"])]
+    # ids key the data streams and the reuse of null tails, so they must be unique
+    for i, scenario in enumerate(scenarios):
+        if any(other.id == scenario.id for other in scenarios[:i]):
+            raise CatalogError(f"scenarios[{i}].id: duplicate scenario id {scenario.id}")
+    return scenarios
 
 
 def load_config(path: str) -> dict:
@@ -304,8 +307,7 @@ def select_designs(selector: str) -> tuple[str, ...]:
 def _header_lines(manifest: RunManifest) -> list[str]:
     return [
         f"# basketsim v{__version__} command={manifest.command} "
-        f"seed={manifest.seed} reps={manifest.reps} "
-        f"mcmc_samples={manifest.mcmc_samples} config_hash={manifest.result_key()}"
+        f"seed={manifest.seed} reps={manifest.reps} config_hash={manifest.result_key()}"
     ]
 
 
@@ -323,7 +325,7 @@ def _fmt(value: float) -> str:
 
 
 def _design_setup(manifest: RunManifest, config_file: dict, family: str, design: str):
-    """Parameters, fixed lambda (if any) and mcmc settings for one design."""
+    """Parameters and fixed lambda (if any) for one design."""
     raw = (config_file.get("designs") or {}).get(design)
     if raw is not None:
         params = design_params_from_mapping(design, raw)
@@ -340,8 +342,7 @@ def _design_setup(manifest: RunManifest, config_file: dict, family: str, design:
     else:
         params = TUNED_PARAMS[family][design]
         fixed_lambda = None
-    mcmc = McmcConfig(total_samples=manifest.mcmc_samples)
-    return DesignConfig(design, params, mcmc=mcmc), fixed_lambda
+    return DesignConfig(design, params), fixed_lambda
 
 
 def _families(scenarios: list[Scenario]) -> list[str]:
@@ -441,8 +442,7 @@ def command_tune(manifest: RunManifest) -> int:
         for design in manifest.designs:
             result = grid_search(
                 design, family_scenarios, manifest.reps, alpha=manifest.alpha,
-                seed=manifest.seed, mcmc=McmcConfig(total_samples=manifest.mcmc_samples),
-                p0=manifest.p0,
+                seed=manifest.seed, p0=manifest.p0,
             )
             for i, rec in enumerate(result.records):
                 row = [
@@ -638,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=42)
         cmd.add_argument("--jobs", type=int, default=_default_jobs())
         cmd.add_argument("--out", default="out")
-        cmd.add_argument("--mcmc-samples", type=int, default=10_000)
+        cmd.add_argument("--mcmc-samples", help="accepted and ignored")
         cmd.add_argument("--alpha", type=float, default=0.05)
         cmd.add_argument("--p0", type=float, default=0.15)
         if name == "report":
@@ -658,10 +658,6 @@ def _check_args(args: argparse.Namespace) -> None:
         raise CatalogError(f"--p0 must lie in (0, 1), got {args.p0}")
     if not 0.0 < args.alpha < 1.0:
         raise CatalogError(f"--alpha must lie in (0, 1), got {args.alpha}")
-    try:
-        McmcConfig(total_samples=args.mcmc_samples)
-    except ValueError as exc:
-        raise CatalogError(f"--mcmc-samples: {exc}") from None
 
 
 def manifest_from_args(args: argparse.Namespace) -> RunManifest:
@@ -674,7 +670,6 @@ def manifest_from_args(args: argparse.Namespace) -> RunManifest:
         reps=args.reps,
         out_dir=args.out,
         jobs=max(1, min(args.jobs, os.cpu_count() or 1)),
-        mcmc_samples=args.mcmc_samples,
         designs=select_designs(args.design),
         scenario_selector=args.scenario,
         p0=args.p0,

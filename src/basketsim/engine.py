@@ -3,15 +3,17 @@
 Every replicate's data stream is keyed by (master seed, scenario id,
 replicate index) alone, so all designs see identical data sets and any
 replicate can be regenerated independently of evaluation order or worker
-count.  MCMC streams carry the design in the key as well, keeping the
-samplers' randomness disjoint from the data's.
+count.  Every design is evaluated deterministically from the data, a bank
+of replicates at a time, so no other randomness is involved.
 """
 
 from __future__ import annotations
 
+import atexit
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,20 +28,11 @@ from .core import (
     weighted_sums,
 )
 from .fujikawa import FujikawaParams, jsd_matrices, weights_from_jsd
-from .hierarchical import (
-    BhmParams,
-    ExnexParams,
-    McmcConfig,
-    bhm_posterior,
-    bhm_posterior_batch,
-    exnex_posterior,
-    exnex_posterior_batch,
-)
+from .hierarchical import BhmParams, ExnexParams, HierarchicalBank
 from .powerprior import POWER_PRIOR_VARIANTS, CppParams, PowerPriorBank
 
 DESIGNS = ("CPP", "APP", "LCPP", "Fujikawa", "BMA", "BHM", "EXNEX")
 STRICT_DESIGNS = frozenset({"BMA", "BHM", "EXNEX"})
-MCMC_DESIGNS = frozenset({"BHM", "EXNEX"})
 
 _PARAM_TYPES = {
     "CPP": CppParams,
@@ -68,7 +61,6 @@ class DesignConfig:
     priors: tuple[BetaShape, ...] | None = None
     lambda_: float | None = None
     strict_inequality: bool | None = None
-    mcmc: McmcConfig = field(default_factory=McmcConfig)
 
     def __post_init__(self):
         if self.design not in DESIGNS:
@@ -132,6 +124,8 @@ def _data_stream(master_seed: int, scenario_id: int, replicate: int) -> np.rando
 def mcmc_seed_sequence(
     master_seed: int, scenario_id: int, design: str, replicate: int
 ) -> np.random.SeedSequence:
+    """A per-replicate sampler seed, kept for the benchmark's sampler check; the
+    quadrature that replaced the sampler ignores it."""
     return np.random.SeedSequence(
         entropy=master_seed,
         spawn_key=(_STREAM_MCMC, scenario_id, DESIGNS.index(design), replicate),
@@ -167,15 +161,16 @@ def generate_responses(scenario: Scenario, n_reps: int, master_seed: int,
 # ---------------------------------------------------------------------------
 
 
-class ClosedFormBank:
-    """One closed-form design's statistics over a bank of replicates [R, K].
+class DesignBank:
+    """One design's statistics over a bank of replicates [R, K].
 
     The constructor computes what does not depend on the design parameters
     (scaled rate differences, Hellinger commensurability, JSD matrices, BMA
-    subset marginals and tails); ``tails_means`` finishes the weights,
-    posterior shapes, tails and means of the whole bank for one parameter
-    set.  Every row is computed on its own, so a bank of one gives the same
-    bits as that replicate inside any larger bank.
+    subset marginals and tails); ``tails_means`` finishes the tails and
+    posterior means of the whole bank for one parameter set.  BHM and EXNEX
+    take their quadrature tables from a per-process cache keyed by the
+    parameters.  Every row is computed on its own, so a bank of one gives
+    the same bits as that replicate inside any larger bank.
     """
 
     def __init__(self, design: str, responses, sample_sizes,
@@ -196,13 +191,17 @@ class ClosedFormBank:
             self._jsd = jsd_matrices(*self._counts)
         elif design == "BMA":
             self._bma = BmaBank(r, n, priors[0], p0)
+        elif design in ("BHM", "EXNEX"):
+            self._hierarchical = HierarchicalBank(design, responses, sample_sizes, p0)
         else:
-            raise ConfigurationError(f"{design} has no closed-form posterior")
+            raise ConfigurationError(f"unknown design {design!r}")
 
     def tails_means(self, params) -> tuple[np.ndarray, np.ndarray]:
         """Tails Pr(p > p0) and posterior means, both [R, K], at one parameter set."""
         if self.design == "BMA":
             return self._bma.tails_means(params)
+        if self.design in ("BHM", "EXNEX"):
+            return self._hierarchical.tails_means(params)
         if self.design == "Fujikawa":
             weights = weights_from_jsd(self._jsd, params)
             alphas = weighted_sums(weights, self._counts[0])
@@ -224,17 +223,7 @@ def evaluate_bank(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tail probabilities and posterior means for a block of replicates."""
     responses = generate_responses(scenario, n_reps, master_seed, start=start)
-    if config.design in MCMC_DESIGNS:
-        seeds = [
-            mcmc_seed_sequence(master_seed, scenario.id, config.design, start + i)
-            for i in range(n_reps)
-        ]
-        runner = bhm_posterior_batch if config.design == "BHM" else exnex_posterior_batch
-        tails, means, _ = runner(
-            responses, scenario.sample_sizes, config.params, config.mcmc, seeds, p0
-        )
-        return tails, means
-    bank = ClosedFormBank(
+    bank = DesignBank(
         config.design, responses, scenario.sample_sizes,
         config.prior_list(scenario.k), p0,
     )
@@ -244,6 +233,15 @@ def evaluate_bank(
 def _evaluate_chunk(args):
     config, scenario, start, stop, master_seed, p0 = args
     return evaluate_bank(config, scenario, stop - start, master_seed, p0, start=start)
+
+
+@functools.lru_cache(maxsize=None)
+def _worker_pool(jobs: int) -> ProcessPoolExecutor:
+    """One pool per worker count for the life of the process, so workers keep
+    their quadrature tables and JSD memo from one scenario to the next."""
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    atexit.register(pool.shutdown)
+    return pool
 
 
 def scenario_tails_means(
@@ -267,8 +265,7 @@ def scenario_tails_means(
         for a, b in zip(bounds[:-1], bounds[1:])
         if b > a
     ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_evaluate_chunk, tasks))
+    parts = list(_worker_pool(jobs).map(_evaluate_chunk, tasks))
     tails = np.concatenate([p[0] for p in parts])
     means = np.concatenate([p[1] for p in parts])
     return tails, means
@@ -288,16 +285,11 @@ def run_design(config: DesignConfig, data: BasketData, p0: NullRate | float = Nu
     if config.lambda_ is None:
         raise ConfigurationError("run_design needs lambda on the config")
     threshold = p0.p0 if isinstance(p0, NullRate) else float(p0)
-    if config.design in MCMC_DESIGNS:
-        runner = bhm_posterior if config.design == "BHM" else exnex_posterior
-        summary = runner(data, config.params, config.mcmc, threshold)
-        tails, means = summary.tail_probs, summary.posterior_means
-    else:
-        bank = ClosedFormBank(
-            config.design, [data.responses], data.sample_sizes,
-            config.prior_list(data.k), threshold,
-        )
-        tails, means = (stat[0] for stat in bank.tails_means(config.params))
+    bank = DesignBank(
+        config.design, [data.responses], data.sample_sizes,
+        config.prior_list(data.k), threshold,
+    )
+    tails, means = (stat[0] for stat in bank.tails_means(config.params))
     return ReplicateResult(
         tail_probs=tails,
         posterior_means=means,

@@ -1,35 +1,40 @@
-"""BHM and EXNEX designs via a self-contained log-odds MCMC sampler.
+"""BHM and EXNEX designs by deterministic nested quadrature.
 
-The sampler is Metropolis-within-Gibbs: Gaussian random walks on each
-basket's log-odds parameter and on log(sigma), a conjugate Gibbs draw for
-mu, a joint translation move shifting mu and all log-odds together (the
-walk that lets the nearly flat hyperprior mix when the data are weak), and
-(for EXNEX) per-basket exchangeability indicators drawn from their mixture
-responsibilities each sweep.  Proposal scales adapt toward a 0.4 acceptance
-rate during burn-in and are frozen afterwards, so results are fully
-determined by the seed.
-
-Chains for many data sets run in lock-step as rows of one array, but every
-replicate consumes its own counter-based random stream, so results are
-independent of batching and safe to shard across workers.
+Given (mu, sigma) the baskets are independent, so the posterior is a 2-D
+integral over (mu, sigma) of products of 1-D integrals over each basket's
+log-odds eta (the low-dimensional integration idea of INLA).  The 1-D
+integrals -- the likelihood's mass, its mass above the cut logit(p0) and
+its mean of expit(eta) under N(mu + offset, sigma) -- are tabulated for
+r = 0..n once per (n, offset, phi) on a fixed tensor grid of Gauss-Legendre
+panels: mu panels halve toward each cut, sigma = phi * s on fixed s nodes.
+Narrow kernels are integrated in z = (eta - nu) / sigma, wide ones on eta
+panels with the cut on a panel boundary plus the likelihood's flat mass
+beyond them (r = 0 or r = n) in closed form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, ndtr, xlogy
 
-from .core import BasketData
+_CUT_LEVELS = 7  # mu panels halve this many times toward a cut
+_MU_HALF = 8  # unit-width mu panels on either side of a cut
+_S_EDGES = (0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 5.5, 8.5)  # s ~ half-normal(1)
+_S_ORDER = 5
+_ETA_LIMIT = 30.0  # beyond |eta| = 30 the likelihood is flat or negligible
+_ETA_PANEL = 0.5
+_ETA_ORDER = 8
+_Z_SIGMA = 0.25  # kernels up to this sigma are integrated in z
+_Z_LIMIT = 9.0
+_Z_ORDER = 48
+_TABLE_ROWS = 120  # (r, n) rows of quadrature tables kept per process
+_CHUNK_BYTES = 1 << 19  # one [rows, grid] temporary of the posterior sums
 
-_SLAB = 256  # sweeps of randomness drawn per stream call; fixed for stream stability
-_ADAPT_INTERVAL = 100
-_ADAPT_TARGET = 0.4
-_ACCEPT_BAND = (0.05, 0.95)
-_SCALE_BOUNDS = (1e-3, 1e3)
+_TABLES: dict = {}
 
 
 def logit(p: float) -> float:
@@ -54,12 +59,7 @@ class BhmParams:
             raise ValueError(f"half-normal scale phi must be positive, got {self.phi}")
 
     def offsets(self, k: int) -> np.ndarray:
-        rates = self.target_rates
-        if isinstance(rates, (int, float)):
-            rates = (float(rates),) * k
-        if len(rates) != k:
-            raise ValueError(f"expected {k} target rates, got {len(rates)}")
-        return np.array([logit(p) for p in rates])
+        return np.array([logit(p) for p in _per_basket(self.target_rates, k)])
 
 
 @dataclass(frozen=True)
@@ -81,407 +81,180 @@ class ExnexParams:
             raise ValueError(f"exchangeability weight q must lie in (0, 1], got {self.q}")
 
     def nex_arrays(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        means = self.nex_means
-        sds = self.nex_sds
-        if isinstance(means, (int, float)):
-            means = (float(means),) * k
-        if isinstance(sds, (int, float)):
-            sds = (float(sds),) * k
-        if len(means) != k or len(sds) != k:
-            raise ValueError("nonexchangeable prior vectors must have one entry per basket")
-        return np.asarray(means, dtype=float), np.asarray(sds, dtype=float)
+        return _per_basket(self.nex_means, k), _per_basket(self.nex_sds, k)
+
+
+def _per_basket(value, k: int) -> np.ndarray:
+    values = (float(value),) * k if isinstance(value, (int, float)) else tuple(value)
+    if len(values) != k:
+        raise ValueError(f"expected one prior value per basket ({k}), got {len(values)}")
+    return np.asarray(values, dtype=float)
 
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Sampling protocol: chain length, burn-in share, seed, initial scales."""
+    """Sampler length, kept for the benchmark's sampler check; the quadrature ignores it."""
 
     total_samples: int = 10_000
-    burn_in_fraction: float = 1.0 / 3.0
-    seed: int = 0
-    theta_scale: float = 0.5
-    sigma_scale: float = 0.5
-    adapt: bool = True
-
-    def __post_init__(self):
-        if self.total_samples < 3:
-            raise ValueError("total_samples must be at least 3")
-        if not 0.0 <= self.burn_in_fraction < 1.0:
-            raise ValueError("burn_in_fraction must lie in [0, 1)")
-
-    @property
-    def burn_in(self) -> int:
-        return int(self.total_samples * self.burn_in_fraction)
 
 
-@dataclass(frozen=True)
-class PosteriorSummary:
-    """Per-basket decision statistics from one chain, with diagnostics.
-
-    ``chains`` holds the retained mu/sigma/p draws when collection was
-    requested, otherwise None.
-    """
-
-    tail_probs: np.ndarray
-    posterior_means: np.ndarray
-    acceptance: dict
-    warnings: tuple[str, ...]
-    chains: dict | None = None
+_leggauss = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
 
-def tail_from_chain(chain: np.ndarray, threshold: float) -> float:
-    """Fraction of retained samples exceeding the threshold."""
-    chain = np.asarray(chain)
-    if chain.size == 0:
-        raise ValueError("tail_from_chain needs a nonempty chain")
-    return float(np.mean(chain > threshold))
+def _gauss_panels(edges, orders) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights over consecutive panels."""
+    nodes, weights = [], []
+    for a, b, m in zip(edges[:-1], edges[1:], orders):
+        x, w = _leggauss(int(m))
+        nodes.append(0.5 * (a + b) + 0.5 * (b - a) * x)
+        weights.append(0.5 * (b - a) * w)
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _make_streams(seeds) -> list[np.random.Generator]:
-    out = []
-    for seed in seeds:
-        if not isinstance(seed, np.random.SeedSequence):
-            seed = np.random.SeedSequence(seed)
-        out.append(np.random.Generator(np.random.Philox(seed)))
-    return out
+def _mu_panels(cuts, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Panel edges covering [lo, hi]: halving toward each cut, unit width
+    near it, doubling beyond; and a Gauss-Legendre order per panel."""
+    edges = set()
+    for cut in cuts:
+        reach = [2.0 ** -j for j in range(_CUT_LEVELS, 0, -1)] + list(range(1, _MU_HALF + 1))
+        while cut - reach[-1] > lo or cut + reach[-1] < hi:
+            reach.append(reach[-1] + 2 * (reach[-1] - reach[-2]))
+        edges.update(cut + sign * d for d in [0.0] + reach for sign in (-1.0, 1.0))
+    edges = np.array(sorted(edges))
+    widths = np.diff(edges)
+    return edges, np.where(widths < 0.4, 4, np.where(widths < 1.5, 8, 6))
 
 
-class _RandomSlabs:
-    """Fixed-size blocks of randomness, one independent stream per replicate.
-
-    Each replicate's stream is consumed in a fixed call pattern (normals
-    block, then uniforms block, per slab of 256 sweeps), so the draws a
-    replicate sees do not depend on how replicates are batched.
-    """
-
-    def __init__(self, streams, n_norm: int, n_unif: int):
-        self.streams = streams
-        self.n_norm = n_norm
-        self.n_unif = n_unif
-        self.norm = np.empty((len(streams), _SLAB, n_norm))
-        self.unif = np.empty((len(streams), _SLAB, n_unif))
-        self.cursor = _SLAB
-
-    def draw(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.cursor == _SLAB:
-            for i, gen in enumerate(self.streams):
-                self.norm[i] = gen.standard_normal((_SLAB, self.n_norm))
-                self.unif[i] = gen.random((_SLAB, self.n_unif))
-            self.cursor = 0
-        t = self.cursor
-        self.cursor += 1
-        return self.norm[:, t, :], self.unif[:, t, :]
+@functools.lru_cache(maxsize=8)
+def _grid(cuts: tuple, mu_mean: float, mu_sd: float):
+    """mu nodes, s nodes and the log prior-times-quadrature weights [s, mu]."""
+    mu, w_mu = _gauss_panels(*_mu_panels(cuts, mu_mean - 10 * mu_sd, mu_mean + 10 * mu_sd))
+    s, w_s = _gauss_panels(_S_EDGES, [_S_ORDER] * (len(_S_EDGES) - 1))
+    log_w = (np.log(w_s) - 0.5 * s * s)[:, None] + (
+        np.log(w_mu) - 0.5 * ((mu - mu_mean) / mu_sd) ** 2)[None, :]
+    return mu, s, log_w.ravel()
 
 
-def _binomial_loglik(theta: np.ndarray, offsets: np.ndarray, r: np.ndarray,
-                     n: np.ndarray) -> np.ndarray:
-    z = theta + offsets
-    return r * z - n * np.logaddexp(0.0, z)
+def _integrals(n: int, nu: np.ndarray, sigmas, cut: float) -> np.ndarray:
+    """[3, n + 1, len(sigmas) * len(nu)]: the likelihood's mass, its mass above
+    the cut and its mean of expit(eta) under N(nu, sigma), for r = 0..n (the
+    likelihood scaled to peak 1), sigma-major."""
+    r = np.arange(n + 1)[:, None]
+    p_hat = r / max(n, 1)
+    peak = xlogy(r, p_hat) + xlogy(n - r, 1.0 - p_hat)
+    edges = cut + _ETA_PANEL * np.arange(math.floor((-_ETA_LIMIT - cut) / _ETA_PANEL),
+                                         math.ceil((_ETA_LIMIT - cut) / _ETA_PANEL) + 1)
+    eta, w_eta = _gauss_panels(edges, [_ETA_ORDER] * (edges.size - 1))
+    lik = w_eta * np.exp(r * eta - n * np.logaddexp(0.0, eta) - peak)
+    basis = np.concatenate([lik, lik * (eta > cut), lik * expit(eta)]).T
+    out = np.empty((3, n + 1, len(sigmas), nu.size))
+    for i, sigma in enumerate(sigmas):
+        if sigma > _Z_SIGMA:
+            kernel = np.exp(-0.5 * np.square(np.subtract.outer(nu, eta) / sigma))
+            out[:, :, i] = (kernel @ basis).T.reshape(3, n + 1, nu.size) / (
+                sigma * math.sqrt(2 * math.pi))
+            # beyond the eta panels the likelihood is flat at r = 0 (left) and r = n (right)
+            out[0, 0, i] += ndtr((edges[0] - nu) / sigma)
+            out[:, n, i] += ndtr((nu - edges[-1]) / sigma)
+            continue
+        x, w = _leggauss(_Z_ORDER)
+        for parts, lower in (((0, 2), np.full(nu.size, -_Z_LIMIT)),
+                             ((1,), np.clip((cut - nu) / sigma, -_Z_LIMIT, _Z_LIMIT))):
+            half = 0.5 * (_Z_LIMIT - lower)[:, None]
+            z = lower[:, None] + half * (x + 1.0)
+            w_z = half * w * np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+            eta_z = nu[:, None] + sigma * z
+            soft, mean = n * np.logaddexp(0.0, eta_z), expit(eta_z)
+            for j in range(n + 1):
+                lik_z = w_z * np.exp(j * eta_z - soft - peak[j])
+                for part in parts:
+                    out[part, j, i] = (lik_z * mean if part == 2 else lik_z).sum(axis=1)
+    return out.reshape(3, n + 1, -1)
 
 
-def _adapt_scale(scale, accepted, count):
-    rate_shift = np.where(
-        np.asarray(count) > 0, accepted / np.maximum(count, 1.0) - _ADAPT_TARGET, 0.0
-    )
-    return np.clip(scale * np.exp(rate_shift), *_SCALE_BOUNDS)
+def _tables(cut: float, grid_key: tuple, phi: float, offset: float, n: int) -> np.ndarray:
+    """[3, n + 1, grid] integrals, cached per process.  Built per n for all
+    r = 0..n, so no row depends on which other data sets are evaluated."""
+    key = (cut, grid_key, phi, offset, n)
+    if key not in _TABLES:
+        rows = sum(t.shape[1] for t in _TABLES.values())
+        if rows + n + 1 > _TABLE_ROWS or any(k[:3] != key[:3] for k in _TABLES):
+            _TABLES.clear()
+        mu, s, _ = _grid(*grid_key)
+        _TABLES[key] = _integrals(n, mu + offset, phi * s, cut)
+    return _TABLES[key]
 
 
-def _run_chains(
-    *,
-    exnex: bool,
-    r: np.ndarray,
-    n: np.ndarray,
-    offsets: np.ndarray,
-    mu_mean: float,
-    mu_sd: float,
-    phi: float,
-    q: float,
-    nex_means: np.ndarray | None,
-    nex_sds: np.ndarray | None,
-    mcmc: McmcConfig,
-    seeds,
-    p0: float,
-    collect: bool = False,
-) -> tuple[np.ndarray, np.ndarray, dict, tuple[str, ...], dict | None]:
-    n_reps, k = r.shape
-    total, burn = mcmc.total_samples, mcmc.burn_in
-    kept = total - burn
-    chains = None
-    if collect:
-        chains = {
-            "mu": np.empty((kept, n_reps)),
-            "sigma": np.empty((kept, n_reps)),
-            "p": np.empty((kept, n_reps, k)),
-        }
-    slabs = _RandomSlabs(
-        _make_streams(seeds),
-        n_norm=k + 3,
-        n_unif=2 * k + 2 if exnex else k + 2,
-    )
+@functools.lru_cache(maxsize=256)
+def _nex(cut: float, n: int, mean: float, sd: float) -> np.ndarray:
+    """[3, n + 1] integrals under one basket's nonexchangeable prior."""
+    return _integrals(n, np.array([mean]), [sd], cut)[:, :, 0]
 
-    # data-driven deterministic initialization
-    theta = np.log((r + 0.5) / (n - r + 0.5)) - offsets
-    mu = theta.mean(axis=1)
-    log_sigma = np.full(n_reps, math.log(max(phi, 1e-6)))
-    sigma = np.exp(log_sigma)
-    is_ex = np.ones((n_reps, k), dtype=bool)
-    ln_q = math.log(q) if q > 0 else -math.inf
-    ln_1mq = math.log1p(-q) if q < 1 else -math.inf
 
-    # EX and NEX states see very different conditional widths, so each keeps
-    # its own adapted random-walk scale per basket
-    theta_scale = np.full((n_reps, k), mcmc.theta_scale)
-    nex_scale = np.full((n_reps, k), mcmc.theta_scale)
-    sigma_scale = np.full(n_reps, mcmc.sigma_scale)
-    shift_scale = np.full(n_reps, mcmc.theta_scale)
-    theta_acc_win = np.zeros((n_reps, k))
-    theta_cnt_win = np.zeros((n_reps, k))
-    nex_acc_win = np.zeros((n_reps, k))
-    nex_cnt_win = np.zeros((n_reps, k))
-    sigma_acc_win = np.zeros(n_reps)
-    shift_acc_win = np.zeros(n_reps)
-    theta_acc_kept = np.zeros((n_reps, k))
-    sigma_acc_kept = np.zeros(n_reps)
-    shift_acc_kept = np.zeros(n_reps)
+class HierarchicalBank:
+    """BHM or EXNEX tails Pr(p > p0) and posterior means over a bank [R, K]."""
 
-    tail_count = np.zeros((n_reps, k))
-    p_sum = np.zeros((n_reps, k))
-    threshold = logit(p0) - offsets
+    def __init__(self, design: str, responses, sample_sizes, p0: float):
+        r = np.asarray(responses, dtype=np.int64)
+        self.design = design
+        self.sizes = tuple(int(v) for v in np.broadcast_to(sample_sizes, r.shape[1:]))
+        self.cut = logit(p0)
+        self.rows, inverse = np.unique(r, axis=0, return_inverse=True)
+        self.inverse = inverse.reshape(-1)
 
-    loglik = _binomial_loglik(theta, offsets, r, n)
-    mu_prec0 = 1.0 / mu_sd ** 2
-    for sweep in range(total):
-        norm, unif = slabs.draw()
-
-        # component-wise Metropolis on theta: the full conditional factorizes
-        # over baskets, so all K proposals are judged in parallel
-        if exnex:
-            prior_mean = np.where(is_ex, mu[:, None], nex_means[None, :])
-            prior_sd = np.where(is_ex, sigma[:, None], nex_sds[None, :])
-            step = np.where(is_ex, theta_scale, nex_scale)
+    def tails_means(self, params) -> tuple[np.ndarray, np.ndarray]:
+        k = len(self.sizes)
+        if self.design == "BHM":
+            offsets, q = params.offsets(k), 1.0
+            nex = [np.zeros((3, n + 1)) for n in self.sizes]
         else:
-            prior_mean = mu[:, None]
-            prior_sd = sigma[:, None]
-            step = theta_scale
-        prop = theta + step * norm[:, :k]
-        loglik_prop = _binomial_loglik(prop, offsets, r, n)
-        log_ratio = (
-            loglik_prop - loglik
-            - 0.5 * ((prop - prior_mean) / prior_sd) ** 2
-            + 0.5 * ((theta - prior_mean) / prior_sd) ** 2
-        )
-        with np.errstate(divide="ignore"):  # u = 0.0 means certain acceptance
-            accept = np.log(unif[:, :k]) < log_ratio
-        theta = np.where(accept, prop, theta)
-        loglik = np.where(accept, loglik_prop, loglik)
-        if exnex:
-            theta_acc_win += accept & is_ex
-            theta_cnt_win += is_ex
-            nex_acc_win += accept & ~is_ex
-            nex_cnt_win += ~is_ex
-        else:
-            theta_acc_win += accept
-            theta_cnt_win += 1.0
-
-        # exchangeability indicators from the mixture responsibilities
-        if exnex:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lw_ex = ln_q - np.log(sigma[:, None]) - 0.5 * ((theta - mu[:, None]) / sigma[:, None]) ** 2
-                lw_nex = ln_1mq - np.log(nex_sds[None, :]) - 0.5 * ((theta - nex_means[None, :]) / nex_sds[None, :]) ** 2
-                p_ex = expit(lw_ex - lw_nex)
-            is_ex = unif[:, k + 1: 2 * k + 1] < p_ex
-
-        # random walk on log(sigma) over the exchangeable baskets
-        m_ex = is_ex.sum(axis=1) if exnex else np.full(n_reps, float(k))
-        dev_sq = ((theta - mu[:, None]) ** 2 * is_ex).sum(axis=1) if exnex \
-            else ((theta - mu[:, None]) ** 2).sum(axis=1)
-        ls_prop = log_sigma + sigma_scale * norm[:, k]
-        sig_prop = np.exp(ls_prop)
-        log_ratio_s = (
-            m_ex * (log_sigma - ls_prop)
-            - 0.5 * dev_sq * (1.0 / sig_prop ** 2 - 1.0 / sigma ** 2)
-            - (sig_prop ** 2 - sigma ** 2) / (2.0 * phi ** 2)
-            + (ls_prop - log_sigma)
-        )
-        with np.errstate(divide="ignore"):
-            accept_s = np.log(unif[:, k]) < log_ratio_s
-        log_sigma = np.where(accept_s, ls_prop, log_sigma)
-        sigma = np.exp(log_sigma)
-        sigma_acc_win += accept_s
-
-        # conjugate Gibbs draw for mu given the exchangeable thetas
-        theta_sum = (theta * is_ex).sum(axis=1) if exnex else theta.sum(axis=1)
-        prec = mu_prec0 + m_ex / sigma ** 2
-        mean = (mu_mean * mu_prec0 + theta_sum / sigma ** 2) / prec
-        mu = mean + norm[:, k + 1] / np.sqrt(prec)
-
-        # joint translation of (mu, theta): deviations from the exchangeable
-        # mean cancel, so only the likelihood, the mu prior and any
-        # nonexchangeable priors weigh in
-        delta = shift_scale * norm[:, k + 2]
-        theta_shift = theta + delta[:, None]
-        loglik_shift = _binomial_loglik(theta_shift, offsets, r, n)
-        mu_shift = mu + delta
-        log_ratio_t = (
-            (loglik_shift - loglik).sum(axis=1)
-            - 0.5 * ((mu_shift - mu_mean) ** 2 - (mu - mu_mean) ** 2) * mu_prec0
-        )
-        if exnex:
-            nex_dev = (
-                ((theta_shift - nex_means[None, :]) / nex_sds[None, :]) ** 2
-                - ((theta - nex_means[None, :]) / nex_sds[None, :]) ** 2
-            )
-            log_ratio_t -= 0.5 * (nex_dev * ~is_ex).sum(axis=1)
-        with np.errstate(divide="ignore"):
-            accept_t = np.log(unif[:, k + 1 if not exnex else 2 * k + 1]) < log_ratio_t
-        theta = np.where(accept_t[:, None], theta_shift, theta)
-        loglik = np.where(accept_t[:, None], loglik_shift, loglik)
-        mu = np.where(accept_t, mu_shift, mu)
-        shift_acc_win += accept_t
-
-        in_burn = sweep < burn
-        if mcmc.adapt and in_burn and (sweep + 1) % _ADAPT_INTERVAL == 0:
-            theta_scale = _adapt_scale(theta_scale, theta_acc_win, theta_cnt_win)
-            nex_scale = _adapt_scale(nex_scale, nex_acc_win, nex_cnt_win)
-            sigma_scale = _adapt_scale(sigma_scale, sigma_acc_win, _ADAPT_INTERVAL)
-            shift_scale = _adapt_scale(shift_scale, shift_acc_win, _ADAPT_INTERVAL)
-            theta_acc_win[:] = theta_cnt_win[:] = 0.0
-            nex_acc_win[:] = nex_cnt_win[:] = 0.0
-            sigma_acc_win[:] = 0.0
-            shift_acc_win[:] = 0.0
-        if not in_burn:
-            theta_acc_kept += accept
-            sigma_acc_kept += accept_s
-            shift_acc_kept += accept_t
-            tail_count += theta > threshold
-            p_now = expit(theta + offsets)
-            p_sum += p_now
-            if collect:
-                chains["mu"][sweep - burn] = mu
-                chains["sigma"][sweep - burn] = sigma
-                chains["p"][sweep - burn] = p_now
-
-    tails = tail_count / kept
-    means = p_sum / kept
-    rates = {
-        "theta": theta_acc_kept / kept,
-        "sigma": sigma_acc_kept / kept,
-        "shift": shift_acc_kept / kept,
-    }
-    warnings = []
-    lo, hi = _ACCEPT_BAND
-    for name, rate in rates.items():
-        bad = int(((rate < lo) | (rate > hi)).sum())
-        if bad:
-            warnings.append(
-                f"{bad} {name} chain(s) with post-adaptation acceptance outside {_ACCEPT_BAND}"
-            )
-    return tails, means, rates, tuple(warnings), chains
+            offsets, q = np.zeros(k), params.q
+            nex_means, nex_sds = params.nex_arrays(k)
+            nex = [_nex(self.cut, n, float(m), float(sd))
+                   for n, m, sd in zip(self.sizes, nex_means, nex_sds)]
+        grid_key = (tuple(sorted({self.cut - float(o) for o in offsets})),
+                    params.mu_mean, params.mu_sd)
+        log_w = _grid(*grid_key)[2]
+        tables = [_tables(self.cut, grid_key, params.phi, float(o), n)
+                  for o, n in zip(offsets, self.sizes)]
+        tails, means = np.empty((2, *self.rows.shape))
+        step = max(1, _CHUNK_BYTES // (8 * log_w.size))
+        for a in range(0, len(self.rows), step):
+            tails[a:a + step], means[a:a + step] = _posterior(
+                self.rows[a:a + step], tables, nex, q, log_w)
+        return tails[self.inverse], means[self.inverse]
 
 
-def _as_batch(data: BasketData) -> tuple[np.ndarray, np.ndarray]:
-    r = np.asarray(data.responses, dtype=float)[None, :]
-    n = np.asarray(data.sample_sizes, dtype=float)[None, :]
-    return r, n
+def _posterior(rows, tables, nex, q, log_w) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and means [C, K] for C data sets, each summed over the grid in its own row."""
+    log_post = np.tile(log_w, (len(rows), 1))
+    mixed = []
+    with np.errstate(divide="ignore"):
+        for k, table in enumerate(tables):
+            r = rows[:, k]
+            m = q * table[0, r] + (1.0 - q) * nex[k][0, r, None]
+            log_post += np.log(m)
+            mixed.append(m)
+    w = np.exp(log_post - log_post.max(axis=1, keepdims=True))
+    total = w.sum(axis=1)
+    tails, means = np.empty((2, *rows.shape))
+    for k, table in enumerate(tables):
+        r = rows[:, k]
+        v = np.divide(w, mixed[k], out=np.zeros_like(w), where=w > 0)
+        v_total = v.sum(axis=1)
+        for out, part in ((tails, 1), (means, 2)):
+            out[:, k] = (q * (v * table[part, r]).sum(axis=1)
+                         + (1.0 - q) * nex[k][part, r] * v_total) / total
+    return np.minimum(tails, 1.0), means
 
 
-def bhm_posterior_batch(
-    responses: np.ndarray,
-    sample_sizes: np.ndarray,
-    params: BhmParams,
-    mcmc: McmcConfig,
-    seeds: Sequence,
-    p0: float = 0.15,
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Tail probabilities and posterior means for many data sets at once."""
-    r = np.asarray(responses, dtype=float)
-    n = np.broadcast_to(np.asarray(sample_sizes, dtype=float), r.shape)
-    offsets = params.offsets(r.shape[1])
-    tails, means, _, warn, _ = _run_chains(
-        exnex=False, r=r, n=n, offsets=offsets,
-        mu_mean=params.mu_mean, mu_sd=params.mu_sd, phi=params.phi,
-        q=1.0, nex_means=None, nex_sds=None,
-        mcmc=mcmc, seeds=seeds, p0=p0,
-    )
-    return tails, means, warn
+def bhm_posterior_batch(responses, sample_sizes, params: BhmParams, mcmc=None, seeds=None,
+                        p0: float = 0.15):
+    """(tails, means, ()) of a bank, kept for the benchmark; ``mcmc`` and ``seeds`` are ignored."""
+    return (*HierarchicalBank("BHM", responses, sample_sizes, p0).tails_means(params), ())
 
 
-def exnex_posterior_batch(
-    responses: np.ndarray,
-    sample_sizes: np.ndarray,
-    params: ExnexParams,
-    mcmc: McmcConfig,
-    seeds: Sequence,
-    p0: float = 0.15,
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    r = np.asarray(responses, dtype=float)
-    n = np.broadcast_to(np.asarray(sample_sizes, dtype=float), r.shape)
-    k = r.shape[1]
-    nex_means, nex_sds = params.nex_arrays(k)
-    tails, means, _, warn, _ = _run_chains(
-        exnex=True, r=r, n=n, offsets=np.zeros(k),
-        mu_mean=params.mu_mean, mu_sd=params.mu_sd, phi=params.phi,
-        q=params.q, nex_means=nex_means, nex_sds=nex_sds,
-        mcmc=mcmc, seeds=seeds, p0=p0,
-    )
-    return tails, means, warn
-
-
-def bhm_posterior(
-    data: BasketData,
-    params: BhmParams,
-    mcmc: McmcConfig,
-    p0: float = 0.15,
-    collect_chains: bool = False,
-) -> PosteriorSummary:
-    """Run one BHM chain; deterministic given the config seed."""
-    r, n = _as_batch(data)
-    offsets = params.offsets(data.k)
-    tails, means, acceptance, warn, chains = _run_chains(
-        exnex=False, r=r, n=n, offsets=offsets,
-        mu_mean=params.mu_mean, mu_sd=params.mu_sd, phi=params.phi,
-        q=1.0, nex_means=None, nex_sds=None,
-        mcmc=mcmc, seeds=[mcmc.seed], p0=p0, collect=collect_chains,
-    )
-    return PosteriorSummary(
-        tail_probs=tails[0],
-        posterior_means=means[0],
-        acceptance={name: rate[0] for name, rate in acceptance.items()},
-        warnings=warn,
-        chains=_squeeze_chains(chains),
-    )
-
-
-def exnex_posterior(
-    data: BasketData,
-    params: ExnexParams,
-    mcmc: McmcConfig,
-    p0: float = 0.15,
-    collect_chains: bool = False,
-) -> PosteriorSummary:
-    """Run one EXNEX chain; deterministic given the config seed."""
-    r, n = _as_batch(data)
-    nex_means, nex_sds = params.nex_arrays(data.k)
-    tails, means, acceptance, warn, chains = _run_chains(
-        exnex=True, r=r, n=n, offsets=np.zeros(data.k),
-        mu_mean=params.mu_mean, mu_sd=params.mu_sd, phi=params.phi,
-        q=params.q, nex_means=nex_means, nex_sds=nex_sds,
-        mcmc=mcmc, seeds=[mcmc.seed], p0=p0, collect=collect_chains,
-    )
-    return PosteriorSummary(
-        tail_probs=tails[0],
-        posterior_means=means[0],
-        acceptance={name: rate[0] for name, rate in acceptance.items()},
-        warnings=warn,
-        chains=_squeeze_chains(chains),
-    )
-
-
-def _squeeze_chains(chains: dict | None) -> dict | None:
-    if chains is None:
-        return None
-    return {
-        "mu": chains["mu"][:, 0],
-        "sigma": chains["sigma"][:, 0],
-        "p": chains["p"][:, 0, :],
-    }
+def exnex_posterior_batch(responses, sample_sizes, params: ExnexParams, mcmc=None, seeds=None,
+                          p0: float = 0.15):
+    """(tails, means, ()) of a bank, kept for the benchmark; ``mcmc`` and ``seeds`` are ignored."""
+    return (*HierarchicalBank("EXNEX", responses, sample_sizes, p0).tails_means(params), ())

@@ -4,9 +4,10 @@ Stage one picks the smallest grid threshold holding the family-wise error
 rate at alpha under the global null; stage two scores every parameter
 combination by mean ECD over the six response patterns, reusing one
 generated replicate bank per scenario so all combinations see the same
-data.  Similarity statistics that do not depend on the tuning parameters
-(scaled rate differences, JSD matrices, pooled block marginals) are
-computed once per bank and shared across the grid.
+data.  Statistics that do not depend on the tuning parameters (scaled
+rate differences, JSD matrices, pooled block marginals) are computed once
+per bank (``engine.DesignBank``) and shared across the grid; BHM and EXNEX
+quadrature tables depend on phi alone, so each phi builds them once.
 """
 
 from __future__ import annotations
@@ -26,22 +27,14 @@ from .core import (
     Scenario,
 )
 from .engine import (
-    MCMC_DESIGNS,
-    ClosedFormBank,
+    DesignBank,
     DesignConfig,
     decisions_from_tails,
     generate_responses,
-    mcmc_seed_sequence,
     scenario_tails_means,
 )
 from .fujikawa import FujikawaParams
-from .hierarchical import (
-    BhmParams,
-    ExnexParams,
-    McmcConfig,
-    bhm_posterior_batch,
-    exnex_posterior_batch,
-)
+from .hierarchical import BhmParams, ExnexParams
 from .powerprior import CppParams
 
 LAMBDA_STEPS = 999  # grid 0.001 .. 0.999, three-decimal resolution
@@ -141,62 +134,6 @@ def default_grid(design: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Bank evaluators: parameter-independent statistics computed once per bank
-# ---------------------------------------------------------------------------
-
-
-class BankEvaluator:
-    """Tail statistics for one (design, scenario bank) across a parameter grid.
-
-    Closed-form designs compute their parameter-independent statistics once
-    per bank (``engine.ClosedFormBank``).  MCMC designs have none, so their
-    ``tails_means`` reruns the sampler per combination on per-replicate
-    streams keyed exactly like the engine's.
-    """
-
-    def __init__(
-        self,
-        design: str,
-        scenario: Scenario,
-        n_reps: int,
-        master_seed: int,
-        p0: NullRate | float = NullRate(),
-        priors: list[BetaShape] | None = None,
-        mcmc: McmcConfig | None = None,
-    ):
-        self.design = design
-        self.scenario = scenario
-        self.n_reps = n_reps
-        self.master_seed = master_seed
-        self.p0 = p0.p0 if isinstance(p0, NullRate) else float(p0)
-        self.priors = priors or [BetaShape(1.0, 1.0)] * scenario.k
-        self.mcmc = mcmc or McmcConfig()
-        self.responses = generate_responses(scenario, n_reps, master_seed)
-        self._bank = None
-        if design not in MCMC_DESIGNS:
-            self._bank = ClosedFormBank(
-                design, self.responses, scenario.sample_sizes, self.priors, self.p0
-            )
-
-    def tails_means(self, params) -> tuple[np.ndarray, np.ndarray]:
-        """Per-replicate tails and posterior means at one grid point."""
-        if self._bank is not None:
-            return self._bank.tails_means(params)
-        # MCMC designs: a fresh run per grid point, streams keyed per replicate
-        seeds = [
-            mcmc_seed_sequence(self.master_seed, self.scenario.id, self.design, i)
-            for i in range(self.n_reps)
-        ]
-        config = DesignConfig(self.design, params, mcmc=self.mcmc)
-        runner = bhm_posterior_batch if self.design == "BHM" else exnex_posterior_batch
-        tails, means, _ = runner(
-            self.responses, self.scenario.sample_sizes, config.params,
-            self.mcmc, seeds, self.p0,
-        )
-        return tails, means
-
-
-# ---------------------------------------------------------------------------
 # Grid search
 # ---------------------------------------------------------------------------
 
@@ -231,7 +168,6 @@ def grid_search(
     seed: int = 0,
     grid: list | None = None,
     priors: list[BetaShape] | None = None,
-    mcmc: McmcConfig | None = None,
     p0: NullRate | float = NullRate(),
 ) -> TuningResult:
     """Score every parameter combination on one size family.
@@ -250,18 +186,18 @@ def grid_search(
     grid = default_grid(design) if grid is None else list(grid)
     if not grid:
         raise ConfigurationError("grid_search needs a nonempty parameter grid")
-    strict = DesignConfig(design, grid[0], mcmc=mcmc or McmcConfig()).strict
-    evaluators = [
-        BankEvaluator(
-            design, scenario, n_reps, seed,
-            p0=threshold, priors=priors, mcmc=mcmc,
+    strict = DesignConfig(design, grid[0]).strict
+    banks = [
+        DesignBank(
+            design, generate_responses(scenario, n_reps, seed), scenario.sample_sizes,
+            priors or [BetaShape(1.0, 1.0)] * scenario.k, threshold,
         )
         for scenario in scenarios
     ]
     records = []
     totals = []  # correct decisions summed over patterns, exact in integers
     for params in grid:
-        per_scenario = [ev.tails_means(params)[0] for ev in evaluators]
+        per_scenario = [bank.tails_means(params)[0] for bank in banks]
         null_tails = per_scenario[scenarios.index(null_scenarios[0])]
         try:
             lam = smallest_lambda(null_tails.max(axis=1), alpha, strict)

@@ -32,7 +32,6 @@ from basketsim.engine import (
     scenario_tails_means,
 )
 from basketsim.fujikawa import FujikawaParams, fujikawa_posterior, individual_posteriors, jsd
-from basketsim.hierarchical import McmcConfig
 from basketsim.powerprior import hellinger_gamma, power_prior_posterior
 from basketsim.tuning import grid_search, smallest_lambda
 
@@ -308,15 +307,12 @@ class TestCriterion07McmcDesigns:
         failures = []
         details = []
         for design, (want_fwer, want_ecd) in EXPECTED_MCMC.items():
-            config = DesignConfig(
-                design, TUNED_PARAMS["Grouped"][design],
-                mcmc=McmcConfig(total_samples=10_000),
-            )
+            config = DesignConfig(design, TUNED_PARAMS["Grouped"][design])
             banks = {}
             for scenario in grouped_scenarios():
                 banks[scenario.pattern] = (
                     scenario,
-                    *scenario_tails_means(config, scenario, 2000, SEED, 0.15, jobs=JOBS),
+                    *scenario_tails_means(config, scenario, 10_000, SEED, 0.15, jobs=JOBS),
                 )
             lam = smallest_lambda(banks["Null"][1].max(axis=1), 0.05, config.strict)
             ecds = []
@@ -340,7 +336,7 @@ class TestCriterion07McmcDesigns:
                 failures.append(f"{design} mean ECD {mean_ecd:.3f} vs {want_ecd}")
         elapsed = time.perf_counter() - start
         ok = not failures and elapsed < 7200.0
-        verdict("criterion 7 (MCMC designs, reduced scale)",
+        verdict("criterion 7 (BHM and EXNEX designs, 10,000 replicates)",
                 ok, "; ".join(details) + f"; in {elapsed:.0f}s" +
                 ("; " + "; ".join(failures) if failures else ""))
 
@@ -364,10 +360,7 @@ class TestCriterion09TuningProtocol:
         null_scenario = next(s for s in grouped_scenarios() if s.pattern == "Null")
         failures = []
         for design in DESIGNS:
-            config = DesignConfig(
-                design, TUNED_PARAMS["Grouped"][design],
-                mcmc=McmcConfig(total_samples=10_000),
-            )
+            config = DesignConfig(design, TUNED_PARAMS["Grouped"][design])
             tails, _ = scenario_tails_means(
                 config, null_scenario, 2000, SEED, 0.15, jobs=JOBS
             )

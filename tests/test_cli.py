@@ -163,7 +163,7 @@ class TestCommands:
               "--seed", "77", "--out", str(out)])
         header = (out / "oc.csv").read_text().splitlines()[0]
         assert header.startswith("# basketsim v")
-        for token in ("seed=77", "reps=5", "config_hash=", "mcmc_samples="):
+        for token in ("seed=77", "reps=5", "config_hash="):
             assert token in header
 
     def test_tune_single_combination_design(self, tmp_path):
@@ -224,7 +224,6 @@ class TestCommands:
         ["--p0", "1.5"],
         ["--p0", "0"],
         ["--alpha", "0"],
-        ["--mcmc-samples", "2"],
         ["--seed", "-1"],
     ])
     def test_bad_numeric_flag_is_a_usage_error(self, flags, tmp_path, capsys):
@@ -242,6 +241,21 @@ class TestCommands:
                      "--design", "CPP", "--reps", "5", "--out", str(tmp_path)])
         assert code == 2
         assert "designs.CPP.lambda" in capsys.readouterr().err
+
+    def test_duplicate_scenario_id_is_a_usage_error(self, tmp_path, capsys):
+        # two scenarios sharing id 1 would share data streams and null tails
+        scenario = {"id": 1, "sample_sizes": [10, 15, 20, 25, 30],
+                    "pattern": "Null", "size_family": "Linear"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenarios": [
+            {**scenario, "true_rates": [0.15] * 5},
+            {**scenario, "true_rates": [0.35] * 5, "pattern": "Alternative"},
+        ]}))
+        code = main(["simulate", "--config", str(path), "--design", "CPP",
+                     "--reps", "5", "--out", str(tmp_path)])
+        assert code == 2
+        assert "scenarios[1].id" in capsys.readouterr().err
+        assert not (tmp_path / "oc.csv").exists()
 
     def test_jobs_clamped_to_cpu_count(self):
         cpus = os.cpu_count() or 1

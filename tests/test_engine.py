@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from basketsim.bma import BmaParams
 from basketsim.core import BasketData, BetaShape, ConfigurationError, NullRate, Scenario
 from basketsim.engine import (
-    ClosedFormBank,
+    DESIGNS,
+    DesignBank,
     DesignConfig,
     aggregate,
     correct_decisions,
@@ -20,7 +21,7 @@ from basketsim.engine import (
     simulate,
 )
 from basketsim.fujikawa import FujikawaParams, jsd_matrices, weights_from_jsd
-from basketsim.hierarchical import BhmParams, McmcConfig
+from basketsim.hierarchical import BhmParams, ExnexParams
 from basketsim.powerprior import CppParams, PowerPriorBank
 
 LINEAR_NULL = Scenario(1, (10, 15, 20, 25, 30), (0.15,) * 5, "Null", "Linear")
@@ -39,13 +40,15 @@ CLOSED_FORM = {
     "Fujikawa": FujikawaParams(1.5, 0.2),
     "BMA": BmaParams(-2.0),
 }
+HIERARCHICAL = {"BHM": BhmParams(phi=0.661), "EXNEX": ExnexParams(phi=0.661, q=0.9)}
+ALL_DESIGNS = {**CLOSED_FORM, **HIERARCHICAL}
 
 
 @st.composite
-def trials(draw):
+def trials(draw, size=st.integers(1, 40)):
     """(responses, sizes, permutation) for 3 to 5 baskets."""
     k = draw(st.integers(3, 5))
-    sizes = draw(st.lists(st.integers(1, 40), min_size=k, max_size=k))
+    sizes = draw(st.lists(size, min_size=k, max_size=k))
     responses = [draw(st.integers(0, n)) for n in sizes]
     perm = draw(st.permutations(range(k)))
     return np.array(responses), np.array(sizes), list(perm)
@@ -131,10 +134,7 @@ class TestRunDesign:
             run_design(DesignConfig("CPP", CppParams(4, 4.5)), BasketData((1, 2), (5, 5)))
 
     def test_mcmc_design_runs(self):
-        cfg = DesignConfig(
-            "BHM", BhmParams(phi=0.661), lambda_=0.9,
-            mcmc=McmcConfig(total_samples=1500, seed=5),
-        )
+        cfg = DesignConfig("BHM", BhmParams(phi=0.661), lambda_=0.9)
         res = run_design(cfg, BasketData((2, 5, 1, 4, 9), (10, 10, 25, 25, 30)), 0.15)
         assert res.tail_probs.shape == (5,)
         assert np.all((res.tail_probs >= 0) & (res.tail_probs <= 1))
@@ -193,16 +193,15 @@ class TestSimulate:
             previous = rates
 
     def test_parallel_chunking_is_exact(self):
-        tails1, means1 = scenario_tails_means(CPP_CFG, GROUPED_ASC, 60, 21, 0.15, jobs=1)
-        tails2, means2 = scenario_tails_means(CPP_CFG, GROUPED_ASC, 60, 21, 0.15, jobs=2)
-        np.testing.assert_array_equal(tails1, tails2)
-        np.testing.assert_array_equal(means1, means2)
+        for design, params in ALL_DESIGNS.items():
+            cfg = DesignConfig(design, params)
+            tails1, means1 = scenario_tails_means(cfg, GROUPED_ASC, 60, 21, 0.15, jobs=1)
+            tails2, means2 = scenario_tails_means(cfg, GROUPED_ASC, 60, 21, 0.15, jobs=2)
+            np.testing.assert_array_equal(tails1, tails2)
+            np.testing.assert_array_equal(means1, means2)
 
     def test_mcmc_simulate_deterministic(self):
-        cfg = DesignConfig(
-            "BHM", BhmParams(phi=0.661), lambda_=0.9,
-            mcmc=McmcConfig(total_samples=800),
-        )
+        cfg = DesignConfig("BHM", BhmParams(phi=0.661), lambda_=0.9)
         oc1 = simulate(GROUPED_ASC, cfg, n_reps=40, master_seed=31)
         oc2 = simulate(GROUPED_ASC, cfg, n_reps=40, master_seed=31)
         assert oc1 == oc2
@@ -228,16 +227,18 @@ class TestAggregate:
 
 
 class TestClosedFormBank:
-    @pytest.mark.parametrize("design", sorted(CLOSED_FORM))
+    """engine.DesignBank, the one bank kernel of all seven designs."""
+
+    @pytest.mark.parametrize("design", sorted(ALL_DESIGNS))
     def test_bank_of_one_is_bitwise_a_row_of_the_bank(self, design):
-        params = CLOSED_FORM[design]
+        params = ALL_DESIGNS[design]
         priors = [BetaShape(1, 1)] * 5
         responses = generate_responses(GROUPED_ASC, 40, 19)
         sizes = GROUPED_ASC.sample_sizes
-        tails, means = ClosedFormBank(design, responses, sizes, priors, 0.15).tails_means(params)
+        tails, means = DesignBank(design, responses, sizes, priors, 0.15).tails_means(params)
         config = DesignConfig(design, params, lambda_=0.9)
         for i, row in enumerate(responses):
-            one_t, one_m = ClosedFormBank(design, row[None], sizes, priors, 0.15).tails_means(params)
+            one_t, one_m = DesignBank(design, row[None], sizes, priors, 0.15).tails_means(params)
             np.testing.assert_array_equal(one_t[0], tails[i])
             np.testing.assert_array_equal(one_m[0], means[i])
             single = run_design(config, BasketData(tuple(map(int, row)), sizes), 0.15)
@@ -245,8 +246,9 @@ class TestClosedFormBank:
             np.testing.assert_array_equal(single.posterior_means, means[i])
 
     def test_unknown_design_rejected(self):
+        assert set(ALL_DESIGNS) == set(DESIGNS)
         with pytest.raises(ConfigurationError):
-            ClosedFormBank("BHM", [[1, 2]], (5, 5), [BetaShape(1, 1)] * 2, 0.15)
+            DesignBank("Nope", [[1, 2]], (5, 5), [BetaShape(1, 1)] * 2, 0.15)
 
     @pytest.mark.parametrize("design", sorted(CLOSED_FORM))
     @settings(max_examples=25, deadline=None)
@@ -255,9 +257,9 @@ class TestClosedFormBank:
         responses, sizes, perm = trial
         params = CLOSED_FORM[design]
         priors = [BetaShape(1, 1)] * len(sizes)
-        tails, means = ClosedFormBank(
+        tails, means = DesignBank(
             design, responses[None], sizes, priors, 0.15).tails_means(params)
-        tails_p, means_p = ClosedFormBank(
+        tails_p, means_p = DesignBank(
             design, responses[perm][None], sizes[perm], priors, 0.15).tails_means(params)
         np.testing.assert_allclose(tails_p[0], tails[0][perm], atol=1e-12)
         np.testing.assert_allclose(means_p[0], means[0][perm], atol=1e-12)
@@ -271,3 +273,18 @@ class TestClosedFormBank:
             weights = PowerPriorBank(design, responses, sizes).weights(params)
         assert np.all((weights >= 0.0) & (weights <= 1.0))
         assert np.all(np.diag(weights) == 1.0)
+
+    @pytest.mark.parametrize("design", sorted(HIERARCHICAL))
+    @settings(max_examples=25, deadline=None)
+    # empty baskets included; few distinct sizes, so the quadrature tables are reused
+    @given(trial=trials(size=st.sampled_from([0, 3, 10, 25])))
+    def test_hierarchical_label_permutation_equivariance(self, design, trial):
+        responses, sizes, perm = trial
+        params = HIERARCHICAL[design]
+        tails, means = DesignBank(design, responses[None], sizes, [], 0.15).tails_means(params)
+        tails_p, means_p = DesignBank(
+            design, responses[perm][None], sizes[perm], [], 0.15).tails_means(params)
+        np.testing.assert_allclose(tails_p[0], tails[0][perm], atol=1e-12)
+        np.testing.assert_allclose(means_p[0], means[0][perm], atol=1e-12)
+        assert np.all((tails >= 0.0) & (tails <= 1.0))
+        assert np.all((means > 0.0) & (means < 1.0))

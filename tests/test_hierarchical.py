@@ -2,145 +2,150 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special, stats
 
-from basketsim.core import BasketData, BetaShape, beta_tail
+from basketsim.engine import DesignBank
 from basketsim.hierarchical import (
     BhmParams,
     ExnexParams,
-    McmcConfig,
-    bhm_posterior,
+    HierarchicalBank,
     bhm_posterior_batch,
-    exnex_posterior,
     exnex_posterior_batch,
     logit,
-    tail_from_chain,
 )
 
-NO_DATA = BasketData((0,) * 5, (0,) * 5)
+SIZES = (10, 10, 25, 25, 30)
+DATA = (2, 5, 1, 4, 9)
+NO_DATA = ((0,) * 5, (0,) * 5)
+C = logit(0.15)
 
 
-def batch_means_mcse(chain, batches=20):
-    usable = len(chain) // batches * batches
-    means = chain[:usable].reshape(batches, -1).mean(axis=1)
-    return means.std(ddof=1) / math.sqrt(batches)
+def tails_means(design, responses, sizes, params):
+    tails, means = HierarchicalBank(design, [responses], sizes, 0.15).tails_means(params)
+    return tails[0], means[0]
 
 
-class TestTailFromChain:
-    def test_all_above(self):
-        assert tail_from_chain(np.full(100, 0.5), 0.15) == 1.0
+def half_normal_average(f, phi):
+    """E[f(sigma)] for sigma ~ half-normal(phi)."""
+    value, _ = integrate.quad(lambda s: f(s) * 2 * stats.norm.pdf(s, 0, phi), 0, 12 * phi)
+    return value
 
-    def test_all_below(self):
-        assert tail_from_chain(np.full(100, 0.1), 0.15) == 0.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            tail_from_chain(np.array([]), 0.15)
+def normal_expit_mean(mean, sd):
+    value, _ = integrate.quad(lambda x: stats.norm.pdf(x, mean, sd) * special.expit(x),
+                              mean - 12 * sd, mean + 12 * sd, limit=400)
+    return value
 
-    def test_iid_beta_draws_match_exact_tail(self):
-        rng = np.random.default_rng(11)
-        draws = rng.beta(7, 5, size=10_000)
-        exact = beta_tail(BetaShape(7, 5), 0.15)
-        se = math.sqrt(exact * (1 - exact) / 10_000)
-        assert abs(tail_from_chain(draws, 0.15) - exact) <= 3 * se
+
+def brute_force(design, responses, sizes, params):
+    """Tails and means for two baskets on a dense (sigma, eta1, eta2) grid.
+
+    mu is integrated out in closed form: given sigma, exchangeable log-odds
+    are jointly normal with covariance sigma^2 I + mu_sd^2 11'.  The cut
+    sits on an eta node, which gets half weight in the tail.
+    """
+    h = 0.05
+    eta = C + h * np.arange(round((-25 - C) / h), round((25 - C) / h) + 1)
+    w_eta = np.full(eta.size, h)
+    w_eta[[0, -1]] = h / 2
+    above = np.where(eta > C, 1.0, np.where(np.isclose(eta, C), 0.5, 0.0))
+    lik = [np.exp(r * eta - n * np.logaddexp(0.0, eta)) * w_eta
+           for r, n in zip(responses, sizes)]
+    if design == "BHM":
+        centres, q = params.mu_mean + params.offsets(2), 1.0
+        nex = [np.zeros_like(eta)] * 2
+    else:
+        centres, q = (params.mu_mean,) * 2, params.q
+        nex = [stats.norm.pdf(eta, params.nex_means, params.nex_sds)] * 2
+    x, y = eta[:, None] - centres[0], eta[None, :] - centres[1]
+    tau2 = params.mu_sd ** 2
+    weights = np.zeros((eta.size, eta.size))
+    n_sigma = 120
+    for sigma in (np.arange(n_sigma) + 0.5) * (6 * params.phi / n_sigma):
+        var, det = sigma ** 2 + tau2, sigma ** 2 * (sigma ** 2 + 2 * tau2)
+        joint = np.exp(-(var * (x * x + y * y) - 2 * tau2 * x * y) / (2 * det)) / (
+            2 * math.pi * math.sqrt(det))
+        single = [stats.norm.pdf(eta, m, math.sqrt(var)) for m in centres]
+        prior = (q * q * joint + q * (1 - q) * single[0][:, None] * nex[1][None, :]
+                 + (1 - q) * q * nex[0][:, None] * single[1][None, :]
+                 + (1 - q) ** 2 * nex[0][:, None] * nex[1][None, :])
+        weights += stats.halfnorm.pdf(sigma, scale=params.phi) * prior
+    weights *= lik[0][:, None] * lik[1][None, :]
+    total = weights.sum()
+    marginals = (weights.sum(axis=1), weights.sum(axis=0))
+    tails = [(m * above).sum() / total for m in marginals]
+    means = [(m / (1 + np.exp(-eta))).sum() / total for m in marginals]
+    return np.array(tails), np.array(means)
 
 
 class TestDeterminismAndInvariants:
-    def test_bhm_seed_determinism(self):
-        data = BasketData((2, 5, 1, 4, 9), (10, 10, 25, 25, 30))
-        cfg = McmcConfig(total_samples=2000, seed=42)
-        a = bhm_posterior(data, BhmParams(phi=0.661), cfg)
-        b = bhm_posterior(data, BhmParams(phi=0.661), cfg)
-        assert np.array_equal(a.tail_probs, b.tail_probs)
-        assert np.array_equal(a.posterior_means, b.posterior_means)
-
-    def test_exnex_seed_determinism(self):
-        data = BasketData((2, 5, 1, 4, 9), (10, 10, 25, 25, 30))
-        cfg = McmcConfig(total_samples=2000, seed=17)
-        params = ExnexParams(phi=0.661, q=0.9)
-        a = exnex_posterior(data, params, cfg)
-        b = exnex_posterior(data, params, cfg)
-        assert np.array_equal(a.tail_probs, b.tail_probs)
-
-    def test_sigma_samples_positive(self):
-        data = BasketData((2, 5, 1, 4, 9), (10, 10, 25, 25, 30))
-        res = bhm_posterior(
-            data, BhmParams(phi=0.661), McmcConfig(total_samples=3000, seed=1),
-            collect_chains=True,
-        )
-        assert np.all(res.chains["sigma"] > 0.0)
-
     def test_tails_and_means_in_unit_interval(self):
-        data = BasketData((2, 5, 1, 4, 9), (10, 10, 25, 25, 30))
-        res = exnex_posterior(data, ExnexParams(phi=0.661, q=0.5),
-                              McmcConfig(total_samples=3000, seed=3))
-        assert np.all((res.tail_probs >= 0) & (res.tail_probs <= 1))
-        assert np.all((res.posterior_means > 0) & (res.posterior_means < 1))
+        tails, means = tails_means("EXNEX", DATA, SIZES, ExnexParams(phi=0.661, q=0.5))
+        assert np.all((tails >= 0) & (tails <= 1))
+        assert np.all((means > 0) & (means < 1))
 
     def test_batch_equals_single_runs(self):
-        # replicates own their streams, so batching cannot change results
-        r = np.array([[2, 5, 1, 4, 9], [0, 1, 3, 3, 6], [4, 4, 8, 2, 5]])
-        n = [10, 10, 25, 25, 30]
+        # every data set is summed over the grid on its own row
+        r = np.array([[2, 5, 1, 4, 9], [0, 1, 3, 3, 6], [4, 4, 8, 2, 5], [0, 1, 3, 3, 6]])
         params = BhmParams(phi=0.661)
-        cfg = McmcConfig(total_samples=3000)
-        seeds = [101, 102, 103]
-        tails, means, _ = bhm_posterior_batch(r, n, params, cfg, seeds)
-        for i, seed in enumerate(seeds):
-            single = bhm_posterior(
-                BasketData(tuple(r[i]), tuple(n)), params,
-                McmcConfig(total_samples=3000, seed=seed),
-            )
-            assert np.array_equal(single.tail_probs, tails[i])
-            assert np.array_equal(single.posterior_means, means[i])
+        tails, means, warnings = bhm_posterior_batch(r, SIZES, params, None, None)
+        assert warnings == ()
+        for i, row in enumerate(r):
+            single = tails_means("BHM", tuple(row), SIZES, params)
+            assert np.array_equal(single[0], tails[i])
+            assert np.array_equal(single[1], means[i])
 
     def test_exnex_batch_equals_single_runs(self):
         r = np.array([[2, 5, 1, 4, 9], [0, 1, 3, 3, 6]])
-        n = [10, 10, 25, 25, 30]
         params = ExnexParams(phi=0.661, q=0.9)
-        cfg = McmcConfig(total_samples=3000)
-        seeds = [7, 8]
-        tails, means, _ = exnex_posterior_batch(r, n, params, cfg, seeds)
-        for i, seed in enumerate(seeds):
-            single = exnex_posterior(
-                BasketData(tuple(r[i]), tuple(n)), params,
-                McmcConfig(total_samples=3000, seed=seed),
-            )
-            assert np.array_equal(single.tail_probs, tails[i])
+        tails, means, _ = exnex_posterior_batch(r, SIZES, params, None, None)
+        for i, row in enumerate(r):
+            single = tails_means("EXNEX", tuple(row), SIZES, params)
+            assert np.array_equal(single[0], tails[i])
+            assert np.array_equal(single[1], means[i])
 
 
 class TestPriorRecovery:
+    """Without data the posterior is the prior, whose tail and mean are 1-D integrals."""
+
     def test_bhm_mu_recovers_prior_mean(self):
-        res = bhm_posterior(
-            NO_DATA, BhmParams(phi=0.661),
-            McmcConfig(total_samples=10_000, seed=7), collect_chains=True,
-        )
-        mu = res.chains["mu"]
-        assert abs(mu.mean() - (-1.1156)) <= 3 * batch_means_mcse(mu)
+        params = BhmParams(phi=0.661)
+        centre = params.mu_mean + logit(0.35)
+        tail = half_normal_average(
+            lambda s: stats.norm.sf(C, centre, math.hypot(params.mu_sd, s)), params.phi)
+        mean = half_normal_average(
+            lambda s: normal_expit_mean(centre, math.hypot(params.mu_sd, s)), params.phi)
+        tails, means = tails_means("BHM", *NO_DATA, params)
+        np.testing.assert_allclose(tails, tail, atol=1e-7)
+        np.testing.assert_allclose(means, mean, atol=1e-7)
 
     def test_exnex_mu_recovers_prior_mean(self):
-        res = exnex_posterior(
-            NO_DATA, ExnexParams(phi=0.661, q=0.5),
-            McmcConfig(total_samples=10_000, seed=9), collect_chains=True,
-        )
-        mu = res.chains["mu"]
-        assert abs(mu.mean() - (-1.7346)) <= 3 * batch_means_mcse(mu)
+        params = ExnexParams(phi=0.661, q=0.5)
+        ex_tail = half_normal_average(
+            lambda s: stats.norm.sf(C, params.mu_mean, math.hypot(params.mu_sd, s)), params.phi)
+        nex_tail = stats.norm.sf(C, params.nex_means, params.nex_sds)
+        ex_mean = half_normal_average(
+            lambda s: normal_expit_mean(params.mu_mean, math.hypot(params.mu_sd, s)), params.phi)
+        nex_mean = normal_expit_mean(params.nex_means, params.nex_sds)
+        tails, means = tails_means("EXNEX", *NO_DATA, params)
+        np.testing.assert_allclose(tails, 0.5 * ex_tail + 0.5 * nex_tail, atol=1e-7)
+        np.testing.assert_allclose(means, 0.5 * ex_mean + 0.5 * nex_mean, atol=1e-7)
 
 
 class TestShrinkageAndDegenerateChecks:
     def test_tiny_phi_pulls_log_odds_together(self):
-        data = BasketData((1, 8), (10, 10))
-        res = bhm_posterior(
-            data, BhmParams(phi=0.001),
-            McmcConfig(total_samples=10_000, seed=5), collect_chains=True,
-        )
-        theta = np.log(res.chains["p"] / (1 - res.chains["p"])) - logit(0.35)
-        means = theta.mean(axis=0)
-        assert np.all(np.abs(means - means.mean()) < 0.05)
+        # phi = 0.001 is complete pooling: both baskets share one log-odds
+        params = BhmParams(phi=0.001)
+        _, means = tails_means("BHM", (1, 8), (10, 10), params)
+        nu = np.linspace(-40, 40, 400_001)
+        log_post = (9 * nu - 20 * np.logaddexp(0.0, nu)
+                    - 0.5 * ((nu - logit(0.35) - params.mu_mean) / params.mu_sd) ** 2)
+        w = np.exp(log_post - log_post.max())
+        pooled = float((w / w.sum()) @ (1.0 / (1.0 + np.exp(-nu))))
+        np.testing.assert_allclose(means, pooled, atol=1e-3)
 
     def test_symmetric_data_huge_phi_centres_at_half(self):
-        data = BasketData((25, 25), (50, 50))
-        res = bhm_posterior(
-            data, BhmParams(phi=1000.0), McmcConfig(total_samples=20_000, seed=3)
-        )
+        _, means = tails_means("BHM", (25, 25), (50, 50), BhmParams(phi=1000.0))
         # independent single-basket oracle: grid posterior over the log-odds
         # with the wide hyperprior as an effectively flat prior
         ts = np.linspace(-40, 40, 400_001)
@@ -152,26 +157,41 @@ class TestShrinkageAndDegenerateChecks:
         w = np.exp(log_post - log_post.max())
         oracle = float((w / w.sum()) @ (1.0 / (1.0 + np.exp(-(ts + offset)))))
         for k in range(2):
-            assert res.posterior_means[k] == pytest.approx(oracle, abs=0.01)
-            assert abs(res.posterior_means[k] - 0.5) < 0.01
+            assert means[k] == pytest.approx(oracle, abs=0.01)
+            assert abs(means[k] - 0.5) < 0.01
 
 
 class TestExnexLimits:
     def test_q_one_matches_bhm_with_zero_offset(self):
-        # forced exchangeability plus a 0.5 target (zero offset) is the same
-        # model; chains differ, so agreement is up to Monte Carlo error
-        data = BasketData((2, 5, 1, 4, 9), (10, 10, 25, 25, 30))
-        cfg = McmcConfig(total_samples=100_000, seed=21)
-        bhm = bhm_posterior(
-            data, BhmParams(phi=0.661, target_rates=0.5, mu_mean=-1.7346), cfg
-        )
-        exnex = exnex_posterior(data, ExnexParams(phi=0.661, q=1.0), cfg)
-        np.testing.assert_allclose(exnex.tail_probs, bhm.tail_probs, atol=0.02)
+        # forced exchangeability plus a 0.5 target (zero offset) is the same model
+        bhm = tails_means("BHM", DATA, SIZES,
+                          BhmParams(phi=0.661, target_rates=0.5, mu_mean=-1.7346))
+        exnex = tails_means("EXNEX", DATA, SIZES, ExnexParams(phi=0.661, q=1.0))
+        np.testing.assert_allclose(exnex[0], bhm[0], atol=1e-10)
+        np.testing.assert_allclose(exnex[1], bhm[1], atol=1e-10)
 
-    def test_acceptance_warning_attached_when_adaptation_disabled(self):
-        data = BasketData((20, 4), (40, 40))
-        res = bhm_posterior(
-            data, BhmParams(phi=0.661),
-            McmcConfig(total_samples=2000, seed=2, theta_scale=500.0, adapt=False),
-        )
-        assert any("acceptance" in w for w in res.warnings)
+
+class TestBruteForceOracle:
+    @pytest.mark.parametrize("responses,sizes", [
+        ((0, 10), (10, 10)),  # r = 0 and r = n
+        ((0, 3), (0, 25)),  # an empty basket
+        ((2, 7), (10, 25)),
+    ])
+    @pytest.mark.parametrize("params", [
+        BhmParams(phi=0.661, mu_sd=2.0),
+        ExnexParams(phi=0.661, q=0.7, mu_sd=2.0, nex_sds=2.0),
+    ], ids=["BHM", "EXNEX"])
+    def test_two_baskets_match_dense_grid(self, responses, sizes, params):
+        design = "BHM" if isinstance(params, BhmParams) else "EXNEX"
+        tails, means = tails_means(design, responses, sizes, params)
+        want_tails, want_means = brute_force(design, responses, sizes, params)
+        np.testing.assert_allclose(tails, want_tails, atol=2e-3)
+        np.testing.assert_allclose(means, want_means, atol=2e-3)
+
+    def test_varying_targets_match_dense_grid(self):
+        # per-basket offsets put two cuts on the mu grid
+        params = BhmParams(phi=0.661, target_rates=(0.3, 0.45), mu_sd=2.0)
+        tails, means = DesignBank("BHM", [(2, 7)], (10, 25), [], 0.15).tails_means(params)
+        want_tails, want_means = brute_force("BHM", (2, 7), (10, 25), params)
+        np.testing.assert_allclose(tails[0], want_tails, atol=2e-3)
+        np.testing.assert_allclose(means[0], want_means, atol=2e-3)

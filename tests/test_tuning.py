@@ -11,12 +11,17 @@ from basketsim.core import (
     beta_mean,
     beta_tail,
 )
-from basketsim.engine import DesignConfig, scenario_tails_means
+from basketsim.engine import (
+    DesignBank,
+    DesignConfig,
+    generate_responses,
+    run_design,
+    scenario_tails_means,
+)
 from basketsim.fujikawa import FujikawaParams, jsd
-from basketsim.hierarchical import BhmParams, ExnexParams, McmcConfig
+from basketsim.hierarchical import BhmParams, ExnexParams
 from basketsim.powerprior import CppParams, alpha0, cpp_weight, hellinger_gamma
 from basketsim.tuning import (
-    BankEvaluator,
     calibrate_lambda,
     default_grid,
     grid_search,
@@ -175,22 +180,21 @@ class TestBankEvaluator:
         ],
     )
     def test_fast_path_matches_engine(self, design, params):
-        """Closed-form banks match the scalar formulas; MCMC banks match the engine."""
-        mc = McmcConfig(total_samples=900)
-        ev = BankEvaluator(design, GROUPED_ASC, 50, 37, mcmc=mc)
-        tails_fast, means_fast = ev.tails_means(params)
+        """The tuning bank (engine.DesignBank) against the scalar formulas for the
+        closed-form designs and against one-replicate analyses for BHM and EXNEX."""
+        responses = generate_responses(GROUPED_ASC, 50, 37)
+        sizes = GROUPED_ASC.sample_sizes
+        bank = DesignBank(design, responses, sizes, [BetaShape(1, 1)] * 5, 0.15)
+        tails_fast, means_fast = bank.tails_means(params)
+        data = [BasketData(tuple(map(int, r)), sizes) for r in responses]
         if design in ("BHM", "EXNEX"):
-            cfg = DesignConfig(design, params, mcmc=mc)
-            tails_ref, means_ref = scenario_tails_means(cfg, GROUPED_ASC, 50, 37, 0.15)
+            config = DesignConfig(design, params, lambda_=0.9)
+            refs = [(res.tail_probs, res.posterior_means)
+                    for res in (run_design(config, d) for d in data)]
         else:
-            refs = [
-                reference_tails_means(
-                    design, params, BasketData(tuple(map(int, r)), GROUPED_ASC.sample_sizes)
-                )
-                for r in ev.responses
-            ]
-            tails_ref = np.array([t for t, _ in refs])
-            means_ref = np.array([m for _, m in refs])
+            refs = [reference_tails_means(design, params, d) for d in data]
+        tails_ref = np.array([t for t, _ in refs])
+        means_ref = np.array([m for _, m in refs])
         np.testing.assert_allclose(tails_fast, tails_ref, atol=1e-10)
         np.testing.assert_allclose(means_fast, means_ref, atol=1e-10)
 
