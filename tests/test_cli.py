@@ -224,6 +224,7 @@ class TestCommands:
         ["--p0", "1.5"],
         ["--p0", "0"],
         ["--alpha", "0"],
+        ["--alpha", "1"],
         ["--seed", "-1"],
     ])
     def test_bad_numeric_flag_is_a_usage_error(self, flags, tmp_path, capsys):
