@@ -9,11 +9,10 @@ of replicates at a time, so no other randomness is involved.
 
 from __future__ import annotations
 
-import atexit
-import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .core import (
     weighted_sums,
 )
 from .fujikawa import FujikawaParams, jsd_matrices, weights_from_jsd
-from .hierarchical import BhmParams, ExnexParams, HierarchicalBank
+from .hierarchical import BhmParams, ExnexParams, HierarchicalBank, design_tables
 from .powerprior import POWER_PRIOR_VARIANTS, CppParams, PowerPriorBank
 
 DESIGNS = ("CPP", "APP", "LCPP", "Fujikawa", "BMA", "BHM", "EXNEX")
@@ -169,8 +168,8 @@ class DesignBank:
     subset marginals and tails); ``tails_means`` finishes the tails and
     posterior means of the whole bank for one parameter set.  BHM and EXNEX
     take their quadrature tables from a per-process cache keyed by the
-    parameters.  Every row is computed on its own, so a bank of one gives
-    the same bits as that replicate inside any larger bank.
+    parameters and basket sizes.  Every row is computed on its own, so a
+    bank of one gives the same bits as that replicate inside any larger bank.
     """
 
     def __init__(self, design: str, responses, sample_sizes,
@@ -235,13 +234,21 @@ def _evaluate_chunk(args):
     return evaluate_bank(config, scenario, stop - start, master_seed, p0, start=start)
 
 
-@functools.lru_cache(maxsize=None)
-def _worker_pool(jobs: int) -> ProcessPoolExecutor:
-    """One pool per worker count for the life of the process, so workers keep
-    their quadrature tables and JSD memo from one scenario to the next."""
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    atexit.register(pool.shutdown)
-    return pool
+_POOL: dict = {}  # the live pool under its (jobs, design, params, sizes, p0) key
+
+
+def _worker_pool(jobs: int, config: DesignConfig, sizes: tuple, p0: float) -> ProcessPoolExecutor:
+    """Forked workers for one (design, params, sizes, p0): they inherit the BHM/EXNEX
+    tables the parent builds first, and the JSD memo, and never build tables.  A
+    new key shuts the pool down and forks another, after building its tables."""
+    key = (jobs, config.design, config.params, sizes, p0)
+    if key not in _POOL:
+        while _POOL:
+            _POOL.popitem()[1].shutdown()
+        if config.design in ("BHM", "EXNEX"):
+            design_tables(config.design, sizes, p0, config.params)
+        _POOL[key] = ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("fork"))
+    return _POOL[key]
 
 
 def scenario_tails_means(
@@ -259,16 +266,11 @@ def scenario_tails_means(
     """
     if jobs <= 1 or n_reps < 2 * jobs:
         return evaluate_bank(config, scenario, n_reps, master_seed, p0)
-    bounds = np.linspace(0, n_reps, jobs + 1, dtype=int)
-    tasks = [
-        (config, scenario, int(a), int(b), master_seed, p0)
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
-    parts = list(_worker_pool(jobs).map(_evaluate_chunk, tasks))
-    tails = np.concatenate([p[0] for p in parts])
-    means = np.concatenate([p[1] for p in parts])
-    return tails, means
+    bounds = np.linspace(0, n_reps, jobs + 1, dtype=int).tolist()  # chunks of 2 or more
+    tasks = [(config, scenario, a, b, master_seed, p0) for a, b in zip(bounds, bounds[1:])]
+    parts = _worker_pool(jobs, config, scenario.sample_sizes, p0).map(_evaluate_chunk, tasks)
+    tails, means = zip(*parts)
+    return np.concatenate(tails), np.concatenate(means)
 
 
 # ---------------------------------------------------------------------------

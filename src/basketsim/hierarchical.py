@@ -5,17 +5,20 @@ integral over (mu, sigma) of products of 1-D integrals over each basket's
 log-odds eta (the low-dimensional integration idea of INLA).  The 1-D
 integrals -- the likelihood's mass, its mass above the cut logit(p0) and
 its mean of expit(eta) under N(mu + offset, sigma) -- are tabulated for
-r = 0..n once per (n, offset, phi) on a fixed tensor grid of Gauss-Legendre
-panels: mu panels halve toward each cut, sigma = phi * s on fixed s nodes.
-Narrow kernels are integrated in z = (eta - nu) / sigma, wide ones on eta
-panels with the cut on a panel boundary plus the likelihood's flat mass
-beyond them (r = 0 or r = n) in closed form.
+r = 0..n on a fixed tensor grid of Gauss-Legendre panels: mu panels halve
+toward each cut, sigma = phi * s on fixed s nodes.  Narrow kernels are
+integrated in z = (eta - nu) / sigma, wide ones on eta panels with the cut
+on a panel boundary plus the likelihood's flat mass beyond them (r = 0 or
+r = n) in closed form.  One pass per (phi, offset) serves every basket
+size: each wide Gaussian kernel is built once per sigma node and multiplied
+with the stacked likelihoods of all sizes.  The cache is keyed by size set.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +34,11 @@ _ETA_ORDER = 8
 _Z_SIGMA = 0.25  # kernels up to this sigma are integrated in z
 _Z_LIMIT = 9.0
 _Z_ORDER = 48
-_TABLE_ROWS = 120  # (r, n) rows of quadrature tables kept per process
 _CHUNK_BYTES = 1 << 19  # one [rows, grid] temporary of the posterior sums
 
 _TABLES: dict = {}
+table_builds = 0  # quadrature table builds in this process; a forked child starts at 0
+os.register_at_fork(after_in_child=lambda: globals().update(table_builds=0))
 
 
 def logit(p: float) -> float:
@@ -135,60 +139,82 @@ def _grid(cuts: tuple, mu_mean: float, mu_sd: float):
     return mu, s, log_w.ravel()
 
 
-def _integrals(n: int, nu: np.ndarray, sigmas, cut: float) -> np.ndarray:
-    """[3, n + 1, len(sigmas) * len(nu)]: the likelihood's mass, its mass above
-    the cut and its mean of expit(eta) under N(nu, sigma), for r = 0..n (the
-    likelihood scaled to peak 1), sigma-major."""
-    r = np.arange(n + 1)[:, None]
-    p_hat = r / max(n, 1)
+def _integrals(sizes: tuple, nu: np.ndarray, sigmas, cut: float) -> dict:
+    """{n: [3, n + 1, len(sigmas) * len(nu)]} for every n in sizes: the likelihood's
+    mass, its mass above the cut and its mean of expit(eta) under N(nu, sigma), for
+    r = 0..n (the likelihood scaled to peak 1), sigma-major, all sizes in one pass."""
+    n = np.repeat(sizes, [m + 1 for m in sizes])[:, None]
+    r = np.concatenate([np.arange(m + 1) for m in sizes])[:, None]
+    first = np.cumsum([0] + [m + 1 for m in sizes])  # each size's first row
+    p_hat = r / np.maximum(n, 1)
     peak = xlogy(r, p_hat) + xlogy(n - r, 1.0 - p_hat)
     edges = cut + _ETA_PANEL * np.arange(math.floor((-_ETA_LIMIT - cut) / _ETA_PANEL),
                                          math.ceil((_ETA_LIMIT - cut) / _ETA_PANEL) + 1)
     eta, w_eta = _gauss_panels(edges, [_ETA_ORDER] * (edges.size - 1))
     lik = w_eta * np.exp(r * eta - n * np.logaddexp(0.0, eta) - peak)
     basis = np.concatenate([lik, lik * (eta > cut), lik * expit(eta)]).T
-    out = np.empty((3, n + 1, len(sigmas), nu.size))
+    half_sq, kernel = -0.5 * np.square(np.subtract.outer(nu, eta)), np.empty((nu.size, eta.size))
+    x, w = _leggauss(_Z_ORDER)
+    lik_z = np.empty((max(sizes) + 1, nu.size, _Z_ORDER))  # in-place buffers keep the peak low
+    out = np.empty((3, len(r), len(sigmas), nu.size))
     for i, sigma in enumerate(sigmas):
         if sigma > _Z_SIGMA:
-            kernel = np.exp(-0.5 * np.square(np.subtract.outer(nu, eta) / sigma))
-            out[:, :, i] = (kernel @ basis).T.reshape(3, n + 1, nu.size) / (
+            np.exp(np.divide(half_sq, sigma * sigma, out=kernel), out=kernel)
+            out[:, :, i] = (kernel @ basis).T.reshape(3, len(r), nu.size) / (
                 sigma * math.sqrt(2 * math.pi))
             # beyond the eta panels the likelihood is flat at r = 0 (left) and r = n (right)
-            out[0, 0, i] += ndtr((edges[0] - nu) / sigma)
-            out[:, n, i] += ndtr((nu - edges[-1]) / sigma)
+            out[0, first[:-1], i] += ndtr((edges[0] - nu) / sigma)
+            out[:, first[1:] - 1, i] += ndtr((nu - edges[-1]) / sigma)
             continue
-        x, w = _leggauss(_Z_ORDER)
-        for parts, lower in (((0, 2), np.full(nu.size, -_Z_LIMIT)),
-                             ((1,), np.clip((cut - nu) / sigma, -_Z_LIMIT, _Z_LIMIT))):
+        for part, lower in ((0, np.full(nu.size, -_Z_LIMIT)),
+                            (1, np.clip((cut - nu) / sigma, -_Z_LIMIT, _Z_LIMIT))):
             half = 0.5 * (_Z_LIMIT - lower)[:, None]
             z = lower[:, None] + half * (x + 1.0)
             w_z = half * w * np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
             eta_z = nu[:, None] + sigma * z
-            soft, mean = n * np.logaddexp(0.0, eta_z), expit(eta_z)
-            for j in range(n + 1):
-                lik_z = w_z * np.exp(j * eta_z - soft - peak[j])
-                for part in parts:
-                    out[part, j, i] = (lik_z * mean if part == 2 else lik_z).sum(axis=1)
-    return out.reshape(3, n + 1, -1)
-
-
-def _tables(cut: float, grid_key: tuple, phi: float, offset: float, n: int) -> np.ndarray:
-    """[3, n + 1, grid] integrals, cached per process.  Built per n for all
-    r = 0..n, so no row depends on which other data sets are evaluated."""
-    key = (cut, grid_key, phi, offset, n)
-    if key not in _TABLES:
-        rows = sum(t.shape[1] for t in _TABLES.values())
-        if rows + n + 1 > _TABLE_ROWS or any(k[:3] != key[:3] for k in _TABLES):
-            _TABLES.clear()
-        mu, s, _ = _grid(*grid_key)
-        _TABLES[key] = _integrals(n, mu + offset, phi * s, cut)
-    return _TABLES[key]
+            soft, mean = np.logaddexp(0.0, eta_z), expit(eta_z)
+            for m, rows in zip(sizes, map(slice, first[:-1], first[1:])):
+                v = np.multiply(r[rows, :, None], eta_z, out=lik_z[:m + 1])
+                v -= m * soft
+                v -= peak[rows, :, None]
+                np.exp(v, out=v)
+                v *= w_z
+                out[part, rows, i] = v.sum(axis=2)
+                if part == 0:
+                    v *= mean
+                    out[2, rows, i] = v.sum(axis=2)
+    return {m: out[:, a:b].reshape(3, m + 1, -1) for m, a, b in zip(sizes, first, first[1:])}
 
 
 @functools.lru_cache(maxsize=256)
 def _nex(cut: float, n: int, mean: float, sd: float) -> np.ndarray:
     """[3, n + 1] integrals under one basket's nonexchangeable prior."""
-    return _integrals(n, np.array([mean]), [sd], cut)[:, :, 0]
+    return _integrals((n,), np.array([mean]), [sd], cut)[n][:, :, 0]
+
+
+def design_tables(design: str, sizes: tuple, p0: float, params):
+    """(exchangeable tables per basket, NEX integrals per basket, q, log grid weights)
+    of a BHM or EXNEX model.  The cache holds the tables of the last key, whole size
+    set included, so no table depends on which tables were built before it."""
+    global table_builds
+    k, cut = len(sizes), logit(p0)
+    if design == "BHM":
+        offsets, q = params.offsets(k).tolist(), 1.0
+        nex = [np.zeros((3, n + 1)) for n in sizes]
+    else:
+        offsets, q = [0.0] * k, params.q
+        nex_means, nex_sds = params.nex_arrays(k)
+        nex = [_nex(cut, n, float(m), float(sd)) for n, m, sd in zip(sizes, nex_means, nex_sds)]
+    grid_key = (tuple(sorted({cut - o for o in offsets})), params.mu_mean, params.mu_sd)
+    groups = tuple((o, tuple(sorted({n for p, n in zip(offsets, sizes) if p == o})))
+                   for o in sorted(set(offsets)))
+    key = (cut, grid_key, params.phi, groups)
+    if key not in _TABLES:
+        _TABLES.clear()
+        mu, s, _ = _grid(*grid_key)
+        _TABLES[key] = {o: _integrals(ns, mu + o, params.phi * s, cut) for o, ns in groups}
+        table_builds += len(groups)
+    return [_TABLES[key][o][n] for o, n in zip(offsets, sizes)], nex, q, _grid(*grid_key)[2]
 
 
 class HierarchicalBank:
@@ -196,27 +222,13 @@ class HierarchicalBank:
 
     def __init__(self, design: str, responses, sample_sizes, p0: float):
         r = np.asarray(responses, dtype=np.int64)
-        self.design = design
+        self.design, self.p0 = design, p0
         self.sizes = tuple(int(v) for v in np.broadcast_to(sample_sizes, r.shape[1:]))
-        self.cut = logit(p0)
         self.rows, inverse = np.unique(r, axis=0, return_inverse=True)
         self.inverse = inverse.reshape(-1)
 
     def tails_means(self, params) -> tuple[np.ndarray, np.ndarray]:
-        k = len(self.sizes)
-        if self.design == "BHM":
-            offsets, q = params.offsets(k), 1.0
-            nex = [np.zeros((3, n + 1)) for n in self.sizes]
-        else:
-            offsets, q = np.zeros(k), params.q
-            nex_means, nex_sds = params.nex_arrays(k)
-            nex = [_nex(self.cut, n, float(m), float(sd))
-                   for n, m, sd in zip(self.sizes, nex_means, nex_sds)]
-        grid_key = (tuple(sorted({self.cut - float(o) for o in offsets})),
-                    params.mu_mean, params.mu_sd)
-        log_w = _grid(*grid_key)[2]
-        tables = [_tables(self.cut, grid_key, params.phi, float(o), n)
-                  for o, n in zip(offsets, self.sizes)]
+        tables, nex, q, log_w = design_tables(self.design, self.sizes, self.p0, params)
         tails, means = np.empty((2, *self.rows.shape))
         step = max(1, _CHUNK_BYTES // (8 * log_w.size))
         for a in range(0, len(self.rows), step):

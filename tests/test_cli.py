@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from basketsim import engine, hierarchical
 from basketsim.cli import (
     CatalogError,
     build_parser,
@@ -131,6 +132,16 @@ class TestCommands:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert (out1 / "oc.csv").read_bytes() == (out2 / "oc.csv").read_bytes()
+
+    def test_parallel_simulate_builds_tables_once_per_family(self, tmp_path):
+        while engine._POOL:  # start with no forked workers and an empty table cache
+            engine._POOL.popitem()[1].shutdown()
+        hierarchical._TABLES.clear()
+        before = hierarchical.table_builds
+        assert main(["simulate", "--scenario", "all", "--design", "BHM", "--reps", "8",
+                     "--seed", "2", "--jobs", "2", "--out", str(tmp_path)]) == 0
+        families = {s.size_family for s in builtin_catalog()}
+        assert hierarchical.table_builds - before == len(families)
 
     def test_fixed_lambda_from_config(self, tmp_path):
         config = {"designs": {"CPP": {"a": 4.0, "b": 4.5, "lambda": 0.9}}}

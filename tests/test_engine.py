@@ -1,11 +1,15 @@
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basketsim import engine, hierarchical
 from basketsim.bma import BmaParams
+from basketsim.cli import builtin_catalog
 from basketsim.core import BasketData, BetaShape, ConfigurationError, NullRate, Scenario
 from basketsim.engine import (
     DESIGNS,
@@ -42,6 +46,11 @@ CLOSED_FORM = {
 }
 HIERARCHICAL = {"BHM": BhmParams(phi=0.661), "EXNEX": ExnexParams(phi=0.661, q=0.9)}
 ALL_DESIGNS = {**CLOSED_FORM, **HIERARCHICAL}
+
+
+def _worker_table_builds():
+    time.sleep(0.5)  # hold this worker so that the next task goes to the other one
+    return os.getpid(), hierarchical.table_builds
 
 
 @st.composite
@@ -199,6 +208,22 @@ class TestSimulate:
             tails2, means2 = scenario_tails_means(cfg, GROUPED_ASC, 60, 21, 0.15, jobs=2)
             np.testing.assert_array_equal(tails1, tails2)
             np.testing.assert_array_equal(means1, means2)
+
+    @pytest.mark.parametrize("config", [
+        DesignConfig("BHM", BhmParams(phi=0.59)),
+        DesignConfig("EXNEX", ExnexParams(phi=0.59, q=0.7)),
+    ], ids=["BHM", "EXNEX"])
+    def test_tables_built_in_parent_only(self, config):
+        grouped = [s for s in builtin_catalog() if s.size_family == "Grouped"]
+        before = hierarchical.table_builds
+        for scenario in grouped:
+            scenario_tails_means(config, scenario, 8, 4, 0.15, jobs=2)
+        assert hierarchical.table_builds - before == 1
+        pool = engine._worker_pool(2, config, grouped[0].sample_sizes, 0.15)  # the live pool
+        answers = [f.result(timeout=60) for f in
+                   [pool.submit(_worker_table_builds) for _ in range(4)]]
+        assert len({pid for pid, _ in answers} - {os.getpid()}) == 2
+        assert [builds for _, builds in answers] == [0] * 4
 
     def test_mcmc_simulate_deterministic(self):
         cfg = DesignConfig("BHM", BhmParams(phi=0.661), lambda_=0.9)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from basketsim import hierarchical
 from basketsim.engine import DesignBank
 from basketsim.hierarchical import (
     BhmParams,
@@ -103,6 +104,32 @@ class TestDeterminismAndInvariants:
             single = tails_means("EXNEX", tuple(row), SIZES, params)
             assert np.array_equal(single[0], tails[i])
             assert np.array_equal(single[1], means[i])
+
+
+class TestTableCache:
+    def test_repeated_banks_of_a_large_family_build_once(self):
+        # 205 (r, n) rows: a cache bounded by rows, not keyed by the size set,
+        # would evict these tables and rebuild them on every call
+        sizes = (20, 30, 40, 50, 60)
+        rng = np.random.default_rng(5)
+        params = ExnexParams(phi=0.57, q=0.6)
+        before = hierarchical.table_builds
+        for _ in range(3):
+            bank = rng.binomial(sizes, 0.3, size=(20, 5))
+            HierarchicalBank("EXNEX", bank, sizes, 0.15).tails_means(params)
+        assert hierarchical.table_builds - before == 1
+
+    def test_tables_do_not_depend_on_what_was_built_before(self):
+        grouped, linear = (10, 10, 25, 25, 30), (10, 15, 20, 25, 30)
+        rng = np.random.default_rng(9)
+        bank = rng.binomial(grouped, 0.25, size=(30, 5))
+        params = BhmParams(phi=0.53)  # a phi no other test builds: these tables are fresh
+        fresh = HierarchicalBank("BHM", bank, grouped, 0.15).tails_means(params)
+        HierarchicalBank("BHM", rng.binomial(linear, 0.25, size=(5, 5)), linear,
+                         0.15).tails_means(params)
+        after = HierarchicalBank("BHM", bank, grouped, 0.15).tails_means(params)
+        for want, got in zip(fresh, after):
+            assert np.array_equal(want, got)
 
 
 class TestPriorRecovery:
