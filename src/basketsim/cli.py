@@ -478,10 +478,6 @@ def _read_oc_csv(path: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO("".join(lines))))
 
 
-def _round3(text: str) -> str:
-    return f"{float(text):.3f}"
-
-
 def render_ecd_table(rows: list[dict], family: str) -> str:
     designs = [d for d in DESIGNS if any(
         r["design"] == d and r["size_family"] == family for r in rows

@@ -6,12 +6,12 @@ safe to call concurrently from any number of workers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import betaincc, gammaln
 
 PATTERNS = ("Null", "Alternative", "Ascending", "Descending", "BGN", "SGN")
 SIZE_FAMILIES = ("Linear", "Grouped", "HighVariance")
@@ -187,8 +187,17 @@ def validate_weight_matrix(matrix: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def scipy_special():
+    """scipy.special, imported on first use: only processes that take a beta tail or
+    a log-beta pay for the import."""
+    import scipy.special
+    return scipy.special
+
+
 def log_beta(a, b) -> np.ndarray:
     """ln B(a, b) elementwise over arrays of positive arguments."""
+    gammaln = scipy_special().gammaln
     return gammaln(a) + gammaln(b) - gammaln(a + b)
 
 
@@ -214,7 +223,7 @@ def beta_tails(alphas, betas, x: float) -> np.ndarray:
     """Pr(p > x) elementwise over arrays of beta shapes, in one ufunc call."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"beta_tail threshold {x} outside [0, 1]")
-    return betaincc(alphas, betas, x)
+    return scipy_special().betaincc(alphas, betas, x)
 
 
 def beta_tail(shape: BetaShape, x: float) -> float:

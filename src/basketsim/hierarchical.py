@@ -10,8 +10,12 @@ toward each cut, sigma = phi * s on fixed s nodes.  Narrow kernels are
 integrated in z = (eta - nu) / sigma, wide ones on eta panels with the cut
 on a panel boundary plus the likelihood's flat mass beyond them (r = 0 or
 r = n) in closed form.  One pass per (phi, offset) serves every basket
-size: each wide Gaussian kernel is built once per sigma node and multiplied
-with the stacked likelihoods of all sizes.  The cache is keyed by size set.
+size: with M = max(n) + 1, every likelihood row p^r (1 - p)^(n - r), and p
+times it for the mean, is a nonnegative combination of the Bernstein basis
+B_j(p) = C(M, j) p^j (1 - p)^(M - j), so only the basis's mass and its mass
+above the cut are integrated, and each size's rows are lifted from them by
+one matrix product per part.  The cache is keyed by size set.  Nothing here
+imports scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, ndtr, xlogy
 
 _CUT_LEVELS = 7  # mu panels halve this many times toward a cut
 _MU_HALF = 8  # unit-width mu panels on either side of a cut
@@ -139,51 +142,73 @@ def _grid(cuts: tuple, mu_mean: float, mu_sd: float):
     return mu, s, log_w.ravel()
 
 
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, elementwise."""
+    return 0.5 * np.array([math.erfc(v) for v in (x * -math.sqrt(0.5)).tolist()])
+
+
+def _log_comb(m: int, k: int) -> float:
+    return math.log(math.comb(m, k))
+
+
+def _bernstein_lift(sizes: tuple, degree: int) -> np.ndarray:
+    """Weights [2, rows, degree + 1] writing L = p^r (1 - p)^(n - r) / max_p L, and p L, for
+    r = 0..n of every n < degree in sizes, in the Bernstein basis B_j(p) = C(degree, j) p^j
+    (1 - p)^(degree - j).  The degree-elevation weights, C(degree - n, j - r) / C(degree, j)
+    / max_p L for L, are all nonnegative; formed in logs, they overflow for no size."""
+    lift = np.zeros((2, sum(n + 1 for n in sizes), degree + 1))
+    for row, (r, n) in enumerate((r, n) for n in sizes for r in range(n + 1)):
+        peak = sum(c * math.log(c / n) for c in (r, n - r) if c)  # ln max_p L
+        for part, (a, b) in enumerate(((r, n), (r + 1, n + 1))):
+            for j in range(a, a + degree - b + 1):
+                lift[part, row, j] = math.exp(
+                    _log_comb(degree - b, j - a) - _log_comb(degree, j) - peak)
+    return lift
+
+
+def _bernstein(degree: int, eta: np.ndarray) -> np.ndarray:
+    """B_j(expit(eta)) [degree + 1, *eta.shape], from ln p and ln(1 - p): both are
+    negative, so no large terms cancel."""
+    j = np.arange(degree + 1.0).reshape(-1, *(1,) * eta.ndim)
+    log_comb = np.array([_log_comb(degree, i) for i in range(degree + 1)]).reshape(j.shape)
+    return np.exp(log_comb + j * -np.logaddexp(0.0, -eta) + (degree - j) * -np.logaddexp(0.0, eta))
+
+
 def _integrals(sizes: tuple, nu: np.ndarray, sigmas, cut: float) -> dict:
-    """{n: [3, n + 1, len(sigmas) * len(nu)]} for every n in sizes: the likelihood's
-    mass, its mass above the cut and its mean of expit(eta) under N(nu, sigma), for
-    r = 0..n (the likelihood scaled to peak 1), sigma-major, all sizes in one pass."""
-    n = np.repeat(sizes, [m + 1 for m in sizes])[:, None]
-    r = np.concatenate([np.arange(m + 1) for m in sizes])[:, None]
-    first = np.cumsum([0] + [m + 1 for m in sizes])  # each size's first row
-    p_hat = r / np.maximum(n, 1)
-    peak = xlogy(r, p_hat) + xlogy(n - r, 1.0 - p_hat)
+    """{n: [3, n + 1, len(sigmas) * len(nu)]} for every n in sizes: the likelihood's mass,
+    its mass above the cut and its mean of expit(eta) under N(nu, sigma), for r = 0..n (the
+    likelihood scaled to peak 1), sigma-major, lifted from the Bernstein basis's integrals."""
+    degree = max(sizes) + 1
     edges = cut + _ETA_PANEL * np.arange(math.floor((-_ETA_LIMIT - cut) / _ETA_PANEL),
                                          math.ceil((_ETA_LIMIT - cut) / _ETA_PANEL) + 1)
     eta, w_eta = _gauss_panels(edges, [_ETA_ORDER] * (edges.size - 1))
-    lik = w_eta * np.exp(r * eta - n * np.logaddexp(0.0, eta) - peak)
-    basis = np.concatenate([lik, lik * (eta > cut), lik * expit(eta)]).T
-    half_sq, kernel = -0.5 * np.square(np.subtract.outer(nu, eta)), np.empty((nu.size, eta.size))
+    above = np.searchsorted(eta, cut)  # the cut is a panel edge, never a node
+    basis = _bernstein(degree, eta) * w_eta
+    half_sq, kernel = -0.5 * np.square(np.subtract.outer(eta, nu)), np.empty((eta.size, nu.size))
     x, w = _leggauss(_Z_ORDER)
-    lik_z = np.empty((max(sizes) + 1, nu.size, _Z_ORDER))  # in-place buffers keep the peak low
-    out = np.empty((3, len(r), len(sigmas), nu.size))
+    mass = np.empty((2, degree + 1, len(sigmas), nu.size))  # the basis's mass, and above the cut
     for i, sigma in enumerate(sigmas):
         if sigma > _Z_SIGMA:
             np.exp(np.divide(half_sq, sigma * sigma, out=kernel), out=kernel)
-            out[:, :, i] = (kernel @ basis).T.reshape(3, len(r), nu.size) / (
-                sigma * math.sqrt(2 * math.pi))
-            # beyond the eta panels the likelihood is flat at r = 0 (left) and r = n (right)
-            out[0, first[:-1], i] += ndtr((edges[0] - nu) / sigma)
-            out[:, first[1:] - 1, i] += ndtr((nu - edges[-1]) / sigma)
+            mass[1, :, i] = basis[:, above:] @ kernel[above:]
+            mass[0, :, i] = basis[:, :above] @ kernel[:above] + mass[1, :, i]
+            mass[:, :, i] /= sigma * math.sqrt(2 * math.pi)
+            # beyond the eta panels B_0 is flat at 1 on the left and B_degree on the right
+            mass[0, 0, i] += _ndtr((edges[0] - nu) / sigma)
+            mass[:, -1, i] += _ndtr((nu - edges[-1]) / sigma)
             continue
-        for part, lower in ((0, np.full(nu.size, -_Z_LIMIT)),
-                            (1, np.clip((cut - nu) / sigma, -_Z_LIMIT, _Z_LIMIT))):
+        for part, lower in enumerate((np.full(nu.size, -_Z_LIMIT),
+                                      np.clip((cut - nu) / sigma, -_Z_LIMIT, _Z_LIMIT))):
             half = 0.5 * (_Z_LIMIT - lower)[:, None]
             z = lower[:, None] + half * (x + 1.0)
             w_z = half * w * np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-            eta_z = nu[:, None] + sigma * z
-            soft, mean = np.logaddexp(0.0, eta_z), expit(eta_z)
-            for m, rows in zip(sizes, map(slice, first[:-1], first[1:])):
-                v = np.multiply(r[rows, :, None], eta_z, out=lik_z[:m + 1])
-                v -= m * soft
-                v -= peak[rows, :, None]
-                np.exp(v, out=v)
-                v *= w_z
-                out[part, rows, i] = v.sum(axis=2)
-                if part == 0:
-                    v *= mean
-                    out[2, rows, i] = v.sum(axis=2)
-    return {m: out[:, a:b].reshape(3, m + 1, -1) for m, a, b in zip(sizes, first, first[1:])}
+            mass[part, :, i] = (_bernstein(degree, nu[:, None] + sigma * z) * w_z).sum(axis=2)
+    lift = _bernstein_lift(sizes, degree)
+    out = np.empty((3, lift.shape[1], len(sigmas) * nu.size))
+    for part, (row, basis_part) in enumerate(((0, 0), (0, 1), (1, 0))):  # mass, tail, mean
+        np.matmul(lift[row], mass[basis_part].reshape(degree + 1, -1), out=out[part])
+    first = np.cumsum([0] + [n + 1 for n in sizes])  # each size's first row
+    return {n: out[:, a:b] for n, a, b in zip(sizes, first, first[1:])}
 
 
 @functools.lru_cache(maxsize=256)

@@ -87,9 +87,11 @@ def alpha0(n_k: int, n_i: int) -> float:
     return n_k / n_i
 
 
-def _powered_likelihood_shape(r: int, n: int, w: float) -> BetaShape:
-    # L(p | r, n)^w normalized against a uniform initial prior
-    return BetaShape(w * r + 1.0, w * (n - r) + 1.0)
+def _powered_likelihood_shape(r: int, n: int, n_other: int) -> BetaShape:
+    # L(p | r, n)^w with w = min(1, n_other / n), normalized against a uniform initial
+    # prior; a count c becomes (c * min(n, n_other)) / n, exact when the sizes match
+    m, size = min(n, n_other), max(n, 1)
+    return BetaShape(r * m / size + 1.0, (n - r) * m / size + 1.0)
 
 
 def hellinger_gamma(d_k: tuple[int, int], d_i: tuple[int, int]) -> float:
@@ -101,12 +103,8 @@ def hellinger_gamma(d_k: tuple[int, int], d_i: tuple[int, int]) -> float:
     binomial likelihood yields a beta density, giving the closed form below.
     The result is clamped to [0, 1] against floating-point wobble.
     """
-    r_k, n_k = d_k
-    r_i, n_i = d_i
-    w_k = min(1.0, n_i / n_k) if n_k else 1.0
-    w_i = min(1.0, n_k / n_i) if n_i else 1.0
-    f = _powered_likelihood_shape(r_k, n_k, w_k)
-    g = _powered_likelihood_shape(r_i, n_i, w_i)
+    f = _powered_likelihood_shape(*d_k, d_i[1])
+    g = _powered_likelihood_shape(*d_i, d_k[1])
     bc = math.exp(
         log_beta_function(0.5 * (f.alpha + g.alpha), 0.5 * (f.beta + g.beta))
         - 0.5 * log_beta_function(f.alpha, f.beta)
@@ -147,11 +145,10 @@ def gamma_matrix(responses, sample_sizes) -> np.ndarray:
     """
     n = np.asarray(sample_sizes, dtype=float)
     r = np.asarray(responses, dtype=float)
-    # power[k, i]: exponent on basket k's likelihood when compared with basket i
-    with np.errstate(divide="ignore", invalid="ignore"):
-        power = np.where(n[:, None] > 0, np.minimum(1.0, n[None, :] / n[:, None]), 1.0)
-    fa = power * r[..., :, None] + 1.0
-    fb = power * (n - r)[..., :, None] + 1.0
+    # basket k's counts scaled to min(n_k, n_i) / n_k when compared with basket i
+    m, size = np.minimum.outer(n, n), np.maximum(n, 1.0)[:, None]
+    fa = r[..., :, None] * m / size + 1.0
+    fb = (n - r)[..., :, None] * m / size + 1.0
     ga, gb = np.swapaxes(fa, -1, -2), np.swapaxes(fb, -1, -2)
     lb_f = log_beta(fa, fb)
     bc = np.exp(

@@ -2,9 +2,12 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import basketsim
 from basketsim import engine, hierarchical
 from basketsim.cli import (
     CatalogError,
@@ -18,6 +21,35 @@ from basketsim.cli import (
     select_scenarios,
 )
 from basketsim.powerprior import CppParams
+
+
+def run_fresh(script, *args):
+    """stdout of a Python script run in a fresh interpreter that imports this basketsim."""
+    src = os.path.dirname(os.path.dirname(basketsim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# the head of run_fresh scripts: probe(pool) asks four tasks of a live pool for their
+# worker's scipy modules; each holds its worker so that the next goes to the other one
+PROBE = """
+import os, sys, time
+from basketsim import cli, engine
+
+def scipy_modules():
+    return os.getpid(), sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+def held():
+    time.sleep(0.3)
+    return scipy_modules()
+
+def probe(pool):
+    return [f.result(timeout=60) for f in [pool.submit(held) for _ in range(4)]]
+"""
 
 
 def read_rows(path):
@@ -275,3 +307,37 @@ class TestCommands:
         assert manifest_from_args(args).jobs == cpus
         args = build_parser().parse_args(["simulate", "--jobs", "-3"])
         assert manifest_from_args(args).jobs == 1
+
+
+class TestScipyStaysOut:
+    """scipy.special costs about 0.3 s to import; only beta tails and log-betas use it."""
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        assert run_fresh(PROBE + "print(len(scipy_modules()[1]))").split() == ["0"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("design", ["BHM", "EXNEX"])
+    def test_hierarchical_simulate_loads_no_scipy(self, design, jobs, tmp_path):
+        script = PROBE + """
+assert cli.main(sys.argv[1:]) == 0
+answers = [scipy_modules()] + [a for pool in engine._POOL.values() for a in probe(pool)]
+print(len({pid for pid, _ in answers}), sum(len(modules) for _, modules in answers))
+"""
+        out = run_fresh(script, "simulate", "--scenario", "grouped", "--design", design,
+                        "--reps", "8", "--seed", "4", "--jobs", jobs, "--out", str(tmp_path))
+        processes, scipy_modules = map(int, out.split())
+        assert scipy_modules == 0
+        if jobs == "2" and (os.cpu_count() or 1) >= 2:
+            assert processes == 3  # the parent and both workers answered
+
+    def test_closed_form_pool_workers_start_with_scipy_special(self):
+        script = PROBE + """
+from basketsim.engine import DesignConfig
+from basketsim.powerprior import CppParams
+assert "scipy.special" not in sys.modules
+answers = probe(engine._worker_pool(2, DesignConfig("CPP", CppParams(4, 4.5)),
+                                    (10, 10, 25, 25, 30), 0.15))
+print(len({pid for pid, _ in answers} - {os.getpid()}),
+      all("scipy.special" in modules for _, modules in answers))
+"""
+        assert run_fresh(script).split() == ["2", "True"]

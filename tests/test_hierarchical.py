@@ -79,6 +79,118 @@ def brute_force(design, responses, sizes, params):
     return np.array(tails), np.array(means)
 
 
+def per_row_integrals(sizes, nu, sigmas, cut):
+    """The tables of hierarchical._integrals built from one likelihood row per (r, n):
+    each row's mass, mass above the cut and mean of expit(eta) integrated on its own."""
+    h = hierarchical
+    n = np.repeat(sizes, [m + 1 for m in sizes])[:, None]
+    r = np.concatenate([np.arange(m + 1) for m in sizes])[:, None]
+    first = np.cumsum([0] + [m + 1 for m in sizes])  # each size's first row
+    p_hat = r / np.maximum(n, 1)
+    peak = special.xlogy(r, p_hat) + special.xlogy(n - r, 1.0 - p_hat)
+    edges = cut + h._ETA_PANEL * np.arange(math.floor((-h._ETA_LIMIT - cut) / h._ETA_PANEL),
+                                           math.ceil((h._ETA_LIMIT - cut) / h._ETA_PANEL) + 1)
+    eta, w_eta = h._gauss_panels(edges, [h._ETA_ORDER] * (edges.size - 1))
+    lik = w_eta * np.exp(r * eta - n * np.logaddexp(0.0, eta) - peak)
+    basis = np.concatenate([lik, lik * (eta > cut), lik * special.expit(eta)]).T
+    half_sq = -0.5 * np.square(np.subtract.outer(nu, eta))
+    x, w = h._leggauss(h._Z_ORDER)
+    out = np.empty((3, len(r), len(sigmas), nu.size))
+    for i, sigma in enumerate(sigmas):
+        if sigma > h._Z_SIGMA:
+            kernel = np.exp(half_sq / (sigma * sigma))
+            out[:, :, i] = (kernel @ basis).T.reshape(3, len(r), nu.size) / (
+                sigma * math.sqrt(2 * math.pi))
+            # beyond the eta panels the likelihood is flat at r = 0 (left) and r = n (right)
+            out[0, first[:-1], i] += special.ndtr((edges[0] - nu) / sigma)
+            out[:, first[1:] - 1, i] += special.ndtr((nu - edges[-1]) / sigma)
+            continue
+        for part, lower in ((0, np.full(nu.size, -h._Z_LIMIT)),
+                            (1, np.clip((cut - nu) / sigma, -h._Z_LIMIT, h._Z_LIMIT))):
+            half = 0.5 * (h._Z_LIMIT - lower)[:, None]
+            z = lower[:, None] + half * (x + 1.0)
+            w_z = half * w * np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+            eta_z = nu[:, None] + sigma * z
+            soft, mean = np.logaddexp(0.0, eta_z), special.expit(eta_z)
+            for m, rows in zip(sizes, map(slice, first[:-1], first[1:])):
+                v = np.exp(r[rows, :, None] * eta_z - m * soft - peak[rows, :, None]) * w_z
+                out[part, rows, i] = v.sum(axis=2)
+                if part == 0:
+                    out[2, rows, i] = (v * mean).sum(axis=2)
+    return {m: out[:, a:b].reshape(3, m + 1, -1) for m, a, b in zip(sizes, first, first[1:])}
+
+
+def assert_rows_close(got, want, rtol=1e-12):
+    """Every entry within rtol of the largest entry of its row."""
+    scale = np.abs(want).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= rtol * scale)
+
+
+def bernstein(degree, p, q):
+    """B_j(p) = C(degree, j) p^j q^(degree - j) with q = 1 - p, [degree + 1, len(p)]."""
+    j = np.arange(degree + 1)[:, None]
+    comb = np.array([math.comb(degree, i) for i in range(degree + 1)], dtype=float)[:, None]
+    return comb * p ** j * q ** (degree - j)
+
+
+class TestBernsteinBuild:
+    @pytest.mark.parametrize("degree", [2, 8, 31, 51])
+    def test_lift_reproduces_every_likelihood_row(self, degree):
+        # n = 0, n = 1 and n = degree - 1, the largest size a basis of this degree lifts
+        sizes = tuple(sorted({0, 1, degree - 1}))
+        p = np.linspace(0.0, 1.0, 201)[1:-1]
+        lift = hierarchical._bernstein_lift(sizes, degree)
+        rows = [(r, n) for n in sizes for r in range(n + 1)]
+        assert lift.shape == (2, len(rows), degree + 1)
+        assert np.all(lift >= 0.0)
+        values = lift @ bernstein(degree, p, 1.0 - p)
+        for row, (r, n) in enumerate(rows):
+            p_hat = r / max(n, 1)  # each row is scaled to peak 1
+            likelihood = p ** r * (1.0 - p) ** (n - r) / (p_hat ** r * (1.0 - p_hat) ** (n - r))
+            np.testing.assert_allclose(values[0, row], likelihood, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(values[1, row], p * likelihood, rtol=1e-13, atol=0)
+
+    def test_basis_matches_its_definition(self):
+        eta = np.linspace(-30.0, 30.0, 121)
+        got = hierarchical._bernstein(40, eta)
+        want = bernstein(40, special.expit(eta), special.expit(-eta))
+        normal = want > 1e-280  # the oracle's powers lose bits in subnormal range
+        np.testing.assert_allclose(got[normal], want[normal], rtol=1e-12, atol=0)
+        assert np.all(got[~normal] <= 1e-279)
+
+    @pytest.mark.parametrize("sizes", [
+        (10, 25, 30), (10, 15, 20, 25, 30), (10, 20, 50), (0, 1, 7),
+    ], ids=["Grouped", "Linear", "HighVariance", "small"])
+    @pytest.mark.parametrize("phi", [0.001, 0.661, 1000.0])
+    def test_tables_match_per_row_build(self, sizes, phi):
+        # every third mu node: the columns of a table are independent of each other
+        mu, s, _ = hierarchical._grid((C,), -1.7346, 100.0)
+        nu = mu[::3]
+        got = hierarchical._integrals(sizes, nu, phi * s, C)
+        want = per_row_integrals(sizes, nu, phi * s, C)
+        for n in sizes:
+            assert got[n].shape == want[n].shape == (3, n + 1, s.size * nu.size)
+            assert_rows_close(got[n], want[n])
+
+    @pytest.mark.parametrize("n", [0, 1, 10, 30, 50])
+    @pytest.mark.parametrize("mean,sd", [(-1.7346, 100.0), (0.4, 2.0), (-2.5, 0.1)])
+    def test_nex_integrals_match_per_row_build(self, n, mean, sd):
+        want = per_row_integrals((n,), np.array([mean]), [sd], C)[n][:, :, 0]
+        assert_rows_close(hierarchical._nex(C, n, mean, sd), want)
+
+    def test_normal_cdf_matches_scipy(self):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 80_001),
+                            np.random.default_rng(3).uniform(-40.0, 40.0, 20_000)])
+        got, want = hierarchical._ndtr(x), special.ndtr(x)
+        upper = x >= -0.5
+        np.testing.assert_array_max_ulp(got[upper], want[upper], maxulp=2)
+        # below, scipy rounds -x^2 / 2 before its exp and loses up to ~x^2 ulp
+        # relative to math.erfc; both stay within 2 ulp of the half mass
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(0.5))
+        normal = (x < -0.5) & (want > np.finfo(float).tiny)
+        np.testing.assert_allclose(got[normal], want[normal], rtol=1e-12, atol=0)
+
+
 class TestDeterminismAndInvariants:
     def test_tails_and_means_in_unit_interval(self):
         tails, means = tails_means("EXNEX", DATA, SIZES, ExnexParams(phi=0.661, q=0.5))

@@ -19,6 +19,7 @@ from basketsim.powerprior import (
     alpha0,
     build_weights,
     cpp_weight,
+    gamma_matrix,
     hellinger_gamma,
     ks_statistic,
     power_prior_posterior,
@@ -113,6 +114,12 @@ class TestHellingerGamma:
         g = hellinger_gamma((4, 20), (2, 10))
         assert g == pytest.approx(0.0, abs=1e-7)
         assert g == pytest.approx(hellinger_gamma_by_quadrature((4, 20), (2, 10)), abs=1e-8)
+
+    def test_equal_downgraded_shapes_give_exactly_zero(self):
+        # 5/77 * 77 is not 5 in floating point; (77 * 5) / 77 is
+        assert hellinger_gamma((0, 5), (0, 77)) == 0.0
+        assert hellinger_gamma((0, 77), (0, 5)) == 0.0
+        assert np.all(gamma_matrix([[0, 0]], [5, 77]) == 0.0)
 
     def test_symmetric(self):
         assert hellinger_gamma((3, 15), (9, 30)) == pytest.approx(
