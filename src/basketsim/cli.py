@@ -96,6 +96,7 @@ CSV_COLUMNS = (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+MAX_REPS = 2**32 - 1  # a replicate index is one 32-bit word of its stream's key
 
 
 class CatalogError(ConfigurationError):
@@ -176,10 +177,14 @@ def _scenario_from_mapping(index: int, raw: dict) -> Scenario:
     missing = {"id", "sample_sizes", "true_rates", "pattern", "size_family"} - set(raw)
     if missing:
         raise CatalogError(f"scenarios[{index}]: missing field(s) {sorted(missing)}")
+    # the id keys the scenario's data streams: a JSON integer, never truncated
+    sid = raw["id"]
+    if type(sid) is not int or sid < 0:
+        raise CatalogError(f"scenarios[{index}].id: expected a nonnegative integer, got {sid!r}")
     fixed = raw.get("fixed_responses")
     try:
         return Scenario(
-            id=int(raw["id"]),
+            id=sid,
             sample_sizes=tuple(int(v) for v in raw["sample_sizes"]),
             true_rates=tuple(float(v) for v in raw["true_rates"]),
             pattern=str(raw["pattern"]),
@@ -646,8 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_args(args: argparse.Namespace) -> None:
     """Reject out-of-range numeric flags as usage errors."""
-    if args.reps < 1:
-        raise CatalogError(f"--reps must be at least 1, got {args.reps}")
+    if not 1 <= args.reps <= MAX_REPS:
+        raise CatalogError(f"--reps must lie in [1, {MAX_REPS}], got {args.reps}")
     if args.seed < 0:
         raise CatalogError(f"--seed must be nonnegative, got {args.seed}")
     if not 0.0 < args.p0 < 1.0:

@@ -10,6 +10,7 @@ of replicates at a time, so no other randomness is involved.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
@@ -114,13 +115,6 @@ class OperatingCharacteristics:
 # ---------------------------------------------------------------------------
 
 
-def _data_stream(master_seed: int, scenario_id: int, replicate: int) -> np.random.Generator:
-    key = np.random.SeedSequence(
-        entropy=master_seed, spawn_key=(_STREAM_DATA, scenario_id, replicate)
-    )
-    return np.random.Generator(np.random.Philox(key))
-
-
 def mcmc_seed_sequence(
     master_seed: int, scenario_id: int, design: str, replicate: int
 ) -> np.random.SeedSequence:
@@ -133,27 +127,88 @@ def mcmc_seed_sequence(
 
 
 def generate_trial(scenario: Scenario, master_seed: int, replicate: int) -> BasketData:
-    """Binomial responses for one replicate from its own counter-based stream."""
-    if scenario.fixed_responses is not None:
-        return BasketData(scenario.fixed_responses, scenario.sample_sizes)
-    gen = _data_stream(master_seed, scenario.id, replicate)
-    r = gen.binomial(scenario.sample_sizes, scenario.true_rates)
-    return BasketData(tuple(int(v) for v in r), scenario.sample_sizes)
+    """Binomial responses for one replicate: a bank of one."""
+    row = generate_responses(scenario, 1, master_seed, start=replicate)[0]
+    return BasketData(tuple(int(v) for v in row), scenario.sample_sizes)
+
+
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashmix(init: int, mult: int):
+    """numpy's ``hashmix`` with its running constant, for Python ints or uint32 arrays."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        const, value = const * mult & _MASK32, value ^ const
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    result = ((0xCA01F9DD * x & _MASK32) - (0x4973F715 * y & _MASK32)) & _MASK32
+    return result ^ result >> 16
+
+
+def _words(value: int) -> list[int]:
+    """The 32-bit words of a nonnegative integer, least significant first."""
+    value = operator.index(value)
+    if value < 0:
+        raise ConfigurationError(f"seeds and scenario ids must be nonnegative, got {value}")
+    return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _philox_keys(master_seed: int, scenario_id: int, replicates: np.ndarray) -> np.ndarray:
+    """Philox keys [R, 2] of ``SeedSequence(master_seed, spawn_key=(0, scenario_id, rep))``.
+
+    This is numpy's ``mix_entropy`` into a pool of four words followed by
+    ``generate_state(2, uint64)`` (numpy/random/bit_generator.pyx).  Every
+    entropy word but the last, the replicate, is the same for the whole bank,
+    so the hash runs on Python ints until that word enters and on uint32
+    arrays after it.
+    """
+    seed = _words(master_seed)
+    entropy = seed + [0] * (4 - len(seed)) + [_STREAM_DATA] + _words(scenario_id)
+    entropy.append(replicates.astype(np.uint32))
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    final = _hashmix(0x8B51F9DD, 0x58F38DED)
+    lo0, hi0, lo1, hi1 = (final(word).astype(np.uint64) for word in pool)
+    return np.stack([lo0 | hi0 << 32, lo1 | hi1 << 32], axis=1)
 
 
 def generate_responses(scenario: Scenario, n_reps: int, master_seed: int,
                        start: int = 0) -> np.ndarray:
-    """Response counts for replicates [start, start + n_reps)."""
-    out = np.empty((n_reps, scenario.k), dtype=np.int64)
+    """Response counts [n_reps, K] for replicates [start, start + n_reps).
+
+    Replicate i draws its baskets in order from ``Philox(SeedSequence(master_seed,
+    spawn_key=(0, scenario.id, i)))``: one Philox is reset to each replicate's key
+    with counter 0 and an empty buffer, as a freshly seeded one starts.
+    """
     if scenario.fixed_responses is not None:
-        out[:] = scenario.fixed_responses
-        return out
-    sizes = np.asarray(scenario.sample_sizes)
-    rates = np.asarray(scenario.true_rates)
-    for i in range(n_reps):
-        gen = _data_stream(master_seed, scenario.id, start + i)
-        out[i] = gen.binomial(sizes, rates)
-    return out
+        return np.tile(np.asarray(scenario.fixed_responses, dtype=np.int64), (n_reps, 1))
+    if start < 0 or start + n_reps > _MASK32 + 1:
+        raise ConfigurationError(f"replicates [{start}, {start + n_reps}) outside [0, 2**32)")
+    bitgen = np.random.Philox(0)
+    binomial = np.random.Generator(bitgen).binomial
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    draws = list(zip(scenario.sample_sizes, scenario.true_rates))
+    rows = []
+    for key in _philox_keys(master_seed, scenario.id, np.arange(start, start + n_reps)).tolist():
+        state["state"]["key"] = key
+        bitgen.state = state
+        rows.append([binomial(n, p) for n, p in draws])
+    return np.array(rows, dtype=np.int64).reshape(n_reps, scenario.k)
 
 
 # ---------------------------------------------------------------------------

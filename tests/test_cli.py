@@ -269,6 +269,7 @@ class TestCommands:
         ["--alpha", "0"],
         ["--alpha", "1"],
         ["--seed", "-1"],
+        ["--reps", str(2**32)],
     ])
     def test_bad_numeric_flag_is_a_usage_error(self, flags, tmp_path, capsys):
         args = ["simulate", "--scenario", "2", "--design", "CPP", "--reps", "5"]
@@ -285,6 +286,31 @@ class TestCommands:
                      "--design", "CPP", "--reps", "5", "--out", str(tmp_path)])
         assert code == 2
         assert "designs.CPP.lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sid", [-3, 1.7, True, "1", None])
+    def test_bad_scenario_id_is_a_usage_error(self, sid, tmp_path, capsys):
+        # 1.7 and true used to be truncated to id 1, and -3 to reach numpy's SeedSequence
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenarios": [{
+            "id": sid, "sample_sizes": [10, 15, 20, 25, 30], "true_rates": [0.15] * 5,
+            "pattern": "Null", "size_family": "Linear",
+        }]}))
+        code = main(["simulate", "--config", str(path), "--design", "CPP",
+                     "--reps", "5", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenarios[0].id: ") and err.count("\n") == 1
+        assert not (tmp_path / "oc.csv").exists()
+
+    def test_large_scenario_id_and_seed_are_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenarios": [{
+            "id": 2**40 + 1, "sample_sizes": [10, 15, 20, 25, 30],
+            "true_rates": [0.15] * 5, "pattern": "Null", "size_family": "Linear",
+        }]}))
+        assert main(["simulate", "--config", str(path), "--design", "CPP",
+                     "--reps", "20", "--seed", str(2**70 + 3), "--out", str(tmp_path)]) == 0
+        assert load_catalog(str(path))[0].id == 2**40 + 1
 
     def test_duplicate_scenario_id_is_a_usage_error(self, tmp_path, capsys):
         # two scenarios sharing id 1 would share data streams and null tails

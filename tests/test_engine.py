@@ -48,6 +48,16 @@ HIERARCHICAL = {"BHM": BhmParams(phi=0.661), "EXNEX": ExnexParams(phi=0.661, q=0
 ALL_DESIGNS = {**CLOSED_FORM, **HIERARCHICAL}
 
 
+def per_replicate_responses(scenario, n_reps, master_seed, start=0):
+    """The reference bank: one SeedSequence, Philox and Generator per replicate."""
+    out = np.empty((n_reps, scenario.k), dtype=np.int64)
+    for i in range(n_reps):
+        seq = np.random.SeedSequence(master_seed, spawn_key=(0, scenario.id, start + i))
+        out[i] = np.random.Generator(np.random.Philox(seq)).binomial(
+            scenario.sample_sizes, scenario.true_rates)
+    return out
+
+
 def _worker_table_builds():
     time.sleep(0.5)  # hold this worker so that the next task goes to the other one
     return os.getpid(), hierarchical.table_builds
@@ -115,6 +125,60 @@ class TestGenerateTrial:
         for k, n in enumerate(LINEAR_NULL.sample_sizes):
             bound = 3 * math.sqrt(0.15 * 0.85 / (n * 10_000))
             assert abs(rates[k] - 0.15) <= bound
+
+
+class TestBulkStreams:
+    """engine._philox_keys and generate_responses against numpy's own SeedSequence."""
+
+    REPLICATES = np.array([0, 1, 399, 9_999, 2**31 + 7, 2**32 - 1])
+
+    @pytest.mark.parametrize("sid", [1, 18, 2**32 + 1])
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 17])
+    def test_keys_are_seed_sequence_state(self, seed, sid):
+        keys = engine._philox_keys(seed, sid, self.REPLICATES)
+        assert keys.dtype == np.uint64 and keys.shape == (len(self.REPLICATES), 2)
+        for key, rep in zip(keys, self.REPLICATES.tolist()):
+            seq = np.random.SeedSequence(seed, spawn_key=(0, sid, rep))
+            np.testing.assert_array_equal(key, seq.generate_state(2, np.uint64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**256), sid=st.integers(0, 2**96),
+           rep=st.integers(0, 2**32 - 1))
+    def test_keys_property(self, seed, sid, rep):
+        seq = np.random.SeedSequence(seed, spawn_key=(0, sid, rep))
+        np.testing.assert_array_equal(engine._philox_keys(seed, sid, np.array([rep]))[0],
+                                      seq.generate_state(2, np.uint64))
+
+    @pytest.mark.parametrize("seed", [7, 2**70 + 3])
+    def test_banks_match_reference_for_every_builtin_scenario(self, seed):
+        for scenario in builtin_catalog():
+            np.testing.assert_array_equal(
+                generate_responses(scenario, 150, seed, start=9_900),
+                per_replicate_responses(scenario, 150, seed, start=9_900))
+
+    @pytest.mark.parametrize("sizes, rates", [
+        ((200, 400, 60), (0.5, 0.9, 0.45)),  # n·min(p, 1 − p) > 30: the BTPE sampler
+        ((10, 20, 30), (0.0, 1.0, 0.6)),
+    ], ids=["btpe", "edges"])
+    def test_banks_match_reference_off_the_catalog(self, sizes, rates):
+        s = Scenario(2**33 + 5, sizes, rates, "Null", "Linear")
+        for start in (0, 2**32 - 40):
+            np.testing.assert_array_equal(generate_responses(s, 40, 11, start=start),
+                                          per_replicate_responses(s, 40, 11, start=start))
+
+    def test_empty_bank(self):
+        fixed = Scenario(92, (10, 20), (0.15, 0.15), "Null", "Linear", fixed_responses=(3, 5))
+        for scenario in (LINEAR_NULL, fixed):
+            bank = generate_responses(scenario, 0, 5, start=7)
+            assert bank.shape == (0, scenario.k) and bank.dtype == np.int64
+
+    @pytest.mark.parametrize("seed, sid, start, n_reps", [
+        (1, 1, -1, 5), (1, 1, 2**32 - 4, 5), (-1, 1, 0, 5), (1, -3, 0, 5),
+    ])
+    def test_out_of_range_stream_keys_rejected(self, seed, sid, start, n_reps):
+        s = Scenario(sid, (10, 20), (0.15, 0.15), "Null", "Linear")
+        with pytest.raises(ConfigurationError):
+            generate_responses(s, n_reps, seed, start=start)
 
 
 class TestRunDesign:
