@@ -175,12 +175,6 @@ def _model_space(k: int) -> _ModelSpace:
     return _ModelSpace(k)
 
 
-def _block_log_marginal(r_pooled: float, n_pooled: float, prior: BetaShape) -> float:
-    return log_beta_function(
-        prior.alpha + r_pooled, prior.beta + (n_pooled - r_pooled)
-    ) - log_beta_function(prior.alpha, prior.beta)
-
-
 def log_marginal_likelihood(partition: Partition, data: BasketData, prior: BetaShape) -> float:
     """Sum of pooled beta-binomial block marginals.
 
@@ -191,11 +185,11 @@ def log_marginal_likelihood(partition: Partition, data: BasketData, prior: BetaS
         raise ConfigurationError(
             f"partition over {len(partition.assignment)} baskets does not match K={data.k}"
         )
-    total = 0.0
+    total, base = 0.0, log_beta_function(prior.alpha, prior.beta)
     for block in partition.blocks():
-        r_pooled = sum(data.responses[i] for i in block)
-        n_pooled = sum(data.sample_sizes[i] for i in block)
-        total += _block_log_marginal(r_pooled, n_pooled, prior)
+        r = sum(data.responses[i] for i in block)
+        n = sum(data.sample_sizes[i] for i in block)
+        total += log_beta_function(prior.alpha + r, prior.beta + (n - r)) - base
     return total
 
 

@@ -480,7 +480,10 @@ def _read_oc_csv(path: str) -> list[dict]:
         raise CatalogError(f"no stored results at {path}; run simulate first")
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line for line in fh if not line.startswith("#")]
-    return list(csv.DictReader(io.StringIO("".join(lines))))
+    reader = csv.DictReader(io.StringIO("".join(lines)))
+    if not set(CSV_COLUMNS) <= set(reader.fieldnames or ()):
+        raise CatalogError(f"{path} lacks the oc.csv columns {','.join(CSV_COLUMNS)}")
+    return list(reader)
 
 
 def render_ecd_table(rows: list[dict], family: str) -> str:
@@ -596,7 +599,10 @@ def command_report(manifest: RunManifest) -> int:
 
 def run_command(manifest: RunManifest) -> int:
     """Dispatch one manifest; numeric failures exit 3, usage errors exit 2."""
-    os.makedirs(manifest.out_dir, exist_ok=True)
+    try:
+        os.makedirs(manifest.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise CatalogError(f"cannot create --out {manifest.out_dir}: {exc.strerror}") from None
     handlers = {
         "simulate": command_simulate,
         "calibrate": command_calibrate,

@@ -6,7 +6,6 @@ safe to call concurrently from any number of workers.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -187,25 +186,28 @@ def validate_weight_matrix(matrix: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def scipy_special():
-    """scipy.special, imported on first use: only processes that take a beta tail or
-    a log-beta pay for the import."""
-    import scipy.special
-    return scipy.special
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_CF_EPS, _CF_TERMS = 3.0 * np.finfo(float).eps, 2000  # shapes of 1e6 need 530 terms
+
+
+def _lgamma(z) -> np.ndarray:
+    """math.lgamma elementwise, evaluated once per distinct value."""
+    values, inverse = np.unique(z, return_inverse=True)
+    return np.array([math.lgamma(v) for v in values.tolist()])[inverse.reshape(np.shape(z))]
 
 
 def log_beta(a, b) -> np.ndarray:
     """ln B(a, b) elementwise over arrays of positive arguments."""
-    gammaln = scipy_special().gammaln
-    return gammaln(a) + gammaln(b) - gammaln(a + b)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    lg = _lgamma(np.stack(np.broadcast_arrays(a, b, a + b)))
+    return lg[0] + lg[1] - lg[2]
 
 
 def log_beta_function(a: float, b: float) -> float:
-    """ln B(a, b) via log-gamma; finite for all positive arguments."""
+    """ln B(a, b) via log-gamma, bit for bit as ``log_beta``; finite for positive arguments."""
     if not (a > 0 and b > 0):
         raise ValueError(f"log_beta_function needs positive arguments, got ({a}, {b})")
-    return float(log_beta(a, b))
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
 def beta_mean(shape: BetaShape) -> float:
@@ -219,11 +221,52 @@ def beta_log_pdf(shape: BetaShape, x: np.ndarray) -> np.ndarray:
     return (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - log_beta_function(a, b)
 
 
+def _stirling_error(z: np.ndarray) -> np.ndarray:
+    """lgamma(z) - ((z - 1/2) ln z - z + ln(2 pi) / 2), by its asymptotic series from z = 10."""
+    y, w = np.minimum(z, 10.0), 1.0 / (z * z)
+    return np.where(z < 10.0, _lgamma(y) - ((y - 0.5) * np.log(y) - y + _HALF_LOG_2PI),
+                    (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w / 1188)))) / z)
+
+
+def _beta_fraction(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Numerical Recipes' continued fraction of I_x(a, b) by modified Lentz.  Each element
+    stops at its own convergence, so its bits depend on its (a, b, x) alone."""
+    d = 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    out, live, c, h = np.empty_like(a), np.arange(a.size), np.ones_like(a), d.copy()
+    for m in range(1, _CF_TERMS + 1):
+        for num in (m * (b - m) * x / ((a + (2 * m - 1)) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + (2 * m + 1)))):
+            d, c = 1.0 / (1.0 + num * d), 1.0 + num / c
+            h *= c * d
+        done = np.abs(c * d - 1.0) < _CF_EPS
+        if done.any():
+            out[live[done]] = h[done]
+            live, a, b, x, c, d, h = (v[~done] for v in (live, a, b, x, c, d, h))
+        if not live.size:
+            return out
+    raise NumericError(f"beta tail: continued fraction did not converge in {_CF_TERMS} terms")
+
+
 def beta_tails(alphas, betas, x: float) -> np.ndarray:
-    """Pr(p > x) elementwise over arrays of beta shapes, in one ufunc call."""
+    """Pr(p > x) elementwise over arrays of beta shapes, once per distinct shape: 1 - I_x(a, b)
+    below x = (a + 1) / (a + b + 2), I_(1-x)(b, a) above.  The log of x^a (1 - x)^b / B(a, b)
+    is built from Stirling errors and y - 1 - ln y terms, which cancel no large log-gammas."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"beta_tail threshold {x} outside [0, 1]")
-    return scipy_special().betaincc(alphas, betas, x)
+    a, b = np.broadcast_arrays(np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float))
+    if x in (0.0, 1.0):
+        return np.full(a.shape, float(x == 0.0))
+    shapes, inverse = np.unique((a + 1j * b).ravel(), return_inverse=True)  # exact (a, b) keys
+    pa, pb = shapes.real, shapes.imag
+    s, flip = pa + pb, x >= (pa + 1.0) / (pa + pb + 2.0)
+    ya, yb = x * s / pa, (1.0 - x) * s / pb
+    log_front = (0.5 * np.log(pa * pb / s) - _HALF_LOG_2PI - _stirling_error(pa)
+                 - _stirling_error(pb) + _stirling_error(s)
+                 - pa * (ya - 1.0 - np.log(ya)) - pb * (yb - 1.0 - np.log(yb)))
+    head = np.where(flip, pb, pa)
+    part = np.exp(log_front) / head * _beta_fraction(
+        head, np.where(flip, pa, pb), np.where(flip, 1.0 - x, x))
+    return np.where(flip, part, 1.0 - part)[inverse.reshape(a.shape)]
 
 
 def beta_tail(shape: BetaShape, x: float) -> float:

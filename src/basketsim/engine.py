@@ -25,7 +25,6 @@ from .core import (
     NullRate,
     Scenario,
     beta_tails,
-    scipy_special,
     weighted_sums,
 )
 from .fujikawa import FujikawaParams, jsd_matrices, weights_from_jsd
@@ -294,17 +293,14 @@ _POOL: dict = {}  # the live pool under its (jobs, design, params, sizes, p0) ke
 
 
 def _worker_pool(jobs: int, config: DesignConfig, sizes: tuple, p0: float) -> ProcessPoolExecutor:
-    """Forked workers for one (design, params, sizes, p0).  They inherit what the parent
-    prepares first, the BHM/EXNEX tables or scipy.special, and the JSD memo, so no worker
-    builds tables or imports scipy.  A new key shuts the pool down and forks another."""
+    """Forked workers for one (design, params, sizes, p0), sharing the BHM/EXNEX tables and
+    JSD memo the parent made first.  A new key shuts the pool down and forks another."""
     key = (jobs, config.design, config.params, sizes, p0)
     if key not in _POOL:
         while _POOL:
             _POOL.popitem()[1].shutdown()
         if config.design in ("BHM", "EXNEX"):
             design_tables(config.design, sizes, p0, config.params)
-        else:
-            scipy_special()
         _POOL[key] = ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("fork"))
     return _POOL[key]
 

@@ -14,8 +14,7 @@ size: with M = max(n) + 1, every likelihood row p^r (1 - p)^(n - r), and p
 times it for the mean, is a nonnegative combination of the Bernstein basis
 B_j(p) = C(M, j) p^j (1 - p)^(M - j), so only the basis's mass and its mass
 above the cut are integrated, and each size's rows are lifted from them by
-one matrix product per part.  The cache is keyed by size set.  Nothing here
-imports scipy.
+one matrix product per part.  The cache is keyed by size set.
 """
 
 from __future__ import annotations
@@ -275,9 +274,10 @@ def _posterior(rows, tables, nex, q, log_w) -> tuple[np.ndarray, np.ndarray]:
     w = np.exp(log_post - log_post.max(axis=1, keepdims=True))
     total = w.sum(axis=1)
     tails, means = np.empty((2, *rows.shape))
+    positive, v = w > 0, np.zeros_like(w)  # one mask for every basket: v stays 0 off it
     for k, table in enumerate(tables):
         r = rows[:, k]
-        v = np.divide(w, mixed[k], out=np.zeros_like(w), where=w > 0)
+        np.divide(w, mixed[k], out=v, where=positive)
         v_total = v.sum(axis=1)
         for out, part in ((tails, 1), (means, 2)):
             out[:, k] = (q * (v * table[part, r]).sum(axis=1)

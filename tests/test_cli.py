@@ -251,6 +251,26 @@ class TestCommands:
         assert main(["simulate", "--scenario", "99", "--out", str(tmp_path)]) == 2
         assert main(["report", "--table", "ecd", "--out", str(tmp_path / "empty")]) == 2
 
+    @pytest.mark.parametrize("target", ["afile", os.path.join("afile", "sub")],
+                             ids=["existing-file", "under-a-file"])
+    def test_uncreatable_out_is_a_usage_error(self, target, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        code = main(["simulate", "--scenario", "2", "--design", "CPP", "--reps", "5",
+                     "--out", str(tmp_path / target)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create --out ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["", "# a comment only\n", "4,Grouped,Null\n",
+                                      "design,pattern\nCPP,Null\n"],
+                             ids=["empty", "comments-only", "headerless", "other-columns"])
+    def test_report_on_a_foreign_csv_is_a_usage_error(self, text, tmp_path, capsys):
+        (tmp_path / "oc.csv").write_text(text)
+        assert main(["report", "--table", "ecd", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "lacks the oc.csv columns" in err
+        assert err.count("\n") == 1
+
     def test_jobs_env_fallback(self, monkeypatch):
         from basketsim.cli import build_parser
 
@@ -336,7 +356,16 @@ class TestCommands:
 
 
 class TestScipyStaysOut:
-    """scipy.special costs about 0.3 s to import; only beta tails and log-betas use it."""
+    """scipy costs about 0.3 s to import; no basketsim process needs it, only the tests'
+    oracles do."""
+
+    def test_source_imports_no_scipy(self):
+        src = os.path.dirname(basketsim.__file__)
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name), encoding="utf-8") as fh:
+                    text = fh.read()
+                assert "import scipy" not in text and "from scipy" not in text, name
 
     def test_importing_the_cli_loads_no_scipy(self):
         assert run_fresh(PROBE + "print(len(scipy_modules()[1]))").split() == ["0"]
@@ -356,14 +385,19 @@ print(len({pid for pid, _ in answers}), sum(len(modules) for _, modules in answe
         if jobs == "2" and (os.cpu_count() or 1) >= 2:
             assert processes == 3  # the parent and both workers answered
 
-    def test_closed_form_pool_workers_start_with_scipy_special(self):
+    @pytest.mark.parametrize("design", engine.DESIGNS)
+    def test_no_process_loads_scipy(self, design, tmp_path):
+        # simulate and calibrate fan out over a pool of two; tune runs in the parent
         script = PROBE + """
-from basketsim.engine import DesignConfig
-from basketsim.powerprior import CppParams
-assert "scipy.special" not in sys.modules
-answers = probe(engine._worker_pool(2, DesignConfig("CPP", CppParams(4, 4.5)),
-                                    (10, 10, 25, 25, 30), 0.15))
-print(len({pid for pid, _ in answers} - {os.getpid()}),
-      all("scipy.special" in modules for _, modules in answers))
+answers = []
+for command in ("simulate", "calibrate", "tune"):
+    assert cli.main([command, *sys.argv[1:]]) == 0
+    answers += [scipy_modules()] + [a for pool in engine._POOL.values() for a in probe(pool)]
+print(len({pid for pid, _ in answers}), sum(len(modules) for _, modules in answers))
 """
-        assert run_fresh(script).split() == ["2", "True"]
+        out = run_fresh(script, "--scenario", "grouped", "--design", design, "--reps", "8",
+                        "--seed", "4", "--jobs", "2", "--out", str(tmp_path))
+        processes, scipy_modules = map(int, out.split())
+        assert scipy_modules == 0
+        if (os.cpu_count() or 1) >= 2:
+            assert processes >= 3  # the parent and at least two workers answered

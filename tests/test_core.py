@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from basketsim.core import (
     BasketData,
     BetaShape,
     NullRate,
+    NumericError,
     QuadratureError,
     Scenario,
     beta_log_pdf,
     beta_mean,
     beta_tail,
+    beta_tails,
     integrate,
+    log_beta,
     log_beta_function,
     validate_weight_matrix,
 )
@@ -122,6 +126,14 @@ class TestLogBeta:
     def test_symmetry(self, a, b):
         assert log_beta_function(a, b) == log_beta_function(b, a)
 
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(1e-3, 500.0), b=st.floats(1e-3, 500.0))
+    def test_scalar_and_array_paths_agree_bitwise(self, a, b):
+        grid = np.array([a, b, 1.0, 7.5])
+        assert log_beta(a, b) == log_beta_function(a, b)
+        assert log_beta(grid, grid[::-1]).tolist() == [
+            log_beta_function(u, v) for u, v in zip(grid, grid[::-1])]
+
 
 class TestBetaMean:
     @pytest.mark.parametrize(
@@ -140,6 +152,8 @@ class TestBetaTail:
         for shape in [BetaShape(1, 1), BetaShape(3.7, 0.6), BetaShape(40, 2)]:
             assert beta_tail(shape, 0.0) == 1.0
             assert beta_tail(shape, 1.0) == 0.0
+        a, b = np.geomspace(1e-3, 5000.0, 40), np.geomspace(5000.0, 1e-3, 40)
+        assert (beta_tails(a, b, 0.0) == 1.0).all() and (beta_tails(a, b, 1.0) == 0.0).all()
 
     def test_beta75_frozen_oracle_value(self):
         # frozen from adaptive quadrature of the Beta(7,5) density on (0.15, 1]
@@ -165,6 +179,35 @@ class TestBetaTail:
         assert beta_tail(shape, x) == pytest.approx(
             integrate_beta_density(shape, x, 1.0), abs=1e-8
         )
+
+    @pytest.mark.parametrize("hi,tol", [(500.0, 1e-12), (5000.0, 5e-11)])
+    @pytest.mark.parametrize("x", [0.15, 0.5, 0.9])
+    def test_agrees_with_scipy_on_a_grid(self, x, hi, tol):
+        values = np.geomspace(1e-3, hi, 121)
+        a, b = np.meshgrid(values, values)
+        assert np.abs(beta_tails(a, b, x) - special.betaincc(a, b, x)).max() <= tol
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(1e-3, 500.0), b=st.floats(1e-3, 500.0),
+           x=st.sampled_from([0.15, 0.5, 0.9]))
+    def test_agrees_with_scipy(self, a, b, x):
+        assert abs(beta_tail(BetaShape(a, b), x) - special.betaincc(a, b, x)) <= 1e-12
+
+    @pytest.mark.parametrize("a,b", [(1e9, 1e9), (np.nan, 2.0), (2.0, np.inf)])
+    def test_unconverged_fraction_is_a_numeric_error(self, a, b):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+            beta_tails(np.array([2.0, a]), np.array([3.0, b]), 0.5)
+
+    def test_bank_of_one_equals_its_bank_row(self):
+        # each shape converges on its own, so neighbours and duplicates change no bit
+        rng = np.random.default_rng(7)
+        a = np.round(rng.uniform(1.0, 80.0, (300, 5)), 1)
+        b = np.round(rng.uniform(1.0, 80.0, (300, 5)), 1)
+        for x in (0.15, 0.5, 0.9):
+            bank = beta_tails(a, b, x)
+            assert bank.shape == a.shape
+            assert all(beta_tail(BetaShape(u, v), x) == t
+                       for u, v, t in zip(a.ravel(), b.ravel(), bank.ravel()))
 
     @settings(max_examples=40, deadline=None)
     @given(shape=shapes)
