@@ -3,27 +3,17 @@ simulation machinery to calibrate, tune and compare them."""
 
 __version__ = "0.1.0"
 
-from .bma import (
-    BmaParams,
-    Partition,
-    bma_posterior_means,
-    bma_tail_probs,
-    enumerate_partitions,
-    log_marginal_likelihood,
-    posterior_model_probs,
-)
+from .bma import BmaParams, Partition, enumerate_partitions
 from .core import (
     BasketData,
     BasketSimError,
     BetaShape,
     CalibrationError,
     ConfigurationError,
-    NullRate,
     NumericError,
     QuadratureError,
     Scenario,
-    beta_mean,
-    beta_tail,
+    beta_tails,
     integrate,
     log_beta_function,
 )
@@ -32,29 +22,12 @@ from .engine import (
     DesignConfig,
     OperatingCharacteristics,
     ReplicateResult,
-    correct_decisions,
-    generate_trial,
     run_design,
     simulate,
 )
-from .fujikawa import (
-    FujikawaParams,
-    fujikawa_posterior,
-    fujikawa_weights,
-    individual_posteriors,
-    jsd,
-)
+from .fujikawa import FujikawaParams, jsd
 from .hierarchical import BhmParams, ExnexParams
-from .powerprior import (
-    CppParams,
-    PowerPriorWeights,
-    alpha0,
-    build_weights,
-    cpp_weight,
-    hellinger_gamma,
-    ks_statistic,
-    power_prior_posterior,
-)
+from .powerprior import CppParams
 from .tuning import TuningResult, calibrate_lambda, default_grid, grid_search
 
 __all__ = [name for name in dir() if not name.startswith("_")]

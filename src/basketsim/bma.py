@@ -15,10 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
-    BasketData,
     BetaShape,
     ConfigurationError,
-    NullRate,
     beta_tails,
     log_beta,
     log_beta_function,
@@ -173,55 +171,3 @@ class BmaBank:
 @lru_cache(maxsize=None)
 def _model_space(k: int) -> _ModelSpace:
     return _ModelSpace(k)
-
-
-def log_marginal_likelihood(partition: Partition, data: BasketData, prior: BetaShape) -> float:
-    """Sum of pooled beta-binomial block marginals.
-
-    Binomial coefficients are identical across models for fixed data and
-    cancel in normalization, so they are omitted.
-    """
-    if len(partition.assignment) != data.k:
-        raise ConfigurationError(
-            f"partition over {len(partition.assignment)} baskets does not match K={data.k}"
-        )
-    total, base = 0.0, log_beta_function(prior.alpha, prior.beta)
-    for block in partition.blocks():
-        r = sum(data.responses[i] for i in block)
-        n = sum(data.sample_sizes[i] for i in block)
-        total += log_beta_function(prior.alpha + r, prior.beta + (n - r)) - base
-    return total
-
-
-def posterior_model_probs(data: BasketData, params: BmaParams, prior: BetaShape) -> np.ndarray:
-    """Posterior probability of every partition model, normalized to sum 1."""
-    space = _model_space(data.k)
-    alphas, betas = space.subset_shapes(data.responses, data.sample_sizes, prior)
-    return space.model_probs(space.log_marginals(alphas, betas, prior), params.psi)
-
-
-def decision_stats(
-    data: BasketData,
-    params: BmaParams,
-    prior: BetaShape,
-    p0: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Model-averaged (tail probability, posterior mean) per basket."""
-    tails, means = BmaBank([data.responses], data.sample_sizes, prior, p0).tails_means(params)
-    return tails[0], means[0]
-
-
-def bma_tail_probs(
-    data: BasketData,
-    params: BmaParams,
-    prior: BetaShape,
-    p0: NullRate | float = NullRate(),
-) -> np.ndarray:
-    """Pr(p_k > p0) per basket, averaged over models by posterior weight."""
-    threshold = p0.p0 if isinstance(p0, NullRate) else float(p0)
-    return decision_stats(data, params, prior, threshold)[0]
-
-
-def bma_posterior_means(data: BasketData, params: BmaParams, prior: BetaShape) -> np.ndarray:
-    """Model-averaged posterior mean response rate per basket."""
-    return decision_stats(data, params, prior, 0.5)[1]

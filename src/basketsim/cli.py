@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .bma import BmaParams
@@ -30,6 +30,7 @@ from .core import (
 )
 from .engine import (
     DESIGNS,
+    PARAM_TYPES,
     DesignConfig,
     aggregate,
     decisions_from_tails,
@@ -37,7 +38,7 @@ from .engine import (
 )
 from .fujikawa import FujikawaParams
 from .hierarchical import BhmParams, ExnexParams
-from .powerprior import CppParams
+from .powerprior import CppParams, cpp_weights_from_scaled, scaled_ks_matrix
 from .tuning import grid_search, smallest_lambda
 
 PATTERN_RATES = {
@@ -103,7 +104,7 @@ class CatalogError(ConfigurationError):
     """A scenario or design definition violates the documented schema."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunManifest:
     """Everything one command needs; hashed (minus jobs) into file headers."""
 
@@ -166,33 +167,57 @@ def builtin_catalog() -> list[Scenario]:
     return scenarios
 
 
+def _json_number(value, where: str) -> float:
+    """A finite JSON number (not a bool or a string) as a float."""
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise CatalogError(f"{where}: expected a finite number, got {value!r}")
+    return number
+
+
+def _json_int(value, where: str) -> int:
+    """A JSON integer, never truncated from a float or a bool."""
+    if type(value) is not int:
+        raise CatalogError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _json_list(value, where: str, item) -> tuple:
+    if not isinstance(value, list):
+        raise CatalogError(f"{where}: expected a list, got {value!r}")
+    return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
+
+
 def _scenario_from_mapping(index: int, raw: dict) -> Scenario:
+    where = f"scenarios[{index}]"
     if not isinstance(raw, dict):
-        raise CatalogError(f"scenarios[{index}]: expected an object")
+        raise CatalogError(f"{where}: expected an object")
     allowed = {"id", "sample_sizes", "true_rates", "pattern", "size_family",
                "fixed_responses"}
     unknown = set(raw) - allowed
     if unknown:
-        raise CatalogError(f"scenarios[{index}]: unknown field(s) {sorted(unknown)}")
+        raise CatalogError(f"{where}: unknown field(s) {sorted(unknown)}")
     missing = {"id", "sample_sizes", "true_rates", "pattern", "size_family"} - set(raw)
     if missing:
-        raise CatalogError(f"scenarios[{index}]: missing field(s) {sorted(missing)}")
+        raise CatalogError(f"{where}: missing field(s) {sorted(missing)}")
     # the id keys the scenario's data streams: a JSON integer, never truncated
     sid = raw["id"]
     if type(sid) is not int or sid < 0:
-        raise CatalogError(f"scenarios[{index}].id: expected a nonnegative integer, got {sid!r}")
+        raise CatalogError(f"{where}.id: expected a nonnegative integer, got {sid!r}")
     fixed = raw.get("fixed_responses")
+    sizes = _json_list(raw["sample_sizes"], f"{where}.sample_sizes", _json_int)
+    rates = _json_list(raw["true_rates"], f"{where}.true_rates", _json_number)
+    if fixed is not None:
+        fixed = _json_list(fixed, f"{where}.fixed_responses", _json_int)
     try:
-        return Scenario(
-            id=sid,
-            sample_sizes=tuple(int(v) for v in raw["sample_sizes"]),
-            true_rates=tuple(float(v) for v in raw["true_rates"]),
-            pattern=str(raw["pattern"]),
-            size_family=str(raw["size_family"]),
-            fixed_responses=None if fixed is None else tuple(int(v) for v in fixed),
-        )
-    except (TypeError, ValueError) as exc:
-        raise CatalogError(f"scenarios[{index}]: {exc}") from exc
+        return Scenario(id=sid, sample_sizes=sizes, true_rates=rates,
+                        pattern=str(raw["pattern"]), size_family=str(raw["size_family"]),
+                        fixed_responses=fixed)
+    except ValueError as exc:
+        raise CatalogError(f"{where}: {exc}") from exc
 
 
 def load_catalog(path: str | None = None) -> list[Scenario]:
@@ -202,6 +227,8 @@ def load_catalog(path: str | None = None) -> list[Scenario]:
     config = load_config(path)
     if "scenarios" not in config:
         return builtin_catalog()
+    if not isinstance(config["scenarios"], list):
+        raise CatalogError(f"config {path}: scenarios must be a list")
     scenarios = [_scenario_from_mapping(i, raw) for i, raw in enumerate(config["scenarios"])]
     # ids key the data streams and the reuse of null tails, so they must be unique
     for i, scenario in enumerate(scenarios):
@@ -216,6 +243,8 @@ def load_config(path: str) -> dict:
             config = json.load(fh)
     except OSError as exc:
         raise CatalogError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"config {path} is not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise CatalogError(
             f"config {path} is not valid JSON (line {exc.lineno}): {exc.msg}"
@@ -225,50 +254,33 @@ def load_config(path: str) -> dict:
     return config
 
 
-_PARAM_FIELDS = {
-    "CPP": {"a", "b"},
-    "LCPP": {"a", "b"},
-    "APP": set(),
-    "Fujikawa": {"epsilon", "tau"},
-    "BMA": {"psi"},
-    "BHM": {"phi"},
-    "EXNEX": {"phi", "q"},
-}
-
-
 def design_params_from_mapping(design: str, raw: dict):
-    """Parse one design's parameter object from a config file entry."""
-    if design not in _PARAM_FIELDS:
+    """Parse one design's parameter object from a config file entry: the fields of
+    its parameter type that have no default, each a finite JSON number."""
+    if design not in PARAM_TYPES:
         raise CatalogError(f"designs.{design}: unknown design")
-    fields = _PARAM_FIELDS[design]
-    unknown = set(raw) - fields - {"lambda"}
+    if not isinstance(raw, dict):
+        raise CatalogError(f"designs.{design}: expected an object, got {raw!r}")
+    param_type = PARAM_TYPES[design]
+    fields = () if param_type is type(None) else tuple(
+        f.name for f in dataclasses.fields(param_type) if f.default is dataclasses.MISSING)
+    unknown = set(raw) - set(fields) - {"lambda"}
     if unknown:
         raise CatalogError(f"designs.{design}: unknown field(s) {sorted(unknown)}")
-    missing = fields - set(raw)
+    missing = set(fields) - set(raw)
     if missing:
         raise CatalogError(f"designs.{design}: missing field(s) {sorted(missing)}")
+    values = {name: _json_number(raw[name], f"designs.{design}.{name}") for name in fields}
     try:
-        if design in ("CPP", "LCPP"):
-            return CppParams(float(raw["a"]), float(raw["b"]))
-        if design == "Fujikawa":
-            return FujikawaParams(float(raw["epsilon"]), float(raw["tau"]))
-        if design == "BMA":
-            return BmaParams(float(raw["psi"]))
-        if design == "BHM":
-            return BhmParams(phi=float(raw["phi"]))
-        if design == "EXNEX":
-            return ExnexParams(phi=float(raw["phi"]), q=float(raw["q"]))
-    except (TypeError, ValueError) as exc:
+        return None if param_type is type(None) else param_type(**values)
+    except ValueError as exc:
         raise CatalogError(f"designs.{design}: {exc}") from exc
-    return None
 
 
 def _params_to_json(params) -> str:
     if params is None:
         return "{}"
-    from dataclasses import asdict
-
-    return json.dumps(asdict(params), sort_keys=True)
+    return json.dumps(dataclasses.asdict(params), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +343,15 @@ def _fmt(value: float) -> str:
 
 def _design_setup(manifest: RunManifest, config_file: dict, family: str, design: str):
     """Parameters and fixed lambda (if any) for one design."""
-    raw = (config_file.get("designs") or {}).get(design)
+    designs = config_file.get("designs") or {}
+    if not isinstance(designs, dict):
+        raise CatalogError(f"designs: expected an object, got {designs!r}")
+    raw = designs.get(design)
     if raw is not None:
         params = design_params_from_mapping(design, raw)
         fixed_lambda = None
         if "lambda" in raw:
-            try:
-                fixed_lambda = float(raw["lambda"])
-            except (TypeError, ValueError):
-                raise CatalogError(
-                    f"designs.{design}.lambda: {raw['lambda']!r} is not a number"
-                ) from None
+            fixed_lambda = _json_number(raw["lambda"], f"designs.{design}.lambda")
             if not 0.0 < fixed_lambda <= 1.0:
                 raise CatalogError(f"designs.{design}.lambda: {fixed_lambda} outside (0, 1]")
     else:
@@ -478,8 +488,11 @@ def command_tune(manifest: RunManifest) -> int:
 def _read_oc_csv(path: str) -> list[dict]:
     if not os.path.exists(path):
         raise CatalogError(f"no stored results at {path}; run simulate first")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line for line in fh if not line.startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"{path} is not UTF-8 text: {exc.reason}") from None
     reader = csv.DictReader(io.StringIO("".join(lines)))
     if not set(CSV_COLUMNS) <= set(reader.fieldnames or ()):
         raise CatalogError(f"{path} lacks the oc.csv columns {','.join(CSV_COLUMNS)}")
@@ -545,20 +558,16 @@ def _basket_table(rows: list[dict], family: str, value_column: str,
 def render_weights_table() -> list[list]:
     """Weight curves for external plotting: CPP logistic and JSD decay."""
     rows = []
-    from .powerprior import cpp_weight
-
-    size_pairs = [(10, 10), (10, 30), (10, 50)]
     for a, b in [(1.0, 1.0), (2.0, 3.0), (4.0, 4.5)]:
         params = CppParams(a, b)
-        for n_k, n_i in size_pairs:
-            for step in range(0, 101):
-                diff = step / 100.0
-                r_k = 0
-                r_i = round(diff * n_i)
-                w = cpp_weight((r_k, n_k), (r_i, n_i), params)
+        for n_k, n_i in [(10, 10), (10, 30), (10, 50)]:
+            # basket k has no responses; basket i's rate steps from 0 to 1 by 0.01
+            r_i = [round(step / 100.0 * n_i) for step in range(101)]
+            scaled = scaled_ks_matrix([[0, r] for r in r_i], (n_k, n_i))
+            weights = cpp_weights_from_scaled(scaled, params)[:, 0, 1].tolist()
+            for r, w in zip(r_i, weights):
                 rows.append([
-                    "CPP", json.dumps({"a": a, "b": b}), n_k, n_i,
-                    _fmt(abs(r_k / n_k - r_i / n_i)), _fmt(w),
+                    "CPP", json.dumps({"a": a, "b": b}), n_k, n_i, _fmt(r / n_i), _fmt(w),
                 ])
     for epsilon in (0.5, 1.0, 2.0, 3.0):
         for step in range(0, 101):

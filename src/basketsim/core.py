@@ -68,8 +68,8 @@ class CalibrationError(BasketSimError):
 class BasketData:
     """Observed responses and sample sizes for the K baskets of one trial.
 
-    Baskets with zero observations are allowed (rate-based statistics raise
-    on them); responses can never exceed the basket's sample size.
+    Baskets with zero observations are allowed; responses can never exceed
+    the basket's sample size.
     """
 
     responses: tuple[int, ...]
@@ -105,17 +105,6 @@ class BetaShape:
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 0):
             raise ValueError(f"beta shape ({self.alpha}, {self.beta}) must be positive")
-
-
-@dataclass(frozen=True)
-class NullRate:
-    """The response rate below which a basket counts as inactive."""
-
-    p0: float = 0.15
-
-    def __post_init__(self):
-        if not 0.0 < self.p0 < 1.0:
-            raise ValueError(f"null rate {self.p0} outside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -169,18 +158,6 @@ def set_unit_diagonal(weights: np.ndarray) -> np.ndarray:
     return weights
 
 
-def validate_weight_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Check a K x K borrowing-weight matrix: entries in [0,1], unit diagonal."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"weight matrix must be square, got shape {m.shape}")
-    if np.any(m < 0.0) or np.any(m > 1.0):
-        raise ValueError("weight matrix entries must lie in [0, 1]")
-    if np.any(np.diag(m) != 1.0):
-        raise ValueError("weight matrix diagonal must be exactly 1")
-    return m
-
-
 # ---------------------------------------------------------------------------
 # Beta-distribution math
 # ---------------------------------------------------------------------------
@@ -208,10 +185,6 @@ def log_beta_function(a: float, b: float) -> float:
     if not (a > 0 and b > 0):
         raise ValueError(f"log_beta_function needs positive arguments, got ({a}, {b})")
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-def beta_mean(shape: BetaShape) -> float:
-    return shape.alpha / (shape.alpha + shape.beta)
 
 
 def beta_log_pdf(shape: BetaShape, x: np.ndarray) -> np.ndarray:
@@ -252,7 +225,7 @@ def beta_tails(alphas, betas, x: float) -> np.ndarray:
     below x = (a + 1) / (a + b + 2), I_(1-x)(b, a) above.  The log of x^a (1 - x)^b / B(a, b)
     is built from Stirling errors and y - 1 - ln y terms, which cancel no large log-gammas."""
     if not 0.0 <= x <= 1.0:
-        raise ValueError(f"beta_tail threshold {x} outside [0, 1]")
+        raise ValueError(f"beta tail threshold {x} outside [0, 1]")
     a, b = np.broadcast_arrays(np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float))
     if x in (0.0, 1.0):
         return np.full(a.shape, float(x == 0.0))
@@ -267,11 +240,6 @@ def beta_tails(alphas, betas, x: float) -> np.ndarray:
     part = np.exp(log_front) / head * _beta_fraction(
         head, np.where(flip, pa, pb), np.where(flip, 1.0 - x, x))
     return np.where(flip, part, 1.0 - part)[inverse.reshape(a.shape)]
-
-
-def beta_tail(shape: BetaShape, x: float) -> float:
-    """Pr(p > x) under Beta(alpha, beta), the design decision statistic."""
-    return float(beta_tails(shape.alpha, shape.beta, x))
 
 
 def row_sums(terms: np.ndarray) -> np.ndarray:

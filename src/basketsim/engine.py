@@ -22,7 +22,6 @@ from .core import (
     BasketData,
     BetaShape,
     ConfigurationError,
-    NullRate,
     Scenario,
     beta_tails,
     weighted_sums,
@@ -34,7 +33,7 @@ from .powerprior import POWER_PRIOR_VARIANTS, CppParams, PowerPriorBank
 DESIGNS = ("CPP", "APP", "LCPP", "Fujikawa", "BMA", "BHM", "EXNEX")
 STRICT_DESIGNS = frozenset({"BMA", "BHM", "EXNEX"})
 
-_PARAM_TYPES = {
+PARAM_TYPES = {
     "CPP": CppParams,
     "LCPP": CppParams,
     "APP": type(None),
@@ -65,7 +64,7 @@ class DesignConfig:
     def __post_init__(self):
         if self.design not in DESIGNS:
             raise ConfigurationError(f"unknown design {self.design!r}")
-        expected = _PARAM_TYPES[self.design]
+        expected = PARAM_TYPES[self.design]
         if not isinstance(self.params, expected):
             raise ConfigurationError(
                 f"design {self.design} needs params of type {expected.__name__}, "
@@ -123,12 +122,6 @@ def mcmc_seed_sequence(
         entropy=master_seed,
         spawn_key=(_STREAM_MCMC, scenario_id, DESIGNS.index(design), replicate),
     )
-
-
-def generate_trial(scenario: Scenario, master_seed: int, replicate: int) -> BasketData:
-    """Binomial responses for one replicate: a bank of one."""
-    row = generate_responses(scenario, 1, master_seed, start=replicate)[0]
-    return BasketData(tuple(int(v) for v in row), scenario.sample_sizes)
 
 
 _MASK32 = 0xFFFFFFFF
@@ -241,6 +234,7 @@ class DesignBank:
             self._counts = (r, n - r)
         elif design == "Fujikawa":
             # the weighted sum runs over basket-wise posteriors, priors included
+            self._prior = (0.0, 0.0)
             self._counts = (prior_alpha + r, prior_beta + (n - r))
             self._jsd = jsd_matrices(*self._counts)
         elif design == "BMA":
@@ -258,13 +252,17 @@ class DesignBank:
             return self._hierarchical.tails_means(params)
         if self.design == "Fujikawa":
             weights = weights_from_jsd(self._jsd, params)
-            alphas = weighted_sums(weights, self._counts[0])
-            betas = weighted_sums(weights, self._counts[1])
         else:
             weights = self._power.weights(params)
-            alphas = self._prior[0] + weighted_sums(weights, self._counts[0])
-            betas = self._prior[1] + weighted_sums(weights, self._counts[1])
+        alphas, betas = self.posterior_shapes(weights)
         return beta_tails(alphas, betas, self.p0), alphas / (alphas + betas)
+
+    def posterior_shapes(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Beta shapes [R, K] of the CPP, APP, LCPP or Fujikawa posterior under borrowing
+        weights [R, K, K]: the weighted sums of the counts (of the basket-wise posteriors,
+        priors included, for Fujikawa), plus each basket's own prior for the power priors."""
+        return (self._prior[0] + weighted_sums(weights, self._counts[0]),
+                self._prior[1] + weighted_sums(weights, self._counts[1]))
 
 
 def evaluate_bank(
@@ -336,14 +334,12 @@ def decisions_from_tails(tails: np.ndarray, lambda_: float, strict: bool) -> np.
     return tails > lambda_ if strict else tails >= lambda_
 
 
-def run_design(config: DesignConfig, data: BasketData, p0: NullRate | float = NullRate()) -> ReplicateResult:
-    """Analyze one observed data set with one design."""
+def run_design(config: DesignConfig, data: BasketData, p0: float = 0.15) -> ReplicateResult:
+    """Analyze one observed data set with one design: a bank of one."""
     if config.lambda_ is None:
         raise ConfigurationError("run_design needs lambda on the config")
-    threshold = p0.p0 if isinstance(p0, NullRate) else float(p0)
     bank = DesignBank(
-        config.design, [data.responses], data.sample_sizes,
-        config.prior_list(data.k), threshold,
+        config.design, [data.responses], data.sample_sizes, config.prior_list(data.k), p0,
     )
     tails, means = (stat[0] for stat in bank.tails_means(config.params))
     return ReplicateResult(
@@ -351,16 +347,6 @@ def run_design(config: DesignConfig, data: BasketData, p0: NullRate | float = Nu
         posterior_means=means,
         decisions=decisions_from_tails(tails, config.lambda_, config.strict),
     )
-
-
-def correct_decisions(decisions, true_rates, p0: NullRate | float = NullRate()) -> int:
-    """How many baskets were classified in line with their true activity."""
-    threshold = p0.p0 if isinstance(p0, NullRate) else float(p0)
-    decisions = np.asarray(decisions, dtype=bool)
-    truth = np.asarray(true_rates, dtype=float) > threshold
-    if decisions.shape != truth.shape:
-        raise ConfigurationError("decisions and true_rates must have equal length")
-    return int((decisions == truth).sum())
 
 
 def _column_means(matrix: np.ndarray) -> list[float]:
@@ -401,7 +387,7 @@ def simulate(
     config: DesignConfig,
     n_reps: int,
     master_seed: int,
-    p0: NullRate | float = NullRate(),
+    p0: float = 0.15,
     jobs: int = 1,
 ) -> OperatingCharacteristics:
     """Monte Carlo operating characteristics of one design on one scenario."""
@@ -409,9 +395,6 @@ def simulate(
         raise ConfigurationError("n_reps must be at least 1")
     if config.lambda_ is None:
         raise ConfigurationError("simulate needs a calibrated lambda on the config")
-    threshold = p0.p0 if isinstance(p0, NullRate) else float(p0)
-    tails, means = scenario_tails_means(
-        config, scenario, n_reps, master_seed, threshold, jobs=jobs
-    )
+    tails, means = scenario_tails_means(config, scenario, n_reps, master_seed, p0, jobs=jobs)
     decisions = decisions_from_tails(tails, config.lambda_, config.strict)
-    return aggregate(scenario, decisions, means, threshold)
+    return aggregate(scenario, decisions, means, p0)

@@ -1,7 +1,8 @@
 """Fujikawa-style borrowing: JSD similarity weights over basket-wise posteriors.
 
-Unlike the power-prior posterior, the weighted sum here also carries each
-basket's prior parameters, so prior information is shared alongside the data.
+Unlike the power-prior posterior, ``engine.DesignBank`` sums the basket-wise
+posterior parameters under these weights, priors included, so prior
+information is shared alongside the data.
 """
 
 from __future__ import annotations
@@ -13,16 +14,12 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
-    BasketData,
     BetaShape,
-    ConfigurationError,
     DEFAULT_QUAD_TOL,
     EDGE_EPS,
     beta_log_pdf,
     integrate,
     set_unit_diagonal,
-    validate_weight_matrix,
-    weighted_sums,
 )
 
 _LN2 = math.log(2.0)
@@ -40,16 +37,6 @@ class FujikawaParams:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
-
-
-def individual_posteriors(data: BasketData, priors: list[BetaShape]) -> list[BetaShape]:
-    """Basket-wise conjugate updates with no borrowing."""
-    if len(priors) != data.k:
-        raise ConfigurationError(f"expected {data.k} priors, got {len(priors)}")
-    return [
-        BetaShape(prior.alpha + r, prior.beta + (n - r))
-        for prior, (r, n) in zip(priors, zip(data.responses, data.sample_sizes))
-    ]
 
 
 def _jsd_integrand(f: BetaShape, g: BetaShape):
@@ -105,13 +92,6 @@ def jsd_matrices(alphas, betas, tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
     return out.reshape(alphas.shape + (k,))
 
 
-def jsd_matrix(posteriors: list[BetaShape], tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
-    """Pairwise JSD matrix of a list of beta shapes."""
-    return jsd_matrices(
-        [p.alpha for p in posteriors], [p.beta for p in posteriors], tol=tol
-    )
-
-
 def weights_from_jsd(jsd_mat: np.ndarray, params: FujikawaParams) -> np.ndarray:
     """Threshold the similarity (1 - JSD)^epsilon at tau (strictly above).
 
@@ -120,27 +100,3 @@ def weights_from_jsd(jsd_mat: np.ndarray, params: FujikawaParams) -> np.ndarray:
     w = (1.0 - np.asarray(jsd_mat)) ** params.epsilon
     w[w <= params.tau] = 0.0
     return set_unit_diagonal(w)
-
-
-def fujikawa_weights(posteriors: list[BetaShape], params: FujikawaParams) -> np.ndarray:
-    return weights_from_jsd(jsd_matrix(posteriors), params)
-
-
-def fujikawa_posterior(
-    data: BasketData,
-    priors: list[BetaShape],
-    weights: np.ndarray,
-) -> list[BetaShape]:
-    """Weighted sum of all basket-wise posterior parameters, priors included."""
-    matrix = validate_weight_matrix(weights)
-    if matrix.shape != (data.k, data.k):
-        raise ConfigurationError(
-            f"weight matrix shape {matrix.shape} does not match K={data.k}"
-        )
-    singles = individual_posteriors(data, priors)
-    alphas = np.array([s.alpha for s in singles])
-    betas = np.array([s.beta for s in singles])
-    return [
-        BetaShape(float(a), float(b))
-        for a, b in zip(weighted_sums(matrix, alphas), weighted_sums(matrix, betas))
-    ]

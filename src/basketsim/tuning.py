@@ -22,7 +22,6 @@ from .core import (
     BetaShape,
     CalibrationError,
     ConfigurationError,
-    NullRate,
     NumericError,
     Scenario,
 )
@@ -86,7 +85,7 @@ def calibrate_lambda(
     n_reps: int,
     alpha: float = 0.05,
     seed: int = 0,
-    p0: NullRate | float = NullRate(),
+    p0: float = 0.15,
     jobs: int = 1,
     tails: np.ndarray | None = None,
 ) -> float:
@@ -95,13 +94,10 @@ def calibrate_lambda(
     ``tails`` may carry precomputed tail statistics for the same bank, so
     callers holding evaluated banks skip the re-evaluation.
     """
-    threshold = p0.p0 if isinstance(p0, NullRate) else float(p0)
-    if any(p > threshold for p in null_scenario.true_rates):
+    if any(p > p0 for p in null_scenario.true_rates):
         raise ValueError("calibration scenario must have all true rates at or below p0")
     if tails is None:
-        tails, _ = scenario_tails_means(
-            config, null_scenario, n_reps, seed, threshold, jobs=jobs
-        )
+        tails, _ = scenario_tails_means(config, null_scenario, n_reps, seed, p0, jobs=jobs)
     return smallest_lambda(tails.max(axis=1), alpha, config.strict)
 
 
@@ -168,7 +164,7 @@ def grid_search(
     seed: int = 0,
     grid: list | None = None,
     priors: list[BetaShape] | None = None,
-    p0: NullRate | float = NullRate(),
+    p0: float = 0.15,
 ) -> TuningResult:
     """Score every parameter combination on one size family.
 
@@ -177,10 +173,7 @@ def grid_search(
     threshold, and the combination maximizing the mean ECD wins (ties
     break toward the earliest grid point).
     """
-    threshold = p0.p0 if isinstance(p0, NullRate) else float(p0)
-    null_scenarios = [
-        s for s in scenarios if all(p <= threshold for p in s.true_rates)
-    ]
+    null_scenarios = [s for s in scenarios if all(p <= p0 for p in s.true_rates)]
     if not null_scenarios:
         raise ConfigurationError("grid_search needs the family's global-null scenario")
     grid = default_grid(design) if grid is None else list(grid)
@@ -190,7 +183,7 @@ def grid_search(
     banks = [
         DesignBank(
             design, generate_responses(scenario, n_reps, seed), scenario.sample_sizes,
-            priors or [BetaShape(1.0, 1.0)] * scenario.k, threshold,
+            priors or [BetaShape(1.0, 1.0)] * scenario.k, p0,
         )
         for scenario in scenarios
     ]
@@ -208,7 +201,7 @@ def grid_search(
         correct = {}
         for scenario, tails in zip(scenarios, per_scenario):
             decisions = decisions_from_tails(tails, lam, strict)
-            truth = np.asarray(scenario.true_rates, dtype=float) > threshold
+            truth = np.asarray(scenario.true_rates, dtype=float) > p0
             correct[scenario.pattern] = int((decisions == truth).sum())
         pattern_ecd = {pattern: c / n_reps for pattern, c in correct.items()}
         mean_ecd = math.fsum(pattern_ecd.values()) / len(pattern_ecd)

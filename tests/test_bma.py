@@ -4,17 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from basketsim.bma import (
-    BmaParams,
-    Partition,
-    bma_posterior_means,
-    bma_tail_probs,
-    decision_stats,
-    enumerate_partitions,
-    log_marginal_likelihood,
-    posterior_model_probs,
-)
-from basketsim.core import BasketData, BetaShape, ConfigurationError, beta_tail
+from basketsim import bma
+from basketsim.bma import BmaBank, BmaParams, Partition, enumerate_partitions
+from basketsim.core import BasketData, BetaShape, ConfigurationError, beta_tails
+from basketsim.engine import DesignConfig, run_design
+from scalar_reference import log_marginal_likelihood
 
 
 def brute_force_partitions(k):
@@ -45,6 +39,25 @@ def log_marginal_by_grid(partition, data, points=10 ** 5):
         peak = log_vals.max()
         total += peak + math.log(np.exp(log_vals - peak).sum() / points)
     return total
+
+
+def kernel_log_marginals(data, prior=BetaShape(1, 1)):
+    """Log marginal likelihood of every partition from the BMA kernel, in the order
+    of ``enumerate_partitions``."""
+    space = bma._model_space(data.k)
+    alphas, betas = space.subset_shapes(data.responses, data.sample_sizes, prior)
+    return space.log_marginals(alphas, betas, prior)
+
+
+def kernel_model_probs(data, psi, prior=BetaShape(1, 1)):
+    return bma._model_space(data.k).model_probs(kernel_log_marginals(data, prior), psi)
+
+
+def bma_tails_means(data, psi, p0=0.15, prior=BetaShape(1, 1)):
+    """Model-averaged tails and means of one data set: a bank of one."""
+    tails, means = BmaBank([data.responses], data.sample_sizes, prior, p0).tails_means(
+        BmaParams(psi=psi))
+    return tails[0], means[0]
 
 
 class TestEnumeratePartitions:
@@ -80,7 +93,7 @@ class TestLogMarginalLikelihood:
         from basketsim.core import log_beta_function
 
         data = BasketData((3, 7), (10, 20))
-        got = log_marginal_likelihood(Partition((0, 1)), data, BetaShape(1, 1))
+        got = kernel_log_marginals(data)[1]  # partition (0, 1)
         expected = log_beta_function(1 + 3, 1 + 7) + log_beta_function(1 + 7, 1 + 13)
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -89,33 +102,34 @@ class TestLogMarginalLikelihood:
 
         r, n = 4, 12
         data = BasketData((r, r), (n, n))
-        got = log_marginal_likelihood(Partition((0, 0)), data, BetaShape(1, 1))
+        got = kernel_log_marginals(data)[0]  # partition (0, 0)
         assert got == pytest.approx(log_beta_function(1 + 2 * r, 1 + 2 * (n - r)), abs=1e-12)
 
     def test_all_partitions_match_grid_oracle(self):
         data = BasketData((2, 3, 8), (10, 10, 10))
         prior = BetaShape(1, 1)
-        for partition in enumerate_partitions(3):
-            assert log_marginal_likelihood(partition, data, prior) == pytest.approx(
-                log_marginal_by_grid(partition, data), abs=1e-6
-            )
+        got = kernel_log_marginals(data, prior)
+        for partition, value in zip(enumerate_partitions(3), got):
+            assert value == pytest.approx(log_marginal_by_grid(partition, data), abs=1e-6)
+            assert value == pytest.approx(
+                log_marginal_likelihood(partition, data, prior), abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            log_marginal_likelihood(Partition((0, 0, 1)), BasketData((1, 2), (5, 5)), BetaShape(1, 1))
+        with pytest.raises(ValueError):
+            BmaBank([[1, 2]], (5, 5, 5), BetaShape(1, 1), 0.15)
 
 
 class TestPosteriorModelProbs:
     def test_normalized_and_nonnegative(self):
         data = BasketData((2, 3, 8), (10, 10, 10))
-        probs = posterior_model_probs(data, BmaParams(psi=-2), BetaShape(1, 1))
+        probs = kernel_model_probs(data, psi=-2)
         assert abs(probs.sum() - 1.0) < 1e-12
         assert np.all(probs >= 0.0)
 
     def test_psi_zero_is_likelihood_only(self):
         data = BasketData((2, 3, 8), (10, 10, 10))
         prior = BetaShape(1, 1)
-        probs = posterior_model_probs(data, BmaParams(psi=0.0), prior)
+        probs = kernel_model_probs(data, psi=0.0, prior=prior)
         partitions = enumerate_partitions(3)
         lm = np.array([log_marginal_likelihood(p, data, prior) for p in partitions])
         expected = np.exp(lm - lm.max())
@@ -124,25 +138,22 @@ class TestPosteriorModelProbs:
 
     def test_strongly_negative_psi_forces_pooling(self):
         data = BasketData((2, 3, 8), (10, 10, 10))
-        probs = posterior_model_probs(data, BmaParams(psi=-50.0), BetaShape(1, 1))
+        probs = kernel_model_probs(data, psi=-50.0)
         assert probs[0] == pytest.approx(1.0, abs=1e-9)  # index 0 is the pooled model
 
 
 class TestBmaTailProbs:
     def test_identical_baskets_symmetric(self):
-        data = BasketData((4, 4), (15, 15))
-        tails = bma_tail_probs(data, BmaParams(psi=0.0), BetaShape(1, 1), 0.15)
+        tails, _ = bma_tails_means(BasketData((4, 4), (15, 15)), psi=0.0)
         assert tails[0] == pytest.approx(tails[1], abs=1e-12)
 
     def test_forced_pooling_limit(self):
-        data = BasketData((2, 9), (10, 20))
-        tails = bma_tail_probs(data, BmaParams(psi=-50.0), BetaShape(1, 1), 0.15)
-        pooled = beta_tail(BetaShape(1 + 11, 1 + 19), 0.15)
+        tails, _ = bma_tails_means(BasketData((2, 9), (10, 20)), psi=-50.0)
+        pooled = beta_tails(1 + 11, 1 + 19, 0.15)
         np.testing.assert_allclose(tails, pooled, atol=1e-8)
 
     def test_matches_brute_force_model_average(self):
         data = BasketData((2, 3, 8), (10, 10, 10))
-        prior = BetaShape(1, 1)
         p0 = 0.15
         psi = 0.0
         partitions = enumerate_partitions(3)
@@ -157,11 +168,11 @@ class TestBmaTailProbs:
             for block in partition.blocks():
                 r = sum(data.responses[i] for i in block)
                 n = sum(data.sample_sizes[i] for i in block)
-                tail = beta_tail(BetaShape(1 + r, 1 + (n - r)), p0)
+                tail = beta_tails(1 + r, 1 + (n - r), p0)
                 for basket in block:
                     model_tails[j, basket] = tail
             expected += w[j] * model_tails[j]
-        got = bma_tail_probs(data, BmaParams(psi=psi), prior, p0)
+        got, _ = bma_tails_means(data, psi, p0)
         np.testing.assert_allclose(got, expected, atol=1e-6)
         # convex combination: within the min/max of model-specific tails
         assert np.all(got >= model_tails.min(axis=0) - 1e-12)
@@ -174,17 +185,15 @@ class TestBmaTailProbs:
             tuple(data.responses[i] for i in perm),
             tuple(data.sample_sizes[i] for i in perm),
         )
-        params, prior = BmaParams(psi=-2.0), BetaShape(1, 1)
-        tails = bma_tail_probs(data, params, prior, 0.15)
-        tails_perm = bma_tail_probs(permuted, params, prior, 0.15)
+        tails, means = bma_tails_means(data, psi=-2.0)
+        tails_perm, means_perm = bma_tails_means(permuted, psi=-2.0)
         np.testing.assert_allclose(tails_perm, tails[perm], atol=1e-12)
-        means = bma_posterior_means(data, params, prior)
-        means_perm = bma_posterior_means(permuted, params, prior)
         np.testing.assert_allclose(means_perm, means[perm], atol=1e-12)
 
     def test_decision_stats_consistent_with_public_ops(self):
+        # the bank kernel and run_design, the one-data-set API, agree bit for bit
         data = BasketData((2, 3, 8), (10, 10, 10))
-        params, prior = BmaParams(psi=-2.0), BetaShape(1, 1)
-        tails, means = decision_stats(data, params, prior, 0.15)
-        np.testing.assert_array_equal(tails, bma_tail_probs(data, params, prior, 0.15))
-        np.testing.assert_array_equal(means, bma_posterior_means(data, params, prior))
+        tails, means = bma_tails_means(data, psi=-2.0)
+        res = run_design(DesignConfig("BMA", BmaParams(-2.0), lambda_=0.9), data, 0.15)
+        np.testing.assert_array_equal(tails, res.tail_probs)
+        np.testing.assert_array_equal(means, res.posterior_means)

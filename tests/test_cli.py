@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from basketsim.cli import (
     select_scenarios,
 )
 from basketsim.powerprior import CppParams
+from scalar_reference import cpp_weight
 
 
 def run_fresh(script, *args):
@@ -241,10 +243,22 @@ class TestCommands:
         out = tmp_path / "out"
         assert main(["report", "--table", "weights", "--out", str(out)]) == 0
         rows = read_rows(out / "weights.csv")
-        assert any(r["design"] == "CPP" for r in rows)
-        assert any(r["design"] == "Fujikawa" for r in rows)
         weights = [float(r["weight"]) for r in rows]
         assert all(0.0 <= w <= 1.0 for w in weights)
+        cpp = [r for r in rows if r["design"] == "CPP"]
+        fujikawa = [r for r in rows if r["design"] == "Fujikawa"]
+        assert (len(cpp), len(fujikawa)) == (9 * 101, 4 * 101)
+        for r in cpp:
+            # basket k has no responses, so the statistic is basket i's rate
+            params = CppParams(**json.loads(r["param_json"]))
+            n_k, n_i = int(r["n_k"]), int(r["n_i"])
+            r_i = round(float(r["statistic"]) * n_i)
+            expected = cpp_weight((0, n_k), (r_i, n_i), params)
+            assert abs(float(r["weight"]) - expected) <= 5e-7, r
+        for r in fujikawa:
+            epsilon = json.loads(r["param_json"])["epsilon"]
+            expected = (1.0 - float(r["statistic"])) ** epsilon
+            assert abs(float(r["weight"]) - expected) <= 5e-7, r
 
     def test_exit_codes(self, tmp_path):
         assert main(["simulate", "--design", "XPP", "--out", str(tmp_path)]) == 2
@@ -298,7 +312,8 @@ class TestCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "oc.csv").exists()
 
-    @pytest.mark.parametrize("value", ["abc", None, [0.9], 0.0, 1.5])
+    @pytest.mark.parametrize("value", ["abc", None, [0.9], 0.0, 1.5,
+                                       float("nan"), float("inf"), True])
     def test_bad_config_lambda_is_a_usage_error(self, value, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"designs": {"CPP": {"a": 4, "b": 4.5, "lambda": value}}}))
@@ -306,6 +321,72 @@ class TestCommands:
                      "--design", "CPP", "--reps", "5", "--out", str(tmp_path)])
         assert code == 2
         assert "designs.CPP.lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("design, raw, field", [
+        ("BMA", {"psi": float("nan"), "lambda": 0.9}, "psi"),
+        ("BHM", {"phi": float("inf"), "lambda": 0.9}, "phi"),
+        ("CPP", {"a": float("nan"), "b": 4.5}, "a"),
+        ("LCPP", {"a": 3, "b": float("inf")}, "b"),
+        ("Fujikawa", {"epsilon": float("inf"), "tau": 0.2}, "epsilon"),
+        ("EXNEX", {"phi": "0.661", "q": 0.9}, "phi"),
+        ("BMA", {"psi": True}, "psi"),
+        ("EXNEX", {"phi": 0.661, "q": -math.inf}, "q"),
+    ], ids=["nan", "infinity", "nan-cpp", "infinity-lcpp", "infinity-fujikawa", "string",
+            "bool", "negative-infinity"])
+    def test_bad_config_param_is_a_usage_error(self, design, raw, field, tmp_path, capsys):
+        # json reads NaN and Infinity; they used to run to nan output or a numeric failure
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"designs": {design: raw}}))
+        code = main(["simulate", "--config", str(path), "--scenario", "2",
+                     "--design", design, "--reps", "5", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: designs.{design}.{field}: ") and err.count("\n") == 1
+        assert not (tmp_path / "oc.csv").exists()
+
+    @pytest.mark.parametrize("field, values, where", [
+        ("sample_sizes", [10.7, 15, 20, 25, 30], "sample_sizes[0]"),
+        ("sample_sizes", [10, 15, 20, 25, True], "sample_sizes[4]"),
+        ("fixed_responses", [2.9, 0, 0, 0, 0], "fixed_responses[0]"),
+        ("true_rates", [0.15, 0.15, "0.15", 0.15, 0.15], "true_rates[2]"),
+    ], ids=["float-size", "bool-size", "float-response", "string-rate"])
+    def test_bad_scenario_counts_are_a_usage_error(self, field, values, where, tmp_path,
+                                                   capsys):
+        # 10.7 and true used to be truncated to 10 and 1, and 2.9 to 2
+        scenario = {"id": 1, "sample_sizes": [10, 15, 20, 25, 30], "true_rates": [0.15] * 5,
+                    "pattern": "Null", "size_family": "Linear", field: values}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenarios": [scenario]}))
+        code = main(["simulate", "--config", str(path), "--design", "CPP",
+                     "--reps", "5", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenarios[0].{where}: ") and err.count("\n") == 1
+        assert not (tmp_path / "oc.csv").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"designs": {"CPP": {"a": 4, "b": 4.5}}, "note": "\xff"}', "is not UTF-8 text"),
+        (b'{"scenarios": 5}', "scenarios must be a list"),
+        (b'{"designs": [1]}', "designs: expected an object"),
+        (b'{"designs": {"CPP": 5}}', "designs.CPP: expected an object"),
+    ], ids=["not-utf8", "scenarios-not-a-list", "designs-not-an-object",
+            "design-not-an-object"])
+    def test_malformed_config_is_a_usage_error(self, content, message, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        code = main(["simulate", "--config", str(path), "--scenario", "2",
+                     "--design", "CPP", "--reps", "5", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "oc.csv").exists()
+
+    def test_report_on_a_non_utf8_csv_is_a_usage_error(self, tmp_path, capsys):
+        (tmp_path / "oc.csv").write_bytes(b"scenario_id,size_family\n\xff\xfe\n")
+        assert main(["report", "--table", "ecd", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is not UTF-8 text" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("sid", [-3, 1.7, True, "1", None])
     def test_bad_scenario_id_is_a_usage_error(self, sid, tmp_path, capsys):

@@ -9,19 +9,17 @@ from scipy import special
 from basketsim.core import (
     BasketData,
     BetaShape,
-    NullRate,
     NumericError,
     QuadratureError,
     Scenario,
     beta_log_pdf,
-    beta_mean,
-    beta_tail,
     beta_tails,
     integrate,
     log_beta,
     log_beta_function,
-    validate_weight_matrix,
 )
+from basketsim.engine import DesignConfig, run_design
+from basketsim.fujikawa import FujikawaParams
 
 def integrate_beta_density(shape, lo=0.0, hi=1.0, tol=1e-8):
     """Quadrature oracle: the integral of a beta density over [lo, hi].
@@ -78,11 +76,6 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             BetaShape(1.0, -2.0)
 
-    def test_null_rate_default_and_bounds(self):
-        assert NullRate().p0 == 0.15
-        with pytest.raises(ValueError):
-            NullRate(0.0)
-
     def test_scenario_validation(self):
         s = Scenario(1, (10, 15), (0.15, 0.35), "Null", "Linear")
         assert s.k == 2
@@ -96,15 +89,6 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             Scenario(1, (10, 15), (0.15, 0.35), "Null", "Linear",
                      fixed_responses=(11, 0))
-
-    def test_weight_matrix_validation(self):
-        validate_weight_matrix(np.eye(3))
-        with pytest.raises(ValueError):
-            validate_weight_matrix(np.full((2, 2), 0.5))  # diagonal not 1
-        bad = np.eye(2)
-        bad[0, 1] = 1.5
-        with pytest.raises(ValueError):
-            validate_weight_matrix(bad)
 
 
 class TestLogBeta:
@@ -141,42 +125,46 @@ class TestBetaMean:
         [(BetaShape(1, 1), 0.5), (BetaShape(6, 6), 0.5), (BetaShape(7, 5), 7 / 12)],
     )
     def test_closed_form(self, shape, expected):
-        assert beta_mean(shape) == pytest.approx(expected, abs=1e-15)
+        # the posterior mean a design reports, here without borrowing (tau = 1) from a
+        # Beta(1, 1) prior, so that the shape is Beta(1 + r, 1 + n - r)
+        r, n = shape.alpha - 1, shape.alpha + shape.beta - 2
+        config = DesignConfig("Fujikawa", FujikawaParams(1.0, 1.0), lambda_=0.9)
+        res = run_design(config, BasketData((int(r), 0), (int(n), 0)))
+        assert res.posterior_means[0] == pytest.approx(expected, abs=1e-15)
 
 
 class TestBetaTail:
     def test_uniform(self):
-        assert beta_tail(BetaShape(1, 1), 0.15) == pytest.approx(0.85, abs=1e-12)
+        assert beta_tails(1.0, 1.0, 0.15) == pytest.approx(0.85, abs=1e-12)
 
     def test_endpoints(self):
-        for shape in [BetaShape(1, 1), BetaShape(3.7, 0.6), BetaShape(40, 2)]:
-            assert beta_tail(shape, 0.0) == 1.0
-            assert beta_tail(shape, 1.0) == 0.0
+        for a, b in [(1.0, 1.0), (3.7, 0.6), (40.0, 2.0)]:
+            assert beta_tails(a, b, 0.0) == 1.0
+            assert beta_tails(a, b, 1.0) == 0.0
         a, b = np.geomspace(1e-3, 5000.0, 40), np.geomspace(5000.0, 1e-3, 40)
         assert (beta_tails(a, b, 0.0) == 1.0).all() and (beta_tails(a, b, 1.0) == 0.0).all()
 
     def test_beta75_frozen_oracle_value(self):
         # frozen from adaptive quadrature of the Beta(7,5) density on (0.15, 1]
-        assert beta_tail(BetaShape(7, 5), 0.15) == pytest.approx(
+        assert beta_tails(7.0, 5.0, 0.15) == pytest.approx(
             0.9996781217609864, abs=1e-9
         )
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            beta_tail(BetaShape(2, 2), -0.1)
+            beta_tails(2.0, 2.0, -0.1)
         with pytest.raises(ValueError):
-            beta_tail(BetaShape(2, 2), 1.1)
+            beta_tails(2.0, 2.0, 1.1)
 
     def test_monotone_nonincreasing(self):
-        shape = BetaShape(4.2, 17.0)
         xs = np.linspace(0, 1, 101)
-        tails = [beta_tail(shape, x) for x in xs]
+        tails = [float(beta_tails(4.2, 17.0, x)) for x in xs]
         assert all(a >= b for a, b in zip(tails, tails[1:]))
 
     @settings(max_examples=60, deadline=None)
     @given(shape=shapes, x=st.floats(0.01, 0.99))
     def test_agrees_with_quadrature(self, shape, x):
-        assert beta_tail(shape, x) == pytest.approx(
+        assert beta_tails(shape.alpha, shape.beta, x) == pytest.approx(
             integrate_beta_density(shape, x, 1.0), abs=1e-8
         )
 
@@ -191,7 +179,7 @@ class TestBetaTail:
     @given(a=st.floats(1e-3, 500.0), b=st.floats(1e-3, 500.0),
            x=st.sampled_from([0.15, 0.5, 0.9]))
     def test_agrees_with_scipy(self, a, b, x):
-        assert abs(beta_tail(BetaShape(a, b), x) - special.betaincc(a, b, x)) <= 1e-12
+        assert abs(beta_tails(a, b, x) - special.betaincc(a, b, x)) <= 1e-12
 
     @pytest.mark.parametrize("a,b", [(1e9, 1e9), (np.nan, 2.0), (2.0, np.inf)])
     def test_unconverged_fraction_is_a_numeric_error(self, a, b):
@@ -206,13 +194,13 @@ class TestBetaTail:
         for x in (0.15, 0.5, 0.9):
             bank = beta_tails(a, b, x)
             assert bank.shape == a.shape
-            assert all(beta_tail(BetaShape(u, v), x) == t
+            assert all(beta_tails(u, v, x) == t
                        for u, v, t in zip(a.ravel(), b.ravel(), bank.ravel()))
 
     @settings(max_examples=40, deadline=None)
     @given(shape=shapes)
     def test_range(self, shape):
-        t = beta_tail(shape, 0.37)
+        t = beta_tails(shape.alpha, shape.beta, 0.37)
         assert 0.0 <= t <= 1.0
 
 

@@ -10,16 +10,14 @@ from hypothesis import strategies as st
 from basketsim import engine, hierarchical
 from basketsim.bma import BmaParams
 from basketsim.cli import builtin_catalog
-from basketsim.core import BasketData, BetaShape, ConfigurationError, NullRate, Scenario
+from basketsim.core import BasketData, BetaShape, ConfigurationError, Scenario
 from basketsim.engine import (
     DESIGNS,
     DesignBank,
     DesignConfig,
     aggregate,
-    correct_decisions,
     decisions_from_tails,
     generate_responses,
-    generate_trial,
     run_design,
     scenario_tails_means,
     simulate,
@@ -56,6 +54,16 @@ def per_replicate_responses(scenario, n_reps, master_seed, start=0):
         out[i] = np.random.Generator(np.random.Philox(seq)).binomial(
             scenario.sample_sizes, scenario.true_rates)
     return out
+
+
+def correct_decisions(decisions, true_rates, p0):
+    """Reference count of the baskets classified in line with their true activity."""
+    return sum(bool(d) == (p > p0) for d, p in zip(decisions, true_rates))
+
+
+def trial(scenario, master_seed, replicate):
+    """Responses of one replicate: a bank of one."""
+    return tuple(generate_responses(scenario, 1, master_seed, start=replicate)[0].tolist())
 
 
 def _worker_table_builds():
@@ -99,15 +107,15 @@ class TestGenerateTrial:
         zero = Scenario(90, (10, 20), (0.0, 0.0), "Null", "Linear")
         one = Scenario(91, (10, 20), (1.0, 1.0), "Alternative", "Linear")
         for rep in range(5):
-            assert generate_trial(zero, 7, rep).responses == (0, 0)
-            assert generate_trial(one, 7, rep).responses == (10, 20)
+            assert trial(zero, 7, rep) == (0, 0)
+            assert trial(one, 7, rep) == (10, 20)
 
     def test_reproducible_and_design_independent(self):
-        a = generate_trial(LINEAR_NULL, 123, 42)
-        b = generate_trial(LINEAR_NULL, 123, 42)
+        a = trial(LINEAR_NULL, 123, 42)
+        b = trial(LINEAR_NULL, 123, 42)
         assert a == b
         bank = generate_responses(LINEAR_NULL, 50, 123)
-        assert tuple(bank[42]) == a.responses
+        assert tuple(bank[42]) == a
 
     def test_chunked_generation_matches(self):
         full = generate_responses(LINEAR_NULL, 30, 99)
@@ -116,8 +124,8 @@ class TestGenerateTrial:
 
     def test_fixed_responses_bypass_sampling(self):
         s = Scenario(92, (10, 20), (0.15, 0.15), "Null", "Linear", fixed_responses=(3, 5))
-        assert generate_trial(s, 1, 0).responses == (3, 5)
-        assert generate_trial(s, 2, 9).responses == (3, 5)
+        assert trial(s, 1, 0) == (3, 5)
+        assert trial(s, 2, 9) == (3, 5)
 
     def test_law_of_large_numbers(self):
         bank = generate_responses(LINEAR_NULL, 10_000, 2024)
@@ -214,16 +222,23 @@ class TestRunDesign:
 
 
 class TestCorrectDecisions:
+    """``aggregate`` counts the baskets classified in line with their true activity."""
+
+    @staticmethod
+    def ecd(decisions, true_rates, pattern):
+        s = Scenario(95, (10,) * 5, true_rates, pattern, "Linear")
+        return aggregate(s, np.array([decisions]), np.zeros((1, 5)), 0.15).ecd_mean
+
     def test_all_correct(self):
-        assert correct_decisions([True] * 5, [0.35] * 5, 0.15) == 5
+        assert self.ecd([True] * 5, (0.35,) * 5, "Alternative") == 5
 
     def test_null_no_rejections(self):
-        assert correct_decisions([False] * 5, [0.15] * 5, 0.15) == 5
+        assert self.ecd([False] * 5, (0.15,) * 5, "Null") == 5
 
     def test_ascending_mixed(self):
         truth_rates = (0.15, 0.15, 0.25, 0.35, 0.35)
         decisions = (True, False, True, True, False)
-        assert correct_decisions(decisions, truth_rates, 0.15) == 3
+        assert self.ecd(decisions, truth_rates, "Ascending") == 3
 
 
 class TestSimulate:
@@ -231,7 +246,7 @@ class TestSimulate:
         s = Scenario(93, (10, 10), (0.35, 0.15), "Descending", "Linear",
                      fixed_responses=(6, 1))
         oc = simulate(s, CPP_CFG, n_reps=1, master_seed=3)
-        res = run_design(CPP_CFG, BasketData((6, 1), (10, 10)), NullRate())
+        res = run_design(CPP_CFG, BasketData((6, 1), (10, 10)))
         assert oc.ecd_mean == correct_decisions(res.decisions, s.true_rates, 0.15)
 
     def test_bit_identical_reruns(self):

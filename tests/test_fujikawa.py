@@ -3,19 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basketsim.core import EDGE_EPS, BasketData, BetaShape, beta_log_pdf
+from basketsim.core import EDGE_EPS, BasketData, BetaShape, beta_log_pdf, beta_tails
+from basketsim.engine import DesignBank, DesignConfig, run_design
 from basketsim.fujikawa import (
     FujikawaParams,
     _jsd_integrand,
-    fujikawa_posterior,
-    fujikawa_weights,
-    individual_posteriors,
     jsd,
     jsd_matrices,
-    jsd_matrix,
     weights_from_jsd,
 )
-from basketsim.powerprior import power_prior_posterior
 
 shapes = st.builds(
     BetaShape,
@@ -40,17 +36,35 @@ def jsd_riemann(f, g, points=10 ** 6):
     return 0.5 * (half(w).sum() + half(q).sum()) / points
 
 
+def jsd_of(posteriors):
+    """The pairwise JSD matrix of one list of beta shapes: a bank of one."""
+    return jsd_matrices([[p.alpha for p in posteriors]], [[p.beta for p in posteriors]])[0]
+
+
+def bank_shapes(design, data, priors, weights):
+    """The posterior step of one design's bank kernel under a given weight matrix."""
+    bank = DesignBank(design, [data.responses], data.sample_sizes, priors, 0.15)
+    alphas, betas = bank.posterior_shapes(np.asarray(weights, dtype=float)[None])
+    return [BetaShape(a, b) for a, b in zip(alphas[0].tolist(), betas[0].tolist())]
+
+
 class TestIndividualPosteriors:
+    """tau = 1 drops every borrowing weight, leaving the basket-wise conjugate updates."""
+
+    NO_BORROWING = DesignConfig("Fujikawa", FujikawaParams(1.0, 1.0), lambda_=0.9)
+
     def test_no_data_returns_prior(self):
-        data = BasketData((0, 0), (0, 0))
-        post = individual_posteriors(data, [BetaShape(1, 1)] * 2)
-        assert post == [BetaShape(1, 1), BetaShape(1, 1)]
+        res = run_design(self.NO_BORROWING, BasketData((0, 0), (0, 0)), 0.15)
+        assert res.posterior_means.tolist() == [0.5, 0.5]
+        assert res.tail_probs.tolist() == [pytest.approx(0.85, abs=1e-12)] * 2
 
     def test_conjugate_update(self):
-        data = BasketData((5, 2), (10, 30))
-        post = individual_posteriors(data, [BetaShape(1, 1), BetaShape(2, 3)])
-        assert post[0] == BetaShape(6, 6)
-        assert post[1] == BetaShape(4, 31)
+        config = DesignConfig("Fujikawa", FujikawaParams(1.0, 1.0),
+                              priors=(BetaShape(1, 1), BetaShape(2, 3)), lambda_=0.9)
+        res = run_design(config, BasketData((5, 2), (10, 30)), 0.15)
+        # Beta(6, 6) and Beta(4, 31)
+        assert res.posterior_means.tolist() == [6 / 12, 4 / 35]
+        assert res.tail_probs.tolist() == beta_tails([6.0, 4.0], [6.0, 31.0], 0.15).tolist()
 
 
 class TestJsd:
@@ -111,7 +125,7 @@ class TestJsdMatrices:
         betas = [[p.beta for p in row] for row in post]
         bank = jsd_matrices(alphas, betas)
         for row, matrix in zip(post, bank):
-            np.testing.assert_array_equal(jsd_matrix(row), matrix)
+            np.testing.assert_array_equal(jsd_of(row), matrix)
 
     def test_tolerance_is_part_of_the_key(self):
         f, g = BetaShape(4, 8), BetaShape(9, 3)
@@ -123,15 +137,15 @@ class TestJsdMatrices:
 class TestFujikawaWeights:
     def test_identical_posteriors_weight_one(self):
         post = [BetaShape(4, 8)] * 3
-        w = fujikawa_weights(post, FujikawaParams(epsilon=2, tau=0.5))
+        w = weights_from_jsd(jsd_of(post), FujikawaParams(epsilon=2, tau=0.5))
         assert np.all(w == 1.0)
 
     def test_exact_tau_boundary_drops_to_zero(self):
         post = [BetaShape(4, 8), BetaShape(6, 6)]
         params = FujikawaParams(epsilon=1.5, tau=0.0)
-        base = fujikawa_weights(post, params)[0, 1]
+        base = weights_from_jsd(jsd_of(post), params)[0, 1]
         assert base > 0.0
-        clipped = fujikawa_weights(post, FujikawaParams(epsilon=1.5, tau=base))
+        clipped = weights_from_jsd(jsd_of(post), FujikawaParams(epsilon=1.5, tau=base))
         assert clipped[0, 1] == 0.0
 
     def test_weight_monotone_in_jsd(self):
@@ -144,21 +158,24 @@ class TestFujikawaWeights:
 
     def test_jsd_matrix_symmetric_unit_free_diagonal(self):
         post = [BetaShape(2, 9), BetaShape(5, 7), BetaShape(1, 1)]
-        m = jsd_matrix(post)
+        m = jsd_of(post)
         assert np.array_equal(m, m.T)
         assert np.all(np.diag(m) == 0.0)
 
 
 class TestFujikawaPosterior:
+    """The weighted-sum step of ``DesignBank.posterior_shapes`` for Fujikawa."""
+
     def test_identity_weights_match_individual_bitwise(self):
         data = BasketData((3, 7, 0), (10, 20, 5))
         priors = [BetaShape(1, 1), BetaShape(2, 3), BetaShape(0.5, 0.5)]
-        post = fujikawa_posterior(data, priors, np.eye(3))
-        assert post == individual_posteriors(data, priors)
+        post = bank_shapes("Fujikawa", data, priors, np.eye(3))
+        assert post == [BetaShape(p.alpha + r, p.beta + (n - r))
+                        for p, r, n in zip(priors, data.responses, data.sample_sizes)]
 
     def test_all_ones_weights_pool_including_priors(self):
         data = BasketData((2, 3, 1, 0, 4), (10, 15, 20, 25, 30))
-        post = fujikawa_posterior(data, [BetaShape(1, 1)] * 5, np.ones((5, 5)))
+        post = bank_shapes("Fujikawa", data, [BetaShape(1, 1)] * 5, np.ones((5, 5)))
         total_r = sum(data.responses)
         total_miss = sum(n - r for r, n in zip(data.responses, data.sample_sizes))
         for shape in post:
@@ -168,7 +185,7 @@ class TestFujikawaPosterior:
     def test_hand_worked_example(self):
         data = BasketData((3, 4), (10, 10))
         w = np.array([[1.0, 0.5], [0.5, 1.0]])
-        post = fujikawa_posterior(data, [BetaShape(1, 1)] * 2, w)
+        post = bank_shapes("Fujikawa", data, [BetaShape(1, 1)] * 2, w)
         assert post[0].alpha == pytest.approx(6.5, abs=1e-12)
         assert post[0].beta == pytest.approx(11.5, abs=1e-12)
 
@@ -184,8 +201,8 @@ class TestFujikawaPosterior:
         matrix = np.full((3, 3), w)
         np.fill_diagonal(matrix, 1.0)
         priors = [BetaShape(1, 1)] * 3
-        fuji = fujikawa_posterior(data, priors, matrix)
-        power = power_prior_posterior(data, matrix, priors)
+        fuji = bank_shapes("Fujikawa", data, priors, matrix)
+        power = bank_shapes("CPP", data, priors, matrix)
         for f, p in zip(fuji, power):
             assert f.alpha - p.alpha == pytest.approx(2 * w, abs=1e-9)
             assert f.beta - p.beta == pytest.approx(2 * w, abs=1e-9)

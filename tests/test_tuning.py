@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from basketsim.bma import BmaParams, enumerate_partitions, log_marginal_likelihood
+from basketsim.bma import BmaParams, enumerate_partitions
 from basketsim.cli import builtin_catalog
-from basketsim.core import (
-    BasketData,
-    BetaShape,
-    CalibrationError,
-    Scenario,
-    beta_mean,
-    beta_tail,
-)
+from basketsim.core import BasketData, BetaShape, CalibrationError, Scenario, beta_tails
 from basketsim.engine import (
     DesignBank,
     DesignConfig,
@@ -20,13 +13,14 @@ from basketsim.engine import (
 )
 from basketsim.fujikawa import FujikawaParams, jsd
 from basketsim.hierarchical import BhmParams, ExnexParams
-from basketsim.powerprior import CppParams, alpha0, cpp_weight, hellinger_gamma
+from basketsim.powerprior import CppParams
 from basketsim.tuning import (
     calibrate_lambda,
     default_grid,
     grid_search,
     smallest_lambda,
 )
+from scalar_reference import alpha0, cpp_weight, hellinger_gamma, log_marginal_likelihood
 
 GROUPED_NULL = Scenario(2, (10, 10, 25, 25, 30), (0.15,) * 5, "Null", "Grouped")
 GROUPED_ASC = Scenario(8, (10, 10, 25, 25, 30), (0.15, 0.15, 0.25, 0.35, 0.35),
@@ -34,6 +28,10 @@ GROUPED_ASC = Scenario(8, (10, 10, 25, 25, 30), (0.15, 0.15, 0.25, 0.35, 0.35),
 GROUPED_SGN = Scenario(17, (10, 10, 25, 25, 30), (0.40, 0.15, 0.15, 0.15, 0.15),
                        "SGN", "Grouped")
 MINI_FAMILY = [GROUPED_NULL, GROUPED_ASC, GROUPED_SGN]
+
+
+def beta_tail_mean(shape, p0):
+    return float(beta_tails(shape.alpha, shape.beta, p0)), shape.alpha / (shape.alpha + shape.beta)
 
 
 def reference_tails_means(design, params, data, p0=0.15):
@@ -55,9 +53,10 @@ def reference_tails_means(design, params, data, p0=0.15):
                 r = sum(baskets[i][0] for i in block)
                 n = sum(baskets[i][1] for i in block)
                 shape = BetaShape(1 + r, 1 + n - r)
+                tail, mean = beta_tail_mean(shape, p0)
                 for i in block:
-                    tails[i] += w_j * beta_tail(shape, p0)
-                    means[i] += w_j * beta_mean(shape)
+                    tails[i] += w_j * tail
+                    means[i] += w_j * mean
         return tails, means
     singles = [BetaShape(1 + r, 1 + n - r) for r, n in baskets]
     shapes = []
@@ -84,10 +83,8 @@ def reference_tails_means(design, params, data, p0=0.15):
                 alpha += w * baskets[b][0]
                 beta += w * (baskets[b][1] - baskets[b][0])
         shapes.append(BetaShape(alpha, beta))
-    return (
-        np.array([beta_tail(shape, p0) for shape in shapes]),
-        np.array([beta_mean(shape) for shape in shapes]),
-    )
+    stats = np.array([beta_tail_mean(shape, p0) for shape in shapes])
+    return stats[:, 0], stats[:, 1]
 
 
 def empirical_fwer(max_tails, lam, strict):
