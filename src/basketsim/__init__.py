@@ -23,11 +23,10 @@ from .engine import (
     OperatingCharacteristics,
     ReplicateResult,
     run_design,
-    simulate,
 )
 from .fujikawa import FujikawaParams, jsd
 from .hierarchical import BhmParams, ExnexParams
 from .powerprior import CppParams
-from .tuning import TuningResult, calibrate_lambda, default_grid, grid_search
+from .tuning import TuningResult, default_grid, grid_search, null_scenario, study
 
 __all__ = [name for name in dir() if not name.startswith("_")]

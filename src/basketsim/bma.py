@@ -9,6 +9,7 @@ are evaluated once per data set.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,6 +25,8 @@ from .core import (
 )
 
 MAX_BASKETS = 12  # Bell(12) is ~4.2M models; beyond this enumeration is hopeless
+# a model has at most MAX_BASKETS blocks, so C * psi stays within half the float range
+MAX_PSI = sys.float_info.max / (2 * MAX_BASKETS)
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,10 @@ class BmaParams:
     """Model-space prior weight: pi(M_j) proportional to exp(C_j * psi)."""
 
     psi: float
+
+    def __post_init__(self):
+        if not abs(self.psi) <= MAX_PSI:
+            raise ValueError(f"psi must lie in [-{MAX_PSI:.4g}, {MAX_PSI:.4g}], got {self.psi}")
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -28,18 +29,11 @@ from .core import (
     SIZE_FAMILIES,
     Scenario,
 )
-from .engine import (
-    DESIGNS,
-    PARAM_TYPES,
-    DesignConfig,
-    aggregate,
-    decisions_from_tails,
-    scenario_tails_means,
-)
+from .engine import DESIGNS, PARAM_TYPES, DesignConfig
 from .fujikawa import FujikawaParams
 from .hierarchical import BhmParams, ExnexParams
 from .powerprior import CppParams, cpp_weights_from_scaled, scaled_ks_matrix
-from .tuning import grid_search, smallest_lambda
+from .tuning import grid_search, null_scenario, study
 
 PATTERN_RATES = {
     "Null": (0.15, 0.15, 0.15, 0.15, 0.15),
@@ -150,21 +144,11 @@ def _config_digest(path: str | None) -> str | None:
 
 def builtin_catalog() -> list[Scenario]:
     """The 18 shipped scenarios: six rate patterns times three size families."""
-    scenarios = []
-    next_id = 1
-    for pattern in PATTERNS:
-        for family in SIZE_FAMILIES:
-            scenarios.append(
-                Scenario(
-                    id=next_id,
-                    sample_sizes=FAMILY_SIZES[family],
-                    true_rates=PATTERN_RATES[pattern],
-                    pattern=pattern,
-                    size_family=family,
-                )
-            )
-            next_id += 1
-    return scenarios
+    return [
+        Scenario(id=i, sample_sizes=FAMILY_SIZES[family], true_rates=PATTERN_RATES[pattern],
+                 pattern=pattern, size_family=family)
+        for i, (pattern, family) in enumerate(itertools.product(PATTERNS, SIZE_FAMILIES), 1)
+    ]
 
 
 def _json_number(value, where: str) -> float:
@@ -220,11 +204,11 @@ def _scenario_from_mapping(index: int, raw: dict) -> Scenario:
         raise CatalogError(f"{where}: {exc}") from exc
 
 
-def load_catalog(path: str | None = None) -> list[Scenario]:
-    """The builtin Table-1 catalog, or scenarios parsed from a config file."""
-    if path is None:
-        return builtin_catalog()
-    config = load_config(path)
+def load_catalog(path: str | None = None, config: dict | None = None) -> list[Scenario]:
+    """The builtin Table-1 catalog, or the scenarios of a config file (read from
+    ``path`` unless its parsed ``config`` is passed)."""
+    if config is None:
+        config = load_config(path) if path else {}
     if "scenarios" not in config:
         return builtin_catalog()
     if not isinstance(config["scenarios"], list):
@@ -273,8 +257,8 @@ def design_params_from_mapping(design: str, raw: dict):
     values = {name: _json_number(raw[name], f"designs.{design}.{name}") for name in fields}
     try:
         return None if param_type is type(None) else param_type(**values)
-    except ValueError as exc:
-        raise CatalogError(f"designs.{design}: {exc}") from exc
+    except ValueError as exc:  # each parameter type names the offending field first
+        raise CatalogError(f"designs.{design}.{exc}") from exc
 
 
 def _params_to_json(params) -> str:
@@ -341,71 +325,48 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _design_setup(manifest: RunManifest, config_file: dict, family: str, design: str):
-    """Parameters and fixed lambda (if any) for one design."""
-    designs = config_file.get("designs") or {}
+def design_configs(config: dict) -> dict[str, DesignConfig]:
+    """Every entry of a config's ``designs`` object, each checked up front."""
+    designs = config.get("designs") or {}
     if not isinstance(designs, dict):
         raise CatalogError(f"designs: expected an object, got {designs!r}")
-    raw = designs.get(design)
-    if raw is not None:
+    configs = {}
+    for design, raw in designs.items():
         params = design_params_from_mapping(design, raw)
         fixed_lambda = None
         if "lambda" in raw:
             fixed_lambda = _json_number(raw["lambda"], f"designs.{design}.lambda")
             if not 0.0 < fixed_lambda <= 1.0:
                 raise CatalogError(f"designs.{design}.lambda: {fixed_lambda} outside (0, 1]")
-    else:
-        params = TUNED_PARAMS[family][design]
-        fixed_lambda = None
-    return DesignConfig(design, params), fixed_lambda
+        configs[design] = DesignConfig(design, params, lambda_=fixed_lambda)
+    return configs
 
 
-def _families(scenarios: list[Scenario]) -> list[str]:
-    """Size families of the selected scenarios, in first-seen order."""
-    return list(dict.fromkeys(s.size_family for s in scenarios))
+def _load(manifest: RunManifest) -> tuple[list[Scenario], dict[str, DesignConfig]]:
+    """The catalog and the configured designs, from one read of the config file."""
+    config = load_config(manifest.config_path) if manifest.config_path else {}
+    return load_catalog(manifest.config_path, config), design_configs(config)
 
 
-def _family_null_scenario(catalog: list[Scenario], family: str, p0: float) -> Scenario:
-    for s in catalog:
-        if s.size_family == family and all(p <= p0 for p in s.true_rates):
-            return s
-    raise CatalogError(f"no global-null scenario available for family {family}")
+def _families(catalog: list[Scenario], selector: str):
+    """(size family, its selected scenarios, all its scenarios) in first-seen order."""
+    selected = select_scenarios(catalog, selector)
+    for family in dict.fromkeys(s.size_family for s in selected):
+        yield (family, [s for s in selected if s.size_family == family],
+               [s for s in catalog if s.size_family == family])
 
 
 def command_simulate(manifest: RunManifest) -> int:
-    catalog = load_catalog(manifest.config_path)
-    config_file = load_config(manifest.config_path) if manifest.config_path else {}
-    scenarios = select_scenarios(catalog, manifest.scenario_selector)
+    catalog, configured = _load(manifest)
     rows = []
-    families = _families(scenarios)
-    for family in families:
-        family_scenarios = [s for s in scenarios if s.size_family == family]
+    for family, scenarios, members in _families(catalog, manifest.scenario_selector):
+        null = null_scenario(members, manifest.p0)
         for design in manifest.designs:
-            config, fixed_lambda = _design_setup(manifest, config_file, family, design)
-            null_scenario = _family_null_scenario(catalog, family, manifest.p0)
-            null_tails = None
-            if fixed_lambda is None:
-                null_tails, null_means = scenario_tails_means(
-                    config, null_scenario, manifest.reps, manifest.seed,
-                    manifest.p0, jobs=manifest.jobs,
-                )
-                lam = smallest_lambda(
-                    null_tails.max(axis=1), manifest.alpha, config.strict
-                )
-            else:
-                lam = fixed_lambda
-            config = config.with_lambda(lam)
-            for scenario in family_scenarios:
-                if null_tails is not None and scenario.id == null_scenario.id:
-                    tails, means = null_tails, null_means
-                else:
-                    tails, means = scenario_tails_means(
-                        config, scenario, manifest.reps, manifest.seed,
-                        manifest.p0, jobs=manifest.jobs,
-                    )
-                decisions = decisions_from_tails(tails, lam, config.strict)
-                oc = aggregate(scenario, decisions, means, manifest.p0)
-                param_json = _params_to_json(config.params)
+            config = configured.get(design, DesignConfig(design, TUNED_PARAMS[family][design]))
+            lam, ocs = study(config, scenarios, null, manifest.reps, manifest.seed,
+                             manifest.p0, manifest.alpha, manifest.jobs)
+            param_json = _params_to_json(config.params)
+            for scenario, oc in zip(scenarios, ocs):
                 for k in range(scenario.k):
                     rows.append([
                         scenario.id, scenario.size_family, scenario.pattern,
@@ -420,26 +381,17 @@ def command_simulate(manifest: RunManifest) -> int:
 
 
 def command_calibrate(manifest: RunManifest) -> int:
-    catalog = load_catalog(manifest.config_path)
-    config_file = load_config(manifest.config_path) if manifest.config_path else {}
-    scenarios = select_scenarios(catalog, manifest.scenario_selector)
-    families = _families(scenarios)
+    catalog, configured = _load(manifest)
     rows = []
-    for family in families:
-        null_scenario = _family_null_scenario(catalog, family, manifest.p0)
+    for family, _, members in _families(catalog, manifest.scenario_selector):
+        null = null_scenario(members, manifest.p0)
         for design in manifest.designs:
-            config, _ = _design_setup(manifest, config_file, family, design)
-            tails, _ = scenario_tails_means(
-                config, null_scenario, manifest.reps, manifest.seed,
-                manifest.p0, jobs=manifest.jobs,
-            )
-            max_tails = tails.max(axis=1)
-            lam = smallest_lambda(max_tails, manifest.alpha, config.strict)
-            hits = max_tails > lam if config.strict else max_tails >= lam
-            rows.append([
-                family, design, f"{lam:.3f}",
-                _fmt(hits.mean()), _params_to_json(config.params),
-            ])
+            config = configured.get(design, DesignConfig(design, TUNED_PARAMS[family][design]))
+            # calibrate always calibrates: a lambda fixed in the config is dropped
+            lam, (oc,) = study(config.with_lambda(None), [null], null, manifest.reps,
+                               manifest.seed, manifest.p0, manifest.alpha, manifest.jobs)
+            rows.append([family, design, f"{lam:.3f}", _fmt(oc.fwer),
+                         _params_to_json(config.params)])
     _write_csv(
         os.path.join(manifest.out_dir, "lambdas.csv"), manifest,
         ("size_family", "design", "lambda", "null_fwer", "param_json"), rows,
@@ -448,15 +400,12 @@ def command_calibrate(manifest: RunManifest) -> int:
 
 
 def command_tune(manifest: RunManifest) -> int:
-    catalog = load_catalog(manifest.config_path)
-    scenarios = select_scenarios(catalog, manifest.scenario_selector)
-    families = _families(scenarios)
+    catalog, _ = _load(manifest)  # the designs are checked, though tune searches its own grid
     rows = []
-    for family in families:
-        family_scenarios = [s for s in catalog if s.size_family == family]
+    for family, _, members in _families(catalog, manifest.scenario_selector):
         for design in manifest.designs:
             result = grid_search(
-                design, family_scenarios, manifest.reps, alpha=manifest.alpha,
+                design, members, manifest.reps, alpha=manifest.alpha,
                 seed=manifest.seed, p0=manifest.p0,
             )
             for i, rec in enumerate(result.records):

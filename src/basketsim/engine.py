@@ -52,14 +52,13 @@ class DesignConfig:
     """One fully specified analysis: design, parameters, priors, threshold.
 
     The decision rule is non-strict (tail >= lambda) for the beta-posterior
-    designs and strict (tail > lambda) for BMA/BHM/EXNEX unless overridden.
+    designs and strict (tail > lambda) for BMA/BHM/EXNEX.
     """
 
     design: str
     params: object = None
     priors: tuple[BetaShape, ...] | None = None
     lambda_: float | None = None
-    strict_inequality: bool | None = None
 
     def __post_init__(self):
         if self.design not in DESIGNS:
@@ -75,8 +74,6 @@ class DesignConfig:
 
     @property
     def strict(self) -> bool:
-        if self.strict_inequality is not None:
-            return self.strict_inequality
         return self.design in STRICT_DESIGNS
 
     def prior_list(self, k: int) -> list[BetaShape]:
@@ -380,21 +377,3 @@ def aggregate(
         bias=tuple(bias),
         n_reps=n_reps,
     )
-
-
-def simulate(
-    scenario: Scenario,
-    config: DesignConfig,
-    n_reps: int,
-    master_seed: int,
-    p0: float = 0.15,
-    jobs: int = 1,
-) -> OperatingCharacteristics:
-    """Monte Carlo operating characteristics of one design on one scenario."""
-    if n_reps < 1:
-        raise ConfigurationError("n_reps must be at least 1")
-    if config.lambda_ is None:
-        raise ConfigurationError("simulate needs a calibrated lambda on the config")
-    tails, means = scenario_tails_means(config, scenario, n_reps, master_seed, p0, jobs=jobs)
-    decisions = decisions_from_tails(tails, config.lambda_, config.strict)
-    return aggregate(scenario, decisions, means, p0)

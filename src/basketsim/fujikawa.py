@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import (
     BetaShape,
-    DEFAULT_QUAD_TOL,
     EDGE_EPS,
     beta_log_pdf,
     integrate,
@@ -52,7 +51,7 @@ def _jsd_integrand(f: BetaShape, g: BetaShape):
     return integrand
 
 
-def jsd(f: BetaShape, g: BetaShape, tol: float = DEFAULT_QUAD_TOL) -> float:
+def jsd(f: BetaShape, g: BetaShape) -> float:
     """Jensen-Shannon divergence between two beta densities, base-2 logs.
 
     The equal mixture M = (W + Q)/2 is evaluated pointwise inside the
@@ -62,22 +61,21 @@ def jsd(f: BetaShape, g: BetaShape, tol: float = DEFAULT_QUAD_TOL) -> float:
     """
     if f == g:
         return 0.0
-    value = integrate(_jsd_integrand(f, g), EDGE_EPS, 1.0 - EDGE_EPS, tol=tol)
+    value = integrate(_jsd_integrand(f, g), EDGE_EPS, 1.0 - EDGE_EPS)
     return min(1.0, max(0.0, value))
 
 
 @lru_cache(maxsize=1 << 16)
-def _memo_jsd(f_alpha: float, f_beta: float, g_alpha: float, g_beta: float,
-              tol: float) -> float:
-    return jsd(BetaShape(f_alpha, f_beta), BetaShape(g_alpha, g_beta), tol=tol)
+def _memo_jsd(f_alpha: float, f_beta: float, g_alpha: float, g_beta: float) -> float:
+    return jsd(BetaShape(f_alpha, f_beta), BetaShape(g_alpha, g_beta))
 
 
-def jsd_matrices(alphas, betas, tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
+def jsd_matrices(alphas, betas) -> np.ndarray:
     """Pairwise JSD [..., K, K] between the beta shapes given as [..., K] arrays.
 
-    Values are memoized per shape pair and ``tol`` for the life of the
-    process: a study meets only a few thousand distinct pairs.  ``jsd`` is
-    bitwise symmetric, so each pair is keyed in sorted order.
+    Values are memoized per shape pair for the life of the process: a
+    study meets only a few thousand distinct pairs.  ``jsd`` is bitwise
+    symmetric, so each pair is keyed in sorted order.
     """
     alphas = np.asarray(alphas, dtype=float)
     k = alphas.shape[-1]
@@ -88,7 +86,7 @@ def jsd_matrices(alphas, betas, tol: float = DEFAULT_QUAD_TOL) -> np.ndarray:
         for a in range(k):
             for b in range(a + 1, k):
                 f, g = sorted((row[a], row[b]))
-                matrix[a, b] = matrix[b, a] = _memo_jsd(*f, *g, tol)
+                matrix[a, b] = matrix[b, a] = _memo_jsd(*f, *g)
     return out.reshape(alphas.shape + (k,))
 
 

@@ -62,7 +62,7 @@ class BhmParams:
 
     def __post_init__(self):
         if not self.phi > 0:
-            raise ValueError(f"half-normal scale phi must be positive, got {self.phi}")
+            raise ValueError(f"phi (the half-normal scale) must be positive, got {self.phi}")
 
     def offsets(self, k: int) -> np.ndarray:
         return np.array([logit(p) for p in _per_basket(self.target_rates, k)])
@@ -82,9 +82,9 @@ class ExnexParams:
 
     def __post_init__(self):
         if not self.phi > 0:
-            raise ValueError(f"half-normal scale phi must be positive, got {self.phi}")
+            raise ValueError(f"phi (the half-normal scale) must be positive, got {self.phi}")
         if not 0.0 < self.q <= 1.0:
-            raise ValueError(f"exchangeability weight q must lie in (0, 1], got {self.q}")
+            raise ValueError(f"q (the exchangeability weight) must lie in (0, 1], got {self.q}")
 
     def nex_arrays(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         return _per_basket(self.nex_means, k), _per_basket(self.nex_sds, k)

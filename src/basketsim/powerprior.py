@@ -24,15 +24,20 @@ class CppParams:
 
     def __post_init__(self):
         if not self.b > 0:
-            raise ValueError(f"CPP slope b must be positive, got {self.b}")
+            raise ValueError(f"b (the CPP slope) must be positive, got {self.b}")
 
 
 def scaled_ks_matrix(responses, sample_sizes) -> np.ndarray:
-    """Size-scaled rate differences [..., K, K] (zero diagonal) of counts [..., K]."""
+    """Size-scaled rate differences [..., K, K] (zero diagonal) of counts [..., K].
+
+    A pair with an empty basket is infinitely far apart, so an empty basket borrows nothing.
+    """
     n = np.asarray(sample_sizes, dtype=float)
-    rates = np.asarray(responses, dtype=float) / n
+    rates = np.asarray(responses, dtype=float) / np.maximum(n, 1.0)
     scale = np.maximum.outer(n, n) ** 0.25
-    return scale * np.abs(rates[..., :, None] - rates[..., None, :])
+    s = scale * np.abs(rates[..., :, None] - rates[..., None, :])
+    s[..., n == 0, :] = s[..., :, n == 0] = np.inf
+    return s
 
 
 def cpp_weights_from_scaled(s: np.ndarray, params: CppParams) -> np.ndarray:
@@ -51,7 +56,7 @@ def cpp_weights_from_scaled(s: np.ndarray, params: CppParams) -> np.ndarray:
 def alpha0_matrix(sample_sizes) -> np.ndarray:
     """Cap min(1, n_k / n_i) on the information borrowed from basket i into basket k."""
     n = np.asarray(sample_sizes, dtype=float)
-    return np.minimum(1.0, n[:, None] / n[None, :])
+    return np.minimum(1.0, n[:, None] / np.maximum(n, 1.0)[None, :])
 
 
 def gamma_matrix(responses, sample_sizes) -> np.ndarray:

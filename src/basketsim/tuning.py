@@ -1,8 +1,10 @@
-"""Two-stage tuning: threshold calibration, then ECD-maximizing grid search.
+"""The study protocol and two-stage tuning.
 
-Stage one picks the smallest grid threshold holding the family-wise error
-rate at alpha under the global null; stage two scores every parameter
-combination by mean ECD over the six response patterns, reusing one
+``study`` runs the protocol for one design: it calibrates the smallest
+grid threshold holding the family-wise error rate at alpha under the
+global null, then scores every scenario at that threshold.
+``grid_search`` calibrates each point of a parameter grid the same way
+and scores it by mean ECD over the six response patterns, reusing one
 generated replicate bank per scenario so all combinations see the same
 data.  Statistics that do not depend on the tuning parameters (scaled
 rate differences, JSD matrices, pooled block marginals) are computed once
@@ -19,7 +21,6 @@ import numpy as np
 
 from .bma import BmaParams
 from .core import (
-    BetaShape,
     CalibrationError,
     ConfigurationError,
     NumericError,
@@ -28,6 +29,8 @@ from .core import (
 from .engine import (
     DesignBank,
     DesignConfig,
+    OperatingCharacteristics,
+    aggregate,
     decisions_from_tails,
     generate_responses,
     scenario_tails_means,
@@ -79,26 +82,45 @@ def smallest_lambda(max_tails: np.ndarray, alpha: float, strict: bool) -> float:
     return _lambda_value(hi)
 
 
-def calibrate_lambda(
-    config: DesignConfig,
-    null_scenario: Scenario,
-    n_reps: int,
-    alpha: float = 0.05,
-    seed: int = 0,
-    p0: float = 0.15,
-    jobs: int = 1,
-    tails: np.ndarray | None = None,
-) -> float:
-    """Calibrate the decision threshold on a global-null replicate bank.
+def null_scenario(scenarios: list[Scenario], p0: float) -> Scenario:
+    """The first global-null scenario (every true rate at or below p0): the calibration bank."""
+    for scenario in scenarios:
+        if not any(scenario.active_truth(p0)):
+            return scenario
+    raise ConfigurationError(f"no global-null scenario (every true rate at or below {p0}) "
+                             f"among scenario ids {[s.id for s in scenarios]}")
 
-    ``tails`` may carry precomputed tail statistics for the same bank, so
-    callers holding evaluated banks skip the re-evaluation.
+
+def study(
+    config: DesignConfig,
+    scenarios: list[Scenario],
+    null: Scenario,
+    n_reps: int,
+    seed: int,
+    p0: float = 0.15,
+    alpha: float = 0.05,
+    jobs: int = 1,
+) -> tuple[float, list[OperatingCharacteristics]]:
+    """The study protocol for one design: calibrate lambda on the global-null bank,
+    then the operating characteristics of every scenario at that lambda.
+
+    A lambda fixed on ``config`` skips the calibration.  The null bank is
+    evaluated once and reused when ``null`` is among ``scenarios``.
     """
-    if any(p > p0 for p in null_scenario.true_rates):
-        raise ValueError("calibration scenario must have all true rates at or below p0")
-    if tails is None:
-        tails, _ = scenario_tails_means(config, null_scenario, n_reps, seed, p0, jobs=jobs)
-    return smallest_lambda(tails.max(axis=1), alpha, config.strict)
+    if n_reps < 1:
+        raise ConfigurationError("n_reps must be at least 1")
+    null_scenario([null], p0)  # raises unless every true rate of null is at or below p0
+    banks = {}  # the null bank, once evaluated for the calibration
+    lam = config.lambda_
+    if lam is None:
+        banks[null.id] = scenario_tails_means(config, null, n_reps, seed, p0, jobs=jobs)
+        lam = smallest_lambda(banks[null.id][0].max(axis=1), alpha, config.strict)
+    ocs = []
+    for scenario in scenarios:
+        tails, means = banks.get(scenario.id) or scenario_tails_means(
+            config, scenario, n_reps, seed, p0, jobs=jobs)
+        ocs.append(aggregate(scenario, decisions_from_tails(tails, lam, config.strict), means, p0))
+    return lam, ocs
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +185,6 @@ def grid_search(
     alpha: float = 0.05,
     seed: int = 0,
     grid: list | None = None,
-    priors: list[BetaShape] | None = None,
     p0: float = 0.15,
 ) -> TuningResult:
     """Score every parameter combination on one size family.
@@ -173,17 +194,15 @@ def grid_search(
     threshold, and the combination maximizing the mean ECD wins (ties
     break toward the earliest grid point).
     """
-    null_scenarios = [s for s in scenarios if all(p <= p0 for p in s.true_rates)]
-    if not null_scenarios:
-        raise ConfigurationError("grid_search needs the family's global-null scenario")
+    null_index = scenarios.index(null_scenario(scenarios, p0))
     grid = default_grid(design) if grid is None else list(grid)
     if not grid:
         raise ConfigurationError("grid_search needs a nonempty parameter grid")
-    strict = DesignConfig(design, grid[0]).strict
+    config = DesignConfig(design, grid[0])  # the priors and decision rule of every point
     banks = [
         DesignBank(
             design, generate_responses(scenario, n_reps, seed), scenario.sample_sizes,
-            priors or [BetaShape(1.0, 1.0)] * scenario.k, p0,
+            config.prior_list(scenario.k), p0,
         )
         for scenario in scenarios
     ]
@@ -191,16 +210,15 @@ def grid_search(
     totals = []  # correct decisions summed over patterns, exact in integers
     for params in grid:
         per_scenario = [bank.tails_means(params)[0] for bank in banks]
-        null_tails = per_scenario[scenarios.index(null_scenarios[0])]
         try:
-            lam = smallest_lambda(null_tails.max(axis=1), alpha, strict)
+            lam = smallest_lambda(per_scenario[null_index].max(axis=1), alpha, config.strict)
         except CalibrationError:
             records.append(TuningRecord(params, math.nan, {}, -math.inf, feasible=False))
             totals.append(None)
             continue
         correct = {}
         for scenario, tails in zip(scenarios, per_scenario):
-            decisions = decisions_from_tails(tails, lam, strict)
+            decisions = decisions_from_tails(tails, lam, config.strict)
             truth = np.asarray(scenario.true_rates, dtype=float) > p0
             correct[scenario.pattern] = int((decisions == truth).sum())
         pattern_ecd = {pattern: c / n_reps for pattern, c in correct.items()}

@@ -24,17 +24,10 @@ from basketsim.core import (
     beta_log_pdf,
     integrate,
 )
-from basketsim.engine import (
-    DESIGNS,
-    DesignBank,
-    DesignConfig,
-    aggregate,
-    decisions_from_tails,
-    scenario_tails_means,
-)
+from basketsim.engine import DESIGNS, DesignBank, DesignConfig, scenario_tails_means
 from basketsim.fujikawa import FujikawaParams, jsd
 from basketsim.powerprior import gamma_matrix
-from basketsim.tuning import grid_search, smallest_lambda
+from basketsim.tuning import grid_search, null_scenario, smallest_lambda, study
 
 # Threshold calibration is grid-quantized and bank-dependent: the design
 # tails are atomic (finitely many data sets), so one 0.001 step of lambda
@@ -118,25 +111,21 @@ def grouped_scenarios():
     return [s for s in builtin_catalog() if s.size_family == "Grouped"]
 
 
+def grouped_study(design):
+    """The study protocol at 10,000 replicates on the grouped family: the calibrated
+    threshold and the operating characteristics by pattern."""
+    scenarios = grouped_scenarios()
+    config = DesignConfig(design, TUNED_PARAMS["Grouped"][design])
+    lam, ocs = study(config, scenarios, null_scenario(scenarios, 0.15), 10_000, SEED,
+                     jobs=JOBS)
+    return lam, {s.pattern: oc for s, oc in zip(scenarios, ocs)}
+
+
 @pytest.fixture(scope="session")
 def grouped_tables():
     """Calibrated 10,000-replicate operating characteristics, grouped family."""
     start = time.perf_counter()
-    results = {}
-    for design in CLOSED_FORM_DESIGNS:
-        config = DesignConfig(design, TUNED_PARAMS["Grouped"][design])
-        banks = {}
-        for scenario in grouped_scenarios():
-            banks[scenario.pattern] = (
-                scenario,
-                *scenario_tails_means(config, scenario, 10_000, SEED, 0.15, jobs=JOBS),
-            )
-        lam = smallest_lambda(banks["Null"][1].max(axis=1), 0.05, config.strict)
-        ocs = {}
-        for pattern, (scenario, tails, means) in banks.items():
-            decisions = decisions_from_tails(tails, lam, config.strict)
-            ocs[pattern] = aggregate(scenario, decisions, means, 0.15)
-        results[design] = (lam, ocs)
+    results = {design: grouped_study(design) for design in CLOSED_FORM_DESIGNS}
     results["elapsed"] = time.perf_counter() - start
     return results
 
@@ -305,25 +294,9 @@ class TestCriterion07McmcDesigns:
         failures = []
         details = []
         for design, (want_fwer, want_ecd) in EXPECTED_MCMC.items():
-            config = DesignConfig(design, TUNED_PARAMS["Grouped"][design])
-            banks = {}
-            for scenario in grouped_scenarios():
-                banks[scenario.pattern] = (
-                    scenario,
-                    *scenario_tails_means(config, scenario, 10_000, SEED, 0.15, jobs=JOBS),
-                )
-            lam = smallest_lambda(banks["Null"][1].max(axis=1), 0.05, config.strict)
-            ecds = []
-            null_fwer = None
-            for pattern, (scenario, tails, means) in banks.items():
-                oc = aggregate(
-                    scenario, decisions_from_tails(tails, lam, config.strict),
-                    means, 0.15,
-                )
-                ecds.append(oc.ecd_mean)
-                if pattern == "Null":
-                    null_fwer = oc.fwer
-            mean_ecd = sum(ecds) / 6
+            _, ocs = grouped_study(design)
+            null_fwer = ocs["Null"].fwer
+            mean_ecd = sum(oc.ecd_mean for oc in ocs.values()) / 6
             details.append(
                 f"{design}: null FWER {null_fwer:.3f} (target {want_fwer}), "
                 f"mean ECD {mean_ecd:.3f} (target {want_ecd})"

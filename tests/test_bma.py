@@ -190,6 +190,20 @@ class TestBmaTailProbs:
         np.testing.assert_allclose(tails_perm, tails[perm], atol=1e-12)
         np.testing.assert_allclose(means_perm, means[perm], atol=1e-12)
 
+    @pytest.mark.parametrize("psi", [bma.MAX_PSI, -bma.MAX_PSI])
+    def test_largest_psi_stays_finite(self, psi):
+        # one block model takes all the weight, with no inf - inf on the way
+        tails, means = bma_tails_means(BasketData((2, 3, 8, 0, 10), (10, 10, 10, 20, 20)), psi)
+        assert np.isfinite(tails).all() and np.isfinite(means).all()
+        pooled = beta_tails(1 + 23, 1 + 47, 0.15)
+        separate = beta_tails([3, 4, 9, 1, 11], [9, 8, 3, 21, 11], 0.15)
+        np.testing.assert_allclose(tails, pooled if psi < 0 else separate, rtol=1e-12)
+
+    @pytest.mark.parametrize("psi", [1e308, -1e308, math.inf, math.nan])
+    def test_overflowing_psi_rejected(self, psi):
+        with pytest.raises(ValueError, match="^psi "):
+            BmaParams(psi)
+
     def test_decision_stats_consistent_with_public_ops(self):
         # the bank kernel and run_design, the one-data-set API, agree bit for bit
         data = BasketData((2, 3, 8), (10, 10, 10))

@@ -9,13 +9,14 @@ import sys
 import pytest
 
 import basketsim
-from basketsim import engine, hierarchical
+from basketsim import cli, engine, hierarchical
 from basketsim.cli import (
     CatalogError,
     build_parser,
     builtin_catalog,
     design_params_from_mapping,
     load_catalog,
+    load_config,
     main,
     manifest_from_args,
     select_designs,
@@ -202,6 +203,37 @@ class TestCommands:
         assert float(rows[0]["null_fwer"]) <= 0.05
         assert rows[0]["design"] == "CPP"
 
+    def test_calibrate_ignores_a_fixed_lambda(self, tmp_path):
+        # calibrate always calibrates; keeping the config's lambda wrote 0.500
+        rows = {}
+        for name, entry in (("fixed", {"a": 4, "b": 4.5, "lambda": 0.5}),
+                            ("free", {"a": 4, "b": 4.5})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"designs": {"CPP": entry}}))
+            out = tmp_path / name
+            assert main(["calibrate", "--config", str(path), "--scenario", "grouped",
+                         "--design", "CPP", "--reps", "300", "--seed", "3",
+                         "--out", str(out)]) == 0
+            rows[name] = read_rows(out / "lambdas.csv")
+        assert rows["fixed"] == rows["free"]
+        assert rows["fixed"][0]["lambda"] != "0.500"
+        assert float(rows["fixed"][0]["null_fwer"]) <= 0.05
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate", "tune"])
+    def test_config_is_read_once(self, command, monkeypatch, tmp_path):
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return load_config(path)
+
+        monkeypatch.setattr(cli, "load_config", counted)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"designs": {"APP": {}}}))
+        assert main([command, "--config", str(path), "--scenario", "linear", "--design",
+                     "APP", "--reps", "20", "--out", str(tmp_path)]) == 0
+        assert reads == [str(path)]
+
     def test_output_header_carries_provenance(self, tmp_path):
         out = tmp_path / "out"
         main(["simulate", "--scenario", "2", "--design", "CPP", "--reps", "5",
@@ -379,6 +411,30 @@ class TestCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "oc.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate", "tune"])
+    def test_config_entry_naming_no_design_is_a_usage_error(self, command, tmp_path, capsys):
+        # a lowercase "cpp" used to be ignored, and the tuned CPP preset calibrated instead
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"designs": {"cpp": {"a": 1, "b": 1, "lambda": 0.5}}}))
+        code = main([command, "--config", str(path), "--scenario", "2",
+                     "--design", "CPP", "--reps", "5", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: designs.cpp: unknown design") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("psi", [1e308, -1e308])
+    def test_overflowing_bma_psi_is_a_usage_error(self, psi, tmp_path, capsys):
+        # C * psi overflowed to inf, and inf - inf wrote nan with exit 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"designs": {"BMA": {"psi": psi, "lambda": 0.9}}}))
+        code = main(["simulate", "--config", str(path), "--scenario", "2",
+                     "--design", "BMA", "--reps", "5", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: designs.BMA.psi ") and err.count("\n") == 1
         assert not (tmp_path / "oc.csv").exists()
 
     def test_report_on_a_non_utf8_csv_is_a_usage_error(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from basketsim import engine, hierarchical
 from basketsim.bma import BmaParams
 from basketsim.cli import builtin_catalog
-from basketsim.core import BasketData, BetaShape, ConfigurationError, Scenario
+from basketsim.core import BasketData, BetaShape, ConfigurationError, Scenario, beta_tails
 from basketsim.engine import (
     DESIGNS,
     DesignBank,
@@ -20,11 +21,11 @@ from basketsim.engine import (
     generate_responses,
     run_design,
     scenario_tails_means,
-    simulate,
 )
 from basketsim.fujikawa import FujikawaParams, jsd_matrices, weights_from_jsd
 from basketsim.hierarchical import BhmParams, ExnexParams
 from basketsim.powerprior import CppParams, PowerPriorBank
+from basketsim.tuning import study
 
 LINEAR_NULL = Scenario(1, (10, 15, 20, 25, 30), (0.15,) * 5, "Null", "Linear")
 GROUPED_ASC = Scenario(8, (10, 10, 25, 25, 30), (0.15, 0.15, 0.25, 0.35, 0.35),
@@ -34,6 +35,13 @@ GROUPED_ALT = Scenario(5, (10, 10, 25, 25, 30), (0.35,) * 5, "Alternative", "Gro
 CPP_CFG = DesignConfig("CPP", CppParams(4, 4.5), lambda_=0.9)
 FUJI_CFG = DesignConfig("Fujikawa", FujikawaParams(1.5, 0.0), lambda_=0.9)
 BMA_CFG = DesignConfig("BMA", BmaParams(-2.0), lambda_=0.9)
+
+
+def simulate(scenario, config, n_reps, master_seed):
+    """One scenario's operating characteristics at the config's fixed lambda."""
+    _, (oc,) = study(config, [scenario], LINEAR_NULL, n_reps, master_seed)
+    return oc
+
 
 CLOSED_FORM = {
     "CPP": CppParams(4, 4.5),
@@ -209,6 +217,18 @@ class TestRunDesign:
         cfg = DesignConfig("BMA", BmaParams(0.0), lambda_=1.0)
         res = run_design(cfg, data, 0.15)
         assert not res.decisions.any()
+
+    @pytest.mark.parametrize("design", ["CPP", "LCPP", "APP"])
+    def test_empty_basket_borrows_nothing(self, design):
+        # CPP used to give an empty basket full borrowing from a 0/0 statistic
+        params = None if design == "APP" else CppParams(4, 4.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_design(DesignConfig(design, params, lambda_=0.9),
+                             BasketData((0, 9), (0, 10)))
+        assert res.tail_probs[0] == beta_tails(1.0, 1.0, 0.15)  # the prior's
+        assert res.posterior_means.tolist() == [0.5, 10 / 12]
+        assert res.decisions.tolist() == [False, True]
 
     def test_missing_lambda_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -127,12 +127,6 @@ class TestJsdMatrices:
         for row, matrix in zip(post, bank):
             np.testing.assert_array_equal(jsd_of(row), matrix)
 
-    def test_tolerance_is_part_of_the_key(self):
-        f, g = BetaShape(4, 8), BetaShape(9, 3)
-        loose = jsd_matrices([[4, 9]], [[8, 3]], tol=1e-3)[0, 0, 1]
-        assert loose == jsd(f, g, tol=1e-3)
-        assert jsd_matrices([[4, 9]], [[8, 3]])[0, 0, 1] == jsd(f, g)
-
 
 class TestFujikawaWeights:
     def test_identical_posteriors_weight_one(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from basketsim.bma import BmaParams, enumerate_partitions
-from basketsim.cli import builtin_catalog
+from basketsim.cli import TUNED_PARAMS, builtin_catalog
 from basketsim.core import BasketData, BetaShape, CalibrationError, Scenario, beta_tails
 from basketsim.engine import (
     DesignBank,
@@ -14,11 +14,13 @@ from basketsim.engine import (
 from basketsim.fujikawa import FujikawaParams, jsd
 from basketsim.hierarchical import BhmParams, ExnexParams
 from basketsim.powerprior import CppParams
+from basketsim import tuning
 from basketsim.tuning import (
-    calibrate_lambda,
     default_grid,
     grid_search,
+    null_scenario,
     smallest_lambda,
+    study,
 )
 from scalar_reference import alpha0, cpp_weight, hellinger_gamma, log_marginal_likelihood
 
@@ -126,23 +128,53 @@ class TestSmallestLambda:
 class TestCalibrateLambda:
     def test_cpp_calibration_minimality(self):
         cfg = DesignConfig("CPP", CppParams(4, 4.5))
-        lam = calibrate_lambda(cfg, GROUPED_NULL, 1500, alpha=0.05, seed=5)
+        lam, _ = study(cfg, [], GROUPED_NULL, 1500, 5, alpha=0.05)
         tails, _ = scenario_tails_means(cfg, GROUPED_NULL, 1500, 5, 0.15)
         max_tails = tails.max(axis=1)
         assert empirical_fwer(max_tails, lam, strict=False) <= 0.05
         assert empirical_fwer(max_tails, lam - 0.001, strict=False) > 0.05
 
-    def test_precomputed_tails_shortcut_agrees(self):
-        cfg = DesignConfig("CPP", CppParams(4, 4.5))
-        tails, _ = scenario_tails_means(cfg, GROUPED_NULL, 800, 9, 0.15)
-        assert calibrate_lambda(cfg, GROUPED_NULL, 800, seed=9) == calibrate_lambda(
-            cfg, GROUPED_NULL, 800, seed=9, tails=tails
-        )
-
     def test_rejects_non_null_scenario(self):
         cfg = DesignConfig("CPP", CppParams(4, 4.5))
         with pytest.raises(ValueError):
-            calibrate_lambda(cfg, GROUPED_ASC, 100, seed=1)
+            study(cfg, [GROUPED_ASC], GROUPED_ASC, 100, 1)
+
+
+class TestStudy:
+    def count_evaluations(self, monkeypatch):
+        calls = []
+
+        def counted(config, scenario, *args, **kwargs):
+            calls.append(scenario.id)
+            return scenario_tails_means(config, scenario, *args, **kwargs)
+
+        monkeypatch.setattr(tuning, "scenario_tails_means", counted)
+        return calls
+
+    def test_null_bank_evaluated_once(self, monkeypatch):
+        calls = self.count_evaluations(monkeypatch)
+        cfg = DesignConfig("CPP", CppParams(4, 4.5))
+        lam, ocs = study(cfg, MINI_FAMILY, GROUPED_NULL, 300, 9)
+        assert sorted(calls) == sorted(s.id for s in MINI_FAMILY)
+        tails, _ = scenario_tails_means(cfg, GROUPED_NULL, 300, 9, 0.15)
+        assert lam == smallest_lambda(tails.max(axis=1), 0.05, strict=False)
+        assert [oc.n_reps for oc in ocs] == [300] * 3
+
+    def test_fixed_lambda_skips_calibration(self, monkeypatch):
+        calls = self.count_evaluations(monkeypatch)
+        cfg = DesignConfig("CPP", CppParams(4, 4.5), lambda_=0.5)
+        lam, _ = study(cfg, [GROUPED_ASC], GROUPED_NULL, 300, 9)
+        assert lam == 0.5 and calls == [GROUPED_ASC.id]
+
+    @pytest.mark.parametrize("design", ["CPP", "APP", "LCPP", "Fujikawa", "BMA"])
+    def test_one_point_grid_search_matches_study(self, design):
+        linear = [s for s in builtin_catalog() if s.size_family == "Linear"]
+        params = TUNED_PARAMS["Linear"][design]
+        record = grid_search(design, linear, 200, seed=4, grid=[params]).records[0]
+        lam, ocs = study(DesignConfig(design, params), linear, null_scenario(linear, 0.15),
+                         200, 4)
+        assert record.lambda_ == lam
+        assert record.pattern_ecd == {s.pattern: oc.ecd_mean for s, oc in zip(linear, ocs)}
 
 
 class TestDefaultGrids:
