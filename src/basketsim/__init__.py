@@ -15,7 +15,6 @@ from .core import (
     Scenario,
     beta_tails,
     integrate,
-    log_beta_function,
 )
 from .engine import (
     DESIGNS,

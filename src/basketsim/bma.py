@@ -20,7 +20,6 @@ from .core import (
     ConfigurationError,
     beta_tails,
     log_beta,
-    log_beta_function,
     row_sums,
 )
 
@@ -139,7 +138,7 @@ class _ModelSpace:
     def log_marginals(self, alphas: np.ndarray, betas: np.ndarray,
                       prior: BetaShape) -> np.ndarray:
         """Per-partition log marginal likelihood [..., M] from subset shapes [..., S]."""
-        subset_lm = log_beta(alphas, betas) - log_beta_function(prior.alpha, prior.beta)
+        subset_lm = log_beta(alphas, betas) - log_beta(prior.alpha, prior.beta)
         padded = np.concatenate([subset_lm, np.zeros(subset_lm.shape[:-1] + (1,))], axis=-1)
         return row_sums(padded[..., self.partition_index])
 

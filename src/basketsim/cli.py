@@ -235,6 +235,9 @@ def load_config(path: str) -> dict:
         ) from exc
     if not isinstance(config, dict):
         raise CatalogError(f"config {path}: top level must be an object")
+    unknown = sorted(set(config) - {"scenarios", "designs"})
+    if unknown:
+        raise CatalogError(f"config {path}: unknown top-level key(s) {unknown}")
     return config
 
 
@@ -577,16 +580,6 @@ def run_command(manifest: RunManifest) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("BASKETSIM_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="basketsim",
@@ -601,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="scenario id, size family, or 'all'")
         cmd.add_argument("--reps", type=int, default=10_000)
         cmd.add_argument("--seed", type=int, default=42)
-        cmd.add_argument("--jobs", type=int, default=_default_jobs())
+        cmd.add_argument("--jobs", type=int, default=1)
         cmd.add_argument("--out", default="out")
         cmd.add_argument("--mcmc-samples", help="accepted and ignored")
         cmd.add_argument("--alpha", type=float, default=0.05)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -180,18 +181,18 @@ def log_beta(a, b) -> np.ndarray:
     return lg[0] + lg[1] - lg[2]
 
 
-def log_beta_function(a: float, b: float) -> float:
-    """ln B(a, b) via log-gamma, bit for bit as ``log_beta``; finite for positive arguments."""
-    if not (a > 0 and b > 0):
-        raise ValueError(f"log_beta_function needs positive arguments, got ({a}, {b})")
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+@lru_cache(maxsize=1 << 12)
+def _log_normalizer(a: float, b: float) -> float:
+    # ln B(a, b) of one shape: adaptive quadrature asks for it once per panel, and
+    # log_beta's array set-up costs some 80 times math.lgamma on a single shape
+    return float(log_beta(a, b))
 
 
 def beta_log_pdf(shape: BetaShape, x: np.ndarray) -> np.ndarray:
     """Log density of Beta(alpha, beta) at points strictly inside (0, 1)."""
     a, b = shape.alpha, shape.beta
     x = np.asarray(x, dtype=float)
-    return (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - log_beta_function(a, b)
+    return (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - _log_normalizer(a, b)
 
 
 def _stirling_error(z: np.ndarray) -> np.ndarray:

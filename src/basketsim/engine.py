@@ -71,6 +71,11 @@ class DesignConfig:
             )
         if self.lambda_ is not None and not 0.0 < self.lambda_ <= 1.0:
             raise ConfigurationError(f"lambda {self.lambda_} outside (0, 1]")
+        # priors the design would ignore: BHM/EXNEX set theirs by params, BMA pools under one
+        if self.priors is not None and self.design in ("BHM", "EXNEX"):
+            raise ConfigurationError(f"design {self.design} takes no priors")
+        if self.design == "BMA" and self.priors and len(set(self.priors)) > 1:
+            raise ConfigurationError("design BMA needs one prior shared by every basket")
 
     @property
     def strict(self) -> bool:
@@ -356,24 +361,20 @@ def aggregate(
     posterior_means: np.ndarray,
     p0: float,
 ) -> OperatingCharacteristics:
-    """Fold per-replicate decisions and estimates into one OC record."""
-    n_reps, k = decisions.shape
-    truth = np.asarray(scenario.true_rates) > p0
-    rejection = _column_means(decisions.astype(float))
-    inactive = ~truth
-    if inactive.any():
-        family_error = decisions[:, inactive].any(axis=1)
-        fwer = math.fsum(family_error.astype(float).tolist()) / n_reps
-    else:
-        fwer = 0.0
-    correct = (decisions == truth[None, :]).sum(axis=1)
-    ecd_mean = math.fsum(correct.astype(float).tolist()) / n_reps
-    mean_of_means = _column_means(posterior_means)
-    bias = [m - p for m, p in zip(mean_of_means, scenario.true_rates)]
+    """Fold per-replicate decisions and estimates into one OC record.
+
+    Rejections, family-wise errors and correct decisions are integer counts,
+    so each rate is the correctly rounded count / n_reps; posterior means are
+    summed with fsum, so the result does not depend on summation order.
+    """
+    n_reps = decisions.shape[0]
+    truth = np.array(scenario.active_truth(p0))
+    family_errors = int(decisions[:, ~truth].any(axis=1).sum())
+    bias = [m - p for m, p in zip(_column_means(posterior_means), scenario.true_rates)]
     return OperatingCharacteristics(
-        ecd_mean=ecd_mean,
-        rejection_rate=tuple(rejection),
-        fwer=fwer,
+        ecd_mean=int((decisions == truth).sum()) / n_reps,
+        rejection_rate=tuple(count / n_reps for count in decisions.sum(axis=0).tolist()),
+        fwer=family_errors / n_reps,
         bias=tuple(bias),
         n_reps=n_reps,
     )

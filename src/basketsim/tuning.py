@@ -3,8 +3,8 @@
 ``study`` runs the protocol for one design: it calibrates the smallest
 grid threshold holding the family-wise error rate at alpha under the
 global null, then scores every scenario at that threshold.
-``grid_search`` calibrates each point of a parameter grid the same way
-and scores it by mean ECD over the six response patterns, reusing one
+``grid_search`` runs the same protocol at each point of a parameter grid
+and scores it by mean ECD over the family's scenarios, reusing one
 generated replicate bank per scenario so all combinations see the same
 data.  Statistics that do not depend on the tuning parameters (scaled
 rate differences, JSD matrices, pooled block marginals) are computed once
@@ -109,16 +109,24 @@ def study(
     """
     if n_reps < 1:
         raise ConfigurationError("n_reps must be at least 1")
+    return _protocol(
+        config, scenarios, null,
+        lambda s: scenario_tails_means(config, s, n_reps, seed, p0, jobs=jobs), p0, alpha)
+
+
+def _protocol(config: DesignConfig, scenarios: list[Scenario], null: Scenario, tails_means,
+              p0: float, alpha: float) -> tuple[float, list[OperatingCharacteristics]]:
+    """``study`` over any source of banks: ``tails_means(scenario)`` gives a scenario's
+    tails and posterior means [R, K] at the parameters of ``config``."""
     null_scenario([null], p0)  # raises unless every true rate of null is at or below p0
     banks = {}  # the null bank, once evaluated for the calibration
     lam = config.lambda_
     if lam is None:
-        banks[null.id] = scenario_tails_means(config, null, n_reps, seed, p0, jobs=jobs)
+        banks[null.id] = tails_means(null)
         lam = smallest_lambda(banks[null.id][0].max(axis=1), alpha, config.strict)
     ocs = []
     for scenario in scenarios:
-        tails, means = banks.get(scenario.id) or scenario_tails_means(
-            config, scenario, n_reps, seed, p0, jobs=jobs)
+        tails, means = banks.get(scenario.id) or tails_means(scenario)
         ocs.append(aggregate(scenario, decisions_from_tails(tails, lam, config.strict), means, p0))
     return lam, ocs
 
@@ -187,48 +195,46 @@ def grid_search(
     grid: list | None = None,
     p0: float = 0.15,
 ) -> TuningResult:
-    """Score every parameter combination on one size family.
+    """Run the study protocol at every parameter combination of one size family.
 
-    For each grid point the threshold is calibrated on the family's
-    global-null pattern, ECD is evaluated on every pattern with that
-    threshold, and the combination maximizing the mean ECD wins (ties
-    break toward the earliest grid point).
+    Each grid point is calibrated on the family's global null and scored by
+    ECD on every scenario, from one replicate bank per scenario shared by all
+    points.  A pattern's ECD is the mean over its scenarios, and the
+    combination maximizing the mean ECD over all scenarios wins (ties break
+    toward the earliest grid point).
     """
-    null_index = scenarios.index(null_scenario(scenarios, p0))
+    null = null_scenario(scenarios, p0)
     grid = default_grid(design) if grid is None else list(grid)
     if not grid:
         raise ConfigurationError("grid_search needs a nonempty parameter grid")
-    config = DesignConfig(design, grid[0])  # the priors and decision rule of every point
-    banks = [
-        DesignBank(
-            design, generate_responses(scenario, n_reps, seed), scenario.sample_sizes,
-            config.prior_list(scenario.k), p0,
-        )
-        for scenario in scenarios
-    ]
+    config = DesignConfig(design, grid[0])  # the priors of every point
+    banks = {
+        s.id: DesignBank(design, generate_responses(s, n_reps, seed), s.sample_sizes,
+                         config.prior_list(s.k), p0)
+        for s in scenarios
+    }
     records = []
-    totals = []  # correct decisions summed over patterns, exact in integers
+    totals = []  # correct decisions summed over scenarios, exact in integers
     for params in grid:
-        per_scenario = [bank.tails_means(params)[0] for bank in banks]
         try:
-            lam = smallest_lambda(per_scenario[null_index].max(axis=1), alpha, config.strict)
+            lam, ocs = _protocol(DesignConfig(design, params), scenarios, null,
+                                 lambda s: banks[s.id].tails_means(params), p0, alpha)
         except CalibrationError:
             records.append(TuningRecord(params, math.nan, {}, -math.inf, feasible=False))
             totals.append(None)
             continue
-        correct = {}
-        for scenario, tails in zip(scenarios, per_scenario):
-            decisions = decisions_from_tails(tails, lam, config.strict)
-            truth = np.asarray(scenario.true_rates, dtype=float) > p0
-            correct[scenario.pattern] = int((decisions == truth).sum())
-        pattern_ecd = {pattern: c / n_reps for pattern, c in correct.items()}
-        mean_ecd = math.fsum(pattern_ecd.values()) / len(pattern_ecd)
+        by_pattern = {}
+        for scenario, oc in zip(scenarios, ocs):
+            by_pattern.setdefault(scenario.pattern, []).append(oc.ecd_mean)
+        pattern_ecd = {pattern: math.fsum(v) / len(v) for pattern, v in by_pattern.items()}
+        mean_ecd = math.fsum(oc.ecd_mean for oc in ocs) / len(ocs)
         records.append(TuningRecord(params, lam, pattern_ecd, mean_ecd))
-        totals.append(sum(correct.values()))
+        totals.append(sum(round(oc.ecd_mean * oc.n_reps) for oc in ocs))
     feasible = [i for i, rec in enumerate(records) if rec.feasible]
     if not feasible:
         raise CalibrationError("no grid combination could be calibrated", min_fwer=math.nan)
-    # every pattern has n_reps replicates, so the integer total orders the
-    # mean ECDs exactly; max() keeps the earliest index on ties
+    # ecd_mean * n_reps rounds back to a scenario's integer count of correct
+    # decisions; every scenario has n_reps replicates, so the integer total
+    # orders the mean ECDs exactly, and max() keeps the earliest index on ties
     best = max(feasible, key=totals.__getitem__)
     return TuningResult(design=design, records=tuple(records), selected_index=best)

@@ -6,7 +6,7 @@ Nothing in ``basketsim`` calls these; the tests compare the kernels against them
 
 import math
 
-from basketsim.core import BetaShape, log_beta_function
+from basketsim.core import BetaShape, log_beta
 from basketsim.powerprior import CppParams
 
 
@@ -40,9 +40,9 @@ def hellinger_gamma(d_k: tuple[int, int], d_i: tuple[int, int]) -> float:
     f = _powered_likelihood_shape(*d_k, d_i[1])
     g = _powered_likelihood_shape(*d_i, d_k[1])
     bc = math.exp(
-        log_beta_function(0.5 * (f.alpha + g.alpha), 0.5 * (f.beta + g.beta))
-        - 0.5 * log_beta_function(f.alpha, f.beta)
-        - 0.5 * log_beta_function(g.alpha, g.beta)
+        log_beta(0.5 * (f.alpha + g.alpha), 0.5 * (f.beta + g.beta))
+        - 0.5 * log_beta(f.alpha, f.beta)
+        - 0.5 * log_beta(g.alpha, g.beta)
     )
     return math.sqrt(min(1.0, max(0.0, 1.0 - bc)))
 
@@ -50,9 +50,9 @@ def hellinger_gamma(d_k: tuple[int, int], d_i: tuple[int, int]) -> float:
 def log_marginal_likelihood(partition, data, prior: BetaShape) -> float:
     """Sum over the partition's blocks of the pooled beta-binomial log marginal,
     binomial coefficients omitted (they cancel across models)."""
-    total, base = 0.0, log_beta_function(prior.alpha, prior.beta)
+    total, base = 0.0, log_beta(prior.alpha, prior.beta)
     for block in partition.blocks():
         r = sum(data.responses[i] for i in block)
         n = sum(data.sample_sizes[i] for i in block)
-        total += log_beta_function(prior.alpha + r, prior.beta + (n - r)) - base
+        total += log_beta(prior.alpha + r, prior.beta + (n - r)) - base
     return total

@@ -90,20 +90,20 @@ class TestEnumeratePartitions:
 
 class TestLogMarginalLikelihood:
     def test_separate_partition_is_additive(self):
-        from basketsim.core import log_beta_function
+        from basketsim.core import log_beta
 
         data = BasketData((3, 7), (10, 20))
         got = kernel_log_marginals(data)[1]  # partition (0, 1)
-        expected = log_beta_function(1 + 3, 1 + 7) + log_beta_function(1 + 7, 1 + 13)
+        expected = log_beta(1 + 3, 1 + 7) + log_beta(1 + 7, 1 + 13)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_pooled_duplicated_data(self):
-        from basketsim.core import log_beta_function
+        from basketsim.core import log_beta
 
         r, n = 4, 12
         data = BasketData((r, r), (n, n))
         got = kernel_log_marginals(data)[0]  # partition (0, 0)
-        assert got == pytest.approx(log_beta_function(1 + 2 * r, 1 + 2 * (n - r)), abs=1e-12)
+        assert got == pytest.approx(log_beta(1 + 2 * r, 1 + 2 * (n - r)), abs=1e-12)
 
     def test_all_partitions_match_grid_oracle(self):
         data = BasketData((2, 3, 8), (10, 10, 10))

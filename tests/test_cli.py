@@ -317,15 +317,10 @@ class TestCommands:
         assert err.startswith("error: ") and "lacks the oc.csv columns" in err
         assert err.count("\n") == 1
 
-    def test_jobs_env_fallback(self, monkeypatch):
-        from basketsim.cli import build_parser
-
+    def test_jobs_defaults_to_one(self, monkeypatch):
+        # --jobs is the one way to set the worker count; the environment is not read
         monkeypatch.setenv("BASKETSIM_JOBS", "3")
-        args = build_parser().parse_args(["simulate"])
-        assert args.jobs == 3
-        monkeypatch.setenv("BASKETSIM_JOBS", "junk")
-        args = build_parser().parse_args(["simulate"])
-        assert args.jobs == 1
+        assert build_parser().parse_args(["simulate"]).jobs == 1
 
     @pytest.mark.parametrize("flags", [
         ["--reps", "0"],
@@ -423,6 +418,18 @@ class TestCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: designs.cpp: unknown design") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate", "tune"])
+    def test_unknown_top_level_config_key_is_a_usage_error(self, command, tmp_path, capsys):
+        # a misspelled "designs" used to be ignored, and the tuned CPP preset calibrated instead
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"desings": {"CPP": {"a": 1, "b": 1, "lambda": 0.5}}}))
+        code = main([command, "--config", str(path), "--scenario", "2",
+                     "--design", "CPP", "--reps", "5", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'desings'" in err and err.count("\n") == 1
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("psi", [1e308, -1e308])

@@ -16,7 +16,6 @@ from basketsim.core import (
     beta_tails,
     integrate,
     log_beta,
-    log_beta_function,
 )
 from basketsim.engine import DesignConfig, run_design
 from basketsim.fujikawa import FujikawaParams
@@ -93,30 +92,33 @@ class TestDomainTypes:
 
 class TestLogBeta:
     def test_b11_is_one(self):
-        assert log_beta_function(1, 1) == 0.0
+        assert log_beta(1, 1) == 0.0
 
     def test_b23_exact_rational(self):
         # B(2,3) = 1!2!/4! = 1/12 by the factorial identity
-        assert log_beta_function(2, 3) == pytest.approx(math.log(1 / 12), abs=1e-12)
+        assert log_beta(2, 3) == pytest.approx(math.log(1 / 12), abs=1e-12)
 
     def test_half_half_is_pi(self):
-        assert log_beta_function(0.5, 0.5) == pytest.approx(math.log(math.pi), abs=1e-12)
+        assert log_beta(0.5, 0.5) == pytest.approx(math.log(math.pi), abs=1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            log_beta_function(0.0, 1.0)
+            log_beta(0.0, 1.0)
 
     @given(a=st.floats(0.01, 500.0), b=st.floats(0.01, 500.0))
     def test_symmetry(self, a, b):
-        assert log_beta_function(a, b) == log_beta_function(b, a)
+        assert log_beta(a, b) == log_beta(b, a)
 
     @settings(max_examples=200, deadline=None)
     @given(a=st.floats(1e-3, 500.0), b=st.floats(1e-3, 500.0))
     def test_scalar_and_array_paths_agree_bitwise(self, a, b):
+        def scalar(u, v):
+            return math.lgamma(u) + math.lgamma(v) - math.lgamma(u + v)
+
         grid = np.array([a, b, 1.0, 7.5])
-        assert log_beta(a, b) == log_beta_function(a, b)
+        assert log_beta(a, b) == scalar(a, b)
         assert log_beta(grid, grid[::-1]).tolist() == [
-            log_beta_function(u, v) for u, v in zip(grid, grid[::-1])]
+            scalar(u, v) for u, v in zip(grid.tolist(), grid[::-1].tolist())]
 
 
 class TestBetaMean:

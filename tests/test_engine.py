@@ -109,6 +109,21 @@ class TestDesignConfig:
         cfg = DesignConfig("APP")
         assert cfg.prior_list(3) == [BetaShape(1, 1)] * 3
 
+    @pytest.mark.parametrize("design,params", [("BHM", BhmParams(phi=0.661)),
+                                               ("EXNEX", ExnexParams(phi=0.661, q=0.9))])
+    def test_hierarchical_designs_reject_priors(self, design, params):
+        # their priors are set by params; basket priors used to be accepted and ignored
+        with pytest.raises(ConfigurationError):
+            DesignConfig(design, params, priors=(BetaShape(1, 1),) * 5)
+
+    def test_bma_rejects_unequal_priors(self):
+        # BMA pools every subset under one prior; the others used to be ignored
+        with pytest.raises(ConfigurationError):
+            DesignConfig("BMA", BmaParams(0.0),
+                         priors=(BetaShape(1, 1),) + (BetaShape(20, 1),) * 4)
+        equal = DesignConfig("BMA", BmaParams(0.0), priors=(BetaShape(2, 3),) * 5)
+        assert equal.prior_list(5) == [BetaShape(2, 3)] * 5
+
 
 class TestGenerateTrial:
     def test_degenerate_rates(self):

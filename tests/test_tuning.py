@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,20 @@ class TestGridSearch:
                              grid=[BmaParams(-2.0), BmaParams(0.0)])
         for rec in result.records:
             assert rec.lambda_ == round(rec.lambda_, 3)
+
+    def test_same_pattern_scenarios_are_averaged(self):
+        # two Alternative scenarios used to collapse into one entry, the later one
+        sizes = (10, 15, 20, 25, 30)
+        family = [Scenario(1, sizes, (0.15,) * 5, "Null", "Linear"),
+                  Scenario(2, sizes, (0.35,) * 5, "Alternative", "Linear"),
+                  Scenario(3, sizes, (0.25,) * 5, "Alternative", "Linear")]
+        record = grid_search("APP", family, 200, seed=5).records[0]
+        lam, ocs = study(DesignConfig("APP"), family, family[0], 200, 5)
+        null, alt2, alt3 = (oc.ecd_mean for oc in ocs)
+        assert alt2 != alt3
+        assert record.lambda_ == lam
+        assert record.pattern_ecd == {"Null": null, "Alternative": (alt2 + alt3) / 2}
+        assert record.mean_ecd == math.fsum([null, alt2, alt3]) / 3
 
     def test_exact_ties_break_toward_earliest_point(self):
         linear = [s for s in builtin_catalog() if s.size_family == "Linear"]
