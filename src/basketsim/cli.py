@@ -214,10 +214,16 @@ def load_catalog(path: str | None = None, config: dict | None = None) -> list[Sc
     if not isinstance(config["scenarios"], list):
         raise CatalogError(f"config {path}: scenarios must be a list")
     scenarios = [_scenario_from_mapping(i, raw) for i, raw in enumerate(config["scenarios"])]
-    # ids key the data streams and the reuse of null tails, so they must be unique
+    # ids key the data streams, so they must be unique; a family is calibrated
+    # on its null and evaluated as one outcome table, so it has one size vector
     for i, scenario in enumerate(scenarios):
         if any(other.id == scenario.id for other in scenarios[:i]):
             raise CatalogError(f"scenarios[{i}].id: duplicate scenario id {scenario.id}")
+        first = next(s for s in scenarios if s.size_family == scenario.size_family)
+        if first.sample_sizes != scenario.sample_sizes:
+            raise CatalogError(f"size family {scenario.size_family} mixes sample sizes: "
+                               f"scenario {first.id} has {list(first.sample_sizes)}, "
+                               f"scenario {scenario.id} has {list(scenario.sample_sizes)}")
     return scenarios
 
 

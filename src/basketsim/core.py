@@ -16,7 +16,6 @@ import numpy as np
 PATTERNS = ("Null", "Alternative", "Ascending", "Descending", "BGN", "SGN")
 SIZE_FAMILIES = ("Linear", "Grouped", "HighVariance")
 
-_LN2 = math.log(2.0)
 
 # Quadrature defaults: beta-type integrands are smooth away from the
 # endpoints, so densities unbounded at 0 or 1 are integrated on a domain

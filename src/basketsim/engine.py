@@ -3,8 +3,8 @@
 Every replicate's data stream is keyed by (master seed, scenario id,
 replicate index) alone, so all designs see identical data sets and any
 replicate can be regenerated independently of evaluation order or worker
-count.  Every design is evaluated deterministically from the data, a bank
-of replicates at a time, so no other randomness is involved.
+count.  Every design is evaluated deterministically from the data, once
+per distinct outcome row, so no other randomness is involved.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .core import (
     weighted_sums,
 )
 from .fujikawa import FujikawaParams, jsd_matrices, weights_from_jsd
-from .hierarchical import BhmParams, ExnexParams, HierarchicalBank, design_tables
+from .hierarchical import BhmParams, ExnexParams, design_tables, posterior_tails_means
 from .powerprior import POWER_PRIOR_VARIANTS, CppParams, PowerPriorBank
 
 DESIGNS = ("CPP", "APP", "LCPP", "Fujikawa", "BMA", "BHM", "EXNEX")
@@ -242,7 +242,7 @@ class DesignBank:
         elif design == "BMA":
             self._bma = BmaBank(r, n, priors[0], p0)
         elif design in ("BHM", "EXNEX"):
-            self._hierarchical = HierarchicalBank(design, responses, sample_sizes, p0)
+            self._hierarchical = (responses, sample_sizes)
         else:
             raise ConfigurationError(f"unknown design {design!r}")
 
@@ -251,7 +251,7 @@ class DesignBank:
         if self.design == "BMA":
             return self._bma.tails_means(params)
         if self.design in ("BHM", "EXNEX"):
-            return self._hierarchical.tails_means(params)
+            return posterior_tails_means(self.design, *self._hierarchical, params, self.p0)
         if self.design == "Fujikawa":
             weights = weights_from_jsd(self._jsd, params)
         else:
@@ -267,26 +267,43 @@ class DesignBank:
                 self._prior[1] + weighted_sums(weights, self._counts[1]))
 
 
-def evaluate_bank(
-    config: DesignConfig,
-    scenario: Scenario,
-    n_reps: int,
-    master_seed: int,
-    p0: float,
-    start: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tail probabilities and posterior means for a block of replicates."""
-    responses = generate_responses(scenario, n_reps, master_seed, start=start)
-    bank = DesignBank(
-        config.design, responses, scenario.sample_sizes,
-        config.prior_list(scenario.k), p0,
-    )
+_BLOCK_ROWS = 4096  # rows per DesignBank: bounds the statistics and temporaries of one bank
+
+
+@dataclass(frozen=True)
+class OutcomeTable:
+    """The distinct outcome rows [U, K] of some scenarios' replicate banks, all of one
+    size vector, and each scenario's bank as indices [R] into those rows."""
+
+    rows: np.ndarray
+    sizes: tuple[int, ...]
+    index: dict
+
+    def blocks(self, jobs: int = 1) -> list[np.ndarray]:
+        """Contiguous row blocks of at most ``_BLOCK_ROWS`` rows; ``jobs`` or more of them
+        when the table has that many rows."""
+        n_rows = len(self.rows)
+        count = min(n_rows, max(jobs, -(-n_rows // _BLOCK_ROWS))) or 1
+        bounds = np.linspace(0, n_rows, count + 1, dtype=int).tolist()
+        return [self.rows[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def outcome_table(scenarios: list[Scenario], n_reps: int, master_seed: int) -> OutcomeTable:
+    """The table of each scenario's bank of ``n_reps`` replicates."""
+    scenarios = list(dict.fromkeys(scenarios))
+    sizes = {s.sample_sizes for s in scenarios}
+    if len(sizes) != 1:
+        raise ConfigurationError(f"the banks do not share one size vector: {sorted(sizes)}")
+    banks = [generate_responses(s, n_reps, master_seed) for s in scenarios]
+    rows, inverse = np.unique(np.concatenate(banks), axis=0, return_inverse=True)
+    index = dict(zip(scenarios, inverse.reshape(len(banks), n_reps)))
+    return OutcomeTable(rows, sizes.pop(), index)
+
+
+def _evaluate_block(args) -> tuple[np.ndarray, np.ndarray]:
+    config, rows, sizes, p0 = args
+    bank = DesignBank(config.design, rows, sizes, config.prior_list(len(sizes)), p0)
     return bank.tails_means(config.params)
-
-
-def _evaluate_chunk(args):
-    config, scenario, start, stop, master_seed, p0 = args
-    return evaluate_bank(config, scenario, stop - start, master_seed, p0, start=start)
 
 
 _POOL: dict = {}  # the live pool under its (jobs, design, params, sizes, p0) key
@@ -305,25 +322,13 @@ def _worker_pool(jobs: int, config: DesignConfig, sizes: tuple, p0: float) -> Pr
     return _POOL[key]
 
 
-def scenario_tails_means(
-    config: DesignConfig,
-    scenario: Scenario,
-    n_reps: int,
-    master_seed: int,
-    p0: float,
-    jobs: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate all replicates, optionally fanned out over worker processes.
-
-    Replicate streams are self-contained, so the result is bit-identical
-    for every chunking and worker count.
-    """
-    if jobs <= 1 or n_reps < 2 * jobs:
-        return evaluate_bank(config, scenario, n_reps, master_seed, p0)
-    bounds = np.linspace(0, n_reps, jobs + 1, dtype=int).tolist()  # chunks of 2 or more
-    tasks = [(config, scenario, a, b, master_seed, p0) for a, b in zip(bounds, bounds[1:])]
-    parts = _worker_pool(jobs, config, scenario.sample_sizes, p0).map(_evaluate_chunk, tasks)
-    tails, means = zip(*parts)
+def evaluate_table(config: DesignConfig, table: OutcomeTable, p0: float,
+                   jobs: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and posterior means [U, K] of every table row, block by block, here or on
+    forked workers.  Every row is computed on its own, so no bit depends on the blocks."""
+    tasks = [(config, rows, table.sizes, p0) for rows in table.blocks(jobs)]
+    mapper = _worker_pool(jobs, config, table.sizes, p0).map if jobs > 1 else map
+    tails, means = zip(*mapper(_evaluate_block, tasks))
     return np.concatenate(tails), np.concatenate(means)
 
 
@@ -340,10 +345,8 @@ def run_design(config: DesignConfig, data: BasketData, p0: float = 0.15) -> Repl
     """Analyze one observed data set with one design: a bank of one."""
     if config.lambda_ is None:
         raise ConfigurationError("run_design needs lambda on the config")
-    bank = DesignBank(
-        config.design, [data.responses], data.sample_sizes, config.prior_list(data.k), p0,
-    )
-    tails, means = (stat[0] for stat in bank.tails_means(config.params))
+    block = (config, [data.responses], data.sample_sizes, p0)
+    tails, means = (stat[0] for stat in _evaluate_block(block))
     return ReplicateResult(
         tail_probs=tails,
         posterior_means=means,

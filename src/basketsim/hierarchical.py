@@ -241,24 +241,17 @@ def design_tables(design: str, sizes: tuple, p0: float, params):
     return [_TABLES[key][o][n] for o, n in zip(offsets, sizes)], nex, q, _grid(*grid_key)[2]
 
 
-class HierarchicalBank:
-    """BHM or EXNEX tails Pr(p > p0) and posterior means over a bank [R, K]."""
-
-    def __init__(self, design: str, responses, sample_sizes, p0: float):
-        r = np.asarray(responses, dtype=np.int64)
-        self.design, self.p0 = design, p0
-        self.sizes = tuple(int(v) for v in np.broadcast_to(sample_sizes, r.shape[1:]))
-        self.rows, inverse = np.unique(r, axis=0, return_inverse=True)
-        self.inverse = inverse.reshape(-1)
-
-    def tails_means(self, params) -> tuple[np.ndarray, np.ndarray]:
-        tables, nex, q, log_w = design_tables(self.design, self.sizes, self.p0, params)
-        tails, means = np.empty((2, *self.rows.shape))
-        step = max(1, _CHUNK_BYTES // (8 * log_w.size))
-        for a in range(0, len(self.rows), step):
-            tails[a:a + step], means[a:a + step] = _posterior(
-                self.rows[a:a + step], tables, nex, q, log_w)
-        return tails[self.inverse], means[self.inverse]
+def posterior_tails_means(design: str, responses, sample_sizes, params,
+                          p0: float) -> tuple[np.ndarray, np.ndarray]:
+    """BHM or EXNEX tails Pr(p > p0) and posterior means [R, K] of a bank [R, K]."""
+    rows = np.asarray(responses, dtype=np.int64)
+    sizes = tuple(int(v) for v in np.broadcast_to(sample_sizes, rows.shape[1:]))
+    tables, nex, q, log_w = design_tables(design, sizes, p0, params)
+    tails, means = np.empty((2, *rows.shape))
+    step = max(1, _CHUNK_BYTES // (8 * log_w.size))
+    for a in range(0, len(rows), step):
+        tails[a:a + step], means[a:a + step] = _posterior(rows[a:a + step], tables, nex, q, log_w)
+    return tails, means
 
 
 def _posterior(rows, tables, nex, q, log_w) -> tuple[np.ndarray, np.ndarray]:
@@ -288,10 +281,10 @@ def _posterior(rows, tables, nex, q, log_w) -> tuple[np.ndarray, np.ndarray]:
 def bhm_posterior_batch(responses, sample_sizes, params: BhmParams, mcmc=None, seeds=None,
                         p0: float = 0.15):
     """(tails, means, ()) of a bank, kept for the benchmark; ``mcmc`` and ``seeds`` are ignored."""
-    return (*HierarchicalBank("BHM", responses, sample_sizes, p0).tails_means(params), ())
+    return (*posterior_tails_means("BHM", responses, sample_sizes, params, p0), ())
 
 
 def exnex_posterior_batch(responses, sample_sizes, params: ExnexParams, mcmc=None, seeds=None,
                           p0: float = 0.15):
     """(tails, means, ()) of a bank, kept for the benchmark; ``mcmc`` and ``seeds`` are ignored."""
-    return (*HierarchicalBank("EXNEX", responses, sample_sizes, p0).tails_means(params), ())
+    return (*posterior_tails_means("EXNEX", responses, sample_sizes, params, p0), ())

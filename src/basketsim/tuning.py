@@ -4,11 +4,11 @@
 grid threshold holding the family-wise error rate at alpha under the
 global null, then scores every scenario at that threshold.
 ``grid_search`` runs the same protocol at each point of a parameter grid
-and scores it by mean ECD over the family's scenarios, reusing one
-generated replicate bank per scenario so all combinations see the same
-data.  Statistics that do not depend on the tuning parameters (scaled
-rate differences, JSD matrices, pooled block marginals) are computed once
-per bank (``engine.DesignBank``) and shared across the grid; BHM and EXNEX
+and scores it by mean ECD over the family's scenarios, on one outcome
+table so all combinations see the same data.  Statistics that do not
+depend on the tuning parameters (scaled rate differences, JSD matrices,
+pooled block marginals) are computed once per block of the table
+(``engine.DesignBank``) and shared across the grid; BHM and EXNEX
 quadrature tables depend on phi alone, so each phi builds them once.
 """
 
@@ -30,10 +30,11 @@ from .engine import (
     DesignBank,
     DesignConfig,
     OperatingCharacteristics,
+    OutcomeTable,
     aggregate,
     decisions_from_tails,
-    generate_responses,
-    scenario_tails_means,
+    evaluate_table,
+    outcome_table,
 )
 from .fujikawa import FujikawaParams
 from .hierarchical import BhmParams, ExnexParams
@@ -104,31 +105,29 @@ def study(
     """The study protocol for one design: calibrate lambda on the global-null bank,
     then the operating characteristics of every scenario at that lambda.
 
-    A lambda fixed on ``config`` skips the calibration.  The null bank is
-    evaluated once and reused when ``null`` is among ``scenarios``.
+    A lambda fixed on ``config`` skips the calibration and the null bank.
+    Each distinct outcome row of the banks is evaluated once.
     """
     if n_reps < 1:
         raise ConfigurationError("n_reps must be at least 1")
-    return _protocol(
-        config, scenarios, null,
-        lambda s: scenario_tails_means(config, s, n_reps, seed, p0, jobs=jobs), p0, alpha)
-
-
-def _protocol(config: DesignConfig, scenarios: list[Scenario], null: Scenario, tails_means,
-              p0: float, alpha: float) -> tuple[float, list[OperatingCharacteristics]]:
-    """``study`` over any source of banks: ``tails_means(scenario)`` gives a scenario's
-    tails and posterior means [R, K] at the parameters of ``config``."""
     null_scenario([null], p0)  # raises unless every true rate of null is at or below p0
-    banks = {}  # the null bank, once evaluated for the calibration
+    table = outcome_table([null, *scenarios] if config.lambda_ is None else scenarios,
+                          n_reps, seed)
+    return _protocol(config, scenarios, null, table,
+                     *evaluate_table(config, table, p0, jobs), p0, alpha)
+
+
+def _protocol(config: DesignConfig, scenarios: list[Scenario], null: Scenario,
+              table: OutcomeTable, tails: np.ndarray, means: np.ndarray,
+              p0: float, alpha: float) -> tuple[float, list[OperatingCharacteristics]]:
+    """``study`` on the tails and posterior means [U, K] of every row of ``table`` at the
+    parameters of ``config``: each scenario's bank is its rows ``table.index[scenario]``."""
     lam = config.lambda_
     if lam is None:
-        banks[null.id] = tails_means(null)
-        lam = smallest_lambda(banks[null.id][0].max(axis=1), alpha, config.strict)
-    ocs = []
-    for scenario in scenarios:
-        tails, means = banks.get(scenario.id) or tails_means(scenario)
-        ocs.append(aggregate(scenario, decisions_from_tails(tails, lam, config.strict), means, p0))
-    return lam, ocs
+        lam = smallest_lambda(tails.max(axis=1)[table.index[null]], alpha, config.strict)
+    decisions = decisions_from_tails(tails, lam, config.strict)
+    return lam, [aggregate(s, decisions[table.index[s]], means[table.index[s]], p0)
+                 for s in scenarios]
 
 
 # ---------------------------------------------------------------------------
@@ -198,27 +197,26 @@ def grid_search(
     """Run the study protocol at every parameter combination of one size family.
 
     Each grid point is calibrated on the family's global null and scored by
-    ECD on every scenario, from one replicate bank per scenario shared by all
-    points.  A pattern's ECD is the mean over its scenarios, and the
-    combination maximizing the mean ECD over all scenarios wins (ties break
-    toward the earliest grid point).
+    ECD on every scenario, from one outcome table shared by all points.  A
+    pattern's ECD is the mean over its scenarios, and the combination
+    maximizing the mean ECD over all scenarios wins (ties break toward the
+    earliest grid point).
     """
     null = null_scenario(scenarios, p0)
     grid = default_grid(design) if grid is None else list(grid)
     if not grid:
         raise ConfigurationError("grid_search needs a nonempty parameter grid")
-    config = DesignConfig(design, grid[0])  # the priors of every point
-    banks = {
-        s.id: DesignBank(design, generate_responses(s, n_reps, seed), s.sample_sizes,
-                         config.prior_list(s.k), p0)
-        for s in scenarios
-    }
+    table = outcome_table(scenarios, n_reps, seed)
+    priors = DesignConfig(design, grid[0]).prior_list(len(table.sizes))  # those of every point
+    banks = [DesignBank(design, rows, table.sizes, priors, p0) for rows in table.blocks()]
     records = []
     totals = []  # correct decisions summed over scenarios, exact in integers
     for params in grid:
+        tails, means = (np.concatenate(part) for part in
+                        zip(*(bank.tails_means(params) for bank in banks)))
         try:
-            lam, ocs = _protocol(DesignConfig(design, params), scenarios, null,
-                                 lambda s: banks[s.id].tails_means(params), p0, alpha)
+            lam, ocs = _protocol(DesignConfig(design, params), scenarios, null, table,
+                                 tails, means, p0, alpha)
         except CalibrationError:
             records.append(TuningRecord(params, math.nan, {}, -math.inf, feasible=False))
             totals.append(None)

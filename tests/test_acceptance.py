@@ -24,7 +24,7 @@ from basketsim.core import (
     beta_log_pdf,
     integrate,
 )
-from basketsim.engine import DESIGNS, DesignBank, DesignConfig, scenario_tails_means
+from basketsim.engine import DESIGNS, DesignBank, DesignConfig, evaluate_table, outcome_table
 from basketsim.fujikawa import FujikawaParams, jsd
 from basketsim.powerprior import gamma_matrix
 from basketsim.tuning import grid_search, null_scenario, smallest_lambda, study
@@ -329,13 +329,12 @@ class TestCriterion09TuningProtocol:
     @pytest.mark.slow
     def test_lambda_minimality_every_design(self):
         null_scenario = next(s for s in grouped_scenarios() if s.pattern == "Null")
+        table = outcome_table([null_scenario], 2000, SEED)
         failures = []
         for design in DESIGNS:
             config = DesignConfig(design, TUNED_PARAMS["Grouped"][design])
-            tails, _ = scenario_tails_means(
-                config, null_scenario, 2000, SEED, 0.15, jobs=JOBS
-            )
-            max_tails = tails.max(axis=1)
+            tails, _ = evaluate_table(config, table, 0.15, jobs=JOBS)
+            max_tails = tails[table.index[null_scenario]].max(axis=1)
             lam = smallest_lambda(max_tails, 0.05, config.strict)
             hits = max_tails > lam if config.strict else max_tails >= lam
             fwer = hits.mean()

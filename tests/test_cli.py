@@ -95,6 +95,24 @@ class TestCatalog:
             load_catalog(str(path))
         assert "scenarios[0]" in str(exc.value)
 
+    def test_family_mixing_sample_sizes_is_a_usage_error(self, tmp_path, capsys):
+        # the lambda calibrated on the [10, 20] null was applied to the [40, 40] scenario
+        config = {"scenarios": [
+            {"id": 1, "sample_sizes": [10, 20], "true_rates": [0.15, 0.15],
+             "pattern": "Null", "size_family": "Linear"},
+            {"id": 2, "sample_sizes": [40, 40], "true_rates": [0.4, 0.15],
+             "pattern": "SGN", "size_family": "Linear"},
+        ]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(path), "--design", "CPP", "--reps", "20",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: size family Linear ") and err.count("\n") == 1
+        assert "scenario 1 " in err and "scenario 2 " in err
+        assert not (tmp_path / "oc.csv").exists()
+
     def test_unknown_field_named_in_error(self, tmp_path):
         config = {
             "scenarios": [{

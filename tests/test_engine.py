@@ -18,14 +18,15 @@ from basketsim.engine import (
     DesignConfig,
     aggregate,
     decisions_from_tails,
+    evaluate_table,
     generate_responses,
+    outcome_table,
     run_design,
-    scenario_tails_means,
 )
 from basketsim.fujikawa import FujikawaParams, jsd_matrices, weights_from_jsd
 from basketsim.hierarchical import BhmParams, ExnexParams
 from basketsim.powerprior import CppParams, PowerPriorBank
-from basketsim.tuning import study
+from basketsim.tuning import smallest_lambda, study
 
 LINEAR_NULL = Scenario(1, (10, 15, 20, 25, 30), (0.15,) * 5, "Null", "Linear")
 GROUPED_ASC = Scenario(8, (10, 10, 25, 25, 30), (0.15, 0.15, 0.25, 0.35, 0.35),
@@ -35,6 +36,13 @@ GROUPED_ALT = Scenario(5, (10, 10, 25, 25, 30), (0.35,) * 5, "Alternative", "Gro
 CPP_CFG = DesignConfig("CPP", CppParams(4, 4.5), lambda_=0.9)
 FUJI_CFG = DesignConfig("Fujikawa", FujikawaParams(1.5, 0.0), lambda_=0.9)
 BMA_CFG = DesignConfig("BMA", BmaParams(-2.0), lambda_=0.9)
+
+
+def bank_tails_means(config, scenario, n_reps, master_seed):
+    """One scenario's tails and posterior means [R, K], through its own outcome table."""
+    table = outcome_table([scenario], n_reps, master_seed)
+    tails, means = evaluate_table(config, table, 0.15)
+    return tails[table.index[scenario]], means[table.index[scenario]]
 
 
 def simulate(scenario, config, n_reps, master_seed):
@@ -301,13 +309,13 @@ class TestSimulate:
         assert 0.0 <= oc.ecd_mean <= 5.0
         # correct and incorrect per-basket calls partition the baskets
         truth = np.asarray(GROUPED_ASC.true_rates) > 0.15
-        tails, _ = scenario_tails_means(FUJI_CFG, GROUPED_ASC, 400, 7, 0.15)
+        tails, _ = bank_tails_means(FUJI_CFG, GROUPED_ASC, 400, 7)
         decisions = decisions_from_tails(tails, 0.8, strict=False)
         errors = (decisions != truth[None, :]).sum(axis=1).mean()
         assert oc.ecd_mean + errors == pytest.approx(5.0, abs=1e-12)
 
     def test_raising_lambda_never_raises_rejection(self):
-        tails, _ = scenario_tails_means(CPP_CFG, GROUPED_ASC, 300, 13, 0.15)
+        tails, _ = bank_tails_means(CPP_CFG, GROUPED_ASC, 300, 13)
         previous = None
         for lam in (0.5, 0.7, 0.9, 0.99):
             rates = decisions_from_tails(tails, lam, strict=False).mean(axis=0)
@@ -316,10 +324,11 @@ class TestSimulate:
             previous = rates
 
     def test_parallel_chunking_is_exact(self):
+        table = outcome_table([GROUPED_ASC, GROUPED_ALT], 60, 21)
         for design, params in ALL_DESIGNS.items():
             cfg = DesignConfig(design, params)
-            tails1, means1 = scenario_tails_means(cfg, GROUPED_ASC, 60, 21, 0.15, jobs=1)
-            tails2, means2 = scenario_tails_means(cfg, GROUPED_ASC, 60, 21, 0.15, jobs=2)
+            tails1, means1 = evaluate_table(cfg, table, 0.15, jobs=1)
+            tails2, means2 = evaluate_table(cfg, table, 0.15, jobs=2)
             np.testing.assert_array_equal(tails1, tails2)
             np.testing.assert_array_equal(means1, means2)
 
@@ -331,7 +340,7 @@ class TestSimulate:
         grouped = [s for s in builtin_catalog() if s.size_family == "Grouped"]
         before = hierarchical.table_builds
         for scenario in grouped:
-            scenario_tails_means(config, scenario, 8, 4, 0.15, jobs=2)
+            evaluate_table(config, outcome_table([scenario], 8, 4), 0.15, jobs=2)
         assert hierarchical.table_builds - before == 1
         pool = engine._worker_pool(2, config, grouped[0].sample_sizes, 0.15)  # the live pool
         answers = [f.result(timeout=60) for f in
@@ -350,6 +359,57 @@ class TestSimulate:
         bank_for_cpp = generate_responses(GROUPED_ASC, 25, 17)
         bank_for_bma = generate_responses(GROUPED_ASC, 25, 17)
         np.testing.assert_array_equal(bank_for_cpp, bank_for_bma)
+
+
+GROUPED_NULL = Scenario(2, (10, 10, 25, 25, 30), (0.15,) * 5, "Null", "Grouped")
+GROUPED_FIXED = Scenario(95, (10, 10, 25, 25, 30), (0.35,) * 5, "Alternative", "Grouped",
+                         fixed_responses=(3, 4, 9, 8, 11))
+
+
+class TestOutcomeTable:
+    def test_rows_are_distinct_and_index_rebuilds_every_bank(self):
+        family = [GROUPED_NULL, GROUPED_ASC, GROUPED_ALT, GROUPED_FIXED]
+        table = outcome_table(family, 200, 3)
+        assert len(np.unique(table.rows, axis=0)) == len(table.rows)
+        for scenario in family:
+            np.testing.assert_array_equal(table.rows[table.index[scenario]],
+                                          generate_responses(scenario, 200, 3))
+        assert len(set(table.index[GROUPED_FIXED].tolist())) == 1
+
+    def test_banks_must_share_one_size_vector(self):
+        with pytest.raises(ConfigurationError, match="one size vector"):
+            outcome_table([LINEAR_NULL, GROUPED_ASC], 5, 1)
+
+    def test_many_blocks_match_one_block(self, monkeypatch):
+        table = outcome_table([GROUPED_NULL, GROUPED_ASC], 30, 8)
+        one_block = {d: evaluate_table(DesignConfig(d, p), table, 0.15)
+                     for d, p in ALL_DESIGNS.items()}
+        monkeypatch.setattr(engine, "_BLOCK_ROWS", 7)
+        blocks = table.blocks()
+        assert len(blocks) >= len(table.rows) // 7 > 1
+        assert max(map(len, blocks)) <= 7
+        np.testing.assert_array_equal(np.concatenate(blocks), table.rows)
+        for design, params in ALL_DESIGNS.items():
+            tails, means = evaluate_table(DesignConfig(design, params), table, 0.15)
+            np.testing.assert_array_equal(tails, one_block[design][0])
+            np.testing.assert_array_equal(means, one_block[design][1])
+
+    @pytest.mark.parametrize("design", ["CPP", "BMA", "BHM"])
+    def test_coinciding_rows_match_per_scenario_evaluation(self, design):
+        # every replicate of the fixed scenario is one row of the table
+        config = DesignConfig(design, ALL_DESIGNS[design])
+        family = [GROUPED_NULL, GROUPED_FIXED, GROUPED_ASC]
+        lam, ocs = study(config, family, GROUPED_NULL, 50, 12)
+        stats = {}
+        for scenario in family:
+            bank = DesignBank(design, generate_responses(scenario, 50, 12),
+                              scenario.sample_sizes, config.prior_list(scenario.k), 0.15)
+            stats[scenario] = bank.tails_means(config.params)
+        assert lam == smallest_lambda(stats[GROUPED_NULL][0].max(axis=1), 0.05, config.strict)
+        for scenario, oc in zip(family, ocs):
+            tails, means = stats[scenario]
+            decisions = decisions_from_tails(tails, lam, config.strict)
+            assert oc == aggregate(scenario, decisions, means, 0.15)
 
 
 class TestAggregate:

@@ -9,10 +9,10 @@ from basketsim.engine import DesignBank
 from basketsim.hierarchical import (
     BhmParams,
     ExnexParams,
-    HierarchicalBank,
     bhm_posterior_batch,
     exnex_posterior_batch,
     logit,
+    posterior_tails_means,
 )
 
 SIZES = (10, 10, 25, 25, 30)
@@ -22,7 +22,7 @@ C = logit(0.15)
 
 
 def tails_means(design, responses, sizes, params):
-    tails, means = HierarchicalBank(design, [responses], sizes, 0.15).tails_means(params)
+    tails, means = posterior_tails_means(design, [responses], sizes, params, 0.15)
     return tails[0], means[0]
 
 
@@ -228,7 +228,7 @@ class TestTableCache:
         before = hierarchical.table_builds
         for _ in range(3):
             bank = rng.binomial(sizes, 0.3, size=(20, 5))
-            HierarchicalBank("EXNEX", bank, sizes, 0.15).tails_means(params)
+            posterior_tails_means("EXNEX", bank, sizes, params, 0.15)
         assert hierarchical.table_builds - before == 1
 
     def test_tables_do_not_depend_on_what_was_built_before(self):
@@ -236,10 +236,9 @@ class TestTableCache:
         rng = np.random.default_rng(9)
         bank = rng.binomial(grouped, 0.25, size=(30, 5))
         params = BhmParams(phi=0.53)  # a phi no other test builds: these tables are fresh
-        fresh = HierarchicalBank("BHM", bank, grouped, 0.15).tails_means(params)
-        HierarchicalBank("BHM", rng.binomial(linear, 0.25, size=(5, 5)), linear,
-                         0.15).tails_means(params)
-        after = HierarchicalBank("BHM", bank, grouped, 0.15).tails_means(params)
+        fresh = posterior_tails_means("BHM", bank, grouped, params, 0.15)
+        posterior_tails_means("BHM", rng.binomial(linear, 0.25, size=(5, 5)), linear, params, 0.15)
+        after = posterior_tails_means("BHM", bank, grouped, params, 0.15)
         for want, got in zip(fresh, after):
             assert np.array_equal(want, got)
 

@@ -9,14 +9,15 @@ from basketsim.core import BasketData, BetaShape, CalibrationError, Scenario, be
 from basketsim.engine import (
     DesignBank,
     DesignConfig,
+    evaluate_table,
     generate_responses,
+    outcome_table,
     run_design,
-    scenario_tails_means,
 )
 from basketsim.fujikawa import FujikawaParams, jsd
 from basketsim.hierarchical import BhmParams, ExnexParams
 from basketsim.powerprior import CppParams
-from basketsim import tuning
+from basketsim import engine
 from basketsim.tuning import (
     default_grid,
     grid_search,
@@ -91,6 +92,17 @@ def reference_tails_means(design, params, data, p0=0.15):
     return stats[:, 0], stats[:, 1]
 
 
+def bank_tails_means(config, scenario, n_reps, seed):
+    """One scenario's tails and posterior means [R, K], through its own outcome table."""
+    table = outcome_table([scenario], n_reps, seed)
+    tails, means = evaluate_table(config, table, 0.15)
+    return tails[table.index[scenario]], means[table.index[scenario]]
+
+
+def distinct_rows(scenarios, n_reps, seed):
+    return {tuple(row) for s in scenarios for row in generate_responses(s, n_reps, seed).tolist()}
+
+
 def empirical_fwer(max_tails, lam, strict):
     hits = max_tails > lam if strict else max_tails >= lam
     return hits.mean()
@@ -131,7 +143,7 @@ class TestCalibrateLambda:
     def test_cpp_calibration_minimality(self):
         cfg = DesignConfig("CPP", CppParams(4, 4.5))
         lam, _ = study(cfg, [], GROUPED_NULL, 1500, 5, alpha=0.05)
-        tails, _ = scenario_tails_means(cfg, GROUPED_NULL, 1500, 5, 0.15)
+        tails, _ = bank_tails_means(cfg, GROUPED_NULL, 1500, 5)
         max_tails = tails.max(axis=1)
         assert empirical_fwer(max_tails, lam, strict=False) <= 0.05
         assert empirical_fwer(max_tails, lam - 0.001, strict=False) > 0.05
@@ -143,30 +155,35 @@ class TestCalibrateLambda:
 
 
 class TestStudy:
-    def count_evaluations(self, monkeypatch):
-        calls = []
+    def count_rows(self, monkeypatch):
+        """The outcome rows every evaluated block holds, in evaluation order."""
+        rows = []
+        evaluate_block = engine._evaluate_block
 
-        def counted(config, scenario, *args, **kwargs):
-            calls.append(scenario.id)
-            return scenario_tails_means(config, scenario, *args, **kwargs)
+        def counted(args):
+            rows.extend(tuple(row) for row in args[1].tolist())
+            return evaluate_block(args)
 
-        monkeypatch.setattr(tuning, "scenario_tails_means", counted)
-        return calls
+        monkeypatch.setattr(engine, "_evaluate_block", counted)
+        return rows
 
     def test_null_bank_evaluated_once(self, monkeypatch):
-        calls = self.count_evaluations(monkeypatch)
+        rows = self.count_rows(monkeypatch)
         cfg = DesignConfig("CPP", CppParams(4, 4.5))
         lam, ocs = study(cfg, MINI_FAMILY, GROUPED_NULL, 300, 9)
-        assert sorted(calls) == sorted(s.id for s in MINI_FAMILY)
-        tails, _ = scenario_tails_means(cfg, GROUPED_NULL, 300, 9, 0.15)
+        # each distinct row of the three banks once, the null's included
+        assert len(rows) == len(set(rows))
+        assert set(rows) == distinct_rows(MINI_FAMILY, 300, 9)
+        tails, _ = bank_tails_means(cfg, GROUPED_NULL, 300, 9)
         assert lam == smallest_lambda(tails.max(axis=1), 0.05, strict=False)
         assert [oc.n_reps for oc in ocs] == [300] * 3
 
     def test_fixed_lambda_skips_calibration(self, monkeypatch):
-        calls = self.count_evaluations(monkeypatch)
+        rows = self.count_rows(monkeypatch)
         cfg = DesignConfig("CPP", CppParams(4, 4.5), lambda_=0.5)
         lam, _ = study(cfg, [GROUPED_ASC], GROUPED_NULL, 300, 9)
-        assert lam == 0.5 and calls == [GROUPED_ASC.id]
+        assert lam == 0.5
+        assert sorted(rows) == sorted(distinct_rows([GROUPED_ASC], 300, 9))
 
     @pytest.mark.parametrize("design", ["CPP", "APP", "LCPP", "Fujikawa", "BMA"])
     def test_one_point_grid_search_matches_study(self, design):
