@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -180,18 +178,11 @@ def log_beta(a, b) -> np.ndarray:
     return lg[0] + lg[1] - lg[2]
 
 
-@lru_cache(maxsize=1 << 12)
-def _log_normalizer(a: float, b: float) -> float:
-    # ln B(a, b) of one shape: adaptive quadrature asks for it once per panel, and
-    # log_beta's array set-up costs some 80 times math.lgamma on a single shape
-    return float(log_beta(a, b))
-
-
 def beta_log_pdf(shape: BetaShape, x: np.ndarray) -> np.ndarray:
     """Log density of Beta(alpha, beta) at points strictly inside (0, 1)."""
     a, b = shape.alpha, shape.beta
     x = np.asarray(x, dtype=float)
-    return (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - _log_normalizer(a, b)
+    return (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - float(log_beta(a, b))
 
 
 def _stirling_error(z: np.ndarray) -> np.ndarray:
@@ -260,25 +251,30 @@ def weighted_sums(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     return row_sums(weights * values[..., None, :])
 
 
+def unique_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``table`` [N, C] in lexicographic order, and each row's index
+    into them: ``np.unique(table, axis=0, return_inverse=True)`` by one lexsort, where
+    numpy sorts a structured view of the rows many times slower."""
+    table = np.asarray(table)
+    order = np.lexsort(table.T[::-1])
+    ordered = table[order]
+    first = np.ones(len(table), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(table), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 # ---------------------------------------------------------------------------
 # Adaptive quadrature (Gauss-Kronrod 7/15 with bisection refinement)
 # ---------------------------------------------------------------------------
 
 # Nodes/weights of the 15-point Kronrod extension of 7-point Gauss-Legendre.
-_XGK = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
-])
-_WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-])
+_XGK = np.array([0.991455371120813, 0.949107912342759, 0.864864423359769, 0.741531185599394,
+                 0.586087235467691, 0.405845151377397, 0.207784955007898, 0.0])
+_WGK = np.array([0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
+                 0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728])
+_WG = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469])
 
 # Full 15-point layout: -x7..-x1, 0, x1..x7 (node 7 is the centre).
 _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
@@ -287,62 +283,63 @@ _GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])  # embedded 7-point subset
 _GAUSS_W = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
-def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched 7/15 Gauss-Kronrod estimates and error gauges per interval."""
+def _gauss_kronrod(f, a, b, which) -> tuple[np.ndarray, np.ndarray]:
+    """7/15 Gauss-Kronrod estimates and error gauges per interval, each summed in
+    node order so that its bits depend on that interval alone."""
     half = 0.5 * (b - a)
-    centre = 0.5 * (a + b)
-    xs = centre[:, None] + half[:, None] * _NODES[None, :]
-    fv = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-    k15 = half * (fv @ _KRONROD_W)
-    g7 = half * (fv[:, _GAUSS_IDX] @ _GAUSS_W)
+    xs = (0.5 * (a + b))[:, None] + half[:, None] * _NODES[None, :]
+    fv = np.asarray(f(xs, which), dtype=float)
+    k15 = half * row_sums(fv * _KRONROD_W)
+    g7 = half * row_sums(fv[:, _GAUSS_IDX] * _GAUSS_W)
     return k15, np.abs(k15 - g7)
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    tol: float = DEFAULT_QUAD_TOL,
-    max_subintervals: int = MAX_SUBINTERVALS,
-) -> float:
-    """Globally adaptive quadrature of a vectorized integrand over [lo, hi].
+def integrate(f, lo, hi, tol: float = DEFAULT_QUAD_TOL,
+              max_subintervals: int = MAX_SUBINTERVALS):
+    """Globally adaptive quadrature of one integral over [lo, hi], or in one pass of a
+    batch of N integrals whose bounds ``lo`` and ``hi`` are arrays [N].
 
-    ``f`` must accept an ndarray of abscissae and return the values; all
-    nodes are strictly interior, so integrable endpoint singularities are
-    tolerated.  Each round bisects every interval holding more than its
-    share of the error budget until the summed error estimate falls below
-    ``tol``.  Exceeding ``max_subintervals`` raises
-    :class:`QuadratureError` carrying the partial estimate.
+    ``f(x)`` returns the integrand at abscissae [M, 15], one row per interval; a
+    batch's ``f(x, which)`` also receives each row's integral [M].  All nodes are
+    strictly interior, so integrable endpoint singularities are tolerated.  Each
+    integral keeps its own intervals, so its bits ignore the batch: each round
+    bisects every interval holding more than its share of the error budget until
+    the summed error estimate falls below ``tol``.  Exceeding ``max_subintervals``
+    raises :class:`QuadratureError` carrying that integral's partial estimate.
     """
-    if not lo < hi:
+    single = np.ndim(lo) == 0
+    lo, hi = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi))
+    if not np.all(lo < hi):
         raise ValueError(f"integration bounds must satisfy lo < hi, got [{lo}, {hi}]")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    a = np.array([lo], dtype=float)
-    b = np.array([hi], dtype=float)
-    k15, err = _gauss_kronrod(f, a, b)
-    n_intervals = 1
-    while True:
-        global_err = math.fsum(err.tolist())
-        if global_err <= tol:
-            return math.fsum(k15.tolist())
-        split = err > tol / (2.0 * err.size)
-        if not split.any():  # sum over tol yet no single offender: split the worst
-            split = err == err.max()
-        n_intervals += int(split.sum())
-        if n_intervals > max_subintervals or not np.isfinite(global_err):
-            raise QuadratureError(
-                f"quadrature did not converge within {max_subintervals} subintervals",
-                math.fsum(k15.tolist()),
-            )
-        sa, sb = a[split], b[split]
-        mid = 0.5 * (sa + sb)
-        ca = np.concatenate([sa, mid])
-        cb = np.concatenate([mid, sb])
-        ck15, cerr = _gauss_kronrod(f, ca, cb)
-        a = np.concatenate([a[~split], ca])
-        b = np.concatenate([b[~split], cb])
-        k15 = np.concatenate([k15[~split], ck15])
-        err = np.concatenate([err[~split], cerr])
-        order = np.argsort(a, kind="stable")
-        a, b, k15, err = a[order], b[order], k15[order], err[order]
+    kernel = (lambda x, which: f(x)) if single else f
+    a, b, which = lo, hi, np.arange(lo.size)  # intervals, grouped by integral
+    k15, err = _gauss_kronrod(kernel, a, b, which)
+    out = np.empty(lo.size)
+    while which.size:
+        starts = np.flatnonzero(np.r_[True, which[1:] != which[:-1]])
+        bounds = starts.tolist() + [which.size]
+        sizes, errs, ests = np.diff(bounds), err.tolist(), k15.tolist()
+        global_err = np.array([math.fsum(errs[i:j]) for i, j in zip(bounds, bounds[1:])])
+        done = global_err <= tol
+        for i in np.flatnonzero(done).tolist():
+            out[which[starts[i]]] = math.fsum(ests[bounds[i]:bounds[i + 1]])
+        split = err > tol / (2.0 * np.repeat(sizes, sizes))
+        # sum over tol yet no single offender: split the worst
+        worst = err == np.repeat(np.maximum.reduceat(err, starts), sizes)
+        split |= worst & np.repeat(~np.logical_or.reduceat(split, starts), sizes)
+        split &= np.repeat(~done, sizes)
+        failed = ~done & ((sizes + np.add.reduceat(split, starts) > max_subintervals)
+                          | ~np.isfinite(global_err))
+        if failed.any():
+            i = int(np.argmax(failed))
+            raise QuadratureError(f"quadrature did not converge within {max_subintervals} "
+                                  "subintervals", math.fsum(ests[bounds[i]:bounds[i + 1]]))
+        keep, mid = np.repeat(~done, sizes) & ~split, 0.5 * (a[split] + b[split])
+        ca, cb, cw = np.r_[a[split], mid], np.r_[mid, b[split]], np.tile(which[split], 2)
+        ck15, cerr = _gauss_kronrod(kernel, ca, cb, cw)
+        order = np.argsort(np.r_[which[keep], cw], kind="stable")  # regroup by integral
+        a, b, which, k15, err = (np.r_[v[keep], c][order] for v, c in (
+            (a, ca), (b, cb), (which, cw), (k15, ck15), (err, cerr)))
+    return float(out[0]) if single else out

@@ -24,6 +24,7 @@ from .core import (
     ConfigurationError,
     Scenario,
     beta_tails,
+    unique_rows,
     weighted_sums,
 )
 from .fujikawa import FujikawaParams, jsd_matrices, weights_from_jsd
@@ -295,7 +296,7 @@ def outcome_table(scenarios: list[Scenario], n_reps: int, master_seed: int) -> O
     if len(sizes) != 1:
         raise ConfigurationError(f"the banks do not share one size vector: {sorted(sizes)}")
     banks = [generate_responses(s, n_reps, master_seed) for s in scenarios]
-    rows, inverse = np.unique(np.concatenate(banks), axis=0, return_inverse=True)
+    rows, inverse = unique_rows(np.concatenate(banks))
     index = dict(zip(scenarios, inverse.reshape(len(banks), n_reps)))
     return OutcomeTable(rows, sizes.pop(), index)
 
@@ -310,8 +311,8 @@ _POOL: dict = {}  # the live pool under its (jobs, design, params, sizes, p0) ke
 
 
 def _worker_pool(jobs: int, config: DesignConfig, sizes: tuple, p0: float) -> ProcessPoolExecutor:
-    """Forked workers for one (design, params, sizes, p0), sharing the BHM/EXNEX tables and
-    JSD memo the parent made first.  A new key shuts the pool down and forks another."""
+    """Forked workers for one (design, params, sizes, p0), sharing the BHM/EXNEX tables
+    the parent made first.  A new key shuts the pool down and forks another."""
     key = (jobs, config.design, config.params, sizes, p0)
     if key not in _POOL:
         while _POOL:

@@ -1,5 +1,8 @@
 """Fujikawa-style borrowing: JSD similarity weights over basket-wise posteriors.
 
+The JSD of every distinct pair of posterior shapes in a bank is integrated in
+one batched adaptive quadrature, each pair on its own intervals.
+
 Unlike the power-prior posterior, ``engine.DesignBank`` sums the basket-wise
 posterior parameters under these weights, priors included, so prior
 information is shared alongside the data.
@@ -9,16 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .core import (
     BetaShape,
     EDGE_EPS,
-    beta_log_pdf,
     integrate,
+    log_beta,
     set_unit_diagonal,
+    unique_rows,
 )
 
 _LN2 = math.log(2.0)
@@ -38,12 +41,16 @@ class FujikawaParams:
             raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
 
 
-def _jsd_integrand(f: BetaShape, g: BetaShape):
-    """Integrand of jsd(f, g); bitwise symmetric in (f, g) at every abscissa."""
+def _jsd_integrand(pairs: np.ndarray):
+    """Integrand of the JSD of each pair (f_alpha, f_beta, g_alpha, g_beta) of ``pairs``
+    [P, 4], at abscissae [M, 15] of pairs ``which`` [M]; bitwise symmetric in (f, g)."""
+    am1, bm1 = pairs[:, 0::2] - 1.0, pairs[:, 1::2] - 1.0
+    norms = log_beta(pairs[:, 0::2], pairs[:, 1::2])  # [P, 2]: ln B of f and of g, once
 
-    def integrand(x: np.ndarray) -> np.ndarray:
-        lw = beta_log_pdf(f, x)
-        lq = beta_log_pdf(g, x)
+    def integrand(x: np.ndarray, which: np.ndarray) -> np.ndarray:
+        log_x, log_1mx = np.log(x), np.log1p(-x)
+        lw, lq = ((am1[which, j, None] * log_x + bm1[which, j, None] * log_1mx
+                   - norms[which, j, None]) for j in (0, 1))
         lm = np.logaddexp(lw, lq) - _LN2
         # exp underflow makes the 0 * log 0 convention automatic here
         return (np.exp(lw) * (lw - lm) + np.exp(lq) * (lq - lm)) / (2.0 * _LN2)
@@ -51,42 +58,36 @@ def _jsd_integrand(f: BetaShape, g: BetaShape):
     return integrand
 
 
+def _pair_jsds(pairs: np.ndarray) -> np.ndarray:
+    """JSD of every pair row of ``pairs`` [P, 4], all in one adaptive pass over the
+    edge-truncated unit interval.  The equal mixture M = (W + Q)/2 is evaluated pointwise
+    (it is a genuine two-component mixture, not a beta), and the two divergence halves
+    are integrated jointly.  Base-2 logs bound the result by 1; equal shapes give 0."""
+    out = np.zeros(len(pairs))
+    live = np.flatnonzero((pairs[:, :2] != pairs[:, 2:]).any(axis=1))
+    lo, hi = np.full((2, live.size), [[EDGE_EPS], [1.0 - EDGE_EPS]])
+    out[live] = np.clip(integrate(_jsd_integrand(pairs[live]), lo, hi), 0.0, 1.0)
+    return out
+
+
 def jsd(f: BetaShape, g: BetaShape) -> float:
-    """Jensen-Shannon divergence between two beta densities, base-2 logs.
-
-    The equal mixture M = (W + Q)/2 is evaluated pointwise inside the
-    integrand (it is a genuine two-component mixture, not a beta), and the
-    two divergence halves are integrated jointly in one adaptive pass over
-    the edge-truncated unit interval.  Base-2 logs bound the result by 1.
-    """
-    if f == g:
-        return 0.0
-    value = integrate(_jsd_integrand(f, g), EDGE_EPS, 1.0 - EDGE_EPS)
-    return min(1.0, max(0.0, value))
-
-
-@lru_cache(maxsize=1 << 16)
-def _memo_jsd(f_alpha: float, f_beta: float, g_alpha: float, g_beta: float) -> float:
-    return jsd(BetaShape(f_alpha, f_beta), BetaShape(g_alpha, g_beta))
+    """Jensen-Shannon divergence between two beta densities, base-2 logs: a batch of one."""
+    return float(_pair_jsds(np.array([[f.alpha, f.beta, g.alpha, g.beta]]))[0])
 
 
 def jsd_matrices(alphas, betas) -> np.ndarray:
-    """Pairwise JSD [..., K, K] between the beta shapes given as [..., K] arrays.
-
-    Values are memoized per shape pair for the life of the process: a
-    study meets only a few thousand distinct pairs.  ``jsd`` is bitwise
-    symmetric, so each pair is keyed in sorted order.
-    """
+    """Pairwise JSD [..., K, K] between the beta shapes given as [..., K] arrays: the
+    bank's distinct shape pairs, smaller shape first, are integrated in one batch, and
+    each pair's bits depend on that pair alone."""
     alphas = np.asarray(alphas, dtype=float)
-    k = alphas.shape[-1]
-    shapes = np.stack([alphas, np.asarray(betas, dtype=float)], axis=-1)
-    rows = shapes.reshape(-1, k, 2).tolist()
-    out = np.zeros((len(rows), k, k))
-    for row, matrix in zip(rows, out):
-        for a in range(k):
-            for b in range(a + 1, k):
-                f, g = sorted((row[a], row[b]))
-                matrix[a, b] = matrix[b, a] = _memo_jsd(*f, *g)
+    k, upper = alphas.shape[-1], np.triu_indices(alphas.shape[-1], 1)
+    stacked = np.stack([alphas, np.asarray(betas, dtype=float)], axis=-1)
+    shapes, ids = unique_rows(stacked.reshape(-1, 2))  # ids follow the shapes' order
+    pair_ids = np.sort(ids.reshape(-1, k)[:, np.stack(upper, axis=-1)], axis=-1)  # [R, P, 2]
+    keys, inverse = unique_rows(pair_ids.reshape(-1, 2))
+    values = _pair_jsds(shapes[keys].reshape(-1, 4))[inverse].reshape(pair_ids.shape[:2])
+    out = np.zeros((len(pair_ids), k, k))
+    out[:, upper[0], upper[1]] = out[:, upper[1], upper[0]] = values
     return out.reshape(alphas.shape + (k,))
 
 

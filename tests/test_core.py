@@ -16,6 +16,7 @@ from basketsim.core import (
     beta_tails,
     integrate,
     log_beta,
+    unique_rows,
 )
 from basketsim.engine import DesignConfig, run_design
 from basketsim.fujikawa import FujikawaParams
@@ -233,3 +234,53 @@ class TestIntegrate:
         with pytest.raises(QuadratureError) as exc:
             integrate(nasty, 0.0, 1.0, tol=1e-12, max_subintervals=8)
         assert math.isfinite(exc.value.partial)
+
+    def test_batch_bits_match_each_integral_alone(self):
+        # each integral keeps its own intervals, so its bits ignore the batch around it
+        scales = np.array([0.5, 3.0, 40.0, 7.0, 0.5])
+        lo, hi = np.array([0.0, 0.2, 0.0, 1.0, 0.0]), np.array([1.0, 0.9, 1.0, 4.0, 1.0])
+
+        def batch(x, which):
+            return np.sin(scales[which, None] * x) / (1.0 + x)
+
+        values = integrate(batch, lo, hi, tol=1e-10)
+        assert values.shape == (5,) and values[0] == values[4]
+        for i in range(5):
+            def one(x):
+                return np.sin(scales[i] * x) / (1.0 + x)
+
+            assert values[i] == integrate(one, lo[i], hi[i], tol=1e-10)
+
+    def test_starved_batch_carries_the_failing_partial(self):
+        def nasty(x):
+            return np.sin(1.0 / (x + 1e-9))
+
+        with pytest.raises(QuadratureError) as alone:
+            integrate(nasty, 0.0, 1.0, tol=1e-12, max_subintervals=8)
+
+        def batch(x, which):
+            return np.where(which[:, None] == 1, nasty(x), 2.0)
+
+        with pytest.raises(QuadratureError) as exc:
+            integrate(batch, np.zeros(3), np.ones(3), tol=1e-12, max_subintervals=8)
+        assert exc.value.partial == alone.value.partial
+
+
+class TestUniqueRows:
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("size", [1, 2, 7, 60])
+    def test_matches_numpy_unique(self, k, size):
+        rng = np.random.default_rng(100 * k + size)
+        bank = rng.integers(0, 4, (size, k))
+        bank = np.concatenate([bank, bank[rng.integers(0, size, size)]])  # duplicates
+        rows, inverse = unique_rows(bank)
+        expected, expected_inverse = np.unique(bank, axis=0, return_inverse=True)
+        np.testing.assert_array_equal(rows, expected)
+        np.testing.assert_array_equal(inverse, expected_inverse.ravel())
+        np.testing.assert_array_equal(rows[inverse], bank)
+
+    def test_float_rows(self):
+        pairs = np.array([[2.0, 9.0, 5.0, 7.0], [1.0, 1.0, 3.0, 3.0], [2.0, 9.0, 5.0, 7.0]])
+        rows, inverse = unique_rows(pairs)
+        np.testing.assert_array_equal(rows, pairs[1::-1])
+        assert inverse.tolist() == [1, 0, 1]

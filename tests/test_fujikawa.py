@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, special
 
 from basketsim.core import EDGE_EPS, BasketData, BetaShape, beta_log_pdf, beta_tails
 from basketsim.engine import DesignBank, DesignConfig, run_design
 from basketsim.fujikawa import (
     FujikawaParams,
     _jsd_integrand,
+    _pair_jsds,
     jsd,
     jsd_matrices,
     weights_from_jsd,
@@ -34,6 +38,35 @@ def jsd_riemann(f, g, points=10 ** 6):
         return density * np.log2(ratio)
 
     return 0.5 * (half(w).sum() + half(q).sum()) / points
+
+
+def jsd_quad(f, g):
+    """scipy.integrate.quad oracle for the base-2 JSD over the same edge-truncated
+    interval: shapes below 1 put up to ~1e-6 of their mass outside it."""
+    cf, cg = special.betaln(f.alpha, f.beta), special.betaln(g.alpha, g.beta)
+
+    def integrand(lx, l1x):
+        lw = (f.alpha - 1) * lx + (f.beta - 1) * l1x - cf
+        lq = (g.alpha - 1) * lx + (g.beta - 1) * l1x - cg
+        lm = np.logaddexp(lw, lq) - math.log(2.0)
+        return 0.5 * (math.exp(lw) * (lw - lm) + math.exp(lq) * (lq - lm))
+
+    # pieces shrink geometrically towards each edge, and the upper half runs in
+    # t = 1 - x, where floats resolve the edge, so quad meets no rough stretch
+    cuts = [EDGE_EPS, 1e-9, 1e-6, 1e-3, 0.5]
+    halves = [lambda t: integrand(math.log(t), math.log1p(-t)),
+              lambda t: integrand(math.log1p(-t), math.log(t))]
+    return math.fsum(integrate.quad(h, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=400)[0]
+                     for h in halves for lo, hi in zip(cuts, cuts[1:])) / math.log(2.0)
+
+
+def study_shape_pairs(count, seed):
+    """``count`` pairs of the basket-wise Beta(1 + r, 1 + n - r) posteriors of the
+    shipped size families, drawn with a fixed seed, as rows (fa, fb, ga, gb)."""
+    shapes = np.array([(1.0 + r, 1.0 + n - r) for n in (10, 15, 20, 25, 30, 50)
+                       for r in range(n + 1)])
+    picks = np.random.default_rng(seed).integers(0, len(shapes), (count, 2))
+    return np.concatenate([shapes[picks[:, 0]], shapes[picks[:, 1]]], axis=1)
 
 
 def jsd_of(posteriors):
@@ -95,20 +128,59 @@ class TestJsd:
     @given(f=shapes, g=shapes)
     def test_integrand_bitwise_symmetric(self, f, g):
         # integrate() sees the same values in either order, so jsd(f, g) and
-        # jsd(g, f) share bits and the memo may key pairs in sorted order
-        xs = np.linspace(EDGE_EPS, 1.0 - EDGE_EPS, 4001)
-        np.testing.assert_array_equal(_jsd_integrand(f, g)(xs), _jsd_integrand(g, f)(xs))
+        # jsd(g, f) share bits and a bank may order each pair as it likes
+        kernel = _jsd_integrand(np.array([[f.alpha, f.beta, g.alpha, g.beta],
+                                          [g.alpha, g.beta, f.alpha, f.beta]]))
+        xs = np.linspace(EDGE_EPS, 1.0 - EDGE_EPS, 4005).reshape(-1, 15)
+        which = np.zeros(len(xs), dtype=int)
+        np.testing.assert_array_equal(kernel(xs, which), kernel(xs, which + 1))
+
+    @pytest.mark.parametrize("f, g", [
+        (BetaShape(1, 61), BetaShape(61, 1)),
+        (BetaShape(1, 11), BetaShape(11, 1)),
+        (BetaShape(1, 1), BetaShape(51, 1)),
+        (BetaShape(16, 16), BetaShape(16, 16)),
+        (BetaShape(0.5, 0.5), BetaShape(200, 200)),
+        (BetaShape(0.5, 200), BetaShape(200, 0.5)),
+    ])
+    def test_extreme_shapes_agree_with_quad(self, f, g):
+        assert jsd(f, g) == pytest.approx(jsd_quad(f, g), abs=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=shapes, g=shapes)
+    def test_agrees_with_quad(self, f, g):
+        assert jsd(f, g) == pytest.approx(jsd_quad(f, g), abs=1e-8)
+
+
+class TestPairJsds:
+    """The batch kernel: each pair on its own intervals, in one pass."""
+
+    def test_study_shapes_agree_with_quad(self):
+        pairs = study_shape_pairs(150, seed=11)
+        for pair, value in zip(pairs.tolist(), _pair_jsds(pairs).tolist()):
+            f, g = BetaShape(*pair[:2]), BetaShape(*pair[2:])
+            assert value == pytest.approx(jsd_quad(f, g), abs=1e-8)
+
+    def test_bits_do_not_depend_on_the_batch(self):
+        pairs = study_shape_pairs(400, seed=3)
+        pairs[::37, 2:] = pairs[::37, :2]  # some equal shapes ride along
+        batch = _pair_jsds(pairs)
+        order = np.random.default_rng(5).permutation(len(pairs))
+        np.testing.assert_array_equal(_pair_jsds(pairs[order]), batch[order])
+        np.testing.assert_array_equal(_pair_jsds(pairs[order[:60]]), batch[order[:60]])
+        alone = [_pair_jsds(pair[None])[0] for pair in pairs]
+        np.testing.assert_array_equal(alone, batch)
+        assert np.all(batch[::37] == 0.0) and np.all(batch[1::37] > 0.0)
 
 
 class TestJsdMatrices:
-    def test_memo_returns_the_bits_of_a_fresh_quadrature(self):
+    def test_bank_returns_the_bits_of_a_fresh_quadrature(self):
         rng = np.random.default_rng(4)
         sizes = np.array([10, 10, 25, 25, 30])
         responses = rng.binomial(sizes, 0.3, size=(30, 5))
         alphas, betas = 1.0 + responses, 1.0 + sizes - responses
-        memo = jsd_matrices(alphas, betas)
-        again = jsd_matrices(alphas, betas)
-        np.testing.assert_array_equal(memo, again)
+        bank = jsd_matrices(alphas, betas)
+        np.testing.assert_array_equal(jsd_matrices(alphas[::-1], betas[::-1]), bank[::-1])
         for row in range(30):
             for a in range(5):
                 for b in range(5):
@@ -116,7 +188,7 @@ class TestJsdMatrices:
                         continue
                     fresh = jsd(BetaShape(alphas[row, a], betas[row, a]),
                                 BetaShape(alphas[row, b], betas[row, b]))
-                    assert memo[row, a, b] == fresh
+                    assert bank[row, a, b] == fresh
 
     def test_bank_rows_match_single_matrices(self):
         post = [[BetaShape(2, 9), BetaShape(5, 7), BetaShape(1, 1)],
