@@ -443,18 +443,32 @@ def command_tune(manifest: RunManifest) -> int:
 # ---------------------------------------------------------------------------
 
 
+_REPORTED = {"basket_index": int, "rejection_rate": float, "bias": float,
+             "ecd_mean": float, "fwer": float}  # the oc.csv fields report parses
+
+
 def _read_oc_csv(path: str) -> list[dict]:
     if not os.path.exists(path):
         raise CatalogError(f"no stored results at {path}; run simulate first")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line for line in fh if not line.startswith("#")]
+            numbered = [(i, line) for i, line in enumerate(fh, 1) if not line.startswith("#")]
     except UnicodeDecodeError as exc:
         raise CatalogError(f"{path} is not UTF-8 text: {exc.reason}") from None
-    reader = csv.DictReader(io.StringIO("".join(lines)))
+    reader = csv.DictReader(io.StringIO("".join(line for _, line in numbered)))
     if not set(CSV_COLUMNS) <= set(reader.fieldnames or ()):
         raise CatalogError(f"{path} lacks the oc.csv columns {','.join(CSV_COLUMNS)}")
-    return list(reader)
+    rows = []
+    for row in reader:
+        for column, parse in _REPORTED.items():
+            try:
+                parse(row[column])
+            except (TypeError, ValueError):
+                line = numbered[reader.line_num - 1][0]
+                raise CatalogError(f"{path} line {line}, column {column}: expected a number, "
+                                   f"got {row[column]!r}") from None
+        rows.append(row)
+    return rows
 
 
 def render_ecd_table(rows: list[dict], family: str) -> str:

@@ -274,11 +274,11 @@ _BLOCK_ROWS = 4096  # rows per DesignBank: bounds the statistics and temporaries
 @dataclass(frozen=True)
 class OutcomeTable:
     """The distinct outcome rows [U, K] of some scenarios' replicate banks, all of one
-    size vector, and each scenario's bank as indices [R] into those rows."""
+    size vector, and each scenario's bank as its replicate count on each row [U]."""
 
     rows: np.ndarray
     sizes: tuple[int, ...]
-    index: dict
+    counts: dict
 
     def blocks(self, jobs: int = 1) -> list[np.ndarray]:
         """Contiguous row blocks of at most ``_BLOCK_ROWS`` rows; ``jobs`` or more of them
@@ -297,8 +297,9 @@ def outcome_table(scenarios: list[Scenario], n_reps: int, master_seed: int) -> O
         raise ConfigurationError(f"the banks do not share one size vector: {sorted(sizes)}")
     banks = [generate_responses(s, n_reps, master_seed) for s in scenarios]
     rows, inverse = unique_rows(np.concatenate(banks))
-    index = dict(zip(scenarios, inverse.reshape(len(banks), n_reps)))
-    return OutcomeTable(rows, sizes.pop(), index)
+    counts = {s: np.bincount(bank, minlength=len(rows))
+              for s, bank in zip(scenarios, inverse.reshape(len(banks), n_reps))}
+    return OutcomeTable(rows, sizes.pop(), counts)
 
 
 def _evaluate_block(args) -> tuple[np.ndarray, np.ndarray]:
@@ -307,29 +308,21 @@ def _evaluate_block(args) -> tuple[np.ndarray, np.ndarray]:
     return bank.tails_means(config.params)
 
 
-_POOL: dict = {}  # the live pool under its (jobs, design, params, sizes, p0) key
-
-
-def _worker_pool(jobs: int, config: DesignConfig, sizes: tuple, p0: float) -> ProcessPoolExecutor:
-    """Forked workers for one (design, params, sizes, p0), sharing the BHM/EXNEX tables
-    the parent made first.  A new key shuts the pool down and forks another."""
-    key = (jobs, config.design, config.params, sizes, p0)
-    if key not in _POOL:
-        while _POOL:
-            _POOL.popitem()[1].shutdown()
-        if config.design in ("BHM", "EXNEX"):
-            design_tables(config.design, sizes, p0, config.params)
-        _POOL[key] = ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("fork"))
-    return _POOL[key]
-
-
 def evaluate_table(config: DesignConfig, table: OutcomeTable, p0: float,
                    jobs: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Tails and posterior means [U, K] of every table row, block by block, here or on
-    forked workers.  Every row is computed on its own, so no bit depends on the blocks."""
+    ``jobs`` workers forked for this call alone.  BHM and EXNEX build their quadrature
+    tables here first, so the workers share them.  Every row is computed on its own, so
+    no bit depends on the blocks."""
     tasks = [(config, rows, table.sizes, p0) for rows in table.blocks(jobs)]
-    mapper = _worker_pool(jobs, config, table.sizes, p0).map if jobs > 1 else map
-    tails, means = zip(*mapper(_evaluate_block, tasks))
+    if jobs > 1:
+        if config.design in ("BHM", "EXNEX"):
+            design_tables(config.design, table.sizes, p0, config.params)
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("fork")) as pool:
+            results = list(pool.map(_evaluate_block, tasks))
+    else:
+        results = list(map(_evaluate_block, tasks))
+    tails, means = zip(*results)
     return np.concatenate(tails), np.concatenate(means)
 
 
@@ -355,30 +348,32 @@ def run_design(config: DesignConfig, data: BasketData, p0: float = 0.15) -> Repl
     )
 
 
-def _column_means(matrix: np.ndarray) -> list[float]:
-    return [math.fsum(matrix[:, k].tolist()) / matrix.shape[0] for k in range(matrix.shape[1])]
-
-
 def aggregate(
     scenario: Scenario,
+    counts: np.ndarray,
     decisions: np.ndarray,
     posterior_means: np.ndarray,
     p0: float,
 ) -> OperatingCharacteristics:
-    """Fold per-replicate decisions and estimates into one OC record.
+    """Fold the decisions and estimates [U, K] of distinct outcome rows, weighted by a
+    bank's replicate count on each row [U], into one OC record.
 
     Rejections, family-wise errors and correct decisions are integer counts,
-    so each rate is the correctly rounded count / n_reps; posterior means are
-    summed with fsum, so the result does not depend on summation order.
+    so each rate is the correctly rounded count / n_reps; each basket's bias
+    is one fsum over its posterior means, each repeated by its row's count,
+    so the result does not depend on row or replicate order.
     """
-    n_reps = decisions.shape[0]
+    n_reps = int(counts.sum())
     truth = np.array(scenario.active_truth(p0))
-    family_errors = int(decisions[:, ~truth].any(axis=1).sum())
-    bias = [m - p for m, p in zip(_column_means(posterior_means), scenario.true_rates)]
+    rejections = (counts @ decisions).tolist()
+    family_errors = int(counts @ decisions[:, ~truth].any(axis=1))
+    correct = sum(r if active else n_reps - r for r, active in zip(rejections, truth))
+    replicate_means = np.repeat(posterior_means, counts, axis=0).T.tolist()
     return OperatingCharacteristics(
-        ecd_mean=int((decisions == truth).sum()) / n_reps,
-        rejection_rate=tuple(count / n_reps for count in decisions.sum(axis=0).tolist()),
+        ecd_mean=correct / n_reps,
+        rejection_rate=tuple(count / n_reps for count in rejections),
         fwer=family_errors / n_reps,
-        bias=tuple(bias),
+        bias=tuple(math.fsum(m) / n_reps - p
+                   for m, p in zip(replicate_means, scenario.true_rates)),
         n_reps=n_reps,
     )

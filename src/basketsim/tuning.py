@@ -23,7 +23,6 @@ from .bma import BmaParams
 from .core import (
     CalibrationError,
     ConfigurationError,
-    NumericError,
     Scenario,
 )
 from .engine import (
@@ -40,47 +39,33 @@ from .fujikawa import FujikawaParams
 from .hierarchical import BhmParams, ExnexParams
 from .powerprior import CppParams
 
-LAMBDA_STEPS = 999  # grid 0.001 .. 0.999, three-decimal resolution
+LAMBDA_GRID = np.arange(1, 1000) / 1000.0  # 0.001 .. 0.999, three-decimal resolution
 
 
-def _lambda_value(step: int) -> float:
-    return step / 1000.0
+def smallest_lambda(max_tails: np.ndarray, counts: np.ndarray, alpha: float,
+                    strict: bool) -> float:
+    """Smallest grid threshold whose FWER over a bank is at most alpha.
 
-
-def smallest_lambda(max_tails: np.ndarray, alpha: float, strict: bool) -> float:
-    """Smallest grid threshold whose empirical FWER is at most alpha.
-
-    On a global-null bank a replicate is a family-wise error iff its
-    maximal tail statistic clears the threshold, so the search is a
-    bisection over the sorted maxima (rejection is monotone in lambda).
+    On a global-null bank a replicate is a family-wise error iff its maximal
+    tail statistic clears the threshold; ``counts`` holds the bank's replicate
+    count on each maximal tail.  One search of the whole grid in the sorted
+    maxima gives the integer error count at every step, and the first step
+    within alpha wins (rejection is monotone in lambda).
     """
-    max_tails = np.sort(np.asarray(max_tails))
-    n = max_tails.size
+    max_tails = np.asarray(max_tails)
+    order = np.argsort(max_tails)
+    cumulative = np.concatenate(([0], np.cumsum(np.asarray(counts)[order])))
+    n = int(cumulative[-1])
     if n == 0:
         raise ValueError("calibration needs at least one replicate")
-    allowed = alpha * n + 1e-9
-
-    def errors(step: int) -> int:
-        side = "right" if strict else "left"
-        return n - int(np.searchsorted(max_tails, _lambda_value(step), side=side))
-
-    if errors(LAMBDA_STEPS) > allowed:
-        raise CalibrationError(
-            "no grid threshold attains the requested error rate",
-            min_fwer=errors(LAMBDA_STEPS) / n,
-        )
-    lo, hi = 1, LAMBDA_STEPS  # invariant: errors(hi) <= allowed
-    if errors(lo) <= allowed:
-        return _lambda_value(lo)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if errors(mid) <= allowed:
-            hi = mid
-        else:
-            lo = mid
-    if not errors(hi) <= allowed < errors(hi - 1):
-        raise NumericError(f"threshold {_lambda_value(hi)} is not minimal on this bank")
-    return _lambda_value(hi)
+    # the number of sorted maxima that each grid step spares
+    spared = np.searchsorted(max_tails[order], LAMBDA_GRID, side="right" if strict else "left")
+    errors = n - cumulative[spared]
+    within = np.flatnonzero(errors <= alpha * n + 1e-9)
+    if not within.size:
+        raise CalibrationError("no grid threshold attains the requested error rate",
+                               min_fwer=int(errors[-1]) / n)
+    return float(LAMBDA_GRID[within[0]])
 
 
 def null_scenario(scenarios: list[Scenario], p0: float) -> Scenario:
@@ -121,13 +106,13 @@ def _protocol(config: DesignConfig, scenarios: list[Scenario], null: Scenario,
               table: OutcomeTable, tails: np.ndarray, means: np.ndarray,
               p0: float, alpha: float) -> tuple[float, list[OperatingCharacteristics]]:
     """``study`` on the tails and posterior means [U, K] of every row of ``table`` at the
-    parameters of ``config``: each scenario's bank is its rows ``table.index[scenario]``."""
+    parameters of ``config``: each scenario's bank weights the rows by its
+    ``table.counts[scenario]``."""
     lam = config.lambda_
     if lam is None:
-        lam = smallest_lambda(tails.max(axis=1)[table.index[null]], alpha, config.strict)
+        lam = smallest_lambda(tails.max(axis=1), table.counts[null], alpha, config.strict)
     decisions = decisions_from_tails(tails, lam, config.strict)
-    return lam, [aggregate(s, decisions[table.index[s]], means[table.index[s]], p0)
-                 for s in scenarios]
+    return lam, [aggregate(s, table.counts[s], decisions, means, p0) for s in scenarios]
 
 
 # ---------------------------------------------------------------------------

@@ -334,8 +334,9 @@ class TestCriterion09TuningProtocol:
         for design in DESIGNS:
             config = DesignConfig(design, TUNED_PARAMS["Grouped"][design])
             tails, _ = evaluate_table(config, table, 0.15, jobs=JOBS)
-            max_tails = tails[table.index[null_scenario]].max(axis=1)
-            lam = smallest_lambda(max_tails, 0.05, config.strict)
+            counts = table.counts[null_scenario]
+            lam = smallest_lambda(tails.max(axis=1), counts, 0.05, config.strict)
+            max_tails = np.repeat(tails.max(axis=1), counts)  # one per replicate
             hits = max_tails > lam if config.strict else max_tails >= lam
             fwer = hits.mean()
             if fwer > 0.05:

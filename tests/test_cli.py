@@ -37,21 +37,42 @@ def run_fresh(script, *args):
     return done.stdout
 
 
-# the head of run_fresh scripts: probe(pool) asks four tasks of a live pool for their
-# worker's scipy modules; each holds its worker so that the next goes to the other one
+# the head of run_fresh scripts: after watch_workers(directory), every forked worker
+# records its scipy modules after each block it evaluates, in a file of its own under
+# directory; a worker's first block waits at a barrier for a second worker's, so both
+# workers of a pool of two answer
 PROBE = """
-import os, sys, time
+import functools, json, os, sys
+from multiprocessing import get_context
 from basketsim import cli, engine
 
 def scipy_modules():
     return os.getpid(), sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-def held():
-    time.sleep(0.3)
-    return scipy_modules()
+def watch_workers(directory):
+    parent, waited = os.getpid(), []
+    barrier = get_context("fork").Barrier(2, timeout=60)
+    evaluate_block = engine._evaluate_block
 
-def probe(pool):
-    return [f.result(timeout=60) for f in [pool.submit(held) for _ in range(4)]]
+    @functools.wraps(evaluate_block)  # pickled by reference as engine._evaluate_block
+    def watched(args):
+        if os.getpid() != parent and not waited:
+            waited.append(True)
+            barrier.wait()
+        result = evaluate_block(args)
+        if os.getpid() != parent:
+            with open(os.path.join(directory, f"{os.getpid()}.json"), "a") as fh:
+                fh.write(json.dumps(scipy_modules()) + "\\n")
+        return result
+
+    engine._evaluate_block = watched
+
+def worker_answers(directory):
+    answers = []
+    for name in os.listdir(directory):
+        with open(os.path.join(directory, name)) as fh:
+            answers += [tuple(json.loads(line)) for line in fh]
+    return answers
 """
 
 
@@ -187,9 +208,7 @@ class TestCommands:
         assert (out1 / "oc.csv").read_bytes() == (out2 / "oc.csv").read_bytes()
 
     def test_parallel_simulate_builds_tables_once_per_family(self, tmp_path):
-        while engine._POOL:  # start with no forked workers and an empty table cache
-            engine._POOL.popitem()[1].shutdown()
-        hierarchical._TABLES.clear()
+        hierarchical._TABLES.clear()  # start with an empty table cache
         before = hierarchical.table_builds
         assert main(["simulate", "--scenario", "all", "--design", "BHM", "--reps", "8",
                      "--seed", "2", "--jobs", "2", "--out", str(tmp_path)]) == 0
@@ -333,6 +352,30 @@ class TestCommands:
         assert main(["report", "--table", "ecd", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "lacks the oc.csv columns" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("column, table", [
+        ("basket_index", "bias"), ("rejection_rate", "rejection"), ("bias", "bias"),
+        ("ecd_mean", "ecd"), ("fwer", "rejection"),
+    ])
+    def test_report_on_a_non_numeric_field_is_a_usage_error(self, column, table, tmp_path,
+                                                              capsys):
+        assert main(["simulate", "--scenario", "grouped", "--design", "CPP", "--reps", "5",
+                     "--seed", "4", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "oc.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        row = next(csv.reader([lines[header + 1]]))  # basket 1 of the first scenario
+        row[next(csv.reader([lines[header]])).index(column)] = "one"
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerow(row)
+        lines[header + 1] = text.getvalue()
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["report", "--table", table, "--family", "grouped",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} line {header + 2}, column {column}: ")
         assert err.count("\n") == 1
 
     def test_jobs_defaults_to_one(self, monkeypatch):
@@ -535,10 +578,13 @@ class TestScipyStaysOut:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("design", ["BHM", "EXNEX"])
     def test_hierarchical_simulate_loads_no_scipy(self, design, jobs, tmp_path):
-        script = PROBE + """
+        watched = tmp_path / "answers"
+        watched.mkdir()
+        script = PROBE + f"""
+watch_workers({str(watched)!r})
 assert cli.main(sys.argv[1:]) == 0
-answers = [scipy_modules()] + [a for pool in engine._POOL.values() for a in probe(pool)]
-print(len({pid for pid, _ in answers}), sum(len(modules) for _, modules in answers))
+answers = [scipy_modules()] + worker_answers({str(watched)!r})
+print(len({{pid for pid, _ in answers}}), sum(len(modules) for _, modules in answers))
 """
         out = run_fresh(script, "simulate", "--scenario", "grouped", "--design", design,
                         "--reps", "8", "--seed", "4", "--jobs", jobs, "--out", str(tmp_path))
@@ -550,12 +596,14 @@ print(len({pid for pid, _ in answers}), sum(len(modules) for _, modules in answe
     @pytest.mark.parametrize("design", engine.DESIGNS)
     def test_no_process_loads_scipy(self, design, tmp_path):
         # simulate and calibrate fan out over a pool of two; tune runs in the parent
-        script = PROBE + """
-answers = []
+        watched = tmp_path / "answers"
+        watched.mkdir()
+        script = PROBE + f"""
+watch_workers({str(watched)!r})
 for command in ("simulate", "calibrate", "tune"):
     assert cli.main([command, *sys.argv[1:]]) == 0
-    answers += [scipy_modules()] + [a for pool in engine._POOL.values() for a in probe(pool)]
-print(len({pid for pid, _ in answers}), sum(len(modules) for _, modules in answers))
+answers = [scipy_modules()] + worker_answers({str(watched)!r})
+print(len({{pid for pid, _ in answers}}), sum(len(modules) for _, modules in answers))
 """
         out = run_fresh(script, "--scenario", "grouped", "--design", design, "--reps", "8",
                         "--seed", "4", "--jobs", "2", "--out", str(tmp_path))

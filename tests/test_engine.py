@@ -1,11 +1,12 @@
+import functools
 import math
 import os
-import time
 import warnings
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from basketsim import engine, hierarchical
@@ -39,10 +40,17 @@ BMA_CFG = DesignConfig("BMA", BmaParams(-2.0), lambda_=0.9)
 
 
 def bank_tails_means(config, scenario, n_reps, master_seed):
-    """One scenario's tails and posterior means [R, K], through its own outcome table."""
+    """The tails and posterior means [R, K] of one scenario's replicates, each row as often
+    as its count, through the scenario's own outcome table."""
     table = outcome_table([scenario], n_reps, master_seed)
     tails, means = evaluate_table(config, table, 0.15)
-    return tails[table.index[scenario]], means[table.index[scenario]]
+    counts = table.counts[scenario]
+    return np.repeat(tails, counts, axis=0), np.repeat(means, counts, axis=0)
+
+
+def ones(n):
+    """Unit counts: every row is one replicate."""
+    return np.ones(n, np.int64)
 
 
 def simulate(scenario, config, n_reps, master_seed):
@@ -82,9 +90,35 @@ def trial(scenario, master_seed, replicate):
     return tuple(generate_responses(scenario, 1, master_seed, start=replicate)[0].tolist())
 
 
-def _worker_table_builds():
-    time.sleep(0.5)  # hold this worker so that the next task goes to the other one
-    return os.getpid(), hierarchical.table_builds
+def watch_workers(monkeypatch, directory):
+    """Have every forked worker record (pid, its quadrature table builds) after each block
+    it evaluates, in a file of its own under ``directory``.  A worker's first block waits at
+    a barrier for a second worker's, so both workers of a pool of two take a block."""
+    parent, waited = os.getpid(), []
+    barrier = get_context("fork").Barrier(2, timeout=60)
+    evaluate_block = engine._evaluate_block
+
+    @functools.wraps(evaluate_block)  # pickled by reference as engine._evaluate_block
+    def watched(args):
+        if os.getpid() != parent and not waited:
+            waited.append(True)
+            barrier.wait()
+        result = evaluate_block(args)
+        if os.getpid() != parent:
+            with open(directory / f"{os.getpid()}.txt", "a") as fh:
+                fh.write(f"{os.getpid()} {hierarchical.table_builds}\n")
+        return result
+
+    monkeypatch.setattr(engine, "_evaluate_block", watched)
+
+
+def worker_answers(directory):
+    """The (pid, table builds) that ``watch_workers`` recorded, and clear them."""
+    answers = []
+    for path in directory.iterdir():
+        answers += [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+        path.unlink()
+    return answers
 
 
 @st.composite
@@ -270,7 +304,7 @@ class TestCorrectDecisions:
     @staticmethod
     def ecd(decisions, true_rates, pattern):
         s = Scenario(95, (10,) * 5, true_rates, pattern, "Linear")
-        return aggregate(s, np.array([decisions]), np.zeros((1, 5)), 0.15).ecd_mean
+        return aggregate(s, ones(1), np.array([decisions]), np.zeros((1, 5)), 0.15).ecd_mean
 
     def test_all_correct(self):
         assert self.ecd([True] * 5, (0.35,) * 5, "Alternative") == 5
@@ -336,17 +370,18 @@ class TestSimulate:
         DesignConfig("BHM", BhmParams(phi=0.59)),
         DesignConfig("EXNEX", ExnexParams(phi=0.59, q=0.7)),
     ], ids=["BHM", "EXNEX"])
-    def test_tables_built_in_parent_only(self, config):
+    def test_tables_built_in_parent_only(self, config, monkeypatch, tmp_path):
         grouped = [s for s in builtin_catalog() if s.size_family == "Grouped"]
+        watch_workers(monkeypatch, tmp_path)
         before = hierarchical.table_builds
         for scenario in grouped:
-            evaluate_table(config, outcome_table([scenario], 8, 4), 0.15, jobs=2)
+            table = outcome_table([scenario], 8, 4)
+            evaluate_table(config, table, 0.15, jobs=2)
+            answers = worker_answers(tmp_path)  # one per block, from the call's own workers
+            assert len(answers) == len(table.blocks(2))
+            assert len({pid for pid, _ in answers} - {os.getpid()}) == 2
+            assert [builds for _, builds in answers] == [0] * len(answers)
         assert hierarchical.table_builds - before == 1
-        pool = engine._worker_pool(2, config, grouped[0].sample_sizes, 0.15)  # the live pool
-        answers = [f.result(timeout=60) for f in
-                   [pool.submit(_worker_table_builds) for _ in range(4)]]
-        assert len({pid for pid, _ in answers} - {os.getpid()}) == 2
-        assert [builds for _, builds in answers] == [0] * 4
 
     def test_mcmc_simulate_deterministic(self):
         cfg = DesignConfig("BHM", BhmParams(phi=0.661), lambda_=0.9)
@@ -367,14 +402,17 @@ GROUPED_FIXED = Scenario(95, (10, 10, 25, 25, 30), (0.35,) * 5, "Alternative", "
 
 
 class TestOutcomeTable:
-    def test_rows_are_distinct_and_index_rebuilds_every_bank(self):
+    def test_rows_are_distinct_and_counts_rebuild_every_bank(self):
         family = [GROUPED_NULL, GROUPED_ASC, GROUPED_ALT, GROUPED_FIXED]
         table = outcome_table(family, 200, 3)
         assert len(np.unique(table.rows, axis=0)) == len(table.rows)
         for scenario in family:
-            np.testing.assert_array_equal(table.rows[table.index[scenario]],
-                                          generate_responses(scenario, 200, 3))
-        assert len(set(table.index[GROUPED_FIXED].tolist())) == 1
+            counts = table.counts[scenario]
+            assert counts.shape == (len(table.rows),) and counts.sum() == 200
+            # the bank's multiset of rows; the table keeps no replicate order
+            assert (sorted(np.repeat(table.rows, counts, axis=0).tolist())
+                    == sorted(generate_responses(scenario, 200, 3).tolist()))
+        assert np.count_nonzero(table.counts[GROUPED_FIXED]) == 1
 
     def test_banks_must_share_one_size_vector(self):
         with pytest.raises(ConfigurationError, match="one size vector"):
@@ -405,11 +443,12 @@ class TestOutcomeTable:
             bank = DesignBank(design, generate_responses(scenario, 50, 12),
                               scenario.sample_sizes, config.prior_list(scenario.k), 0.15)
             stats[scenario] = bank.tails_means(config.params)
-        assert lam == smallest_lambda(stats[GROUPED_NULL][0].max(axis=1), 0.05, config.strict)
+        assert lam == smallest_lambda(stats[GROUPED_NULL][0].max(axis=1), ones(50), 0.05,
+                                      config.strict)
         for scenario, oc in zip(family, ocs):
             tails, means = stats[scenario]
             decisions = decisions_from_tails(tails, lam, config.strict)
-            assert oc == aggregate(scenario, decisions, means, 0.15)
+            assert oc == aggregate(scenario, ones(50), decisions, means, 0.15)
 
 
 class TestAggregate:
@@ -417,12 +456,34 @@ class TestAggregate:
         s = Scenario(94, (10, 10), (0.35, 0.15), "Descending", "Linear")
         decisions = np.array([[True, False], [False, False], [True, True], [True, False]])
         means = np.array([[0.4, 0.2], [0.3, 0.1], [0.5, 0.3], [0.4, 0.2]])
-        oc = aggregate(s, decisions, means, 0.15)
+        oc = aggregate(s, ones(4), decisions, means, 0.15)
         assert oc.rejection_rate == (0.75, 0.25)
         assert oc.fwer == 0.25  # only basket 2 is inactive
         assert oc.ecd_mean == pytest.approx((2 + 1 + 1 + 2) / 4)
         assert oc.bias[0] == pytest.approx(0.4 - 0.35)
         assert oc.bias[1] == pytest.approx(0.2 - 0.15)
+
+    @given(data=st.data(), k=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_weighted_rows_match_their_replicates(self, data, k, seed):
+        counts = np.array(data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=12)))
+        assume(counts.sum() > 0)
+        rates = tuple(data.draw(st.sampled_from([0.15, 0.35])) for _ in range(k))
+        s = Scenario(94, (10,) * k, rates, "Alternative", "Linear")
+        rng = np.random.default_rng(seed)
+        decisions = rng.random((len(counts), k)) < 0.5
+        means = rng.random((len(counts), k))
+        weighted = aggregate(s, counts, decisions, means, 0.15)
+        replicates = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+        assert weighted == aggregate(s, ones(len(replicates)), decisions[replicates],
+                                     means[replicates], 0.15)
+        # rows no replicate lands on change nothing
+        extra_decisions = rng.random((3, k)) < 0.5
+        extra_means = rng.random((3, k))
+        padded = aggregate(s, np.concatenate([counts, np.zeros(3, np.int64)]),
+                           np.concatenate([decisions, extra_decisions]),
+                           np.concatenate([means, extra_means]), 0.15)
+        assert padded == weighted
 
 
 class TestClosedFormBank:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from basketsim.bma import BmaParams, enumerate_partitions
 from basketsim.cli import TUNED_PARAMS, builtin_catalog
@@ -93,10 +95,17 @@ def reference_tails_means(design, params, data, p0=0.15):
 
 
 def bank_tails_means(config, scenario, n_reps, seed):
-    """One scenario's tails and posterior means [R, K], through its own outcome table."""
+    """The tails and posterior means [R, K] of one scenario's replicates, each row as often
+    as its count, through the scenario's own outcome table."""
     table = outcome_table([scenario], n_reps, seed)
     tails, means = evaluate_table(config, table, 0.15)
-    return tails[table.index[scenario]], means[table.index[scenario]]
+    counts = table.counts[scenario]
+    return np.repeat(tails, counts, axis=0), np.repeat(means, counts, axis=0)
+
+
+def ones(n):
+    """Unit counts: every row is one replicate."""
+    return np.ones(n, np.int64)
 
 
 def distinct_rows(scenarios, n_reps, seed):
@@ -110,18 +119,18 @@ def empirical_fwer(max_tails, lam, strict):
 
 class TestSmallestLambda:
     def test_all_zero_tails_needs_smallest_grid_value(self):
-        assert smallest_lambda(np.zeros(500), 0.05, strict=False) == 0.001
+        assert smallest_lambda(np.zeros(500), ones(500), 0.05, strict=False) == 0.001
 
     def test_vacuous_alpha(self):
         rng = np.random.default_rng(1)
-        assert smallest_lambda(rng.random(500), 1.0, strict=False) == 0.001
+        assert smallest_lambda(rng.random(500), ones(500), 1.0, strict=False) == 0.001
 
     def test_minimality_on_random_banks(self):
         rng = np.random.default_rng(7)
         for strict in (False, True):
             for _ in range(25):
                 tails = rng.beta(2, 4, size=800)
-                lam = smallest_lambda(tails, 0.05, strict)
+                lam = smallest_lambda(tails, ones(800), 0.05, strict)
                 assert empirical_fwer(tails, lam, strict) <= 0.05 + 1e-12
                 if lam > 0.001:
                     assert empirical_fwer(tails, lam - 0.001, strict) > 0.05
@@ -129,14 +138,42 @@ class TestSmallestLambda:
     def test_strictness_at_grid_point_mass(self):
         tails = np.full(100, 0.5)
         # Pr >= lambda rejects everything up to 0.5, so 0.501 is needed
-        assert smallest_lambda(tails, 0.05, strict=False) == 0.501
+        assert smallest_lambda(tails, ones(100), 0.05, strict=False) == 0.501
         # Pr > lambda already spares them at exactly 0.5
-        assert smallest_lambda(tails, 0.05, strict=True) == 0.5
+        assert smallest_lambda(tails, ones(100), 0.05, strict=True) == 0.5
 
     def test_unattainable_raises_with_min_fwer(self):
         with pytest.raises(CalibrationError) as exc:
-            smallest_lambda(np.ones(100), 0.05, strict=False)
+            smallest_lambda(np.ones(100), ones(100), 0.05, strict=False)
         assert exc.value.min_fwer == 1.0
+
+    @given(data=st.data(), strict=st.booleans(), alpha=st.sampled_from([0.0, 0.05, 0.2, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_counts_weigh_like_repeated_replicates(self, data, strict, alpha):
+        # maxima on and off the grid, ties, and rows that no replicate lands on
+        tail = st.one_of(st.integers(0, 1000).map(lambda i: i / 1000.0),
+                         st.floats(0.0, 1.0, allow_nan=False))
+        tails = np.array(data.draw(st.lists(tail, min_size=1, max_size=30)))
+        counts = np.array(data.draw(st.lists(st.integers(0, 6), min_size=len(tails),
+                                             max_size=len(tails))))
+        assume(counts.sum() > 0)
+        replicates = np.repeat(tails, counts)
+
+        def outcome(*args):
+            try:
+                return smallest_lambda(*args, alpha, strict)
+            except CalibrationError as exc:
+                return "unattainable", exc.min_fwer
+
+        assert outcome(tails, counts) == outcome(replicates, ones(len(replicates)))
+        # every grid step counted directly on the replicates
+        grid = np.arange(1, 1000) / 1000.0
+        hits = replicates[None, :] > grid[:, None] if strict else replicates >= grid[:, None]
+        errors = hits.sum(axis=1)
+        within = errors <= alpha * len(replicates) + 1e-9
+        expected = (float(grid[np.argmax(within)]) if within.any()
+                    else ("unattainable", errors[-1] / len(replicates)))
+        assert outcome(tails, counts) == expected
 
 
 class TestCalibrateLambda:
@@ -175,7 +212,7 @@ class TestStudy:
         assert len(rows) == len(set(rows))
         assert set(rows) == distinct_rows(MINI_FAMILY, 300, 9)
         tails, _ = bank_tails_means(cfg, GROUPED_NULL, 300, 9)
-        assert lam == smallest_lambda(tails.max(axis=1), 0.05, strict=False)
+        assert lam == smallest_lambda(tails.max(axis=1), ones(300), 0.05, strict=False)
         assert [oc.n_reps for oc in ocs] == [300] * 3
 
     def test_fixed_lambda_skips_calibration(self, monkeypatch):
