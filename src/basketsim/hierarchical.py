@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import NumericError
+
 _CUT_LEVELS = 7  # mu panels halve this many times toward a cut
 _MU_HALF = 8  # unit-width mu panels on either side of a cut
 _S_EDGES = (0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 5.5, 8.5)  # s ~ half-normal(1)
@@ -165,12 +167,25 @@ def _bernstein_lift(sizes: tuple, degree: int) -> np.ndarray:
     return lift
 
 
-def _bernstein(degree: int, eta: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _bernstein_terms(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """j, degree - j and ln C(degree, j) for j = 0..degree, read-only."""
+    j = np.arange(degree + 1.0)
+    terms = (j, degree - j, np.array([_log_comb(degree, i) for i in range(degree + 1)]))
+    for t in terms:
+        t.flags.writeable = False
+    return terms
+
+
+def _bernstein(degree: int, eta: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """B_j(expit(eta)) [degree + 1, *eta.shape], from ln p and ln(1 - p): both are
-    negative, so no large terms cancel."""
-    j = np.arange(degree + 1.0).reshape(-1, *(1,) * eta.ndim)
-    log_comb = np.array([_log_comb(degree, i) for i in range(degree + 1)]).reshape(j.shape)
-    return np.exp(log_comb + j * -np.logaddexp(0.0, -eta) + (degree - j) * -np.logaddexp(0.0, eta))
+    negative, so no large terms cancel.  ``out`` and ``scratch``, of that shape, are
+    reused if given; the result is ``out``."""
+    j, rest, log_comb = (t.reshape(-1, *(1,) * eta.ndim) for t in _bernstein_terms(degree))
+    out = np.multiply(j, -np.logaddexp(0.0, -eta), out=out)
+    out += log_comb
+    out += np.multiply(rest, -np.logaddexp(0.0, eta), out=scratch)
+    return np.exp(out, out=out)
 
 
 def _integrals(sizes: tuple, nu: np.ndarray, sigmas, cut: float) -> dict:
@@ -186,6 +201,8 @@ def _integrals(sizes: tuple, nu: np.ndarray, sigmas, cut: float) -> dict:
     half_sq, kernel = -0.5 * np.square(np.subtract.outer(eta, nu)), np.empty((eta.size, nu.size))
     x, w = _leggauss(_Z_ORDER)
     mass = np.empty((2, degree + 1, len(sigmas), nu.size))  # the basis's mass, and above the cut
+    step = max(1, _CHUNK_BYTES // (8 * (degree + 1) * _Z_ORDER))
+    buffers = np.empty((2, degree + 1, min(step, nu.size), _Z_ORDER))  # the z-rule's basis
     for i, sigma in enumerate(sigmas):
         if sigma > _Z_SIGMA:
             np.exp(np.divide(half_sq, sigma * sigma, out=kernel), out=kernel)
@@ -201,7 +218,12 @@ def _integrals(sizes: tuple, nu: np.ndarray, sigmas, cut: float) -> dict:
             half = 0.5 * (_Z_LIMIT - lower)[:, None]
             z = lower[:, None] + half * (x + 1.0)
             w_z = half * w * np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-            mass[part, :, i] = (_bernstein(degree, nu[:, None] + sigma * z) * w_z).sum(axis=2)
+            for a in range(0, nu.size, step):  # nu slices keep both buffers within budget
+                b = min(a + step, nu.size)
+                v = _bernstein(degree, nu[a:b, None] + sigma * z[a:b],
+                               buffers[0][:, :b - a], buffers[1][:, :b - a])
+                mass[part, :, i, a:b] = np.multiply(v, w_z[a:b], out=v).sum(axis=2)
+    del buffers
     lift = _bernstein_lift(sizes, degree)
     out = np.empty((3, lift.shape[1], len(sigmas) * nu.size))
     for part, (row, basis_part) in enumerate(((0, 0), (0, 1), (1, 0))):  # mass, tail, mean
@@ -243,34 +265,43 @@ def design_tables(design: str, sizes: tuple, p0: float, params):
 
 def posterior_tails_means(design: str, responses, sample_sizes, params,
                           p0: float) -> tuple[np.ndarray, np.ndarray]:
-    """BHM or EXNEX tails Pr(p > p0) and posterior means [R, K] of a bank [R, K]."""
+    """BHM or EXNEX tails Pr(p > p0) and posterior means [R, K] of a bank [R, K]; a data
+    set whose likelihood mass underflows at every grid node raises NumericError."""
     rows = np.asarray(responses, dtype=np.int64)
     sizes = tuple(int(v) for v in np.broadcast_to(sample_sizes, rows.shape[1:]))
     tables, nex, q, log_w = design_tables(design, sizes, p0, params)
+    codes, logs, divisors = np.empty(rows.shape, dtype=np.intp), [], []
+    for k, table in enumerate(tables):  # each basket's mixture once per response count seen
+        seen, codes[:, k] = np.unique(rows[:, k], return_inverse=True)
+        m = q * table[0, seen] + (1.0 - q) * nex[k][0, seen, None]
+        with np.errstate(divide="ignore"):
+            logs.append(np.log(m))
+        divisors.append(np.where(m == 0.0, 1.0, m))  # where m is 0, w is 0 and w / 1 is 0
     tails, means = np.empty((2, *rows.shape))
     step = max(1, _CHUNK_BYTES // (8 * log_w.size))
     for a in range(0, len(rows), step):
-        tails[a:a + step], means[a:a + step] = _posterior(rows[a:a + step], tables, nex, q, log_w)
+        chunk = slice(a, a + step)
+        log_post = np.tile(log_w, (len(rows[chunk]), 1))
+        for k, log_m in enumerate(logs):
+            log_post += log_m[codes[chunk, k]]
+        top = log_post.max(axis=1, keepdims=True)
+        if not np.isfinite(top).all():  # at every grid node some basket's mass underflows
+            bad = rows[chunk][~np.isfinite(top[:, 0])][0].tolist()
+            raise NumericError(f"{design} posterior of responses {bad} with sizes "
+                               f"{list(sizes)} underflows to 0 at every grid node")
+        tails[chunk], means[chunk] = _posterior(
+            rows[chunk], codes[chunk], np.exp(log_post - top), divisors, tables, nex, q)
     return tails, means
 
 
-def _posterior(rows, tables, nex, q, log_w) -> tuple[np.ndarray, np.ndarray]:
-    """Tails and means [C, K] for C data sets, each summed over the grid in its own row."""
-    log_post = np.tile(log_w, (len(rows), 1))
-    mixed = []
-    with np.errstate(divide="ignore"):
-        for k, table in enumerate(tables):
-            r = rows[:, k]
-            m = q * table[0, r] + (1.0 - q) * nex[k][0, r, None]
-            log_post += np.log(m)
-            mixed.append(m)
-    w = np.exp(log_post - log_post.max(axis=1, keepdims=True))
+def _posterior(rows, codes, w, divisors, tables, nex, q) -> tuple[np.ndarray, np.ndarray]:
+    """Tails and means [C, K] of C data sets from their grid weights w [C, grid], each
+    summed over the grid in its own row."""
     total = w.sum(axis=1)
     tails, means = np.empty((2, *rows.shape))
-    positive, v = w > 0, np.zeros_like(w)  # one mask for every basket: v stays 0 off it
     for k, table in enumerate(tables):
         r = rows[:, k]
-        np.divide(w, mixed[k], out=v, where=positive)
+        v = w / divisors[k][codes[:, k]]
         v_total = v.sum(axis=1)
         for out, part in ((tails, 1), (means, 2)):
             out[:, k] = (q * (v * table[part, r]).sum(axis=1)

@@ -6,6 +6,8 @@ Nothing in ``basketsim`` calls these; the tests compare the kernels against them
 
 import math
 
+import numpy as np
+
 from basketsim.core import BetaShape, log_beta
 from basketsim.powerprior import CppParams
 
@@ -56,3 +58,30 @@ def log_marginal_likelihood(partition, data, prior: BetaShape) -> float:
         n = sum(data.sample_sizes[i] for i in block)
         total += log_beta(prior.alpha + r, prior.beta + (n - r)) - base
     return total
+
+
+def hierarchical_posterior(rows, tables, nex, q, log_w):
+    """BHM or EXNEX tails and means [C, K] of data rows [C, K] from a model's
+    ``hierarchical.design_tables``: every row's mixture q * table + (1 - q) * nex gathered
+    and its log taken over the whole grid, and each basket's grid weights divided by its
+    mixture only where the weight is positive."""
+    log_post = np.tile(log_w, (len(rows), 1))
+    mixed = []
+    with np.errstate(divide="ignore"):
+        for k, table in enumerate(tables):
+            r = rows[:, k]
+            m = q * table[0, r] + (1.0 - q) * nex[k][0, r, None]
+            log_post += np.log(m)
+            mixed.append(m)
+    w = np.exp(log_post - log_post.max(axis=1, keepdims=True))
+    total = w.sum(axis=1)
+    tails, means = np.empty((2, *rows.shape))
+    positive, v = w > 0, np.zeros_like(w)
+    for k, table in enumerate(tables):
+        r = rows[:, k]
+        np.divide(w, mixed[k], out=v, where=positive)
+        v_total = v.sum(axis=1)
+        for out, part in ((tails, 1), (means, 2)):
+            out[:, k] = (q * (v * table[part, r]).sum(axis=1)
+                         + (1.0 - q) * nex[k][part, r] * v_total) / total
+    return np.minimum(tails, 1.0), means

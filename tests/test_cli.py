@@ -22,6 +22,7 @@ from basketsim.cli import (
     select_designs,
     select_scenarios,
 )
+from basketsim.hierarchical import BhmParams
 from basketsim.powerprior import CppParams
 from scalar_reference import cpp_weight
 
@@ -450,6 +451,25 @@ class TestCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: scenarios[0].{where}: ") and err.count("\n") == 1
+        assert not (tmp_path / "oc.csv").exists()
+
+    def test_posterior_without_finite_mass_is_a_numeric_failure(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # every replicate is (0, 30): under opposed targets and phi 1e-6 one basket's
+        # likelihood mass underflows at every grid node; the nan tails used to surface
+        # as a calibration failure that named no data set
+        monkeypatch.setitem(cli.TUNED_PARAMS["Grouped"], "BHM",
+                            BhmParams(phi=1e-6, target_rates=(1 - 1e-12, 1e-12)))
+        scenario = {"id": 1, "sample_sizes": [30, 30], "true_rates": [0.15, 0.15],
+                    "pattern": "Null", "size_family": "Grouped", "fixed_responses": [0, 30]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenarios": [scenario]}))
+        code = main(["simulate", "--config", str(path), "--design", "BHM",
+                     "--reps", "5", "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: BHM posterior of responses [0, 30] ")
+        assert err.count("\n") == 1
         assert not (tmp_path / "oc.csv").exists()
 
     @pytest.mark.parametrize("content, message", [

@@ -14,11 +14,15 @@ from basketsim.hierarchical import (
     logit,
     posterior_tails_means,
 )
+from scalar_reference import hierarchical_posterior
 
 SIZES = (10, 10, 25, 25, 30)
 DATA = (2, 5, 1, 4, 9)
 NO_DATA = ((0,) * 5, (0,) * 5)
 C = logit(0.15)
+HIGH_VARIANCE = (10, 10, 10, 20, 50)
+PAPER_SIZES = {"Grouped": (10, 10, 25, 25, 30), "Linear": (10, 15, 20, 25, 30),
+               "HighVariance": HIGH_VARIANCE, "small": (0, 3, 7)}
 
 
 def tails_means(design, responses, sizes, params):
@@ -126,6 +130,12 @@ def assert_rows_close(got, want, rtol=1e-12):
     assert np.all(np.abs(got - want) <= rtol * scale)
 
 
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
+                          np.ascontiguousarray(want).view(np.int64))
+
+
 def bernstein(degree, p, q):
     """B_j(p) = C(degree, j) p^j q^(degree - j) with q = 1 - p, [degree + 1, len(p)]."""
     j = np.arange(degree + 1)[:, None]
@@ -172,6 +182,24 @@ class TestBernsteinBuild:
             assert got[n].shape == want[n].shape == (3, n + 1, s.size * nu.size)
             assert_rows_close(got[n], want[n])
 
+    def test_basis_does_not_depend_on_buffers(self):
+        eta = np.random.default_rng(4).uniform(-30.0, 30.0, size=(7, 48))
+        out, scratch = np.full((2, 41, 7, 48), np.nan)
+        got = hierarchical._bernstein(40, eta, out, scratch)
+        assert got is out
+        assert_same_bits(got, hierarchical._bernstein(40, eta))
+
+    def test_tables_do_not_depend_on_the_slice_budget(self, monkeypatch):
+        # at phi 0.661, 13 sigma nodes take the z rule; by default its 59 nu nodes
+        # span two slices, the second one partial
+        mu, s, _ = hierarchical._grid((C,), -1.7346, 100.0)
+        sizes, nu, sigmas = (10, 25, 30), mu[::5], 0.661 * s
+        default = hierarchical._integrals(sizes, nu, sigmas, C)
+        monkeypatch.setattr(hierarchical, "_CHUNK_BYTES", 1)  # one nu node per slice
+        single = hierarchical._integrals(sizes, nu, sigmas, C)
+        for n in sizes:
+            assert_same_bits(single[n], default[n])
+
     @pytest.mark.parametrize("n", [0, 1, 10, 30, 50])
     @pytest.mark.parametrize("mean,sd", [(-1.7346, 100.0), (0.4, 2.0), (-2.5, 0.1)])
     def test_nex_integrals_match_per_row_build(self, n, mean, sd):
@@ -216,6 +244,34 @@ class TestDeterminismAndInvariants:
             single = tails_means("EXNEX", tuple(row), SIZES, params)
             assert np.array_equal(single[0], tails[i])
             assert np.array_equal(single[1], means[i])
+
+
+class TestPosteriorReference:
+    """The bank posterior, which takes each basket's mixture log once per response count,
+    against the reference that takes it for every data row, bit for bit."""
+
+    @pytest.mark.parametrize("sizes", PAPER_SIZES.values(), ids=PAPER_SIZES)
+    @pytest.mark.parametrize("phi", [0.125, 0.661, 2.0])
+    @pytest.mark.parametrize("design", ["BHM", "EXNEX"])
+    def test_matches_per_row_reference(self, design, phi, sizes):
+        rng = np.random.default_rng(17)
+        bank = rng.binomial(sizes, rng.uniform(0.05, 0.7, size=(12, len(sizes))))
+        # r = 0 and r = n in every basket, then duplicate rows
+        bank = np.concatenate([np.zeros((1, len(sizes)), int), [sizes], bank, bank[2:6]])
+        order = rng.permutation(len(bank))
+        for q in [1.0] if design == "BHM" else [0.2, 0.9, 1.0]:
+            params = BhmParams(phi=phi) if design == "BHM" else ExnexParams(phi=phi, q=q)
+            tables, nex, _, log_w = hierarchical.design_tables(design, sizes, 0.15, params)
+            if design == "BHM" and sizes == HIGH_VARIANCE:  # the w / 1 path runs
+                assert all(np.any(t[0, bank[:, k]] == 0.0) for k, t in enumerate(tables))
+            want = hierarchical_posterior(bank, tables, nex, q, log_w)
+            got = posterior_tails_means(design, bank, sizes, params, 0.15)
+            shuffled = posterior_tails_means(design, bank[order], sizes, params, 0.15)
+            single = posterior_tails_means(design, bank[7:8], sizes, params, 0.15)
+            for part in range(2):
+                assert_same_bits(got[part], want[part])
+                assert_same_bits(shuffled[part], want[part][order])
+                assert_same_bits(single[part], want[part][7:8])
 
 
 class TestTableCache:
