@@ -4,7 +4,7 @@ Partitions are enumerated as canonical restricted-growth strings, so the
 model list is deterministic and duplicate-free; model weights are combined
 in log space because 52 models over 100 patients reach extreme likelihood
 ratios.  Blocks recurring across partitions (31 distinct subsets for K=5)
-are evaluated once per data set.
+are tabulated once per pooled response count.
 """
 
 from __future__ import annotations
@@ -86,12 +86,16 @@ def _partition_assignments(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def enumerate_partitions(k: int) -> list[Partition]:
-    """All set partitions of k baskets in deterministic canonical order."""
+def _check_basket_count(k: int) -> None:
     if not 2 <= k <= MAX_BASKETS:
         raise ConfigurationError(
             f"partition enumeration supports 2..{MAX_BASKETS} baskets, got {k}"
         )
+
+
+def enumerate_partitions(k: int) -> list[Partition]:
+    """All set partitions of k baskets in deterministic canonical order."""
+    _check_basket_count(k)
     return [Partition(a) for a in _partition_assignments(k)]
 
 
@@ -99,7 +103,7 @@ class _ModelSpace:
     """Partition bookkeeping reused across data sets of the same K.
 
     ``subsets`` lists every distinct block appearing in any partition;
-    ``member_matrix`` pools per-basket counts into per-subset counts;
+    ``member`` pools per-basket counts into per-subset counts;
     ``partition_index[j]`` lists the subsets of partition j, padded with
     the index one past the last subset; ``basket_subset[j, k]`` names the
     subset containing basket k in model j.
@@ -118,29 +122,13 @@ class _ModelSpace:
                 for basket in block:
                     basket_subset[j, basket] = idx
             partition_subsets.append(indices)
-        self.k = k
         self.block_counts = np.array([max(a) + 1 for a in assignments], dtype=float)
         self.subsets = list(subset_index)
-        self.member_matrix = np.zeros((len(self.subsets), k))
-        for idx, block in enumerate(self.subsets):
-            self.member_matrix[idx, list(block)] = 1.0
-        self.partition_index = np.full((len(assignments), k), len(self.subsets))
-        for j, indices in enumerate(partition_subsets):
-            self.partition_index[j, :len(indices)] = indices
+        self.member = np.array([[b in block for b in range(k)] for block in self.subsets],
+                               dtype=np.int64)
+        self.partition_index = np.array(
+            [ix + [len(self.subsets)] * (k - len(ix)) for ix in partition_subsets])
         self.basket_subset = basket_subset
-
-    def subset_shapes(self, responses, sample_sizes, prior: BetaShape):
-        """Posterior beta shapes [..., S] of every pooled subset."""
-        r = np.asarray(responses, dtype=float) @ self.member_matrix.T
-        n = np.asarray(sample_sizes, dtype=float) @ self.member_matrix.T
-        return prior.alpha + r, prior.beta + (n - r)
-
-    def log_marginals(self, alphas: np.ndarray, betas: np.ndarray,
-                      prior: BetaShape) -> np.ndarray:
-        """Per-partition log marginal likelihood [..., M] from subset shapes [..., S]."""
-        subset_lm = log_beta(alphas, betas) - log_beta(prior.alpha, prior.beta)
-        padded = np.concatenate([subset_lm, np.zeros(subset_lm.shape[:-1] + (1,))], axis=-1)
-        return row_sums(padded[..., self.partition_index])
 
     def model_probs(self, log_marginals: np.ndarray, psi: float) -> np.ndarray:
         """Posterior model probabilities [..., M], each row normalized to sum 1."""
@@ -151,21 +139,29 @@ class _ModelSpace:
 
 
 class BmaBank:
-    """Parameter-free BMA statistics of a bank of count vectors [R, K].
+    """Parameter-free BMA statistics of a bank of integer count vectors [R, K].
 
-    Subset marginals, tails and means are computed once at construction;
+    Subset S pools n_S patients, so its posterior is Beta(alpha + r_S, beta + n_S - r_S)
+    for an integer r_S in 0..n_S: every subset's log marginal, tail and mean are
+    tabulated once per r_S, and each row reads them at the table's offset plus its r_S.
     ``tails_means`` averages them over the models for one psi.
     """
 
     def __init__(self, responses, sample_sizes, prior: BetaShape, p0: float):
-        responses = np.asarray(responses, dtype=float)
-        self._space = _model_space(responses.shape[-1])
-        alphas, betas = self._space.subset_shapes(responses, sample_sizes, prior)
-        self._log_marginals = self._space.log_marginals(alphas, betas, prior)
+        responses = np.asarray(responses, dtype=np.int64)
+        _check_basket_count(responses.shape[-1])
+        self._space = space = _model_space(responses.shape[-1])
+        pooled = space.member @ np.asarray(sample_sizes, dtype=np.int64)
+        r = np.concatenate([np.arange(n + 1, dtype=float) for n in pooled.tolist()])
+        alphas, betas = prior.alpha + r, prior.beta + (np.repeat(pooled, pooled + 1) - r)
+        # [R, S]: each row's entry in the table of every subset
+        index = np.cumsum(pooled + 1) - (pooled + 1) + responses @ space.member.T
+        subset_lm = (log_beta(alphas, betas) - log_beta(prior.alpha, prior.beta))[index]
+        padded = np.concatenate([subset_lm, np.zeros((len(index), 1))], axis=-1)
+        self._log_marginals = row_sums(padded[:, space.partition_index])
         # [R, K, M]: the subset holding basket k in model j, models innermost
-        gather = self._space.basket_subset.T
-        self._tails = beta_tails(alphas, betas, p0)[:, gather]
-        self._means = (alphas / (alphas + betas))[:, gather]
+        self._tails = beta_tails(alphas, betas, p0)[index][:, space.basket_subset.T]
+        self._means = (alphas / (alphas + betas))[index][:, space.basket_subset.T]
 
     def tails_means(self, params: BmaParams) -> tuple[np.ndarray, np.ndarray]:
         probs = self._space.model_probs(self._log_marginals, params.psi)[:, None, :]

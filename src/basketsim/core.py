@@ -212,16 +212,16 @@ def _beta_fraction(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def beta_tails(alphas, betas, x: float) -> np.ndarray:
-    """Pr(p > x) elementwise over arrays of beta shapes, once per distinct shape: 1 - I_x(a, b)
-    below x = (a + 1) / (a + b + 2), I_(1-x)(b, a) above.  The log of x^a (1 - x)^b / B(a, b)
-    is built from Stirling errors and y - 1 - ln y terms, which cancel no large log-gammas."""
+    """Pr(p > x) elementwise over arrays of beta shapes: 1 - I_x(a, b) below
+    x = (a + 1) / (a + b + 2), I_(1-x)(b, a) above.  The log of x^a (1 - x)^b / B(a, b)
+    is built from Stirling errors and y - 1 - ln y terms, which cancel no large log-gammas.
+    Each element's bits depend on its (a, b, x) alone."""
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"beta tail threshold {x} outside [0, 1]")
     a, b = np.broadcast_arrays(np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float))
     if x in (0.0, 1.0):
         return np.full(a.shape, float(x == 0.0))
-    shapes, inverse = np.unique((a + 1j * b).ravel(), return_inverse=True)  # exact (a, b) keys
-    pa, pb = shapes.real, shapes.imag
+    pa, pb = a.ravel(), b.ravel()
     s, flip = pa + pb, x >= (pa + 1.0) / (pa + pb + 2.0)
     ya, yb = x * s / pa, (1.0 - x) * s / pb
     log_front = (0.5 * np.log(pa * pb / s) - _HALF_LOG_2PI - _stirling_error(pa)
@@ -230,7 +230,7 @@ def beta_tails(alphas, betas, x: float) -> np.ndarray:
     head = np.where(flip, pb, pa)
     part = np.exp(log_front) / head * _beta_fraction(
         head, np.where(flip, pa, pb), np.where(flip, 1.0 - x, x))
-    return np.where(flip, part, 1.0 - part)[inverse.reshape(a.shape)]
+    return np.where(flip, part, 1.0 - part).reshape(a.shape)
 
 
 def row_sums(terms: np.ndarray) -> np.ndarray:

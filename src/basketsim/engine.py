@@ -24,12 +24,14 @@ from .core import (
     ConfigurationError,
     Scenario,
     beta_tails,
+    set_unit_diagonal,
     unique_rows,
     weighted_sums,
 )
 from .fujikawa import FujikawaParams, jsd_matrices, weights_from_jsd
 from .hierarchical import BhmParams, ExnexParams, design_tables, posterior_tails_means
-from .powerprior import POWER_PRIOR_VARIANTS, CppParams, PowerPriorBank
+from .powerprior import (CppParams, alpha0_matrix, cpp_weights_from_scaled, gamma_matrix,
+                         scaled_ks_matrix)
 
 DESIGNS = ("CPP", "APP", "LCPP", "Fujikawa", "BMA", "BHM", "EXNEX")
 STRICT_DESIGNS = frozenset({"BMA", "BHM", "EXNEX"})
@@ -212,29 +214,36 @@ def generate_responses(scenario: Scenario, n_reps: int, master_seed: int,
 
 
 class DesignBank:
-    """One design's statistics over a bank of replicates [R, K].
+    """One design's statistics over a bank of integer count vectors [R, K].
 
     The constructor computes what does not depend on the design parameters
-    (scaled rate differences, Hellinger commensurability, JSD matrices, BMA
-    subset marginals and tails); ``tails_means`` finishes the tails and
-    posterior means of the whole bank for one parameter set.  BHM and EXNEX
-    take their quadrature tables from a per-process cache keyed by the
-    parameters and basket sizes.  Every row is computed on its own, so a
-    bank of one gives the same bits as that replicate inside any larger bank.
+    (scaled rate differences, the LCPP size cap, APP's whole weight matrix,
+    JSD matrices, BMA subset marginals and tails); ``tails_means`` finishes the
+    tails and posterior means of the whole bank for one parameter set.  BHM and
+    EXNEX take their quadrature tables from a per-process cache keyed by the
+    parameters and basket sizes.  Every row is computed on its own, so a bank
+    of one gives the same bits as that replicate inside any larger bank.
     """
 
     def __init__(self, design: str, responses, sample_sizes,
                  priors: list[BetaShape], p0: float):
         r = np.asarray(responses, dtype=float)
         n = np.asarray(sample_sizes, dtype=float)
+        # BMA tabulates by count and BHM/EXNEX index by it: every design reads whole counts
+        if not (np.all(r % 1 == 0) and np.all(n % 1 == 0) and np.all((0 <= r) & (r <= n))):
+            raise ConfigurationError(f"design {design} needs integer counts 0 <= r <= n")
         self.design = design
         self.p0 = p0
         prior_alpha = np.array([p.alpha for p in priors])
         prior_beta = np.array([p.beta for p in priors])
-        if design in POWER_PRIOR_VARIANTS:
-            self._power = PowerPriorBank(design, r, n)
+        if design in ("CPP", "APP", "LCPP"):
             self._prior = (prior_alpha, prior_beta)
             self._counts = (r, n - r)
+            if design == "APP":
+                self._app = set_unit_diagonal(alpha0_matrix(n) * (1.0 - gamma_matrix(r, n)))
+            else:
+                self._scaled = scaled_ks_matrix(r, n)
+                self._cap = alpha0_matrix(n) if design == "LCPP" else 1.0
         elif design == "Fujikawa":
             # the weighted sum runs over basket-wise posteriors, priors included
             self._prior = (0.0, 0.0)
@@ -247,17 +256,21 @@ class DesignBank:
         else:
             raise ConfigurationError(f"unknown design {design!r}")
 
+    def weights(self, params) -> np.ndarray:
+        """Borrowing weights [R, K, K] of CPP, APP, LCPP or Fujikawa at one parameter set."""
+        if self.design == "Fujikawa":
+            return weights_from_jsd(self._jsd, params)
+        if self.design == "APP":
+            return self._app
+        return set_unit_diagonal(self._cap * cpp_weights_from_scaled(self._scaled, params))
+
     def tails_means(self, params) -> tuple[np.ndarray, np.ndarray]:
         """Tails Pr(p > p0) and posterior means, both [R, K], at one parameter set."""
         if self.design == "BMA":
             return self._bma.tails_means(params)
         if self.design in ("BHM", "EXNEX"):
             return posterior_tails_means(self.design, *self._hierarchical, params, self.p0)
-        if self.design == "Fujikawa":
-            weights = weights_from_jsd(self._jsd, params)
-        else:
-            weights = self._power.weights(params)
-        alphas, betas = self.posterior_shapes(weights)
+        alphas, betas = self.posterior_shapes(self.weights(params))
         return beta_tails(alphas, betas, self.p0), alphas / (alphas + betas)
 
     def posterior_shapes(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,7 @@
-"""Power-prior borrowing: the CPP, APP and LCPP weights of a bank of count vectors.
+"""Power-prior borrowing: the statistics of the CPP, APP and LCPP weights of a bank.
 
-``engine.DesignBank`` adds each basket's prior to the weighted sums of the
-observed counts under these weights.
+``engine.DesignBank`` assembles the weights from them and adds each basket's
+prior to the weighted sums of the observed counts under these weights.
 """
 
 from __future__ import annotations
@@ -10,9 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, log_beta, set_unit_diagonal
-
-POWER_PRIOR_VARIANTS = ("CPP", "APP", "LCPP")
+from .core import log_beta
 
 
 @dataclass(frozen=True)
@@ -86,35 +84,3 @@ def gamma_matrix(responses, sample_sizes) -> np.ndarray:
     gam = np.triu(np.sqrt(np.clip(1.0 - bc, 0.0, 1.0)), 1)
     return gam + np.swapaxes(gam, -1, -2)
 
-
-class PowerPriorBank:
-    """Borrowing weights of one variant over a bank of count vectors [R, K].
-
-    The parameter-free statistics (scaled rate differences, the size cap,
-    the Hellinger commensurability) are computed once at construction;
-    ``weights`` assembles the [R, K, K] matrices for one parameter set.
-    """
-
-    def __init__(self, variant: str, responses, sample_sizes):
-        if variant not in POWER_PRIOR_VARIANTS:
-            raise ConfigurationError(f"unknown power-prior variant {variant!r}")
-        self.variant = variant
-        self.alpha0 = None if variant == "CPP" else alpha0_matrix(sample_sizes)
-        self.gamma = gamma_matrix(responses, sample_sizes) if variant == "APP" else None
-        self._scaled = (
-            None if variant == "APP" else scaled_ks_matrix(responses, sample_sizes)
-        )
-
-    def weights(self, cpp_params: CppParams | None) -> np.ndarray:
-        needs_params = self.variant != "APP"
-        if needs_params and cpp_params is None:
-            raise ConfigurationError(f"{self.variant} weights require CppParams")
-        if not needs_params and cpp_params is not None:
-            raise ConfigurationError("APP weights take no tuning parameters")
-        if self.variant == "APP":
-            matrix = self.alpha0 * (1.0 - self.gamma)
-        else:
-            matrix = cpp_weights_from_scaled(self._scaled, cpp_params)
-            if self.variant == "LCPP":
-                matrix = self.alpha0 * matrix
-        return set_unit_diagonal(matrix)

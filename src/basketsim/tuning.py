@@ -191,19 +191,19 @@ def grid_search(
     grid = default_grid(design) if grid is None else list(grid)
     if not grid:
         raise ConfigurationError("grid_search needs a nonempty parameter grid")
+    configs = [DesignConfig(design, params) for params in grid]  # a mistyped point raises here
     table = outcome_table(scenarios, n_reps, seed)
-    priors = DesignConfig(design, grid[0]).prior_list(len(table.sizes))  # those of every point
+    priors = configs[0].prior_list(len(table.sizes))  # those of every point
     banks = [DesignBank(design, rows, table.sizes, priors, p0) for rows in table.blocks()]
     records = []
     totals = []  # correct decisions summed over scenarios, exact in integers
-    for params in grid:
+    for config in configs:
         tails, means = (np.concatenate(part) for part in
-                        zip(*(bank.tails_means(params) for bank in banks)))
+                        zip(*(bank.tails_means(config.params) for bank in banks)))
         try:
-            lam, ocs = _protocol(DesignConfig(design, params), scenarios, null, table,
-                                 tails, means, p0, alpha)
+            lam, ocs = _protocol(config, scenarios, null, table, tails, means, p0, alpha)
         except CalibrationError:
-            records.append(TuningRecord(params, math.nan, {}, -math.inf, feasible=False))
+            records.append(TuningRecord(config.params, math.nan, {}, -math.inf, feasible=False))
             totals.append(None)
             continue
         by_pattern = {}
@@ -211,7 +211,7 @@ def grid_search(
             by_pattern.setdefault(scenario.pattern, []).append(oc.ecd_mean)
         pattern_ecd = {pattern: math.fsum(v) / len(v) for pattern, v in by_pattern.items()}
         mean_ecd = math.fsum(oc.ecd_mean for oc in ocs) / len(ocs)
-        records.append(TuningRecord(params, lam, pattern_ecd, mean_ecd))
+        records.append(TuningRecord(config.params, lam, pattern_ecd, mean_ecd))
         totals.append(sum(round(oc.ecd_mean * oc.n_reps) for oc in ocs))
     feasible = [i for i, rec in enumerate(records) if rec.feasible]
     if not feasible:

@@ -1,5 +1,6 @@
 """Scalar formulas of the published designs, one basket pair or one partition at a
-time, kept as independent references for the bank kernels in ``basketsim``.
+time, and earlier formulations of the bank kernels, kept as independent references
+for the bank kernels in ``basketsim``.
 
 Nothing in ``basketsim`` calls these; the tests compare the kernels against them.
 """
@@ -8,8 +9,15 @@ import math
 
 import numpy as np
 
-from basketsim.core import BetaShape, log_beta
-from basketsim.powerprior import CppParams
+from basketsim import bma
+from basketsim.core import BetaShape, beta_tails, log_beta, row_sums, set_unit_diagonal
+from basketsim.powerprior import (
+    CppParams,
+    alpha0_matrix,
+    cpp_weights_from_scaled,
+    gamma_matrix,
+    scaled_ks_matrix,
+)
 
 
 def cpp_weight(d_k: tuple[int, int], d_i: tuple[int, int], params: CppParams) -> float:
@@ -85,3 +93,61 @@ def hierarchical_posterior(rows, tables, nex, q, log_w):
             out[:, k] = (q * (v * table[part, r]).sum(axis=1)
                          + (1.0 - q) * nex[k][part, r] * v_total) / total
     return np.minimum(tails, 1.0), means
+
+
+def beta_tails_by_distinct_shapes(alphas, betas, x: float) -> np.ndarray:
+    """``core.beta_tails`` evaluated once per distinct (a, b) shape and gathered back."""
+    a, b = np.broadcast_arrays(np.asarray(alphas, dtype=float), np.asarray(betas, dtype=float))
+    shapes, inverse = np.unique((a + 1j * b).ravel(), return_inverse=True)  # exact (a, b) keys
+    return beta_tails(shapes.real, shapes.imag, x)[inverse.reshape(a.shape)]
+
+
+def power_prior_weights(variant: str, responses, sample_sizes, params) -> np.ndarray:
+    """CPP, APP or LCPP weights [R, K, K] of a bank, built variant by variant from the
+    statistics of ``basketsim.powerprior`` with no statistic kept between calls."""
+    if variant == "APP":
+        matrix = alpha0_matrix(sample_sizes) * (1.0 - gamma_matrix(responses, sample_sizes))
+    else:
+        matrix = cpp_weights_from_scaled(scaled_ks_matrix(responses, sample_sizes), params)
+        if variant == "LCPP":
+            matrix = alpha0_matrix(sample_sizes) * matrix
+    return set_unit_diagonal(matrix)
+
+
+class BmaBankByShapes:
+    """BMA tails and means of a bank [R, K] from every row's pooled subset shapes [R, S]:
+    float pooling by a 0/1 membership matrix, log marginals and tails taken per shape
+    (the tails once per distinct shape), no table by count."""
+
+    def __init__(self, responses, sample_sizes, prior: BetaShape, p0: float):
+        responses = np.asarray(responses, dtype=float)
+        self.space = bma._model_space(responses.shape[-1])
+        member = np.zeros((len(self.space.subsets), responses.shape[-1]))
+        for idx, block in enumerate(self.space.subsets):
+            member[idx, list(block)] = 1.0
+        r = responses @ member.T
+        n = np.asarray(sample_sizes, dtype=float) @ member.T
+        alphas, betas = prior.alpha + r, prior.beta + (n - r)
+        subset_lm = log_beta(alphas, betas) - log_beta(prior.alpha, prior.beta)
+        padded = np.concatenate([subset_lm, np.zeros(subset_lm.shape[:-1] + (1,))], axis=-1)
+        self.log_marginals = row_sums(padded[..., self.space.partition_index])
+        gather = self.space.basket_subset.T
+        self.tails = beta_tails_by_distinct_shapes(alphas, betas, p0)[:, gather]
+        self.means = (alphas / (alphas + betas))[:, gather]
+
+    def tails_means(self, psi: float) -> tuple[np.ndarray, np.ndarray]:
+        probs = self.space.model_probs(self.log_marginals, psi)[:, None, :]
+        return np.minimum(row_sums(probs * self.tails), 1.0), row_sums(probs * self.means)
+
+
+def edge_case_banks(k: int, seed: int = 0) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """Two test banks (rows [R, K], sizes [K]) of k baskets, one with every size positive
+    and one whose first basket is empty: random rows, then a row at r = 0, duplicates of
+    a random row and of the last row, and a row at r = n last."""
+    rng = np.random.default_rng(seed + k)
+    banks = []
+    for sizes in ((10, 25, 3, 17, 8, 30)[:k], (0, 25, 3, 17, 8, 30)[:k]):
+        n = np.array(sizes)
+        rows = rng.integers(0, n + 1, size=(12, k))
+        banks.append((np.vstack([rows, np.zeros(k, dtype=int), rows[3], n, n]), sizes))
+    return banks

@@ -8,7 +8,8 @@ from basketsim import bma
 from basketsim.bma import BmaBank, BmaParams, Partition, enumerate_partitions
 from basketsim.core import BasketData, BetaShape, ConfigurationError, beta_tails
 from basketsim.engine import DesignConfig, run_design
-from scalar_reference import log_marginal_likelihood
+from basketsim.tuning import default_grid
+from scalar_reference import BmaBankByShapes, edge_case_banks, log_marginal_likelihood
 
 
 def brute_force_partitions(k):
@@ -43,10 +44,8 @@ def log_marginal_by_grid(partition, data, points=10 ** 5):
 
 def kernel_log_marginals(data, prior=BetaShape(1, 1)):
     """Log marginal likelihood of every partition from the BMA kernel, in the order
-    of ``enumerate_partitions``."""
-    space = bma._model_space(data.k)
-    alphas, betas = space.subset_shapes(data.responses, data.sample_sizes, prior)
-    return space.log_marginals(alphas, betas, prior)
+    of ``enumerate_partitions``: those of a bank of one."""
+    return BmaBank([data.responses], data.sample_sizes, prior, 0.15)._log_marginals[0]
 
 
 def kernel_model_probs(data, psi, prior=BetaShape(1, 1)):
@@ -82,6 +81,13 @@ class TestEnumeratePartitions:
             enumerate_partitions(13)
         with pytest.raises(ConfigurationError):
             enumerate_partitions(1)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_bank_checks_the_cap_before_enumerating(self, k, monkeypatch):
+        monkeypatch.setattr(bma, "MAX_BASKETS", 4)
+        monkeypatch.setattr(bma, "_model_space", lambda k: pytest.fail("enumerated"))
+        with pytest.raises(ConfigurationError, match="supports 2..4 baskets"):
+            BmaBank([[1] * k], (5,) * k, BetaShape(1, 1), 0.15)
 
     def test_non_canonical_assignment_rejected(self):
         with pytest.raises(ValueError):
@@ -211,3 +217,35 @@ class TestBmaTailProbs:
         res = run_design(DesignConfig("BMA", BmaParams(-2.0), lambda_=0.9), data, 0.15)
         np.testing.assert_array_equal(tails, res.tail_probs)
         np.testing.assert_array_equal(means, res.posterior_means)
+
+
+def assert_bits_equal(got, expected):
+    np.testing.assert_array_equal(np.asarray(got).view(np.int64),
+                                  np.asarray(expected).view(np.int64))
+
+
+class TestTableBank:
+    """The pooled-count tables against ``BmaBankByShapes``, which pools and evaluates
+    every row's subset shapes one by one: equal bits in every statistic."""
+
+    @pytest.mark.parametrize("prior", [BetaShape(1, 1), BetaShape(0.5, 2.5), BetaShape(2, 3)])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_matches_shape_reference(self, k, prior):
+        for rows, sizes in edge_case_banks(k):
+            ref = BmaBankByShapes(rows, sizes, prior, 0.15)
+            shuffle = np.random.default_rng(k).permutation(len(rows))
+            bank, shuffled = (BmaBank(bank_rows, sizes, prior, 0.15)
+                              for bank_rows in (rows, rows[shuffle]))
+            singles = {i: BmaBank(rows[[i]], sizes, prior, 0.15) for i in (0, -4, -2, -1)}
+            assert_bits_equal(bank._log_marginals, ref.log_marginals)
+            assert_bits_equal(bank._tails, ref.tails)
+            assert_bits_equal(bank._means, ref.means)
+            for params in default_grid("BMA"):
+                expected = ref.tails_means(params.psi)
+                for got, want in zip(bank.tails_means(params), expected):
+                    assert_bits_equal(got, want)
+                for got, want in zip(shuffled.tails_means(params), expected):
+                    assert_bits_equal(got, want[shuffle])
+                for i, single in singles.items():
+                    for got, want in zip(single.tails_means(params), expected):
+                        assert_bits_equal(got, want[[i]])

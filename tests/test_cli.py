@@ -453,6 +453,25 @@ class TestCommands:
         assert err.startswith(f"error: scenarios[0].{where}: ") and err.count("\n") == 1
         assert not (tmp_path / "oc.csv").exists()
 
+    def test_bma_beyond_the_basket_cap_is_a_usage_error(self, tmp_path):
+        # the bank used to enumerate all Bell(13) = 27,644,437 partitions before the
+        # cap was checked; a fresh process with a timeout, so a hang fails the test
+        scenario = {"id": 1, "sample_sizes": [5] * 13, "true_rates": [0.15] * 13,
+                    "pattern": "Null", "size_family": "Linear"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenarios": [scenario]}))
+        src = os.path.dirname(os.path.dirname(basketsim.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "basketsim.cli", "simulate", "--config", str(path),
+             "--design", "BMA", "--reps", "5", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: partition enumeration supports 2..12 baskets")
+        assert done.stderr.count("\n") == 1
+        assert not (tmp_path / "oc.csv").exists()
+
     def test_posterior_without_finite_mass_is_a_numeric_failure(self, tmp_path, capsys,
                                                                  monkeypatch):
         # every replicate is (0, 30): under opposed targets and phi 1e-6 one basket's

@@ -26,7 +26,7 @@ from basketsim.engine import (
 )
 from basketsim.fujikawa import FujikawaParams, jsd_matrices, weights_from_jsd
 from basketsim.hierarchical import BhmParams, ExnexParams
-from basketsim.powerprior import CppParams, PowerPriorBank
+from basketsim.powerprior import CppParams
 from basketsim.tuning import smallest_lambda, study
 
 LINEAR_NULL = Scenario(1, (10, 15, 20, 25, 30), (0.15,) * 5, "Null", "Linear")
@@ -291,6 +291,20 @@ class TestRunDesign:
         with pytest.raises(ConfigurationError):
             run_design(DesignConfig("CPP", CppParams(4, 4.5)), BasketData((1, 2), (5, 5)))
 
+    @pytest.mark.parametrize("design", sorted(ALL_DESIGNS))
+    @pytest.mark.parametrize("responses,sizes", [((2.5, 3), (10, 10)), ((2, 3), (10.5, 10))])
+    def test_fractional_counts_rejected(self, design, responses, sizes):
+        # BHM used to analyse 2.5 responses as 2, BMA and the others as a fractional count
+        config = DesignConfig(design, ALL_DESIGNS[design], lambda_=0.9)
+        with pytest.raises(ConfigurationError, match="integer counts"):
+            run_design(config, BasketData(responses, sizes))
+
+    @pytest.mark.parametrize("design", sorted(ALL_DESIGNS))
+    def test_counts_outside_their_sizes_rejected(self, design):
+        for rows in ([[11, 3]], [[-1, 3]], [[2, 3], [np.nan, 3]]):
+            with pytest.raises(ConfigurationError, match="integer counts"):
+                DesignBank(design, rows, (10, 10), [BetaShape(1, 1)] * 2, 0.15)
+
     def test_mcmc_design_runs(self):
         cfg = DesignConfig("BHM", BhmParams(phi=0.661), lambda_=0.9)
         res = run_design(cfg, BasketData((2, 5, 1, 4, 9), (10, 10, 25, 25, 30)), 0.15)
@@ -530,7 +544,7 @@ class TestClosedFormBank:
         if design == "Fujikawa":
             weights = weights_from_jsd(jsd_matrices(1.0 + responses, 1.0 + sizes - responses), params)
         else:
-            weights = PowerPriorBank(design, responses, sizes).weights(params)
+            weights = DesignBank(design, responses[None], sizes, priors, 0.15).weights(params)[0]
         assert np.all((weights >= 0.0) & (weights <= 1.0))
         assert np.all(np.diag(weights) == 1.0)
 

@@ -15,15 +15,16 @@ from basketsim.core import (
     integrate,
 )
 from basketsim.engine import DesignBank, DesignConfig, run_design
+from basketsim.fujikawa import jsd_matrices, weights_from_jsd
 from basketsim.powerprior import (
     CppParams,
-    PowerPriorBank,
     alpha0_matrix,
     cpp_weights_from_scaled,
     gamma_matrix,
     scaled_ks_matrix,
 )
-from scalar_reference import cpp_weight
+from basketsim.tuning import default_grid
+from scalar_reference import cpp_weight, edge_case_banks, power_prior_weights
 
 
 def hellinger_gamma_by_quadrature(d_k, d_i, tol=1e-10):
@@ -54,6 +55,12 @@ def cpp_pair(d_k, d_i, params):
 def gamma_pair(d_k, d_i):
     """The APP kernel's commensurability of one pair of baskets."""
     return gamma_matrix([[d_k[0], d_i[0]]], (d_k[1], d_i[1]))[0, 0, 1]
+
+
+def bank_weights(design, responses, sizes, params):
+    """The borrowing weights [R, K, K] of a bank kernel under uniform priors."""
+    return DesignBank(design, responses, sizes, [BetaShape(1, 1)] * len(sizes), 0.15).weights(
+        params)
 
 
 def power_prior_shapes(data, priors, weights):
@@ -170,21 +177,21 @@ class TestHellingerGamma:
 
 class TestBuildWeights:
     def test_app_identical_baskets_all_ones(self):
-        w = PowerPriorBank("APP", [[3, 3, 3]], (12, 12, 12)).weights(None)
+        w = bank_weights("APP", [[3, 3, 3]], (12, 12, 12), None)
         assert np.all(w == 1.0)
 
     def test_lcpp_quantity_limit(self):
         # equal observed rates
-        w = PowerPriorBank("LCPP", [[2, 10]], (10, 50)).weights(CppParams(3, 4))[0]
+        w = bank_weights("LCPP", [[2, 10]], (10, 50), CppParams(3, 4))[0]
         assert w[0, 1] == pytest.approx(0.2, abs=1e-12)
         assert w[1, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_cpp_symmetric_app_lcpp_asymmetric(self):
         params = CppParams(2, 3)
         bank = [[r1, r2] for r1 in range(11) for r2 in range(21)]
-        cpp = PowerPriorBank("CPP", bank, (10, 20)).weights(params)
-        app = PowerPriorBank("APP", bank, (10, 20)).weights(None)
-        lcpp = PowerPriorBank("LCPP", bank, (10, 20)).weights(params)
+        cpp = bank_weights("CPP", bank, (10, 20), params)
+        app = bank_weights("APP", bank, (10, 20), None)
+        lcpp = bank_weights("LCPP", bank, (10, 20), params)
         assert np.array_equal(cpp[:, 0, 1], cpp[:, 1, 0])
         assert np.any(app[:, 0, 1] != app[:, 1, 0])
         assert np.any(lcpp[:, 0, 1] != lcpp[:, 1, 0])
@@ -197,11 +204,27 @@ class TestBuildWeights:
     def test_missing_params_rejected(self):
         for variant, params in (("CPP", None), ("LCPP", None), ("APP", CppParams(1, 1))):
             with pytest.raises(ConfigurationError):
-                PowerPriorBank(variant, [[1, 2]], (10, 10)).weights(params)
+                DesignConfig(variant, params)
 
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PowerPriorBank("XPP", [[1, 2]], (10, 10))
+    @pytest.mark.parametrize("prior", [BetaShape(1, 1), BetaShape(0.5, 2.5), BetaShape(2, 3)])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_bank_weights_match_reference(self, k, prior):
+        # each variant rebuilt from its statistics, and Fujikawa's from the JSD of the
+        # basket-wise posteriors, for every bank, every row alone and the bank shuffled
+        for rows, sizes in edge_case_banks(k):
+            shuffle = np.random.default_rng(k).permutation(len(rows))
+            n = np.array(sizes)
+            jsd = jsd_matrices(prior.alpha + rows, prior.beta + (n - rows))
+            for design in ("APP", "CPP", "LCPP", "Fujikawa"):
+                banks = [DesignBank(design, bank_rows, sizes, [prior] * k, 0.15)
+                         for bank_rows in [rows, rows[shuffle]] + [[row] for row in rows]]
+                for params in default_grid(design):
+                    expected = (weights_from_jsd(jsd, params) if design == "Fujikawa" else
+                                power_prior_weights(design, rows, n, params)).view(np.int64)
+                    got = [bank.weights(params).view(np.int64) for bank in banks]
+                    np.testing.assert_array_equal(got[0], expected)
+                    np.testing.assert_array_equal(got[1], expected[shuffle])
+                    np.testing.assert_array_equal(np.concatenate(got[2:]), expected)
 
 
 class TestPowerPriorPosterior:

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from basketsim.bma import BmaParams, enumerate_partitions
 from basketsim.cli import TUNED_PARAMS, builtin_catalog
-from basketsim.core import BasketData, BetaShape, CalibrationError, Scenario, beta_tails
+from basketsim.core import (
+    BasketData,
+    BetaShape,
+    CalibrationError,
+    ConfigurationError,
+    Scenario,
+    beta_tails,
+)
 from basketsim.engine import (
     DesignBank,
     DesignConfig,
@@ -19,7 +26,7 @@ from basketsim.engine import (
 from basketsim.fujikawa import FujikawaParams, jsd
 from basketsim.hierarchical import BhmParams, ExnexParams
 from basketsim.powerprior import CppParams
-from basketsim import engine
+from basketsim import engine, tuning
 from basketsim.tuning import (
     default_grid,
     grid_search,
@@ -292,6 +299,15 @@ class TestGridSearch:
         assert result.selected_index == 0
         assert result.selected.params == CppParams(4, 4.5)
         assert set(result.selected.pattern_ecd) == {"Null", "Ascending", "SGN"}
+
+    @pytest.mark.parametrize("grid", [[None], [CppParams(4, 4.5), None]])
+    def test_mistyped_grid_rejected_before_any_bank(self, grid, monkeypatch):
+        # the type check used to come from the weights, after every bank was built
+        built = []
+        monkeypatch.setattr(tuning, "DesignBank", lambda *args: built.append(args))
+        with pytest.raises(ConfigurationError, match="needs params of type CppParams"):
+            grid_search("CPP", MINI_FAMILY, n_reps=50, seed=3, grid=grid)
+        assert built == []
 
     def test_app_has_exactly_one_combination(self):
         result = grid_search("APP", MINI_FAMILY, n_reps=300, seed=3)
