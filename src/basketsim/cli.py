@@ -322,12 +322,15 @@ def _header_lines(manifest: RunManifest) -> list[str]:
 
 
 def _write_csv(path: str, manifest: RunManifest, columns, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in _header_lines(manifest):
-            fh.write(line + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            for line in _header_lines(manifest):
+                fh.write(line + "\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise CatalogError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _fmt(value: float) -> str:
@@ -415,7 +418,7 @@ def command_tune(manifest: RunManifest) -> int:
         for design in manifest.designs:
             result = grid_search(
                 design, members, manifest.reps, alpha=manifest.alpha,
-                seed=manifest.seed, p0=manifest.p0,
+                seed=manifest.seed, p0=manifest.p0, jobs=manifest.jobs,
             )
             for i, rec in enumerate(result.records):
                 row = [
@@ -455,6 +458,8 @@ def _read_oc_csv(path: str) -> list[dict]:
             numbered = [(i, line) for i, line in enumerate(fh, 1) if not line.startswith("#")]
     except UnicodeDecodeError as exc:
         raise CatalogError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    except OSError as exc:
+        raise CatalogError(f"cannot read {path}: {exc.strerror}") from None
     reader = csv.DictReader(io.StringIO("".join(line for _, line in numbered)))
     if not set(CSV_COLUMNS) <= set(reader.fieldnames or ()):
         raise CatalogError(f"{path} lacks the oc.csv columns {','.join(CSV_COLUMNS)}")

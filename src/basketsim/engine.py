@@ -9,9 +9,11 @@ per distinct outcome row, so no other randomness is involved.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
@@ -48,6 +50,8 @@ PARAM_TYPES = {
 
 _STREAM_DATA = 0
 _STREAM_MCMC = 1
+
+LAMBDA_GRID = np.arange(1, 1000) / 1000.0  # 0.001 .. 0.999, three-decimal resolution
 
 
 @dataclass(frozen=True)
@@ -315,28 +319,99 @@ def outcome_table(scenarios: list[Scenario], n_reps: int, master_seed: int) -> O
     return OutcomeTable(rows, sizes.pop(), counts)
 
 
-def _evaluate_block(args) -> tuple[np.ndarray, np.ndarray]:
-    config, rows, sizes, p0 = args
-    bank = DesignBank(config.design, rows, sizes, config.prior_list(len(sizes)), p0)
-    return bank.tails_means(config.params)
+@dataclass(frozen=True)
+class Tally:
+    """Configs of one design and one lambda (or none) whose threshold crossings
+    ``evaluate_table`` counts; ``per_basket`` adds each basket's rejections and the rows'
+    tails and means."""
+
+    configs: tuple[DesignConfig, ...]
+    per_basket: bool = False
 
 
-def evaluate_table(config: DesignConfig, table: OutcomeTable, p0: float,
-                   jobs: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Tails and posterior means [U, K] of every table row, block by block, here or on
-    ``jobs`` workers forked for this call alone.  BHM and EXNEX build their quadrature
-    tables here first, so the workers share them.  Every row is computed on its own, so
-    no bit depends on the blocks."""
-    tasks = [(config, rows, table.sizes, p0) for rows in table.blocks(jobs)]
-    if jobs > 1:
-        if config.design in ("BHM", "EXNEX"):
-            design_tables(config.design, table.sizes, p0, config.params)
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("fork")) as pool:
-            results = list(pool.map(_evaluate_block, tasks))
-    else:
-        results = list(map(_evaluate_block, tasks))
-    tails, means = zip(*results)
-    return np.concatenate(tails), np.concatenate(means)
+def crossing_counts(tails: np.ndarray, weights: np.ndarray, truth: np.ndarray,
+                    thresholds: np.ndarray, strict: bool, per_basket: bool = True) -> np.ndarray:
+    """Each scenario's replicates by how many thresholds they cross, [S, 2 (+ K), T + 1].
+
+    ``weights`` [S, R] are each scenario's replicate counts on the rows of ``tails`` [R, K]
+    and ``truth`` [S, K] its active baskets.  A tail that clears (``>``, or ``>=`` unless
+    strict) thresholds[:i] and no more lands in bin i, so the count at thresholds[j] is the
+    sum of bins j + 1 .. T.  Row 0 counts family-wise errors (the largest inactive tail),
+    row 1 correct decisions (an inactive basket starts in the last bin and leaves when its
+    tail crosses), and with ``per_basket`` row 2 + k basket k's rejections.  The sums are
+    exact, so the counts of row blocks add up to the whole table's.
+    """
+    crossed = np.searchsorted(thresholds, tails, side="left" if strict else "right")
+    bins = len(thresholds) + 1
+    out = np.zeros((len(weights), 2 + per_basket * tails.shape[1], bins))
+    for s, (w, active) in enumerate(zip(weights, truth)):
+        out[s, 0] = np.bincount(np.where(active, 0, crossed).max(axis=1), w, bins)
+        signed = np.outer(w, np.where(active, 1.0, -1.0))
+        out[s, 1] = np.bincount(crossed.ravel(), signed.ravel(), bins)
+        out[s, 1, -1] += w.sum() * np.count_nonzero(~active)
+        for k in range(len(out[s]) - 2):
+            out[s, 2 + k] = np.bincount(crossed[:, k], w, bins)
+    return out.astype(np.int64)
+
+
+def _evaluate_block(args) -> tuple[np.ndarray, list]:
+    """The crossing counts [configs, S, rows, T + 1] of one block's rows at every config of
+    a Tally, from one DesignBank, and per config the rows' tails and means if per basket."""
+    tally, rows, sizes, p0, reps, truth, dtype = args
+    weights = np.array(reps, dtype=float)  # [S, R]
+    first = tally.configs[0]
+    bank = DesignBank(first.design, rows, sizes, first.prior_list(len(sizes)), p0)
+    thresholds = LAMBDA_GRID if first.lambda_ is None else np.array([first.lambda_])
+    counts = np.empty((len(tally.configs), len(weights), 2 + tally.per_basket * len(sizes),
+                       len(thresholds) + 1), dtype)
+    stats = []
+    for i, config in enumerate(tally.configs):
+        tails, means = bank.tails_means(config.params)
+        counts[i] = crossing_counts(tails, weights, truth, thresholds, config.strict,
+                                    tally.per_basket)
+        stats.append((tails, means) if tally.per_basket else ())
+    return counts, stats
+
+
+def _fold(blocks) -> list:
+    """Each config's counts added up over the blocks as they arrive, and its row
+    statistics joined in block order."""
+    total, stats = None, []
+    for counts, rows in blocks:
+        total = counts if total is None else np.add(total, counts, out=total)
+        stats.append(rows)
+        del counts  # free it before the next block's counts arrive
+    return [(c, tuple(map(np.concatenate, zip(*s)))) for c, s in zip(total, zip(*stats))]
+
+
+def evaluate_table(config, table: OutcomeTable, p0: float, jobs: int = 1):
+    """At a DesignConfig, the tails and posterior means [U, K] of every table row.  At a
+    Tally, per config, the crossing counts [S, rows, T + 1] of the scenarios of
+    ``table.counts`` (in its order) at lambda, or at every grid step if it is calibrated,
+    summed over the blocks as they arrive, and the row statistics of ``_evaluate_block``.
+
+    Each block builds its DesignBank once and walks the configs, here or on ``jobs``
+    workers forked for each run of configs that share BHM/EXNEX quadrature tables (one phi),
+    which the parent builds first.  No bit depends on the blocks or the workers.
+    """
+    tally = config if isinstance(config, Tally) else Tally((config,), per_basket=True)
+    blocks = table.blocks(jobs)
+    reps = list(table.counts.values())
+    truth = np.array([s.active_truth(p0) for s in table.counts])
+    # no count or sum of counts exceeds 2 K n in magnitude: hand back int32 when that fits
+    dtype = np.int32 if 2 * truth.shape[1] * max(r.sum() for r in reps) < 2**31 else np.int64
+    ends = np.cumsum([len(rows) for rows in blocks]).tolist()
+    results = []
+    for _, run in itertools.groupby(tally.configs, lambda c: getattr(c.params, "phi", None)):
+        run = replace(tally, configs=tuple(run))
+        if run.configs[0].design in ("BHM", "EXNEX"):
+            design_tables(run.configs[0].design, table.sizes, p0, run.configs[0].params)
+        tasks = [(run, rows, table.sizes, p0, [r[end - len(rows):end] for r in reps], truth,
+                  dtype) for rows, end in zip(blocks, ends)]
+        with (ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("fork"))
+              if jobs > 1 else nullcontext()) as pool:
+            results += _fold((pool.map if pool else map)(_evaluate_block, tasks))
+    return results if tally is config else results[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +427,9 @@ def run_design(config: DesignConfig, data: BasketData, p0: float = 0.15) -> Repl
     """Analyze one observed data set with one design: a bank of one."""
     if config.lambda_ is None:
         raise ConfigurationError("run_design needs lambda on the config")
-    block = (config, [data.responses], data.sample_sizes, p0)
-    tails, means = (stat[0] for stat in _evaluate_block(block))
+    bank = DesignBank(config.design, [data.responses], data.sample_sizes,
+                      config.prior_list(data.k), p0)
+    tails, means = (stat[0] for stat in bank.tails_means(config.params))
     return ReplicateResult(
         tail_probs=tails,
         posterior_means=means,
@@ -361,26 +437,18 @@ def run_design(config: DesignConfig, data: BasketData, p0: float = 0.15) -> Repl
     )
 
 
-def aggregate(
-    scenario: Scenario,
-    counts: np.ndarray,
-    decisions: np.ndarray,
-    posterior_means: np.ndarray,
-    p0: float,
-) -> OperatingCharacteristics:
-    """Fold the decisions and estimates [U, K] of distinct outcome rows, weighted by a
-    bank's replicate count on each row [U], into one OC record.
+def aggregate(scenario: Scenario, crossed, posterior_means: np.ndarray,
+              counts: np.ndarray) -> OperatingCharacteristics:
+    """One scenario's OC record from its crossing counts at lambda [2 + K] (rows of
+    ``crossing_counts``) and the posterior means [U, K] of the table rows, weighted by the
+    bank's replicate count on each row [U].
 
-    Rejections, family-wise errors and correct decisions are integer counts,
-    so each rate is the correctly rounded count / n_reps; each basket's bias
-    is one fsum over its posterior means, each repeated by its row's count,
-    so the result does not depend on row or replicate order.
+    Each rate is the correctly rounded count / n_reps; each basket's bias is one fsum over
+    its posterior means, each repeated by its row's count, so the result does not depend on
+    row or replicate order.
     """
     n_reps = int(counts.sum())
-    truth = np.array(scenario.active_truth(p0))
-    rejections = (counts @ decisions).tolist()
-    family_errors = int(counts @ decisions[:, ~truth].any(axis=1))
-    correct = sum(r if active else n_reps - r for r, active in zip(rejections, truth))
+    family_errors, correct, *rejections = np.asarray(crossed).tolist()
     replicate_means = np.repeat(posterior_means, counts, axis=0).T.tolist()
     return OperatingCharacteristics(
         ecd_mean=correct / n_reps,

@@ -5,11 +5,12 @@ grid threshold holding the family-wise error rate at alpha under the
 global null, then scores every scenario at that threshold.
 ``grid_search`` runs the same protocol at each point of a parameter grid
 and scores it by mean ECD over the family's scenarios, on one outcome
-table so all combinations see the same data.  Statistics that do not
-depend on the tuning parameters (scaled rate differences, JSD matrices,
-pooled block marginals) are computed once per block of the table
-(``engine.DesignBank``) and shared across the grid; BHM and EXNEX
-quadrature tables depend on phi alone, so each phi builds them once.
+table so all combinations see the same data.  Both take every number from
+one reduction (``engine.evaluate_table`` with an ``engine.Tally``): each
+block of the table builds its ``DesignBank`` once, walks the grid, and
+returns integer counts of each scenario's crossings of the lambda grid,
+which add up exactly over the blocks, here or on forked workers.  BHM and
+EXNEX quadrature tables depend on phi alone, so each phi builds them once.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from .core import (
     Scenario,
 )
 from .engine import (
-    DesignBank,
+    LAMBDA_GRID,
     DesignConfig,
     OperatingCharacteristics,
     OutcomeTable,
+    Tally,
     aggregate,
-    decisions_from_tails,
+    crossing_counts,
     evaluate_table,
     outcome_table,
 )
@@ -39,7 +41,20 @@ from .fujikawa import FujikawaParams
 from .hierarchical import BhmParams, ExnexParams
 from .powerprior import CppParams
 
-LAMBDA_GRID = np.arange(1, 1000) / 1000.0  # 0.001 .. 0.999, three-decimal resolution
+
+def _smallest_step(errors: np.ndarray, alpha: float) -> int:
+    """The first grid step whose family-wise errors are at most alpha, from the errors'
+    histogram over the grid (row 0 of ``crossing_counts``); rejection is monotone in lambda."""
+    spared = np.cumsum(errors)  # the replicates that each step spares, and then all of them
+    n = int(spared[-1])
+    if n == 0:
+        raise ValueError("calibration needs at least one replicate")
+    errors = n - spared[:-1]
+    within = np.flatnonzero(errors <= alpha * n + 1e-9)
+    if not within.size:
+        raise CalibrationError("no grid threshold attains the requested error rate",
+                               min_fwer=int(errors[-1]) / n)
+    return int(within[0])
 
 
 def smallest_lambda(max_tails: np.ndarray, counts: np.ndarray, alpha: float,
@@ -48,24 +63,14 @@ def smallest_lambda(max_tails: np.ndarray, counts: np.ndarray, alpha: float,
 
     On a global-null bank a replicate is a family-wise error iff its maximal
     tail statistic clears the threshold; ``counts`` holds the bank's replicate
-    count on each maximal tail.  One search of the whole grid in the sorted
-    maxima gives the integer error count at every step, and the first step
-    within alpha wins (rejection is monotone in lambda).
+    count on each maximal tail.  The histogram of the maxima over the grid
+    gives the integer error count at every step, and the first step within
+    alpha wins.
     """
-    max_tails = np.asarray(max_tails)
-    order = np.argsort(max_tails)
-    cumulative = np.concatenate(([0], np.cumsum(np.asarray(counts)[order])))
-    n = int(cumulative[-1])
-    if n == 0:
-        raise ValueError("calibration needs at least one replicate")
-    # the number of sorted maxima that each grid step spares
-    spared = np.searchsorted(max_tails[order], LAMBDA_GRID, side="right" if strict else "left")
-    errors = n - cumulative[spared]
-    within = np.flatnonzero(errors <= alpha * n + 1e-9)
-    if not within.size:
-        raise CalibrationError("no grid threshold attains the requested error rate",
-                               min_fwer=int(errors[-1]) / n)
-    return float(LAMBDA_GRID[within[0]])
+    errors = crossing_counts(np.asarray(max_tails, dtype=float)[:, None],
+                             np.asarray(counts, dtype=float)[None], np.zeros((1, 1), bool),
+                             LAMBDA_GRID, strict, per_basket=False)[0, 0]
+    return float(LAMBDA_GRID[_smallest_step(errors, alpha)])
 
 
 def null_scenario(scenarios: list[Scenario], p0: float) -> Scenario:
@@ -98,21 +103,21 @@ def study(
     null_scenario([null], p0)  # raises unless every true rate of null is at or below p0
     table = outcome_table([null, *scenarios] if config.lambda_ is None else scenarios,
                           n_reps, seed)
-    return _protocol(config, scenarios, null, table,
-                     *evaluate_table(config, table, p0, jobs), p0, alpha)
+    [(counts, (_, means))] = evaluate_table(Tally((config,), per_basket=True), table, p0, jobs)
+    lam, crossed = _protocol(config, table, counts, null, alpha)
+    row = list(table.counts).index
+    return lam, [aggregate(s, crossed[row(s)], means, table.counts[s]) for s in scenarios]
 
 
-def _protocol(config: DesignConfig, scenarios: list[Scenario], null: Scenario,
-              table: OutcomeTable, tails: np.ndarray, means: np.ndarray,
-              p0: float, alpha: float) -> tuple[float, list[OperatingCharacteristics]]:
-    """``study`` on the tails and posterior means [U, K] of every row of ``table`` at the
-    parameters of ``config``: each scenario's bank weights the rows by its
-    ``table.counts[scenario]``."""
-    lam = config.lambda_
-    if lam is None:
-        lam = smallest_lambda(tails.max(axis=1), table.counts[null], alpha, config.strict)
-    decisions = decisions_from_tails(tails, lam, config.strict)
-    return lam, [aggregate(s, table.counts[s], decisions, means, p0) for s in scenarios]
+def _protocol(config: DesignConfig, table: OutcomeTable, counts: np.ndarray,
+              null: Scenario, alpha: float) -> tuple[float, np.ndarray]:
+    """``study`` on the crossing counts [S, rows, T + 1] of the scenarios of ``table`` at
+    the parameters of ``config``: lambda, calibrated on the null's family-wise errors unless
+    fixed on the config, and each scenario's counts [S, rows] at lambda."""
+    if config.lambda_ is not None:
+        return config.lambda_, counts[:, :, 1:].sum(axis=2)
+    step = _smallest_step(counts[list(table.counts).index(null), 0], alpha)
+    return float(LAMBDA_GRID[step]), counts[:, :, step + 1:].sum(axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -178,46 +183,44 @@ def grid_search(
     seed: int = 0,
     grid: list | None = None,
     p0: float = 0.15,
+    jobs: int = 1,
 ) -> TuningResult:
     """Run the study protocol at every parameter combination of one size family.
 
     Each grid point is calibrated on the family's global null and scored by
-    ECD on every scenario, from one outcome table shared by all points.  A
-    pattern's ECD is the mean over its scenarios, and the combination
-    maximizing the mean ECD over all scenarios wins (ties break toward the
-    earliest grid point).
+    ECD on every scenario, from one outcome table shared by all points, in
+    blocks here or on ``jobs`` workers.  A pattern's ECD is the mean over its
+    scenarios, and the combination maximizing the mean ECD over all scenarios
+    wins (ties break toward the earliest grid point).
     """
     null = null_scenario(scenarios, p0)
     grid = default_grid(design) if grid is None else list(grid)
     if not grid:
         raise ConfigurationError("grid_search needs a nonempty parameter grid")
-    configs = [DesignConfig(design, params) for params in grid]  # a mistyped point raises here
+    configs = tuple(DesignConfig(design, params) for params in grid)  # a mistyped point raises
     table = outcome_table(scenarios, n_reps, seed)
-    priors = configs[0].prior_list(len(table.sizes))  # those of every point
-    banks = [DesignBank(design, rows, table.sizes, priors, p0) for rows in table.blocks()]
+    row = list(table.counts).index
     records = []
     totals = []  # correct decisions summed over scenarios, exact in integers
-    for config in configs:
-        tails, means = (np.concatenate(part) for part in
-                        zip(*(bank.tails_means(config.params) for bank in banks)))
+    for config, (counts, _) in zip(configs, evaluate_table(Tally(configs), table, p0, jobs)):
         try:
-            lam, ocs = _protocol(config, scenarios, null, table, tails, means, p0, alpha)
+            lam, crossed = _protocol(config, table, counts, null, alpha)
         except CalibrationError:
             records.append(TuningRecord(config.params, math.nan, {}, -math.inf, feasible=False))
             totals.append(None)
             continue
+        correct = [int(crossed[row(s), 1]) for s in scenarios]
+        ecds = [count / n_reps for count in correct]
         by_pattern = {}
-        for scenario, oc in zip(scenarios, ocs):
-            by_pattern.setdefault(scenario.pattern, []).append(oc.ecd_mean)
+        for scenario, ecd in zip(scenarios, ecds):
+            by_pattern.setdefault(scenario.pattern, []).append(ecd)
         pattern_ecd = {pattern: math.fsum(v) / len(v) for pattern, v in by_pattern.items()}
-        mean_ecd = math.fsum(oc.ecd_mean for oc in ocs) / len(ocs)
-        records.append(TuningRecord(config.params, lam, pattern_ecd, mean_ecd))
-        totals.append(sum(round(oc.ecd_mean * oc.n_reps) for oc in ocs))
+        records.append(TuningRecord(config.params, lam, pattern_ecd, math.fsum(ecds) / len(ecds)))
+        totals.append(sum(correct))
     feasible = [i for i, rec in enumerate(records) if rec.feasible]
     if not feasible:
         raise CalibrationError("no grid combination could be calibrated", min_fwer=math.nan)
-    # ecd_mean * n_reps rounds back to a scenario's integer count of correct
-    # decisions; every scenario has n_reps replicates, so the integer total
-    # orders the mean ECDs exactly, and max() keeps the earliest index on ties
+    # every scenario has n_reps replicates, so the integer total orders the mean
+    # ECDs exactly, and max() keeps the earliest index on ties
     best = max(feasible, key=totals.__getitem__)
     return TuningResult(design=design, records=tuple(records), selected_index=best)

@@ -292,6 +292,27 @@ class TestCommands:
         assert len(rows) == 1
         assert rows[0]["selected"] == "1"
 
+    @pytest.mark.parametrize("design", ["CPP", "Fujikawa", "BMA", "BHM"])
+    def test_tune_jobs_fan_out_and_keep_every_byte(self, design, monkeypatch, tmp_path):
+        # tune used to ignore --jobs and run every block in the parent
+        pools = []
+
+        class Counted(engine.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", Counted)
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert main(["tune", "--scenario", "linear", "--design", design, "--reps", "30",
+                         "--seed", "3", "--jobs", jobs, "--out", str(out)]) == 0
+            outputs.append((out / "tuning.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        if (os.cpu_count() or 1) >= 2:
+            assert pools and set(pools) == {2}
+
     def test_report_tables(self, tmp_path, capsys):
         out = tmp_path / "out"
         main(["simulate", "--scenario", "grouped", "--design", "CPP",
@@ -344,6 +365,16 @@ class TestCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot create --out ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--scenario", "2", "--design", "CPP", "--reps", "10"], ["report"]])
+    def test_output_path_that_is_a_directory_is_a_usage_error(self, command, tmp_path, capsys):
+        # both used to end in a traceback from IsADirectoryError and exit 1
+        (tmp_path / "oc.csv").mkdir()
+        assert main([*command, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot ") and str(tmp_path / "oc.csv") in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("text", ["", "# a comment only\n", "4,Grouped,Null\n",
                                       "design,pattern\nCPP,Null\n"],
@@ -634,7 +665,7 @@ print(len({{pid for pid, _ in answers}}), sum(len(modules) for _, modules in ans
 
     @pytest.mark.parametrize("design", engine.DESIGNS)
     def test_no_process_loads_scipy(self, design, tmp_path):
-        # simulate and calibrate fan out over a pool of two; tune runs in the parent
+        # simulate, calibrate and tune fan out over a pool of two
         watched = tmp_path / "answers"
         watched.mkdir()
         script = PROBE + f"""

@@ -15,9 +15,12 @@ from basketsim.cli import builtin_catalog
 from basketsim.core import BasketData, BetaShape, ConfigurationError, Scenario, beta_tails
 from basketsim.engine import (
     DESIGNS,
+    LAMBDA_GRID,
     DesignBank,
     DesignConfig,
+    OperatingCharacteristics,
     aggregate,
+    crossing_counts,
     decisions_from_tails,
     evaluate_table,
     generate_responses,
@@ -27,7 +30,7 @@ from basketsim.engine import (
 from basketsim.fujikawa import FujikawaParams, jsd_matrices, weights_from_jsd
 from basketsim.hierarchical import BhmParams, ExnexParams
 from basketsim.powerprior import CppParams
-from basketsim.tuning import smallest_lambda, study
+from basketsim.tuning import grid_search, smallest_lambda, study
 
 LINEAR_NULL = Scenario(1, (10, 15, 20, 25, 30), (0.15,) * 5, "Null", "Linear")
 GROUPED_ASC = Scenario(8, (10, 10, 25, 25, 30), (0.15, 0.15, 0.25, 0.35, 0.35),
@@ -51,6 +54,30 @@ def bank_tails_means(config, scenario, n_reps, master_seed):
 def ones(n):
     """Unit counts: every row is one replicate."""
     return np.ones(n, np.int64)
+
+
+def aggregate_decisions(scenario, counts, decisions, means, p0):
+    """``aggregate`` on given decisions [U, K], each a tail of 1 or 0 against one threshold
+    of 0.5, weighted by a bank's replicate count on each row [U]."""
+    crossed = crossing_counts(np.asarray(decisions, float), np.asarray(counts, float)[None],
+                              np.array([scenario.active_truth(p0)]), np.array([0.5]),
+                              strict=False)[0, :, 1:].sum(axis=1)
+    return aggregate(scenario, crossed, means, counts)
+
+
+def reference_oc(scenario, counts, decisions, means, p0):
+    """The OC record counted directly on the decisions [U, K] of rows weighted by a bank's
+    replicate count on each row [U]."""
+    n_reps = int(counts.sum())
+    truth = np.array(scenario.active_truth(p0))
+    rejections = (counts @ decisions).tolist()
+    family_errors = int(counts @ decisions[:, ~truth].any(axis=1))
+    correct = sum(r if active else n_reps - r for r, active in zip(rejections, truth))
+    replicate_means = np.repeat(means, counts, axis=0).T.tolist()
+    return OperatingCharacteristics(
+        ecd_mean=correct / n_reps, rejection_rate=tuple(r / n_reps for r in rejections),
+        fwer=family_errors / n_reps, n_reps=n_reps,
+        bias=tuple(math.fsum(m) / n_reps - p for m, p in zip(replicate_means, scenario.true_rates)))
 
 
 def simulate(scenario, config, n_reps, master_seed):
@@ -318,7 +345,8 @@ class TestCorrectDecisions:
     @staticmethod
     def ecd(decisions, true_rates, pattern):
         s = Scenario(95, (10,) * 5, true_rates, pattern, "Linear")
-        return aggregate(s, ones(1), np.array([decisions]), np.zeros((1, 5)), 0.15).ecd_mean
+        return aggregate_decisions(s, ones(1), np.array([decisions]), np.zeros((1, 5)),
+                                   0.15).ecd_mean
 
     def test_all_correct(self):
         assert self.ecd([True] * 5, (0.35,) * 5, "Alternative") == 5
@@ -397,6 +425,20 @@ class TestSimulate:
             assert [builds for _, builds in answers] == [0] * len(answers)
         assert hierarchical.table_builds - before == 1
 
+    def test_tune_tables_built_once_per_phi_in_parent(self, monkeypatch, tmp_path):
+        # tune used to run every block in the parent; its workers now share the parent's tables
+        grouped = [s for s in builtin_catalog() if s.size_family == "Grouped"]
+        grid = [ExnexParams(phi=0.57, q=0.5), ExnexParams(phi=0.57, q=0.9),
+                ExnexParams(phi=0.83, q=0.5)]
+        watch_workers(monkeypatch, tmp_path)
+        before = hierarchical.table_builds
+        grid_search("EXNEX", grouped, 8, seed=4, grid=grid, jobs=2)
+        answers = worker_answers(tmp_path)  # one per block, from two pools of two workers
+        assert len(answers) == 2 * len(outcome_table(grouped, 8, 4).blocks(2))
+        assert len({pid for pid, _ in answers} - {os.getpid()}) == 4
+        assert [builds for _, builds in answers] == [0] * len(answers)
+        assert hierarchical.table_builds - before == 2
+
     def test_mcmc_simulate_deterministic(self):
         cfg = DesignConfig("BHM", BhmParams(phi=0.661), lambda_=0.9)
         oc1 = simulate(GROUPED_ASC, cfg, n_reps=40, master_seed=31)
@@ -462,7 +504,55 @@ class TestOutcomeTable:
         for scenario, oc in zip(family, ocs):
             tails, means = stats[scenario]
             decisions = decisions_from_tails(tails, lam, config.strict)
-            assert oc == aggregate(scenario, ones(50), decisions, means, 0.15)
+            assert oc == aggregate_decisions(scenario, ones(50), decisions, means, 0.15)
+
+
+GROUPED_ALL_RESPOND = Scenario(96, (10, 10, 25, 25, 30), (0.35,) * 5, "Alternative", "Grouped",
+                               fixed_responses=(10, 10, 25, 25, 30))
+
+
+class TestCrossingCounts:
+    @pytest.mark.parametrize("design", ["CPP", "BMA"])  # tail >= lambda, and tail > lambda
+    @pytest.mark.parametrize("lam", [0.8125, 1.0])  # off the grid, and its end
+    def test_fixed_lambda_off_the_grid_matches_decisions(self, design, lam):
+        config = DesignConfig(design, ALL_DESIGNS[design], lambda_=lam)
+        family = [GROUPED_ASC, GROUPED_ALT, GROUPED_ALL_RESPOND]
+        got, ocs = study(config, family, GROUPED_NULL, 200, 6)
+        assert got == lam
+        table = outcome_table(family, 200, 6)
+        tails, means = evaluate_table(config, table, 0.15)
+        assert (tails == 1.0).any()  # a tail on the threshold 1.0
+        decisions = decisions_from_tails(tails, lam, config.strict)
+        expected = [reference_oc(s, table.counts[s], decisions, means, 0.15) for s in family]
+        assert ocs == expected
+
+    @given(data=st.data(), strict=st.booleans(), thresholds=st.sampled_from(
+        [LAMBDA_GRID, np.array([0.8125]), np.array([1.0])]))
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_add_up_to_the_table_and_to_direct_counts(self, data, strict, thresholds):
+        k, n_rows, n_scenarios = (data.draw(st.integers(1, top)) for top in (5, 30, 3))
+        tail = st.one_of(st.sampled_from([0.0, 0.8125, 1.0, *LAMBDA_GRID[::97]]),
+                         st.floats(0.0, 1.0, allow_nan=False))
+        tails = np.array(data.draw(st.lists(st.lists(tail, min_size=k, max_size=k),
+                                            min_size=n_rows, max_size=n_rows)))
+        weights = np.array([data.draw(st.lists(st.integers(0, 6), min_size=n_rows,
+                                               max_size=n_rows)) for _ in range(n_scenarios)])
+        truth = np.array([data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+                          for _ in range(n_scenarios)])
+        cuts = sorted(data.draw(st.lists(st.integers(0, n_rows), max_size=4)))
+        bounds = [0, *cuts, n_rows]
+        whole = crossing_counts(tails, weights.astype(float), truth, thresholds, strict)
+        blocks = sum(crossing_counts(tails[a:b], weights[:, a:b].astype(float), truth,
+                                     thresholds, strict) for a, b in zip(bounds, bounds[1:]))
+        np.testing.assert_array_equal(blocks, whole)
+        # the count at each threshold, against the decisions there
+        at = np.flip(np.cumsum(np.flip(whole, axis=2), axis=2), axis=2)[:, :, 1:]
+        for j, lam in enumerate(thresholds):
+            decisions = decisions_from_tails(tails, lam, strict)
+            for s, (w, active) in enumerate(zip(weights, truth)):
+                errors = w @ decisions[:, ~active].any(axis=1)
+                correct = w @ (decisions == active).sum(axis=1)
+                assert at[s, :, j].tolist() == [errors, correct, *(w @ decisions)]
 
 
 class TestAggregate:
@@ -470,7 +560,7 @@ class TestAggregate:
         s = Scenario(94, (10, 10), (0.35, 0.15), "Descending", "Linear")
         decisions = np.array([[True, False], [False, False], [True, True], [True, False]])
         means = np.array([[0.4, 0.2], [0.3, 0.1], [0.5, 0.3], [0.4, 0.2]])
-        oc = aggregate(s, ones(4), decisions, means, 0.15)
+        oc = aggregate_decisions(s, ones(4), decisions, means, 0.15)
         assert oc.rejection_rate == (0.75, 0.25)
         assert oc.fwer == 0.25  # only basket 2 is inactive
         assert oc.ecd_mean == pytest.approx((2 + 1 + 1 + 2) / 4)
@@ -487,16 +577,17 @@ class TestAggregate:
         rng = np.random.default_rng(seed)
         decisions = rng.random((len(counts), k)) < 0.5
         means = rng.random((len(counts), k))
-        weighted = aggregate(s, counts, decisions, means, 0.15)
+        weighted = aggregate_decisions(s, counts, decisions, means, 0.15)
+        assert weighted == reference_oc(s, counts, decisions, means, 0.15)
         replicates = rng.permutation(np.repeat(np.arange(len(counts)), counts))
-        assert weighted == aggregate(s, ones(len(replicates)), decisions[replicates],
-                                     means[replicates], 0.15)
+        assert weighted == aggregate_decisions(s, ones(len(replicates)), decisions[replicates],
+                                               means[replicates], 0.15)
         # rows no replicate lands on change nothing
         extra_decisions = rng.random((3, k)) < 0.5
         extra_means = rng.random((3, k))
-        padded = aggregate(s, np.concatenate([counts, np.zeros(3, np.int64)]),
-                           np.concatenate([decisions, extra_decisions]),
-                           np.concatenate([means, extra_means]), 0.15)
+        padded = aggregate_decisions(s, np.concatenate([counts, np.zeros(3, np.int64)]),
+                                     np.concatenate([decisions, extra_decisions]),
+                                     np.concatenate([means, extra_means]), 0.15)
         assert padded == weighted
 
 

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -304,10 +305,39 @@ class TestGridSearch:
     def test_mistyped_grid_rejected_before_any_bank(self, grid, monkeypatch):
         # the type check used to come from the weights, after every bank was built
         built = []
-        monkeypatch.setattr(tuning, "DesignBank", lambda *args: built.append(args))
+        monkeypatch.setattr(engine, "DesignBank", lambda *args: built.append(args))
         with pytest.raises(ConfigurationError, match="needs params of type CppParams"):
             grid_search("CPP", MINI_FAMILY, n_reps=50, seed=3, grid=grid)
         assert built == []
+
+    def test_one_bank_alive_at_a_time(self, monkeypatch):
+        # grid_search used to build every block's bank up front and keep them all for the grid
+        live, peaks = [], []
+
+        class Counted(DesignBank):
+            def __init__(self, *args):
+                super().__init__(*args)
+                token = object()
+                live.append(token)
+                peaks.append(len(live))
+                weakref.finalize(self, live.remove, token)
+
+        grid = [CppParams(a, 4.5) for a in (1.0, 2.0, 4.0)]
+        whole = grid_search("CPP", MINI_FAMILY, n_reps=100, seed=3, grid=grid)
+        monkeypatch.setattr(engine, "DesignBank", Counted)
+        monkeypatch.setattr(tuning, "DesignBank", Counted, raising=False)
+        monkeypatch.setattr(engine, "_BLOCK_ROWS", 40)
+        blocks = outcome_table(MINI_FAMILY, 100, 3).blocks()
+        assert len(blocks) >= 3
+        assert grid_search("CPP", MINI_FAMILY, n_reps=100, seed=3, grid=grid) == whole
+        assert len(peaks) == len(blocks)  # one bank per block for the whole grid
+        assert max(peaks) == 1
+
+    def test_exnex_jobs_keep_every_record(self):
+        grid = [ExnexParams(phi=0.59, q=0.5), ExnexParams(phi=0.8, q=0.9)]
+        serial, fanned = (grid_search("EXNEX", MINI_FAMILY, n_reps=40, seed=6, grid=grid,
+                                      jobs=jobs) for jobs in (1, 2))
+        assert serial == fanned
 
     def test_app_has_exactly_one_combination(self):
         result = grid_search("APP", MINI_FAMILY, n_reps=300, seed=3)
