@@ -384,7 +384,8 @@ def _fold(blocks) -> list:
     return [(c, tuple(map(np.concatenate, zip(*s)))) for c, s in zip(total, zip(*stats))]
 
 
-def evaluate_table(config, table: OutcomeTable, p0: float, jobs: int = 1):
+def evaluate_table(config: DesignConfig | Tally, table: OutcomeTable, p0: float,
+                   jobs: int = 1):
     """At a DesignConfig, the tails and posterior means [U, K] of every table row.  At a
     Tally, per config, the crossing counts [S, rows, T + 1] of the scenarios of
     ``table.counts`` (in its order) at lambda, or at every grid step if it is calibrated,
