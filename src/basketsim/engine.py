@@ -31,7 +31,7 @@ from .core import (
     weighted_sums,
 )
 from .fujikawa import FujikawaParams, jsd_matrices, weights_from_jsd
-from .hierarchical import BhmParams, ExnexParams, design_tables, posterior_tails_means
+from .hierarchical import BhmParams, ExnexParams, design_tables, posterior_tails_means, tables_key
 from .powerprior import (CppParams, alpha0_matrix, cpp_weights_from_scaled, gamma_matrix,
                          scaled_ks_matrix)
 
@@ -319,16 +319,6 @@ def outcome_table(scenarios: list[Scenario], n_reps: int, master_seed: int) -> O
     return OutcomeTable(rows, sizes.pop(), counts)
 
 
-@dataclass(frozen=True)
-class Tally:
-    """Configs of one design and one lambda (or none) whose threshold crossings
-    ``evaluate_table`` counts; ``per_basket`` adds each basket's rejections and the rows'
-    tails and means."""
-
-    configs: tuple[DesignConfig, ...]
-    per_basket: bool = False
-
-
 def crossing_counts(tails: np.ndarray, weights: np.ndarray, truth: np.ndarray,
                     thresholds: np.ndarray, strict: bool, per_basket: bool = True) -> np.ndarray:
     """Each scenario's replicates by how many thresholds they cross, [S, 2 (+ K), T + 1].
@@ -355,64 +345,59 @@ def crossing_counts(tails: np.ndarray, weights: np.ndarray, truth: np.ndarray,
 
 
 def _evaluate_block(args) -> tuple[np.ndarray, list]:
-    """The crossing counts [configs, S, rows, T + 1] of one block's rows at every config of
-    a Tally, from one DesignBank, and per config the rows' tails and means if per basket."""
-    tally, rows, sizes, p0, reps, truth, dtype = args
+    """The crossing counts [configs, S, rows, T + 1] of one block's rows at every config,
+    from one DesignBank, and per config the rows' posterior means if per basket, else None."""
+    configs, rows, sizes, p0, reps, truth, per_basket, dtype = args
     weights = np.array(reps, dtype=float)  # [S, R]
-    first = tally.configs[0]
+    first = configs[0]
     bank = DesignBank(first.design, rows, sizes, first.prior_list(len(sizes)), p0)
     thresholds = LAMBDA_GRID if first.lambda_ is None else np.array([first.lambda_])
-    counts = np.empty((len(tally.configs), len(weights), 2 + tally.per_basket * len(sizes),
+    counts = np.empty((len(configs), len(weights), 2 + per_basket * len(sizes),
                        len(thresholds) + 1), dtype)
-    stats = []
-    for i, config in enumerate(tally.configs):
-        tails, means = bank.tails_means(config.params)
-        counts[i] = crossing_counts(tails, weights, truth, thresholds, config.strict,
-                                    tally.per_basket)
-        stats.append((tails, means) if tally.per_basket else ())
-    return counts, stats
+    means = []
+    for i, config in enumerate(configs):
+        tails, config_means = bank.tails_means(config.params)
+        counts[i] = crossing_counts(tails, weights, truth, thresholds, config.strict, per_basket)
+        means.append(config_means if per_basket else None)
+    return counts, means
 
 
-def _fold(blocks) -> list:
-    """Each config's counts added up over the blocks as they arrive, and its row
-    statistics joined in block order."""
-    total, stats = None, []
-    for counts, rows in blocks:
-        total = counts if total is None else np.add(total, counts, out=total)
-        stats.append(rows)
-        del counts  # free it before the next block's counts arrive
-    return [(c, tuple(map(np.concatenate, zip(*s)))) for c, s in zip(total, zip(*stats))]
-
-
-def evaluate_table(config: DesignConfig | Tally, table: OutcomeTable, p0: float,
-                   jobs: int = 1):
-    """At a DesignConfig, the tails and posterior means [U, K] of every table row.  At a
-    Tally, per config, the crossing counts [S, rows, T + 1] of the scenarios of
-    ``table.counts`` (in its order) at lambda, or at every grid step if it is calibrated,
-    summed over the blocks as they arrive, and the row statistics of ``_evaluate_block``.
+def evaluate_table(configs, table: OutcomeTable, p0: float, jobs: int = 1,
+                   per_basket: bool = False) -> list:
+    """Per config, all of one design and one lambda (or none), the crossing counts
+    [S, rows, T + 1] of the scenarios of ``table.counts`` (in its order) at lambda, or at
+    every grid step if it is calibrated, summed over the blocks as they arrive; with
+    ``per_basket``, each basket's rejections and the rows' posterior means [U, K], else None.
 
     Each block builds its DesignBank once and walks the configs, here or on ``jobs``
-    workers forked for each run of configs that share BHM/EXNEX quadrature tables (one phi),
-    which the parent builds first.  No bit depends on the blocks or the workers.
+    workers forked for each run of configs that share BHM/EXNEX quadrature tables, which
+    the parent builds first.  No bit depends on the blocks or the workers.
     """
-    tally = config if isinstance(config, Tally) else Tally((config,), per_basket=True)
     blocks = table.blocks(jobs)
     reps = list(table.counts.values())
     truth = np.array([s.active_truth(p0) for s in table.counts])
     # no count or sum of counts exceeds 2 K n in magnitude: hand back int32 when that fits
     dtype = np.int32 if 2 * truth.shape[1] * max(r.sum() for r in reps) < 2**31 else np.int64
     ends = np.cumsum([len(rows) for rows in blocks]).tolist()
+    hierarchical = configs[0].design in ("BHM", "EXNEX")
     results = []
-    for _, run in itertools.groupby(tally.configs, lambda c: getattr(c.params, "phi", None)):
-        run = replace(tally, configs=tuple(run))
-        if run.configs[0].design in ("BHM", "EXNEX"):
-            design_tables(run.configs[0].design, table.sizes, p0, run.configs[0].params)
+    for _, run in itertools.groupby(
+            configs, lambda c: tables_key(table.sizes, p0, c.params) if hierarchical else None):
+        run = tuple(run)
+        if hierarchical:
+            design_tables(run[0].design, table.sizes, p0, run[0].params)
         tasks = [(run, rows, table.sizes, p0, [r[end - len(rows):end] for r in reps], truth,
-                  dtype) for rows, end in zip(blocks, ends)]
+                  per_basket, dtype) for rows, end in zip(blocks, ends)]
         with (ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("fork"))
               if jobs > 1 else nullcontext()) as pool:
-            results += _fold((pool.map if pool else map)(_evaluate_block, tasks))
-    return results if tally is config else results[0][1]
+            total, means = None, []
+            for counts, block_means in (pool.map if pool else map)(_evaluate_block, tasks):
+                total = counts if total is None else np.add(total, counts, out=total)
+                means.append(block_means)
+                del counts  # free it before the next block's counts arrive
+        results += [(c, np.concatenate(m) if per_basket else None)
+                    for c, m in zip(total, zip(*means))]
+    return results
 
 
 # ---------------------------------------------------------------------------

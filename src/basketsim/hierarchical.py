@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericError
+from .core import ConfigurationError, NumericError
 
 _CUT_LEVELS = 7  # mu panels halve this many times toward a cut
 _MU_HALF = 8  # unit-width mu panels on either side of a cut
@@ -39,6 +39,8 @@ _Z_SIGMA = 0.25  # kernels up to this sigma are integrated in z
 _Z_LIMIT = 9.0
 _Z_ORDER = 48
 _CHUNK_BYTES = 1 << 19  # one [rows, grid] temporary of the posterior sums
+MAX_PHI = math.sqrt(np.finfo(float).max) / _S_EDGES[-1]  # (phi * s)**2 stays finite, s < 8.5
+MAX_TABLE_BYTES = 1 << 30  # the quadrature tables of one size set
 
 _TABLES: dict = {}
 table_builds = 0  # quadrature table builds in this process; a forked child starts at 0
@@ -63,8 +65,8 @@ class BhmParams:
     mu_sd: float = 100.0
 
     def __post_init__(self):
-        if not self.phi > 0:
-            raise ValueError(f"phi (the half-normal scale) must be positive, got {self.phi}")
+        if not 0 < self.phi <= MAX_PHI:
+            raise ValueError(f"phi must lie in (0, {MAX_PHI:.4g}], got {self.phi}")
 
     def offsets(self, k: int) -> np.ndarray:
         return np.array([logit(p) for p in _per_basket(self.target_rates, k)])
@@ -83,10 +85,13 @@ class ExnexParams:
     nex_sds: tuple[float, ...] | float = 100.0
 
     def __post_init__(self):
-        if not self.phi > 0:
-            raise ValueError(f"phi (the half-normal scale) must be positive, got {self.phi}")
+        if not 0 < self.phi <= MAX_PHI:
+            raise ValueError(f"phi must lie in (0, {MAX_PHI:.4g}], got {self.phi}")
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"q (the exchangeability weight) must lie in (0, 1], got {self.q}")
+
+    def offsets(self, k: int) -> np.ndarray:
+        return np.zeros(k)
 
     def nex_arrays(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         return _per_basket(self.nex_means, k), _per_basket(self.nex_sds, k)
@@ -238,29 +243,39 @@ def _nex(cut: float, n: int, mean: float, sd: float) -> np.ndarray:
     return _integrals((n,), np.array([mean]), [sd], cut)[n][:, :, 0]
 
 
-def design_tables(design: str, sizes: tuple, p0: float, params):
-    """(exchangeable tables per basket, NEX integrals per basket, q, log grid weights)
-    of a BHM or EXNEX model.  The cache holds the tables of the last key, whole size
-    set included, so no table depends on which tables were built before it."""
-    global table_builds
-    k, cut = len(sizes), logit(p0)
-    if design == "BHM":
-        offsets, q = params.offsets(k).tolist(), 1.0
-        nex = [np.zeros((3, n + 1)) for n in sizes]
-    else:
-        offsets, q = [0.0] * k, params.q
-        nex_means, nex_sds = params.nex_arrays(k)
-        nex = [_nex(cut, n, float(m), float(sd)) for n, m, sd in zip(sizes, nex_means, nex_sds)]
+def tables_key(sizes: tuple, p0: float, params) -> tuple:
+    """The key that a BHM or EXNEX model's quadrature tables are cached and shared under."""
+    cut, offsets = logit(p0), params.offsets(len(sizes)).tolist()
     grid_key = (tuple(sorted({cut - o for o in offsets})), params.mu_mean, params.mu_sd)
     groups = tuple((o, tuple(sorted({n for p, n in zip(offsets, sizes) if p == o})))
                    for o in sorted(set(offsets)))
-    key = (cut, grid_key, params.phi, groups)
+    return cut, grid_key, params.phi, groups
+
+
+def design_tables(design: str, sizes: tuple, p0: float, params):
+    """(exchangeable tables per basket, NEX integrals per basket, q, log grid weights)
+    of a BHM or EXNEX model.  The cache holds the tables of the last ``tables_key``, whole
+    size set included, so no table depends on which tables were built before it.  Tables
+    above ``MAX_TABLE_BYTES`` raise ConfigurationError before any is allocated."""
+    global table_builds
+    key = cut, grid_key, phi, groups = tables_key(sizes, p0, params)
+    mu, s, log_w = _grid(*grid_key)
     if key not in _TABLES:
+        need = 8 * log_w.size * (3 * sum(n + 1 for _, ns in groups for n in ns)
+                                 + 2 * (max(sizes) + 2))
+        if need > MAX_TABLE_BYTES:
+            raise ConfigurationError(f"{design} quadrature tables of sample sizes {list(sizes)} "
+                                     f"need {need} bytes ({log_w.size} nodes) > {MAX_TABLE_BYTES}")
         _TABLES.clear()
-        mu, s, _ = _grid(*grid_key)
-        _TABLES[key] = {o: _integrals(ns, mu + o, params.phi * s, cut) for o, ns in groups}
+        _TABLES[key] = {o: _integrals(ns, mu + o, phi * s, cut) for o, ns in groups}
         table_builds += len(groups)
-    return [_TABLES[key][o][n] for o, n in zip(offsets, sizes)], nex, q, _grid(*grid_key)[2]
+    offsets = params.offsets(len(sizes)).tolist()
+    if design == "BHM":
+        q, nex = 1.0, [np.zeros((3, n + 1)) for n in sizes]
+    else:
+        q, (nex_means, nex_sds) = params.q, params.nex_arrays(len(sizes))
+        nex = [_nex(cut, n, float(m), float(sd)) for n, m, sd in zip(sizes, nex_means, nex_sds)]
+    return [_TABLES[key][o][n] for o, n in zip(offsets, sizes)], nex, q, log_w
 
 
 def posterior_tails_means(design: str, responses, sample_sizes, params,

@@ -6,11 +6,11 @@ global null, then scores every scenario at that threshold.
 ``grid_search`` runs the same protocol at each point of a parameter grid
 and scores it by mean ECD over the family's scenarios, on one outcome
 table so all combinations see the same data.  Both take every number from
-one reduction (``engine.evaluate_table`` with an ``engine.Tally``): each
-block of the table builds its ``DesignBank`` once, walks the grid, and
+one reduction, ``engine.evaluate_table`` over a list of configs: each
+block of the table builds its ``DesignBank`` once, walks the configs and
 returns integer counts of each scenario's crossings of the lambda grid,
-which add up exactly over the blocks, here or on forked workers.  BHM and
-EXNEX quadrature tables depend on phi alone, so each phi builds them once.
+which add up exactly over the blocks, here or on forked workers.  Points
+that share BHM/EXNEX quadrature tables share a pool and one build of them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .engine import (
     DesignConfig,
     OperatingCharacteristics,
     OutcomeTable,
-    Tally,
     aggregate,
     crossing_counts,
     evaluate_table,
@@ -103,7 +102,7 @@ def study(
     null_scenario([null], p0)  # raises unless every true rate of null is at or below p0
     table = outcome_table([null, *scenarios] if config.lambda_ is None else scenarios,
                           n_reps, seed)
-    [(counts, (_, means))] = evaluate_table(Tally((config,), per_basket=True), table, p0, jobs)
+    [(counts, means)] = evaluate_table([config], table, p0, jobs, per_basket=True)
     lam, crossed = _protocol(config, table, counts, null, alpha)
     row = list(table.counts).index
     return lam, [aggregate(s, crossed[row(s)], means, table.counts[s]) for s in scenarios]
@@ -202,7 +201,7 @@ def grid_search(
     row = list(table.counts).index
     records = []
     totals = []  # correct decisions summed over scenarios, exact in integers
-    for config, (counts, _) in zip(configs, evaluate_table(Tally(configs), table, p0, jobs)):
+    for config, (counts, _) in zip(configs, evaluate_table(configs, table, p0, jobs)):
         try:
             lam, crossed = _protocol(config, table, counts, null, alpha)
         except CalibrationError:

@@ -24,7 +24,7 @@ from basketsim.core import (
     beta_log_pdf,
     integrate,
 )
-from basketsim.engine import DESIGNS, DesignBank, DesignConfig, evaluate_table, outcome_table
+from basketsim.engine import DESIGNS, DesignBank, DesignConfig, outcome_table
 from basketsim.fujikawa import FujikawaParams, jsd
 from basketsim.powerprior import gamma_matrix
 from basketsim.tuning import grid_search, null_scenario, smallest_lambda, study
@@ -333,7 +333,8 @@ class TestCriterion09TuningProtocol:
         failures = []
         for design in DESIGNS:
             config = DesignConfig(design, TUNED_PARAMS["Grouped"][design])
-            tails, _ = evaluate_table(config, table, 0.15, jobs=JOBS)
+            bank = DesignBank(design, table.rows, table.sizes, config.prior_list(5), 0.15)
+            tails, _ = bank.tails_means(config.params)
             counts = table.counts[null_scenario]
             lam = smallest_lambda(tails.max(axis=1), counts, 0.05, config.strict)
             max_tails = np.repeat(tails.max(axis=1), counts)  # one per replicate

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -27,13 +28,17 @@ from basketsim.powerprior import CppParams
 from scalar_reference import cpp_weight
 
 
+def fresh_env():
+    """The environment of a fresh interpreter that imports this basketsim."""
+    src = os.path.dirname(os.path.dirname(basketsim.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_fresh(script, *args):
     """stdout of a Python script run in a fresh interpreter that imports this basketsim."""
-    src = os.path.dirname(os.path.dirname(basketsim.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
-                          text=True, timeout=300)
+    done = subprocess.run([sys.executable, "-c", script, *args], env=fresh_env(),
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -573,6 +578,38 @@ class TestCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: designs.BMA.psi ") and err.count("\n") == 1
+        assert not (tmp_path / "oc.csv").exists()
+
+    @pytest.mark.parametrize("design, raw", [("BHM", {"phi": 1e308, "lambda": 0.9}),
+                                             ("EXNEX", {"phi": 1e308, "q": 0.9})])
+    def test_overflowing_phi_is_a_usage_error(self, design, raw, tmp_path, capsys):
+        # sigma = phi * s squared overflowed to inf, and the rates were written with exit 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"designs": {design: raw}}))
+        code = main(["simulate", "--config", str(path), "--scenario", "2",
+                     "--design", design, "--reps", "5", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: designs.{design}.phi ") and err.count("\n") == 1
+        assert not (tmp_path / "oc.csv").exists()
+
+    @pytest.mark.parametrize("design", ["BHM", "EXNEX"])
+    def test_oversized_quadrature_tables_are_a_usage_error(self, design, tmp_path):
+        # sizes [100000, 5] need about 50 GB of tables, which used to be attempted; under a
+        # 2 GiB address space that ended in a MemoryError or ran past the timeout
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenarios": [{
+            "id": 1, "sample_sizes": [100000, 5], "true_rates": [0.15, 0.15],
+            "pattern": "Null", "size_family": "Linear"}]}))
+        limit = 2 << 30
+        done = subprocess.run(
+            [sys.executable, "-m", "basketsim.cli", "simulate", "--config", str(path),
+             "--design", design, "--reps", "5", "--out", str(tmp_path)],
+            env=fresh_env(), capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "[100000, 5]" in done.stderr and "bytes" in done.stderr
         assert not (tmp_path / "oc.csv").exists()
 
     def test_report_on_a_non_utf8_csv_is_a_usage_error(self, tmp_path, capsys):

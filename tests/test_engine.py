@@ -42,11 +42,18 @@ FUJI_CFG = DesignConfig("Fujikawa", FujikawaParams(1.5, 0.0), lambda_=0.9)
 BMA_CFG = DesignConfig("BMA", BmaParams(-2.0), lambda_=0.9)
 
 
+def table_tails_means(config, table):
+    """The tails and posterior means [U, K] of a table's rows, from one DesignBank."""
+    bank = DesignBank(config.design, table.rows, table.sizes,
+                      config.prior_list(len(table.sizes)), 0.15)
+    return bank.tails_means(config.params)
+
+
 def bank_tails_means(config, scenario, n_reps, master_seed):
     """The tails and posterior means [R, K] of one scenario's replicates, each row as often
     as its count, through the scenario's own outcome table."""
     table = outcome_table([scenario], n_reps, master_seed)
-    tails, means = evaluate_table(config, table, 0.15)
+    tails, means = table_tails_means(config, table)
     counts = table.counts[scenario]
     return np.repeat(tails, counts, axis=0), np.repeat(means, counts, axis=0)
 
@@ -403,9 +410,9 @@ class TestSimulate:
         table = outcome_table([GROUPED_ASC, GROUPED_ALT], 60, 21)
         for design, params in ALL_DESIGNS.items():
             cfg = DesignConfig(design, params)
-            tails1, means1 = evaluate_table(cfg, table, 0.15, jobs=1)
-            tails2, means2 = evaluate_table(cfg, table, 0.15, jobs=2)
-            np.testing.assert_array_equal(tails1, tails2)
+            [(counts1, means1)] = evaluate_table([cfg], table, 0.15, jobs=1, per_basket=True)
+            [(counts2, means2)] = evaluate_table([cfg], table, 0.15, jobs=2, per_basket=True)
+            np.testing.assert_array_equal(counts1, counts2)
             np.testing.assert_array_equal(means1, means2)
 
     @pytest.mark.parametrize("config", [
@@ -418,7 +425,7 @@ class TestSimulate:
         before = hierarchical.table_builds
         for scenario in grouped:
             table = outcome_table([scenario], 8, 4)
-            evaluate_table(config, table, 0.15, jobs=2)
+            evaluate_table([config], table, 0.15, jobs=2)
             answers = worker_answers(tmp_path)  # one per block, from the call's own workers
             assert len(answers) == len(table.blocks(2))
             assert len({pid for pid, _ in answers} - {os.getpid()}) == 2
@@ -436,6 +443,24 @@ class TestSimulate:
         answers = worker_answers(tmp_path)  # one per block, from two pools of two workers
         assert len(answers) == 2 * len(outcome_table(grouped, 8, 4).blocks(2))
         assert len({pid for pid, _ in answers} - {os.getpid()}) == 4
+        assert [builds for _, builds in answers] == [0] * len(answers)
+        assert hierarchical.table_builds - before == 2
+
+    def test_tune_pools_follow_the_table_key(self, monkeypatch, tmp_path):
+        # grid points of one phi and two mu_sd used to share a pool and, block by block,
+        # evict each other's tables: 6 builds for 3 blocks at one job, and worker builds
+        grouped = [s for s in builtin_catalog() if s.size_family == "Grouped"]
+        grid = [BhmParams(phi=0.6), BhmParams(phi=0.6, mu_sd=2.0)]
+        monkeypatch.setattr(engine, "_BLOCK_ROWS", 100)
+        assert len(outcome_table(grouped, 40, 4).blocks()) == 3
+        before = hierarchical.table_builds
+        grid_search("BHM", grouped, 40, seed=4, grid=grid)
+        assert hierarchical.table_builds - before == 2
+        watch_workers(monkeypatch, tmp_path)
+        before = hierarchical.table_builds
+        grid_search("BHM", grouped, 40, seed=4, grid=grid, jobs=2)
+        answers = worker_answers(tmp_path)  # one per block, from two pools of two workers
+        assert len(answers) == 2 * 3
         assert [builds for _, builds in answers] == [0] * len(answers)
         assert hierarchical.table_builds - before == 2
 
@@ -476,7 +501,7 @@ class TestOutcomeTable:
 
     def test_many_blocks_match_one_block(self, monkeypatch):
         table = outcome_table([GROUPED_NULL, GROUPED_ASC], 30, 8)
-        one_block = {d: evaluate_table(DesignConfig(d, p), table, 0.15)
+        one_block = {d: evaluate_table([DesignConfig(d, p)], table, 0.15, per_basket=True)[0]
                      for d, p in ALL_DESIGNS.items()}
         monkeypatch.setattr(engine, "_BLOCK_ROWS", 7)
         blocks = table.blocks()
@@ -484,8 +509,9 @@ class TestOutcomeTable:
         assert max(map(len, blocks)) <= 7
         np.testing.assert_array_equal(np.concatenate(blocks), table.rows)
         for design, params in ALL_DESIGNS.items():
-            tails, means = evaluate_table(DesignConfig(design, params), table, 0.15)
-            np.testing.assert_array_equal(tails, one_block[design][0])
+            [(counts, means)] = evaluate_table([DesignConfig(design, params)], table, 0.15,
+                                               per_basket=True)
+            np.testing.assert_array_equal(counts, one_block[design][0])
             np.testing.assert_array_equal(means, one_block[design][1])
 
     @pytest.mark.parametrize("design", ["CPP", "BMA", "BHM"])
@@ -520,7 +546,7 @@ class TestCrossingCounts:
         got, ocs = study(config, family, GROUPED_NULL, 200, 6)
         assert got == lam
         table = outcome_table(family, 200, 6)
-        tails, means = evaluate_table(config, table, 0.15)
+        tails, means = table_tails_means(config, table)
         assert (tails == 1.0).any()  # a tail on the threshold 1.0
         decisions = decisions_from_tails(tails, lam, config.strict)
         expected = [reference_oc(s, table.counts[s], decisions, means, 0.15) for s in family]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import integrate, special, stats
 from basketsim import hierarchical
 from basketsim.engine import DesignBank
 from basketsim.hierarchical import (
+    MAX_PHI,
     BhmParams,
     ExnexParams,
     bhm_posterior_batch,
@@ -353,6 +355,25 @@ class TestShrinkageAndDegenerateChecks:
         for k in range(2):
             assert means[k] == pytest.approx(oracle, abs=0.01)
             assert abs(means[k] - 0.5) < 0.01
+
+    @pytest.mark.parametrize("design", ["BHM", "EXNEX"])
+    def test_largest_phi_stays_finite(self, design):
+        # sigma = phi * s squared stays finite on every s node: no overflow warning
+        params = BhmParams(MAX_PHI) if design == "BHM" else ExnexParams(MAX_PHI, q=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tails, means = posterior_tails_means(design, [DATA, (0,) * 5, SIZES], SIZES,
+                                                 params, 0.15)
+        assert np.isfinite(tails).all() and np.isfinite(means).all()
+        # no borrowing is left: a basket that saw every patient respond is a sure success
+        np.testing.assert_allclose(tails[2], 1.0)
+
+    @pytest.mark.parametrize("design", ["BHM", "EXNEX"])
+    @pytest.mark.parametrize("phi", [math.nextafter(MAX_PHI, math.inf), 1e308, math.inf,
+                                     math.nan, 0.0])
+    def test_phi_out_of_range_rejected(self, design, phi):
+        with pytest.raises(ValueError, match="^phi "):
+            BhmParams(phi) if design == "BHM" else ExnexParams(phi, q=0.5)
 
 
 class TestExnexLimits:

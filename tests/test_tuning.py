@@ -19,7 +19,6 @@ from basketsim.core import (
 from basketsim.engine import (
     DesignBank,
     DesignConfig,
-    evaluate_table,
     generate_responses,
     outcome_table,
     run_design,
@@ -106,7 +105,8 @@ def bank_tails_means(config, scenario, n_reps, seed):
     """The tails and posterior means [R, K] of one scenario's replicates, each row as often
     as its count, through the scenario's own outcome table."""
     table = outcome_table([scenario], n_reps, seed)
-    tails, means = evaluate_table(config, table, 0.15)
+    bank = DesignBank(config.design, table.rows, table.sizes, config.prior_list(scenario.k), 0.15)
+    tails, means = bank.tails_means(config.params)
     counts = table.counts[scenario]
     return np.repeat(tails, counts, axis=0), np.repeat(means, counts, axis=0)
 
