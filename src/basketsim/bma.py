@@ -22,8 +22,11 @@ from .core import (
     log_beta,
     row_sums,
 )
+from .hierarchical import MAX_TABLE_BYTES
 
 MAX_BASKETS = 12  # Bell(12) is ~4.2M models; beyond this enumeration is hopeless
+# Bell(k), the number of partitions of k baskets, for k = 0 .. MAX_BASKETS
+BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)
 # a model has at most MAX_BASKETS blocks, so C * psi stays within half the float range
 MAX_PSI = sys.float_info.max / (2 * MAX_BASKETS)
 
@@ -144,13 +147,20 @@ class BmaBank:
     Subset S pools n_S patients, so its posterior is Beta(alpha + r_S, beta + n_S - r_S)
     for an integer r_S in 0..n_S: every subset's log marginal, tail and mean are
     tabulated once per r_S, and each row reads them at the table's offset plus its r_S.
-    ``tails_means`` averages them over the models for one psi.
+    ``tails_means`` averages them over the models for one psi.  A bank whose [R, K, M]
+    arrays would pass ``MAX_TABLE_BYTES`` raises ConfigurationError before any is built.
     """
 
     def __init__(self, responses, sample_sizes, prior: BetaShape, p0: float):
         responses = np.asarray(responses, dtype=np.int64)
-        _check_basket_count(responses.shape[-1])
-        self._space = space = _model_space(responses.shape[-1])
+        k = responses.shape[-1]
+        _check_basket_count(k)
+        # the tails, the means and the product of one with the model probabilities
+        need = 24 * len(responses) * k * BELL[k]
+        if need > MAX_TABLE_BYTES:
+            raise ConfigurationError(f"BMA over {k} baskets needs {need} bytes for a block of "
+                                     f"{len(responses)} rows > {MAX_TABLE_BYTES}")
+        self._space = space = _model_space(k)
         pooled = space.member @ np.asarray(sample_sizes, dtype=np.int64)
         r = np.concatenate([np.arange(n + 1, dtype=float) for n in pooled.tolist()])
         alphas, betas = prior.alpha + r, prior.beta + (np.repeat(pooled, pooled + 1) - r)

@@ -2,9 +2,9 @@
 
 Outputs are flat CSV files (one row per scenario/design/basket) with a
 provenance header carrying the tool version, master seed, replicate count
-and a hash of the result-affecting configuration, so reruns with the same
-manifest are byte-identical.  ``report`` re-renders stored CSV into the
-aligned ECD / rejection-rate / bias tables.
+and a hash of the result-affecting flags and of the config file's bytes, so
+reruns with the same arguments and config are byte-identical.  ``report``
+re-renders stored CSV into the aligned ECD / rejection-rate / bias tables.
 """
 
 from __future__ import annotations
@@ -98,45 +98,6 @@ class CatalogError(ConfigurationError):
     """A scenario or design definition violates the documented schema."""
 
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """Everything one command needs; hashed (minus jobs) into file headers."""
-
-    command: str
-    config_path: str | None
-    seed: int
-    reps: int
-    out_dir: str
-    jobs: int
-    designs: tuple[str, ...]
-    scenario_selector: str
-    p0: float = 0.15
-    table: str | None = None
-    family: str | None = None
-    alpha: float = 0.05
-
-    def result_key(self) -> str:
-        payload = {
-            "command": self.command,
-            "seed": self.seed,
-            "reps": self.reps,
-            "designs": list(self.designs),
-            "scenarios": self.scenario_selector,
-            "p0": self.p0,
-            "alpha": self.alpha,
-            "config": _config_digest(self.config_path),
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _config_digest(path: str | None) -> str | None:
-    if path is None:
-        return None
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
-
-
 # ---------------------------------------------------------------------------
 # Catalog and configuration files
 # ---------------------------------------------------------------------------
@@ -208,7 +169,7 @@ def load_catalog(path: str | None = None, config: dict | None = None) -> list[Sc
     """The builtin Table-1 catalog, or the scenarios of a config file (read from
     ``path`` unless its parsed ``config`` is passed)."""
     if config is None:
-        config = load_config(path) if path else {}
+        config = load_config(path)[0] if path else {}
     if "scenarios" not in config:
         return builtin_catalog()
     if not isinstance(config["scenarios"], list):
@@ -227,12 +188,14 @@ def load_catalog(path: str | None = None, config: dict | None = None) -> list[Sc
     return scenarios
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str) -> tuple[dict, str]:
+    """A config file's object and the digest of the bytes it was parsed from."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        config = json.loads(blob.decode("utf-8"))
     except OSError as exc:
-        raise CatalogError(f"cannot read config {path}: {exc}") from exc
+        raise CatalogError(f"cannot read config {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise CatalogError(f"config {path} is not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
@@ -244,7 +207,7 @@ def load_config(path: str) -> dict:
     unknown = sorted(set(config) - {"scenarios", "designs"})
     if unknown:
         raise CatalogError(f"config {path}: unknown top-level key(s) {unknown}")
-    return config
+    return config, hashlib.sha256(blob).hexdigest()[:16]
 
 
 def design_params_from_mapping(design: str, raw: dict):
@@ -314,18 +277,10 @@ def select_designs(selector: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _header_lines(manifest: RunManifest) -> list[str]:
-    return [
-        f"# basketsim v{__version__} command={manifest.command} "
-        f"seed={manifest.seed} reps={manifest.reps} config_hash={manifest.result_key()}"
-    ]
-
-
-def _write_csv(path: str, manifest: RunManifest, columns, rows) -> None:
+def _write_csv(path: str, header: str, columns, rows) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            for line in _header_lines(manifest):
-                fh.write(line + "\n")
+            fh.write(header + "\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             writer.writerows(rows)
@@ -335,6 +290,12 @@ def _write_csv(path: str, manifest: RunManifest, columns, rows) -> None:
 
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
+
+
+def _fmt_lambda(lam: float) -> str:
+    """Three decimals for a threshold on the 0.001 grid, else every digit of it."""
+    text = f"{lam:.3f}"
+    return text if float(text) == lam else repr(lam)
 
 
 def design_configs(config: dict) -> dict[str, DesignConfig]:
@@ -354,10 +315,25 @@ def design_configs(config: dict) -> dict[str, DesignConfig]:
     return configs
 
 
-def _load(manifest: RunManifest) -> tuple[list[Scenario], dict[str, DesignConfig]]:
-    """The catalog and the configured designs, from one read of the config file."""
-    config = load_config(manifest.config_path) if manifest.config_path else {}
-    return load_catalog(manifest.config_path, config), design_configs(config)
+def _load(args: argparse.Namespace) -> tuple[list[Scenario], dict[str, DesignConfig], str]:
+    """The catalog, the configured designs and the header of the run's CSV files, from one
+    read of the config file: the header hashes the flags that affect results and the
+    bytes that were parsed."""
+    config, digest = load_config(args.config) if args.config else ({}, None)
+    payload = {
+        "command": args.command,
+        "seed": args.seed,
+        "reps": args.reps,
+        "designs": list(args.designs),
+        "scenarios": args.scenario,
+        "p0": args.p0,
+        "alpha": args.alpha,
+        "config": digest,
+    }
+    key = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+    header = (f"# basketsim v{__version__} command={args.command} "
+              f"seed={args.seed} reps={args.reps} config_hash={key}")
+    return load_catalog(args.config, config), design_configs(config), header
 
 
 def _families(catalog: list[Scenario], selector: str):
@@ -368,15 +344,15 @@ def _families(catalog: list[Scenario], selector: str):
                [s for s in catalog if s.size_family == family])
 
 
-def command_simulate(manifest: RunManifest) -> int:
-    catalog, configured = _load(manifest)
+def command_simulate(args: argparse.Namespace) -> None:
+    catalog, configured, header = _load(args)
     rows = []
-    for family, scenarios, members in _families(catalog, manifest.scenario_selector):
-        null = null_scenario(members, manifest.p0)
-        for design in manifest.designs:
+    for family, scenarios, members in _families(catalog, args.scenario):
+        null = null_scenario(members, args.p0)
+        for design in args.designs:
             config = configured.get(design, DesignConfig(design, TUNED_PARAMS[family][design]))
-            lam, ocs = study(config, scenarios, null, manifest.reps, manifest.seed,
-                             manifest.p0, manifest.alpha, manifest.jobs)
+            lam, ocs = study(config, scenarios, null, args.reps, args.seed,
+                             args.p0, args.alpha, args.jobs)
             param_json = _params_to_json(config.params)
             for scenario, oc in zip(scenarios, ocs):
                 for k in range(scenario.k):
@@ -386,39 +362,38 @@ def command_simulate(manifest: RunManifest) -> int:
                         _fmt(scenario.true_rates[k]),
                         _fmt(oc.rejection_rate[k]), _fmt(oc.bias[k]),
                         _fmt(oc.ecd_mean), _fmt(oc.fwer),
-                        f"{lam:.3f}", param_json,
+                        _fmt_lambda(lam), param_json,
                     ])
-    _write_csv(os.path.join(manifest.out_dir, "oc.csv"), manifest, CSV_COLUMNS, rows)
-    return EXIT_OK
+    _write_csv(os.path.join(args.out, "oc.csv"), header, CSV_COLUMNS, rows)
 
 
-def command_calibrate(manifest: RunManifest) -> int:
-    catalog, configured = _load(manifest)
+def command_calibrate(args: argparse.Namespace) -> None:
+    catalog, configured, header = _load(args)
     rows = []
-    for family, _, members in _families(catalog, manifest.scenario_selector):
-        null = null_scenario(members, manifest.p0)
-        for design in manifest.designs:
+    for family, _, members in _families(catalog, args.scenario):
+        null = null_scenario(members, args.p0)
+        for design in args.designs:
             config = configured.get(design, DesignConfig(design, TUNED_PARAMS[family][design]))
             # calibrate always calibrates: a lambda fixed in the config is dropped
-            lam, (oc,) = study(config.with_lambda(None), [null], null, manifest.reps,
-                               manifest.seed, manifest.p0, manifest.alpha, manifest.jobs)
+            lam, (oc,) = study(config.with_lambda(None), [null], null, args.reps,
+                               args.seed, args.p0, args.alpha, args.jobs)
             rows.append([family, design, f"{lam:.3f}", _fmt(oc.fwer),
                          _params_to_json(config.params)])
     _write_csv(
-        os.path.join(manifest.out_dir, "lambdas.csv"), manifest,
+        os.path.join(args.out, "lambdas.csv"), header,
         ("size_family", "design", "lambda", "null_fwer", "param_json"), rows,
     )
-    return EXIT_OK
 
 
-def command_tune(manifest: RunManifest) -> int:
-    catalog, _ = _load(manifest)  # the designs are checked, though tune searches its own grid
+def command_tune(args: argparse.Namespace) -> None:
+    # the designs are checked, though tune searches its own grid
+    catalog, _, header = _load(args)
     rows = []
-    for family, _, members in _families(catalog, manifest.scenario_selector):
-        for design in manifest.designs:
+    for family, _, members in _families(catalog, args.scenario):
+        for design in args.designs:
             result = grid_search(
-                design, members, manifest.reps, alpha=manifest.alpha,
-                seed=manifest.seed, p0=manifest.p0, jobs=manifest.jobs,
+                design, members, args.reps, alpha=args.alpha,
+                seed=args.seed, p0=args.p0, jobs=args.jobs,
             )
             for i, rec in enumerate(result.records):
                 row = [
@@ -433,12 +408,11 @@ def command_tune(manifest: RunManifest) -> int:
                 row.append(int(i == result.selected_index))
                 rows.append(row)
     _write_csv(
-        os.path.join(manifest.out_dir, "tuning.csv"), manifest,
+        os.path.join(args.out, "tuning.csv"), header,
         ("size_family", "design", "param_json", "lambda",
          *(f"ecd_{p.lower()}" for p in PATTERNS), "mean_ecd", "selected"),
         rows,
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -556,48 +530,28 @@ def render_weights_table() -> list[list]:
     return rows
 
 
-def command_report(manifest: RunManifest) -> int:
-    table = manifest.table or "ecd"
-    if table == "weights":
+def command_report(args: argparse.Namespace) -> None:
+    _, _, header = _load(args)  # --config is read and checked as by every command
+    if args.table == "weights":
         rows = render_weights_table()
         _write_csv(
-            os.path.join(manifest.out_dir, "weights.csv"), manifest,
+            os.path.join(args.out, "weights.csv"), header,
             ("design", "param_json", "n_k", "n_i", "statistic", "weight"), rows,
         )
-        return EXIT_OK
+        return
     by_name = {f.lower(): f for f in SIZE_FAMILIES}
-    family = by_name.get((manifest.family or "grouped").lower())
+    family = by_name.get(args.family.lower())
     if family is None:
-        raise CatalogError(f"unknown size family {manifest.family!r}")
-    rows = _read_oc_csv(os.path.join(manifest.out_dir, "oc.csv"))
-    if table == "ecd":
+        raise CatalogError(f"unknown size family {args.family!r}")
+    rows = _read_oc_csv(os.path.join(args.out, "oc.csv"))
+    if args.table == "ecd":
         sys.stdout.write(render_ecd_table(rows, family))
-    elif table == "rejection":
+    elif args.table == "rejection":
         sys.stdout.write(
             _basket_table(rows, family, "rejection_rate", True, "Rejection rates")
         )
-    elif table == "bias":
-        sys.stdout.write(_basket_table(rows, family, "bias", False, "Bias"))
     else:
-        raise CatalogError(f"unknown table {table!r}")
-    return EXIT_OK
-
-
-def run_command(manifest: RunManifest) -> int:
-    """Dispatch one manifest; numeric failures exit 3, usage errors exit 2."""
-    try:
-        os.makedirs(manifest.out_dir, exist_ok=True)
-    except OSError as exc:
-        raise CatalogError(f"cannot create --out {manifest.out_dir}: {exc.strerror}") from None
-    handlers = {
-        "simulate": command_simulate,
-        "calibrate": command_calibrate,
-        "tune": command_tune,
-        "report": command_report,
-    }
-    if manifest.command not in handlers:
-        raise CatalogError(f"unknown command {manifest.command!r}")
-    return handlers[manifest.command](manifest)
+        sys.stdout.write(_basket_table(rows, family, "bias", False, "Bias"))
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulation engine for Bayesian basket-trial designs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "calibrate", "tune", "report"):
+    for name, handler in (("simulate", command_simulate), ("calibrate", command_calibrate),
+                          ("tune", command_tune), ("report", command_report)):
         cmd = sub.add_parser(name)
+        cmd.set_defaults(handler=handler)
         cmd.add_argument("--config", default=None, help="JSON config file")
         cmd.add_argument("--design", default="all", help="design name or 'all'")
         cmd.add_argument("--scenario", default="all",
@@ -632,7 +588,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """Reject out-of-range numeric flags as usage errors."""
+    """Reject out-of-range numeric flags and an unknown design as usage errors; set
+    ``args.designs`` to the selected designs and clamp ``--jobs`` to [1, number of CPUs]."""
     if not 1 <= args.reps <= MAX_REPS:
         raise CatalogError(f"--reps must lie in [1, {MAX_REPS}], got {args.reps}")
     if args.seed < 0:
@@ -641,39 +598,27 @@ def _check_args(args: argparse.Namespace) -> None:
         raise CatalogError(f"--p0 must lie in (0, 1), got {args.p0}")
     if not 0.0 < args.alpha < 1.0:
         raise CatalogError(f"--alpha must lie in (0, 1), got {args.alpha}")
-
-
-def manifest_from_args(args: argparse.Namespace) -> RunManifest:
-    """Validated manifest; ``--jobs`` is clamped to [1, number of CPUs]."""
-    _check_args(args)
-    return RunManifest(
-        command=args.command,
-        config_path=args.config,
-        seed=args.seed,
-        reps=args.reps,
-        out_dir=args.out,
-        jobs=max(1, min(args.jobs, os.cpu_count() or 1)),
-        designs=select_designs(args.design),
-        scenario_selector=args.scenario,
-        p0=args.p0,
-        table=getattr(args, "table", None),
-        family=getattr(args, "family", None),
-        alpha=args.alpha,
-    )
+    args.designs = select_designs(args.design)
+    args.jobs = max(1, min(args.jobs, os.cpu_count() or 1))
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; usage errors exit 2, numeric failures 3."""
+    args = build_parser().parse_args(argv)
     try:
-        manifest = manifest_from_args(args)
-        return run_command(manifest)
-    except (CatalogError, ConfigurationError) as exc:
+        _check_args(args)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise CatalogError(f"cannot create --out {args.out}: {exc.strerror}") from None
+        args.handler(args)
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BasketSimError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -89,6 +89,15 @@ class TestEnumeratePartitions:
         with pytest.raises(ConfigurationError, match="supports 2..4 baskets"):
             BmaBank([[1] * k], (5,) * k, BetaShape(1, 1), 0.15)
 
+    def test_bell_numbers_count_the_partitions(self):
+        assert [len(bma._partition_assignments(k)) for k in range(1, 10)] == list(bma.BELL[1:10])
+
+    def test_bank_checks_its_memory_before_enumerating(self, monkeypatch):
+        # 24 bytes per row, basket and model: 4,096 rows of K = 8 need 3,255,828,480 bytes
+        monkeypatch.setattr(bma, "_model_space", lambda k: pytest.fail("enumerated"))
+        with pytest.raises(ConfigurationError, match="BMA over 8 baskets needs 3255828480 "):
+            BmaBank([[1] * 8] * 4096, (5,) * 8, BetaShape(1, 1), 0.15)
+
     def test_non_canonical_assignment_rejected(self):
         with pytest.raises(ValueError):
             Partition((1, 0, 1))

@@ -19,7 +19,6 @@ from basketsim.cli import (
     load_catalog,
     load_config,
     main,
-    manifest_from_args,
     select_designs,
     select_scenarios,
 )
@@ -234,6 +233,14 @@ class TestCommands:
         rows = read_rows(out / "oc.csv")
         assert {r["lambda"] for r in rows} == {"0.900"}
 
+    def test_off_grid_fixed_lambda_is_written_exactly(self, tmp_path):
+        # a lambda off the 0.001 grid was written rounded: 0.8125 as 0.812
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"designs": {"CPP": {"a": 4.0, "b": 4.5, "lambda": 0.8125}}}))
+        assert main(["simulate", "--config", str(path), "--scenario", "2", "--design", "CPP",
+                     "--reps", "5", "--out", str(tmp_path)]) == 0
+        assert {r["lambda"] for r in read_rows(tmp_path / "oc.csv")} == {"0.8125"}
+
     def test_calibrate_writes_lambdas(self, tmp_path):
         out = tmp_path / "out"
         code = main([
@@ -276,6 +283,46 @@ class TestCommands:
         assert main([command, "--config", str(path), "--scenario", "linear", "--design",
                      "APP", "--reps", "20", "--out", str(tmp_path)]) == 0
         assert reads == [str(path)]
+
+    @pytest.mark.parametrize("command", [["simulate"], ["calibrate"], ["tune"],
+                                         ["report", "--table", "weights"]],
+                             ids=["simulate", "calibrate", "tune", "report-weights"])
+    def test_missing_config_is_a_usage_error(self, command, tmp_path, capsys):
+        # report used to hash the config only when writing, and so named its own output
+        # as the file it could not write, leaving an empty weights.csv behind
+        missing = tmp_path / "missing.json"
+        code = main([*command, "--config", str(missing), "--scenario", "2", "--design",
+                     "CPP", "--reps", "5", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {missing}: ")
+        assert err.count("\n") == 1
+        assert not list((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate"])
+    def test_config_rewritten_during_a_run_keeps_the_parsed_hash(self, command, monkeypatch,
+                                                                  tmp_path):
+        # the header used to hash the file as it stood when the CSV was written
+        path = tmp_path / "cfg.json"
+        config = json.dumps({"designs": {"CPP": {"a": 4.0, "b": 4.5}}})
+        args = [command, "--config", str(path), "--scenario", "grouped", "--design", "CPP",
+                "--reps", "20", "--seed", "3"]
+        headers = []
+        for rewrite in (False, True):
+            path.write_text(config)
+            if rewrite:
+                study = cli.study
+
+                def rewriting(*study_args):
+                    path.write_text(json.dumps({"designs": {"CPP": {"a": 1.0, "b": 1.0}}}))
+                    return study(*study_args)
+
+                monkeypatch.setattr(cli, "study", rewriting)
+            out = tmp_path / str(rewrite)
+            assert main(args + ["--out", str(out)]) == 0
+            headers.append(next(out.glob("*.csv")).read_text().splitlines()[0])
+        assert headers[0] == headers[1]
+        assert path.read_text() != config  # the rewrite happened
 
     def test_output_header_carries_provenance(self, tmp_path):
         out = tmp_path / "out"
@@ -508,6 +555,24 @@ class TestCommands:
         assert done.stderr.count("\n") == 1
         assert not (tmp_path / "oc.csv").exists()
 
+    def test_bma_beyond_its_memory_bound_is_a_usage_error(self, tmp_path):
+        # nine baskets of 10 over 1,000 replicates need about 4.6 GB of BMA statistics;
+        # under a 2 GiB address space that used to end in a MemoryError traceback, exit 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenarios": [{
+            "id": 1, "sample_sizes": [10] * 9, "true_rates": [0.15] * 9,
+            "pattern": "Null", "size_family": "Linear"}]}))
+        limit = 2 << 30
+        done = subprocess.run(
+            [sys.executable, "-m", "basketsim.cli", "simulate", "--config", str(path),
+             "--design", "BMA", "--reps", "1000", "--out", str(tmp_path)],
+            env=fresh_env(), capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: BMA over 9 baskets needs ")
+        assert "bytes" in done.stderr and done.stderr.count("\n") == 1
+        assert not (tmp_path / "oc.csv").exists()
+
     def test_posterior_without_finite_mass_is_a_numeric_failure(self, tmp_path, capsys,
                                                                  monkeypatch):
         # every replicate is (0, 30): under opposed targets and phi 1e-6 one basket's
@@ -662,9 +727,11 @@ class TestCommands:
     def test_jobs_clamped_to_cpu_count(self):
         cpus = os.cpu_count() or 1
         args = build_parser().parse_args(["simulate", "--jobs", str(cpus + 1000)])
-        assert manifest_from_args(args).jobs == cpus
+        cli._check_args(args)
+        assert args.jobs == cpus
         args = build_parser().parse_args(["simulate", "--jobs", "-3"])
-        assert manifest_from_args(args).jobs == 1
+        cli._check_args(args)
+        assert args.jobs == 1
 
 
 class TestScipyStaysOut:
