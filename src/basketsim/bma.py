@@ -96,6 +96,18 @@ def _check_basket_count(k: int) -> None:
         )
 
 
+def _row_bytes(k: int) -> int:
+    """Bytes a bank row of k baskets takes: its [k, Bell(k)] tails and means, and the product
+    of one with the model probabilities."""
+    return 24 * k * BELL[k]
+
+
+def block_rows(k: int) -> int:
+    """The most rows a bank of k baskets holds within ``MAX_TABLE_BYTES`` (0 if none)."""
+    _check_basket_count(k)
+    return MAX_TABLE_BYTES // _row_bytes(k)
+
+
 def enumerate_partitions(k: int) -> list[Partition]:
     """All set partitions of k baskets in deterministic canonical order."""
     _check_basket_count(k)
@@ -155,8 +167,7 @@ class BmaBank:
         responses = np.asarray(responses, dtype=np.int64)
         k = responses.shape[-1]
         _check_basket_count(k)
-        # the tails, the means and the product of one with the model probabilities
-        need = 24 * len(responses) * k * BELL[k]
+        need = _row_bytes(k) * len(responses)
         if need > MAX_TABLE_BYTES:
             raise ConfigurationError(f"BMA over {k} baskets needs {need} bytes for a block of "
                                      f"{len(responses)} rows > {MAX_TABLE_BYTES}")

@@ -9,7 +9,11 @@ r = 0..n on a fixed tensor grid of Gauss-Legendre panels: mu panels halve
 toward each cut, sigma = phi * s on fixed s nodes.  Narrow kernels are
 integrated in z = (eta - nu) / sigma, wide ones on eta panels with the cut
 on a panel boundary plus the likelihood's flat mass beyond them (r = 0 or
-r = n) in closed form.  One pass per (phi, offset) serves every basket
+r = n) in closed form.  The whole-line z rule factors into one matrix
+product per sigma; the mass above the cut takes its own z nodes only where
+the cut is within the rule's reach.  Exponentials whose result would fall
+below e^-700 are taken as 0 without calling exp, whose underflow path is
+slow.  One pass per (phi, offset) serves every basket
 size: with M = max(n) + 1, every likelihood row p^r (1 - p)^(n - r), and p
 times it for the mean, is a nonnegative combination of the Bernstein basis
 B_j(p) = C(M, j) p^j (1 - p)^(M - j), so only the basis's mass and its mass
@@ -38,6 +42,9 @@ _ETA_ORDER = 8
 _Z_SIGMA = 0.25  # kernels up to this sigma are integrated in z
 _Z_LIMIT = 9.0
 _Z_ORDER = 48
+_Z_SPAN = 300.0  # a block of the factored z rule spans at most e^300 in e^(j sigma z)
+_EXP_FLOOR = -700.0  # exp results below e^-700, all negligible here, are taken as 0
+_NDTR_FLAT = 38.6  # beyond |x| = 38.6 the normal CDF rounds to exactly 0 or 1
 _CHUNK_BYTES = 1 << 19  # one [rows, grid] temporary of the posterior sums
 MAX_PHI = math.sqrt(np.finfo(float).max) / _S_EDGES[-1]  # (phi * s)**2 stays finite, s < 8.5
 MAX_TABLE_BYTES = 1 << 30  # the quadrature tables of one size set
@@ -149,8 +156,11 @@ def _grid(cuts: tuple, mu_mean: float, mu_sd: float):
 
 
 def _ndtr(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF, elementwise."""
-    return 0.5 * np.array([math.erfc(v) for v in (x * -math.sqrt(0.5)).tolist()])
+    """Standard normal CDF, elementwise; beyond |x| = _NDTR_FLAT it rounds to exactly 0 or 1."""
+    out = (x > 0.0).astype(float)
+    near = np.abs(x) < _NDTR_FLAT
+    out[near] = 0.5 * np.array([math.erfc(v) for v in (x[near] * -math.sqrt(0.5)).tolist()])
+    return out
 
 
 def _log_comb(m: int, k: int) -> float:
@@ -182,53 +192,121 @@ def _bernstein_terms(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return terms
 
 
-def _bernstein(degree: int, eta: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """B_j(expit(eta)) [degree + 1, *eta.shape], from ln p and ln(1 - p): both are
+def _exp(x: np.ndarray) -> np.ndarray:
+    """exp(x) in place, 0 where x < _EXP_FLOOR: numpy's exp is never handed an argument
+    whose result is subnormal or 0, which costs it 15 to 150 times a normal result."""
+    keep = x >= _EXP_FLOOR
+    if keep.all():
+        return np.exp(x, out=x)
+    np.exp(np.maximum(x, _EXP_FLOOR, out=x), out=x)
+    x *= keep
+    return x
+
+
+def _log_bernstein(degree: int, eta: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """ln B_j(expit(eta)) [degree + 1, *eta.shape], from ln p and ln(1 - p): both are
     negative, so no large terms cancel.  ``out`` and ``scratch``, of that shape, are
     reused if given; the result is ``out``."""
     j, rest, log_comb = (t.reshape(-1, *(1,) * eta.ndim) for t in _bernstein_terms(degree))
     out = np.multiply(j, -np.logaddexp(0.0, -eta), out=out)
     out += log_comb
     out += np.multiply(rest, -np.logaddexp(0.0, eta), out=scratch)
-    return np.exp(out, out=out)
+    return out
 
 
-def _integrals(sizes: tuple, nu: np.ndarray, sigmas, cut: float) -> dict:
-    """{n: [3, n + 1, len(sigmas) * len(nu)]} for every n in sizes: the likelihood's mass,
-    its mass above the cut and its mean of expit(eta) under N(nu, sigma), for r = 0..n (the
-    likelihood scaled to peak 1), sigma-major, lifted from the Bernstein basis's integrals."""
-    degree = max(sizes) + 1
+def _bernstein(degree: int, eta: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """B_j(expit(eta)) [degree + 1, *eta.shape], 0 below e^_EXP_FLOOR; the buffers are
+    those of ``_log_bernstein``."""
+    return _exp(_log_bernstein(degree, eta, out, scratch))
+
+
+def _softplus_change(nu: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """softplus(nu + t) - softplus(nu) [t, nu], with softplus(x) = max(x, 0) + ln(1 + e^-|x|)
+    and the change of max(x, 0) taken from t, so a large |nu| rounds nothing in."""
+    eta = nu + t[:, None]
+    ramp = np.where(nu >= 0.0, np.maximum(t[:, None], -nu), np.maximum(eta, 0.0))
+    return ramp + np.log1p(_exp(-np.abs(eta))) - np.log1p(_exp(-np.abs(nu)))
+
+
+def _z_rule_mass(log_basis: np.ndarray, nu: np.ndarray, sigma: float, z, w_z) -> np.ndarray:
+    """The basis's mass under N(nu, sigma) [degree + 1, nu] by the fixed z rule (z, w_z),
+    factored: B_j(expit(nu + sigma z)) = B_j(expit(nu)) e^(j sigma z) e^(-degree (softplus(nu
+    + sigma z) - softplus(nu))), so each block of z nodes takes one [degree + 1, z] @ [z, nu]
+    product.  Each factor is shifted by its row or column maximum and the shifts and ln
+    B_j(expit(nu)) (``log_basis``) are applied in logs; a block spans at most e^_Z_SPAN in
+    e^(j sigma z), so no entry that counts underflows."""
+    degree = log_basis.shape[0] - 1
+    j, t = np.arange(degree + 1.0)[:, None], sigma * z
+    log_g = np.log(w_z)[:, None] - degree * _softplus_change(nu, t)  # [z, nu]
+    mass, a = 0.0, 0
+    while a < t.size:
+        b = max(a + 1, int(np.searchsorted(t, t[a] + _Z_SPAN / degree, side="right")))
+        top = log_g[a:b].max(axis=0)
+        sums = np.exp(j * (t[a:b] - t[b - 1])) @ _exp(log_g[a:b] - top)
+        mass = mass + _exp(log_basis + top + j * t[b - 1]) * sums
+        a = b
+    return mass
+
+
+def _basis_mass(degree: int, nu: np.ndarray, sigmas, cut: float) -> np.ndarray:
+    """[2, degree + 1, len(sigmas), len(nu)]: the Bernstein basis's mass under N(nu, sigma),
+    and its mass above the cut.  Where the cut lies beyond the z rule's reach the mass above
+    it is the whole mass, or 0."""
     edges = cut + _ETA_PANEL * np.arange(math.floor((-_ETA_LIMIT - cut) / _ETA_PANEL),
                                          math.ceil((_ETA_LIMIT - cut) / _ETA_PANEL) + 1)
     eta, w_eta = _gauss_panels(edges, [_ETA_ORDER] * (edges.size - 1))
     above = np.searchsorted(eta, cut)  # the cut is a panel edge, never a node
     basis = _bernstein(degree, eta) * w_eta
-    half_sq, kernel = -0.5 * np.square(np.subtract.outer(eta, nu)), np.empty((eta.size, nu.size))
+    half_sq, kernel = -0.5 * np.square(np.subtract.outer(eta, nu)), np.empty(eta.size * nu.size)
+    reach = half_sq.max(axis=0)  # sigma^2 times each kernel's largest exponent
     x, w = _leggauss(_Z_ORDER)
-    mass = np.empty((2, degree + 1, len(sigmas), nu.size))  # the basis's mass, and above the cut
+    z = -_Z_LIMIT + _Z_LIMIT * (x + 1.0)  # the z rule over the whole line
+    w_z = _Z_LIMIT * w * np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+    log_basis = _log_bernstein(degree, nu)
     step = max(1, _CHUNK_BYTES // (8 * (degree + 1) * _Z_ORDER))
-    buffers = np.empty((2, degree + 1, min(step, nu.size), _Z_ORDER))  # the z-rule's basis
+    buffers = np.empty((2, degree + 1, min(step, nu.size), _Z_ORDER))  # the near-cut basis
+    mass = np.zeros((2, degree + 1, len(sigmas), nu.size))  # the basis's mass, and above the cut
     for i, sigma in enumerate(sigmas):
         if sigma > _Z_SIGMA:
-            np.exp(np.divide(half_sq, sigma * sigma, out=kernel), out=kernel)
-            mass[1, :, i] = basis[:, above:] @ kernel[above:]
-            mass[0, :, i] = basis[:, :above] @ kernel[:above] + mass[1, :, i]
-            mass[:, :, i] /= sigma * math.sqrt(2 * math.pi)
+            # only kernels with an entry above e^_EXP_FLOOR; reach peaks within the eta
+            # panels and falls off on either side, so they are one run of nu
+            live = np.flatnonzero(reach / (sigma * sigma) >= _EXP_FLOOR)
+            if live.size:
+                a, b = live[0], live[-1] + 1
+                k = kernel[:eta.size * (b - a)].reshape(eta.size, b - a)
+                _exp(np.divide(half_sq[:, a:b], sigma * sigma, out=k))
+                mass[1, :, i, a:b] = basis[:, above:] @ k[above:]
+                mass[0, :, i, a:b] = basis[:, :above] @ k[:above] + mass[1, :, i, a:b]
+                mass[:, :, i, a:b] /= sigma * math.sqrt(2 * math.pi)
             # beyond the eta panels B_0 is flat at 1 on the left and B_degree on the right
             mass[0, 0, i] += _ndtr((edges[0] - nu) / sigma)
             mass[:, -1, i] += _ndtr((nu - edges[-1]) / sigma)
             continue
-        for part, lower in enumerate((np.full(nu.size, -_Z_LIMIT),
-                                      np.clip((cut - nu) / sigma, -_Z_LIMIT, _Z_LIMIT))):
-            half = 0.5 * (_Z_LIMIT - lower)[:, None]
-            z = lower[:, None] + half * (x + 1.0)
-            w_z = half * w * np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-            for a in range(0, nu.size, step):  # nu slices keep both buffers within budget
-                b = min(a + step, nu.size)
-                v = _bernstein(degree, nu[a:b, None] + sigma * z[a:b],
-                               buffers[0][:, :b - a], buffers[1][:, :b - a])
-                mass[part, :, i, a:b] = np.multiply(v, w_z[a:b], out=v).sum(axis=2)
-    del buffers
+        mass[0, :, i] = _z_rule_mass(log_basis, nu, sigma, z, w_z)
+        # above the cut: the whole line where the cut is Z_LIMIT sigma or more below nu, and
+        # nothing where it is that far above; in between, z nodes from the cut up, in nu
+        # slices that keep both buffers within budget
+        lower = (cut - nu) / sigma
+        mass[1, :, i] = np.where(lower <= -_Z_LIMIT, mass[0, :, i], 0.0)
+        near = np.flatnonzero(np.abs(lower) < _Z_LIMIT)  # one run: lower falls with nu
+        for a in near[::step]:
+            b = min(a + step, near[-1] + 1)
+            half = 0.5 * (_Z_LIMIT - lower[a:b])[:, None]
+            z_near = lower[a:b, None] + half * (x + 1.0)
+            w_near = half * w * np.exp(-0.5 * z_near * z_near) / math.sqrt(2 * math.pi)
+            v = _bernstein(degree, nu[a:b, None] + sigma * z_near,
+                           buffers[0][:, :b - a], buffers[1][:, :b - a])
+            mass[1, :, i, a:b] = np.multiply(v, w_near, out=v).sum(axis=2)
+    return mass
+
+
+def _integrals(sizes: tuple, nu: np.ndarray, sigmas, cut: float) -> dict:
+    """{n: [3, n + 1, len(sigmas) * len(nu)]} for every n in sizes: the likelihood's mass,
+    its mass above the cut and its mean of expit(eta) under N(nu, sigma), for r = 0..n (the
+    likelihood scaled to peak 1), sigma-major, lifted from the Bernstein basis's integrals
+    after the temporaries of their build are freed."""
+    degree = max(sizes) + 1
+    mass = _basis_mass(degree, nu, sigmas, cut)
     lift = _bernstein_lift(sizes, degree)
     out = np.empty((3, lift.shape[1], len(sigmas) * nu.size))
     for part, (row, basis_part) in enumerate(((0, 0), (0, 1), (1, 0))):  # mass, tail, mean
@@ -288,7 +366,8 @@ def posterior_tails_means(design: str, responses, sample_sizes, params,
     codes, logs, divisors = np.empty(rows.shape, dtype=np.intp), [], []
     for k, table in enumerate(tables):  # each basket's mixture once per response count seen
         seen, codes[:, k] = np.unique(rows[:, k], return_inverse=True)
-        m = q * table[0, seen] + (1.0 - q) * nex[k][0, seen, None]
+        # at q = 1, 1 * table + 0 * nex is the table itself, bit for bit
+        m = table[0, seen] if q == 1.0 else q * table[0, seen] + (1.0 - q) * nex[k][0, seen, None]
         with np.errstate(divide="ignore"):
             logs.append(np.log(m))
         divisors.append(np.where(m == 0.0, 1.0, m))  # where m is 0, w is 0 and w / 1 is 0
@@ -304,8 +383,9 @@ def posterior_tails_means(design: str, responses, sample_sizes, params,
             bad = rows[chunk][~np.isfinite(top[:, 0])][0].tolist()
             raise NumericError(f"{design} posterior of responses {bad} with sizes "
                                f"{list(sizes)} underflows to 0 at every grid node")
+        log_post -= top  # a weight below e^_EXP_FLOOR adds nothing to sums of at least 1
         tails[chunk], means[chunk] = _posterior(
-            rows[chunk], codes[chunk], np.exp(log_post - top), divisors, tables, nex, q)
+            rows[chunk], codes[chunk], _exp(log_post), divisors, tables, nex, q)
     return tails, means
 
 
@@ -317,7 +397,7 @@ def _posterior(rows, codes, w, divisors, tables, nex, q) -> tuple[np.ndarray, np
     for k, table in enumerate(tables):
         r = rows[:, k]
         v = w / divisors[k][codes[:, k]]
-        v_total = v.sum(axis=1)
+        v_total = v.sum(axis=1) if q < 1.0 else 0.0  # at q = 1 its term is 0 either way
         for out, part in ((tails, 1), (means, 2)):
             out[:, k] = (q * (v * table[part, r]).sum(axis=1)
                          + (1.0 - q) * nex[k][part, r] * v_total) / total

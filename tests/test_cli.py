@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import basketsim
-from basketsim import cli, engine, hierarchical
+from basketsim import bma, cli, engine, hierarchical
 from basketsim.cli import (
     CatalogError,
     build_parser,
@@ -556,11 +556,12 @@ class TestCommands:
         assert not (tmp_path / "oc.csv").exists()
 
     def test_bma_beyond_its_memory_bound_is_a_usage_error(self, tmp_path):
-        # nine baskets of 10 over 1,000 replicates need about 4.6 GB of BMA statistics;
-        # under a 2 GiB address space that used to end in a MemoryError traceback, exit 1
+        # blocks are sized to the bound, so only a row that alone passes it is refused: one
+        # row of twelve baskets needs about 1.2 GB of BMA statistics; under a 2 GiB address
+        # space a bank past the bound used to end in a MemoryError traceback, exit 1
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"scenarios": [{
-            "id": 1, "sample_sizes": [10] * 9, "true_rates": [0.15] * 9,
+            "id": 1, "sample_sizes": [10] * 12, "true_rates": [0.15] * 12,
             "pattern": "Null", "size_family": "Linear"}]}))
         limit = 2 << 30
         done = subprocess.run(
@@ -569,9 +570,25 @@ class TestCommands:
             env=fresh_env(), capture_output=True, text=True, timeout=60,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
         assert done.returncode == 2, done.stderr
-        assert done.stderr.startswith("error: BMA over 9 baskets needs ")
+        assert done.stderr.startswith("error: BMA over 12 baskets needs ")
         assert "bytes" in done.stderr and done.stderr.count("\n") == 1
         assert not (tmp_path / "oc.csv").exists()
+
+    def test_bma_blocks_fit_the_memory_bound_at_every_jobs(self, monkeypatch, tmp_path):
+        # blocks used to be sized by rows alone, so whether a table passed the bound
+        # depended on --jobs: one block of every row at 1 job, two smaller ones at 2
+        monkeypatch.setattr(bma, "MAX_TABLE_BYTES", 50 * 24 * 6 * bma.BELL[6])  # 50 rows
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenarios": [{
+            "id": 1, "sample_sizes": [10] * 6, "true_rates": [0.15] * 6,
+            "pattern": "Null", "size_family": "Linear"}]}))
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / jobs
+            assert main(["simulate", "--config", str(path), "--design", "BMA", "--reps", "200",
+                         "--seed", "3", "--jobs", jobs, "--out", str(out)]) == 0
+            outputs.append((out / "oc.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_posterior_without_finite_mass_is_a_numeric_failure(self, tmp_path, capsys,
                                                                  monkeypatch):

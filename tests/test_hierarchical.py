@@ -220,6 +220,51 @@ class TestBernsteinBuild:
         normal = (x < -0.5) & (want > np.finfo(float).tiny)
         np.testing.assert_allclose(got[normal], want[normal], rtol=1e-12, atol=0)
 
+    def test_normal_cdf_is_exact_where_it_skips_erfc(self):
+        # beyond |x| = _NDTR_FLAT the erfc form already rounds to exactly 0 and 1
+        flat = hierarchical._NDTR_FLAT
+        x = np.concatenate([np.linspace(-flat - 5.0, flat + 5.0, 100_001), [-1e300, 1e300]])
+        want = np.array([0.5 * math.erfc(v * -math.sqrt(0.5)) for v in x.tolist()])
+        assert_same_bits(hierarchical._ndtr(x), want)
+        assert np.all(want[np.abs(x) >= flat] == (x[np.abs(x) >= flat] > 0))
+
+    def test_exp_never_underflows(self):
+        x = np.concatenate([np.linspace(-800.0, 5.0, 10_001), [-np.inf]])
+        with np.errstate(under="raise"):
+            got = hierarchical._exp(x.copy())
+        kept = x >= hierarchical._EXP_FLOOR
+        assert_same_bits(got[kept], np.exp(x[kept]))
+        assert np.all(got[~kept] == 0.0)
+
+    @pytest.mark.parametrize("phi", [0.001, 0.661])
+    def test_factored_z_rule_over_several_blocks(self, phi):
+        # degree 401: at phi 0.661 the widest z sigma splits the z nodes into 6 blocks.
+        # Tolerance 2e-12: the reference's own r eta - n softplus(eta) rounds by about
+        # n * 2.4e-15 of its row's largest entry, 9.5e-13 at n = 400
+        mu, s, _ = hierarchical._grid((C,), -1.7346, 100.0)
+        sizes, nu, sigmas = (100, 200, 400), mu[::5], phi * s[phi * s <= hierarchical._Z_SIGMA]
+        if phi > 0.5:
+            assert 401 * sigmas.max() * 2 * hierarchical._Z_LIMIT > 5 * hierarchical._Z_SPAN
+        got = hierarchical._integrals(sizes, nu, sigmas, C)
+        want = per_row_integrals(sizes, nu, sigmas, C)
+        for n in sizes:
+            assert_rows_close(got[n], want[n], rtol=2e-12)
+
+    def test_tail_is_the_mass_or_zero_beyond_the_z_rule_reach(self):
+        mu, s, _ = hierarchical._grid((C,), -1.7346, 100.0)
+        sigmas = 0.661 * s[0.661 * s <= hierarchical._Z_SIGMA]
+        tables = hierarchical._integrals((10, 25, 30), mu, sigmas, C)
+        reach = hierarchical._Z_LIMIT * (1 + 1e-9) * np.repeat(sigmas, mu.size)
+        nu = np.tile(mu, sigmas.size)
+        high, low = nu - C >= reach, C - nu >= reach
+        assert high.any() and low.any() and not (high | low).all()
+        for table in tables.values():
+            assert_same_bits(table[1][:, high], table[0][:, high])
+            assert np.all(table[1][:, low] == 0.0)
+            # within reach the tail has z nodes of its own
+            near = table[:, :, ~(high | low)]
+            assert np.any((near[1] > 0.0) & (near[1] < 0.99 * near[0]))
+
 
 class TestDeterminismAndInvariants:
     def test_tails_and_means_in_unit_interval(self):
@@ -252,15 +297,19 @@ class TestPosteriorReference:
     """The bank posterior, which takes each basket's mixture log once per response count,
     against the reference that takes it for every data row, bit for bit."""
 
+    @staticmethod
+    def bank(sizes):
+        """Random rows, r = 0 and r = n in every basket, duplicate rows, and a shuffle."""
+        rng = np.random.default_rng(17)
+        bank = rng.binomial(sizes, rng.uniform(0.05, 0.7, size=(12, len(sizes))))
+        bank = np.concatenate([np.zeros((1, len(sizes)), int), [sizes], bank, bank[2:6]])
+        return bank, rng.permutation(len(bank))
+
     @pytest.mark.parametrize("sizes", PAPER_SIZES.values(), ids=PAPER_SIZES)
     @pytest.mark.parametrize("phi", [0.125, 0.661, 2.0])
     @pytest.mark.parametrize("design", ["BHM", "EXNEX"])
     def test_matches_per_row_reference(self, design, phi, sizes):
-        rng = np.random.default_rng(17)
-        bank = rng.binomial(sizes, rng.uniform(0.05, 0.7, size=(12, len(sizes))))
-        # r = 0 and r = n in every basket, then duplicate rows
-        bank = np.concatenate([np.zeros((1, len(sizes)), int), [sizes], bank, bank[2:6]])
-        order = rng.permutation(len(bank))
+        bank, order = self.bank(sizes)
         for q in [1.0] if design == "BHM" else [0.2, 0.9, 1.0]:
             params = BhmParams(phi=phi) if design == "BHM" else ExnexParams(phi=phi, q=q)
             tables, nex, _, log_w = hierarchical.design_tables(design, sizes, 0.15, params)
@@ -274,6 +323,21 @@ class TestPosteriorReference:
                 assert_same_bits(got[part], want[part])
                 assert_same_bits(shuffled[part], want[part][order])
                 assert_same_bits(single[part], want[part][7:8])
+
+    @pytest.mark.parametrize("sizes", PAPER_SIZES.values(), ids=PAPER_SIZES)
+    @pytest.mark.parametrize("phi", [0.125, 0.661, 2.0])
+    def test_reference_banks_reach_the_weight_cut(self, phi, sizes):
+        # at q = 1 the banks above have finite grid weights below e^_EXP_FLOOR, which the
+        # bank posterior sets to 0 and the reference keeps, so their bitwise match covers
+        # the cut
+        bank, _ = self.bank(sizes)
+        tables, _, _, log_w = hierarchical.design_tables("BHM", sizes, 0.15, BhmParams(phi))
+        log_post = np.tile(log_w, (len(bank), 1))
+        with np.errstate(divide="ignore"):
+            for k, table in enumerate(tables):
+                log_post += np.log(table[0, bank[:, k]])
+        gap = log_post - log_post.max(axis=1, keepdims=True)
+        assert np.any((gap < hierarchical._EXP_FLOOR) & (np.exp(gap) > 0.0))
 
 
 class TestTableCache:
