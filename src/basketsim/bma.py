@@ -103,8 +103,12 @@ def _row_bytes(k: int) -> int:
 
 
 def block_rows(k: int) -> int:
-    """The most rows a bank of k baskets holds within ``MAX_TABLE_BYTES`` (0 if none)."""
+    """The most rows a bank of k baskets holds within ``MAX_TABLE_BYTES``; raises
+    ConfigurationError if not even one row fits."""
     _check_basket_count(k)
+    if _row_bytes(k) > MAX_TABLE_BYTES:
+        raise ConfigurationError(f"BMA over {k} baskets needs {_row_bytes(k)} bytes for one "
+                                 f"row > {MAX_TABLE_BYTES}")
     return MAX_TABLE_BYTES // _row_bytes(k)
 
 
@@ -166,11 +170,10 @@ class BmaBank:
     def __init__(self, responses, sample_sizes, prior: BetaShape, p0: float):
         responses = np.asarray(responses, dtype=np.int64)
         k = responses.shape[-1]
-        _check_basket_count(k)
-        need = _row_bytes(k) * len(responses)
-        if need > MAX_TABLE_BYTES:
-            raise ConfigurationError(f"BMA over {k} baskets needs {need} bytes for a block of "
-                                     f"{len(responses)} rows > {MAX_TABLE_BYTES}")
+        if len(responses) > block_rows(k):
+            raise ConfigurationError(f"BMA over {k} baskets needs {_row_bytes(k) * len(responses)}"
+                                     f" bytes for a block of {len(responses)} rows > "
+                                     f"{MAX_TABLE_BYTES}")
         self._space = space = _model_space(k)
         pooled = space.member @ np.asarray(sample_sizes, dtype=np.int64)
         r = np.concatenate([np.arange(n + 1, dtype=float) for n in pooled.tolist()])

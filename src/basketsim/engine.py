@@ -297,11 +297,15 @@ class OutcomeTable:
     sizes: tuple[int, ...]
     counts: dict
 
-    def blocks(self, jobs: int = 1, rows: int | None = None) -> list[np.ndarray]:
-        """Contiguous row blocks of at most ``rows`` (by default ``_BLOCK_ROWS``) rows;
-        ``jobs`` or more of them when the table has that many rows."""
+    def blocks(self, jobs: int = 1, design: str = "") -> list[np.ndarray]:
+        """Contiguous row blocks of at most ``_BLOCK_ROWS`` rows, and for BMA at most the
+        rows whose statistics fit its memory bound; ``jobs`` or more of them when the
+        table has that many rows."""
+        rows = _BLOCK_ROWS
+        if design == "BMA":  # raises ConfigurationError when not one row fits
+            rows = min(rows, block_rows(len(self.sizes)))
         n_rows = len(self.rows)
-        count = min(n_rows, max(jobs, -(-n_rows // (rows or _BLOCK_ROWS)))) or 1
+        count = min(n_rows, max(jobs, -(-n_rows // rows))) or 1
         bounds = np.linspace(0, n_rows, count + 1, dtype=int).tolist()
         return [self.rows[a:b] for a, b in zip(bounds, bounds[1:])]
 
@@ -373,10 +377,7 @@ def evaluate_table(configs, table: OutcomeTable, p0: float, jobs: int = 1,
     workers forked for each run of configs that share BHM/EXNEX quadrature tables, which
     the parent builds first.  No bit depends on the blocks or the workers.
     """
-    rows = _BLOCK_ROWS
-    if configs[0].design == "BMA":  # a block's BMA statistics stay within their bound
-        rows = max(1, min(rows, block_rows(len(table.sizes))))
-    blocks = table.blocks(jobs, rows)
+    blocks = table.blocks(jobs, configs[0].design)
     reps = list(table.counts.values())
     truth = np.array([s.active_truth(p0) for s in table.counts])
     # no count or sum of counts exceeds 2 K n in magnitude: hand back int32 when that fits
