@@ -21,6 +21,7 @@ from .engine import (
     DesignConfig,
     OperatingCharacteristics,
     ReplicateResult,
+    outcome_table,
     run_design,
 )
 from .fujikawa import FujikawaParams, jsd

@@ -29,7 +29,7 @@ from .core import (
     SIZE_FAMILIES,
     Scenario,
 )
-from .engine import DESIGNS, PARAM_TYPES, DesignConfig
+from .engine import DESIGNS, PARAM_TYPES, DesignConfig, outcome_table
 from .fujikawa import FujikawaParams
 from .hierarchical import BhmParams, ExnexParams
 from .powerprior import CppParams, cpp_weights_from_scaled, scaled_ks_matrix
@@ -344,17 +344,29 @@ def _families(catalog: list[Scenario], selector: str):
                [s for s in catalog if s.size_family == family])
 
 
-def command_simulate(args: argparse.Namespace) -> None:
+def command_study(args: argparse.Namespace) -> None:
+    """``simulate`` writes each selected scenario's operating characteristics under each
+    design to oc.csv; ``calibrate`` writes each family's lambda and null FWER under each
+    design to lambdas.csv, always calibrating, so a lambda fixed in the config is dropped.
+    Each family's outcome table, of its null and the selected scenarios (the null alone
+    for calibrate), is built once and read by every design."""
     catalog, configured, header = _load(args)
+    calibrate = args.command == "calibrate"
     rows = []
     for family, scenarios, members in _families(catalog, args.scenario):
         null = null_scenario(members, args.p0)
+        table = outcome_table([null] if calibrate else [null, *scenarios], args.reps, args.seed)
         for design in args.designs:
             config = configured.get(design, DesignConfig(design, TUNED_PARAMS[family][design]))
-            lam, ocs = study(config, scenarios, null, args.reps, args.seed,
+            lam, ocs = study(config.with_lambda(None) if calibrate else config, table,
                              args.p0, args.alpha, args.jobs)
             param_json = _params_to_json(config.params)
-            for scenario, oc in zip(scenarios, ocs):
+            if calibrate:  # the table holds the null alone
+                rows.append([family, design, f"{lam:.3f}", _fmt(ocs[0].fwer), param_json])
+                continue
+            by_scenario = dict(zip(table.counts, ocs))
+            for scenario in scenarios:
+                oc = by_scenario[scenario]
                 for k in range(scenario.k):
                     rows.append([
                         scenario.id, scenario.size_family, scenario.pattern,
@@ -364,25 +376,11 @@ def command_simulate(args: argparse.Namespace) -> None:
                         _fmt(oc.ecd_mean), _fmt(oc.fwer),
                         _fmt_lambda(lam), param_json,
                     ])
-    _write_csv(os.path.join(args.out, "oc.csv"), header, CSV_COLUMNS, rows)
-
-
-def command_calibrate(args: argparse.Namespace) -> None:
-    catalog, configured, header = _load(args)
-    rows = []
-    for family, _, members in _families(catalog, args.scenario):
-        null = null_scenario(members, args.p0)
-        for design in args.designs:
-            config = configured.get(design, DesignConfig(design, TUNED_PARAMS[family][design]))
-            # calibrate always calibrates: a lambda fixed in the config is dropped
-            lam, (oc,) = study(config.with_lambda(None), [null], null, args.reps,
-                               args.seed, args.p0, args.alpha, args.jobs)
-            rows.append([family, design, f"{lam:.3f}", _fmt(oc.fwer),
-                         _params_to_json(config.params)])
-    _write_csv(
-        os.path.join(args.out, "lambdas.csv"), header,
-        ("size_family", "design", "lambda", "null_fwer", "param_json"), rows,
-    )
+    if calibrate:
+        _write_csv(os.path.join(args.out, "lambdas.csv"), header,
+                   ("size_family", "design", "lambda", "null_fwer", "param_json"), rows)
+    else:
+        _write_csv(os.path.join(args.out, "oc.csv"), header, CSV_COLUMNS, rows)
 
 
 def command_tune(args: argparse.Namespace) -> None:
@@ -390,11 +388,9 @@ def command_tune(args: argparse.Namespace) -> None:
     catalog, _, header = _load(args)
     rows = []
     for family, _, members in _families(catalog, args.scenario):
+        table = outcome_table(members, args.reps, args.seed)
         for design in args.designs:
-            result = grid_search(
-                design, members, args.reps, alpha=args.alpha,
-                seed=args.seed, p0=args.p0, jobs=args.jobs,
-            )
+            result = grid_search(design, table, alpha=args.alpha, p0=args.p0, jobs=args.jobs)
             for i, rec in enumerate(result.records):
                 row = [
                     family, design, _params_to_json(rec.params),
@@ -565,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulation engine for Bayesian basket-trial designs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in (("simulate", command_simulate), ("calibrate", command_calibrate),
+    for name, handler in (("simulate", command_study), ("calibrate", command_study),
                           ("tune", command_tune), ("report", command_report)):
         cmd = sub.add_parser(name)
         cmd.set_defaults(handler=handler)

@@ -178,13 +178,6 @@ def log_beta(a, b) -> np.ndarray:
     return lg[0] + lg[1] - lg[2]
 
 
-def beta_log_pdf(shape: BetaShape, x: np.ndarray) -> np.ndarray:
-    """Log density of Beta(alpha, beta) at points strictly inside (0, 1)."""
-    a, b = shape.alpha, shape.beta
-    x = np.asarray(x, dtype=float)
-    return (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - float(log_beta(a, b))
-
-
 def _stirling_error(z: np.ndarray) -> np.ndarray:
     """lgamma(z) - ((z - 1/2) ln z - z + ln(2 pi) / 2), by its asymptotic series from z = 10."""
     y, w = np.minimum(z, 10.0), 1.0 / (z * z)

@@ -312,6 +312,8 @@ class OutcomeTable:
 
 def outcome_table(scenarios: list[Scenario], n_reps: int, master_seed: int) -> OutcomeTable:
     """The table of each scenario's bank of ``n_reps`` replicates."""
+    if n_reps < 1:
+        raise ConfigurationError("n_reps must be at least 1")
     scenarios = list(dict.fromkeys(scenarios))
     sizes = {s.sample_sizes for s in scenarios}
     if len(sizes) != 1:

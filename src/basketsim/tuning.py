@@ -1,16 +1,17 @@
-"""The study protocol and two-stage tuning.
+"""The study protocol and two-stage tuning, on an outcome table built by the caller.
 
 ``study`` runs the protocol for one design: it calibrates the smallest
-grid threshold holding the family-wise error rate at alpha under the
-global null, then scores every scenario at that threshold.
+grid threshold holding the family-wise error rate at alpha on the table's
+global null, then scores every scenario of the table at that threshold.
 ``grid_search`` runs the same protocol at each point of a parameter grid
-and scores it by mean ECD over the family's scenarios, on one outcome
-table so all combinations see the same data.  Both take every number from
-one reduction, ``engine.evaluate_table`` over a list of configs: each
-block of the table builds its ``DesignBank`` once, walks the configs and
-returns integer counts of each scenario's crossings of the lambda grid,
-which add up exactly over the blocks, here or on forked workers.  Points
-that share BHM/EXNEX quadrature tables share a pool and one build of them.
+and scores it by mean ECD over the table's scenarios, so all combinations
+see the same data.  The table (``engine.outcome_table``) is built once per
+size family and handed to every design.  Both take every number from one
+reduction, ``engine.evaluate_table`` over a list of configs: each block of
+the table builds its ``DesignBank`` once, walks the configs and returns
+integer counts of each scenario's crossings of the lambda grid, which add
+up exactly over the blocks, here or on forked workers.  Points that share
+BHM/EXNEX quadrature tables share a pool and one build of them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .engine import (
     aggregate,
     crossing_counts,
     evaluate_table,
-    outcome_table,
 )
 from .fujikawa import FujikawaParams
 from .hierarchical import BhmParams, ExnexParams
@@ -83,39 +83,39 @@ def null_scenario(scenarios: list[Scenario], p0: float) -> Scenario:
 
 def study(
     config: DesignConfig,
-    scenarios: list[Scenario],
-    null: Scenario,
-    n_reps: int,
-    seed: int,
+    table: OutcomeTable,
     p0: float = 0.15,
     alpha: float = 0.05,
     jobs: int = 1,
 ) -> tuple[float, list[OperatingCharacteristics]]:
-    """The study protocol for one design: calibrate lambda on the global-null bank,
-    then the operating characteristics of every scenario at that lambda.
+    """The study protocol for one design: calibrate lambda on the table's first global-null
+    scenario, then the operating characteristics of each of the table's scenarios, in its
+    order, at that lambda.
 
-    A lambda fixed on ``config`` skips the calibration and the null bank.
-    Each distinct outcome row of the banks is evaluated once.
+    A lambda fixed on ``config`` skips the calibration and reads no null counts; every row's
+    tails, means and crossings are its own, so the rows of banks it ignores change nothing.
     """
-    if n_reps < 1:
-        raise ConfigurationError("n_reps must be at least 1")
-    null_scenario([null], p0)  # raises unless every true rate of null is at or below p0
-    table = outcome_table([null, *scenarios] if config.lambda_ is None else scenarios,
-                          n_reps, seed)
+    null = None if config.lambda_ is not None else _null_index(table, p0)
     [(counts, means)] = evaluate_table([config], table, p0, jobs, per_basket=True)
-    lam, crossed = _protocol(config, table, counts, null, alpha)
-    row = list(table.counts).index
-    return lam, [aggregate(s, crossed[row(s)], means, table.counts[s]) for s in scenarios]
+    lam, crossed = _protocol(config, counts, null, alpha)
+    return lam, [aggregate(s, oc, means, c)
+                 for (s, c), oc in zip(table.counts.items(), crossed)]
 
 
-def _protocol(config: DesignConfig, table: OutcomeTable, counts: np.ndarray,
-              null: Scenario, alpha: float) -> tuple[float, np.ndarray]:
-    """``study`` on the crossing counts [S, rows, T + 1] of the scenarios of ``table`` at
-    the parameters of ``config``: lambda, calibrated on the null's family-wise errors unless
-    fixed on the config, and each scenario's counts [S, rows] at lambda."""
+def _null_index(table: OutcomeTable, p0: float) -> int:
+    """The position of the table's first global-null scenario: the calibration bank."""
+    scenarios = list(table.counts)
+    return scenarios.index(null_scenario(scenarios, p0))
+
+
+def _protocol(config: DesignConfig, counts: np.ndarray, null: int | None,
+              alpha: float) -> tuple[float, np.ndarray]:
+    """``study`` on the crossing counts [S, rows, T + 1] of a table's scenarios at the
+    parameters of ``config``: lambda, calibrated on the family-wise errors of scenario
+    ``null`` unless fixed on the config, and each scenario's counts [S, rows] at lambda."""
     if config.lambda_ is not None:
         return config.lambda_, counts[:, :, 1:].sum(axis=2)
-    step = _smallest_step(counts[list(table.counts).index(null), 0], alpha)
+    step = _smallest_step(counts[null, 0], alpha)
     return float(LAMBDA_GRID[step]), counts[:, :, step + 1:].sum(axis=2)
 
 
@@ -176,42 +176,39 @@ class TuningResult:
 
 def grid_search(
     design: str,
-    scenarios: list[Scenario],
-    n_reps: int,
+    table: OutcomeTable,
     alpha: float = 0.05,
-    seed: int = 0,
     grid: list | None = None,
     p0: float = 0.15,
     jobs: int = 1,
 ) -> TuningResult:
-    """Run the study protocol at every parameter combination of one size family.
+    """Run the study protocol at every parameter combination on one size family's table.
 
-    Each grid point is calibrated on the family's global null and scored by
-    ECD on every scenario, from one outcome table shared by all points, in
-    blocks here or on ``jobs`` workers.  A pattern's ECD is the mean over its
-    scenarios, and the combination maximizing the mean ECD over all scenarios
-    wins (ties break toward the earliest grid point).
+    Each grid point is calibrated on the table's global null and scored by ECD on every
+    scenario of the table, from that one table shared by all points, in blocks here or on
+    ``jobs`` workers.  A pattern's ECD is the mean over its scenarios, and the combination
+    maximizing the mean ECD over all scenarios wins (ties break toward the earliest grid
+    point).
     """
-    null = null_scenario(scenarios, p0)
+    null = _null_index(table, p0)
     grid = default_grid(design) if grid is None else list(grid)
     if not grid:
         raise ConfigurationError("grid_search needs a nonempty parameter grid")
     configs = tuple(DesignConfig(design, params) for params in grid)  # a mistyped point raises
-    table = outcome_table(scenarios, n_reps, seed)
-    row = list(table.counts).index
+    n_reps = [int(c.sum()) for c in table.counts.values()]
     records = []
     totals = []  # correct decisions summed over scenarios, exact in integers
     for config, (counts, _) in zip(configs, evaluate_table(configs, table, p0, jobs)):
         try:
-            lam, crossed = _protocol(config, table, counts, null, alpha)
+            lam, crossed = _protocol(config, counts, null, alpha)
         except CalibrationError:
             records.append(TuningRecord(config.params, math.nan, {}, -math.inf, feasible=False))
             totals.append(None)
             continue
-        correct = [int(crossed[row(s), 1]) for s in scenarios]
-        ecds = [count / n_reps for count in correct]
+        correct = crossed[:, 1].tolist()
+        ecds = [count / n for count, n in zip(correct, n_reps)]
         by_pattern = {}
-        for scenario, ecd in zip(scenarios, ecds):
+        for scenario, ecd in zip(table.counts, ecds):
             by_pattern.setdefault(scenario.pattern, []).append(ecd)
         pattern_ecd = {pattern: math.fsum(v) / len(v) for pattern, v in by_pattern.items()}
         records.append(TuningRecord(config.params, lam, pattern_ecd, math.fsum(ecds) / len(ecds)))
@@ -219,7 +216,7 @@ def grid_search(
     feasible = [i for i, rec in enumerate(records) if rec.feasible]
     if not feasible:
         raise CalibrationError("no grid combination could be calibrated", min_fwer=math.nan)
-    # every scenario has n_reps replicates, so the integer total orders the mean
-    # ECDs exactly, and max() keeps the earliest index on ties
+    # every bank of an outcome table has the same replicate count, so the integer total
+    # orders the mean ECDs exactly, and max() keeps the earliest index on ties
     best = max(feasible, key=totals.__getitem__)
     return TuningResult(design=design, records=tuple(records), selected_index=best)

@@ -20,6 +20,13 @@ from basketsim.powerprior import (
 )
 
 
+def beta_log_pdf(shape: BetaShape, x: np.ndarray) -> np.ndarray:
+    """Log density of Beta(alpha, beta) at points strictly inside (0, 1)."""
+    a, b = shape.alpha, shape.beta
+    x = np.asarray(x, dtype=float)
+    return (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - float(log_beta(a, b))
+
+
 def cpp_weight(d_k: tuple[int, int], d_i: tuple[int, int], params: CppParams) -> float:
     """Logistic weight 1 / (1 + exp(a + b ln s)) on s = max(n_k, n_i)^(1/4) times the
     rate difference of two (responses, size) pairs; a zero s gets weight exactly 1."""

@@ -6,6 +6,7 @@ bit-identical.  Run with ``pytest -s tests/test_acceptance.py`` to watch the
 per-criterion lines stream by.
 """
 
+import functools
 import itertools
 import math
 import os
@@ -21,13 +22,13 @@ from basketsim.core import (
     BetaShape,
     EDGE_EPS,
     PATTERNS,
-    beta_log_pdf,
     integrate,
 )
 from basketsim.engine import DESIGNS, DesignBank, DesignConfig, outcome_table
 from basketsim.fujikawa import FujikawaParams, jsd
 from basketsim.powerprior import gamma_matrix
-from basketsim.tuning import grid_search, null_scenario, smallest_lambda, study
+from basketsim.tuning import grid_search, smallest_lambda, study
+from scalar_reference import beta_log_pdf
 
 # Threshold calibration is grid-quantized and bank-dependent: the design
 # tails are atomic (finitely many data sets), so one 0.001 step of lambda
@@ -111,14 +112,18 @@ def grouped_scenarios():
     return [s for s in builtin_catalog() if s.size_family == "Grouped"]
 
 
+@functools.cache
+def grouped_table():
+    """The grouped family's outcome table at 10,000 replicates, built once for every design."""
+    return outcome_table(grouped_scenarios(), 10_000, SEED)
+
+
 def grouped_study(design):
     """The study protocol at 10,000 replicates on the grouped family: the calibrated
     threshold and the operating characteristics by pattern."""
-    scenarios = grouped_scenarios()
     config = DesignConfig(design, TUNED_PARAMS["Grouped"][design])
-    lam, ocs = study(config, scenarios, null_scenario(scenarios, 0.15), 10_000, SEED,
-                     jobs=JOBS)
-    return lam, {s.pattern: oc for s, oc in zip(scenarios, ocs)}
+    lam, ocs = study(config, grouped_table(), jobs=JOBS)
+    return lam, {s.pattern: oc for s, oc in zip(grouped_scenarios(), ocs)}
 
 
 @pytest.fixture(scope="session")
@@ -355,7 +360,7 @@ class TestCriterion09TuningProtocol:
     def test_fujikawa_linear_grid_search(self):
         start = time.perf_counter()
         linear = [s for s in builtin_catalog() if s.size_family == "Linear"]
-        result = grid_search("Fujikawa", linear, 2000, alpha=0.05, seed=SEED)
+        result = grid_search("Fujikawa", outcome_table(linear, 2000, SEED), alpha=0.05)
         reference = next(
             rec for rec in result.records
             if rec.params == FujikawaParams(1.5, 0.2)

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import basketsim
-from basketsim import bma, cli, engine, hierarchical
+from basketsim import bma, cli, engine, hierarchical, tuning
 from basketsim.cli import (
     CatalogError,
     build_parser,
@@ -219,6 +219,43 @@ class TestCommands:
                      "--seed", "2", "--jobs", "2", "--out", str(tmp_path)]) == 0
         families = {s.size_family for s in builtin_catalog()}
         assert hierarchical.table_builds - before == len(families)
+
+    @pytest.mark.parametrize("command,banks", [("simulate", 18), ("calibrate", 3), ("tune", 18)])
+    def test_each_bank_is_generated_once(self, command, banks, monkeypatch, tmp_path):
+        # every study and grid search used to generate its family's banks again: 126, 21
+        # and 126 banks for the seven designs on the three families
+        generated = []  # the scenario id of each bank
+        generate = engine.generate_responses
+
+        def counted(scenario, *args):
+            generated.append(scenario.id)
+            return generate(scenario, *args)
+
+        monkeypatch.setattr(engine, "generate_responses", counted)
+        # the first point of each grid: which banks a search reads does not depend on its grid
+        default_grid = tuning.default_grid
+        monkeypatch.setattr(tuning, "default_grid", lambda design: default_grid(design)[:1])
+        # at seed 3 every design finds a threshold with no family-wise error in 5 replicates
+        assert main([command, "--scenario", "all", "--design", "all", "--reps", "5",
+                     "--seed", "3", "--out", str(tmp_path)]) == 0
+        assert len(generated) == len(set(generated)) == banks
+
+    def test_shared_table_matches_single_design_runs(self, tmp_path):
+        # each design reads its family's one table, null rows included for a fixed lambda
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"designs": {"CPP": {"a": 4.0, "b": 4.5, "lambda": 0.8125}}}))
+        args = ["simulate", "--config", str(path), "--scenario", "grouped", "--reps", "40",
+                "--seed", "7"]
+
+        def data_rows(design):
+            out = tmp_path / design
+            assert main(args + ["--design", design, "--out", str(out)]) == 0
+            return (out / "oc.csv").read_text().splitlines()[1:]  # the header hashes --design
+
+        shared = data_rows("all")
+        single = [data_rows(design) for design in engine.DESIGNS]
+        assert shared == single[0][:1] + [row for rows in single for row in rows[1:]]
+        assert {row.split(",")[11] for row in single[0][1:]} == {"0.8125"}
 
     def test_fixed_lambda_from_config(self, tmp_path):
         config = {"designs": {"CPP": {"a": 4.0, "b": 4.5, "lambda": 0.9}}}

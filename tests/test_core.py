@@ -12,7 +12,6 @@ from basketsim.core import (
     NumericError,
     QuadratureError,
     Scenario,
-    beta_log_pdf,
     beta_tails,
     integrate,
     log_beta,
@@ -20,6 +19,7 @@ from basketsim.core import (
 )
 from basketsim.engine import DesignConfig, run_design
 from basketsim.fujikawa import FujikawaParams
+from scalar_reference import beta_log_pdf
 
 def integrate_beta_density(shape, lo=0.0, hi=1.0, tol=1e-8):
     """Quadrature oracle: the integral of a beta density over [lo, hi].

@@ -89,7 +89,7 @@ def reference_oc(scenario, counts, decisions, means, p0):
 
 def simulate(scenario, config, n_reps, master_seed):
     """One scenario's operating characteristics at the config's fixed lambda."""
-    _, (oc,) = study(config, [scenario], LINEAR_NULL, n_reps, master_seed)
+    _, (oc,) = study(config, outcome_table([scenario], n_reps, master_seed))
     return oc
 
 
@@ -439,9 +439,10 @@ class TestSimulate:
                 ExnexParams(phi=0.83, q=0.5)]
         watch_workers(monkeypatch, tmp_path)
         before = hierarchical.table_builds
-        grid_search("EXNEX", grouped, 8, seed=4, grid=grid, jobs=2)
+        table = outcome_table(grouped, 8, 4)
+        grid_search("EXNEX", table, grid=grid, jobs=2)
         answers = worker_answers(tmp_path)  # one per block, from two pools of two workers
-        assert len(answers) == 2 * len(outcome_table(grouped, 8, 4).blocks(2))
+        assert len(answers) == 2 * len(table.blocks(2))
         assert len({pid for pid, _ in answers} - {os.getpid()}) == 4
         assert [builds for _, builds in answers] == [0] * len(answers)
         assert hierarchical.table_builds - before == 2
@@ -452,13 +453,14 @@ class TestSimulate:
         grouped = [s for s in builtin_catalog() if s.size_family == "Grouped"]
         grid = [BhmParams(phi=0.6), BhmParams(phi=0.6, mu_sd=2.0)]
         monkeypatch.setattr(engine, "_BLOCK_ROWS", 100)
-        assert len(outcome_table(grouped, 40, 4).blocks()) == 3
+        table = outcome_table(grouped, 40, 4)
+        assert len(table.blocks()) == 3
         before = hierarchical.table_builds
-        grid_search("BHM", grouped, 40, seed=4, grid=grid)
+        grid_search("BHM", table, grid=grid)
         assert hierarchical.table_builds - before == 2
         watch_workers(monkeypatch, tmp_path)
         before = hierarchical.table_builds
-        grid_search("BHM", grouped, 40, seed=4, grid=grid, jobs=2)
+        grid_search("BHM", table, grid=grid, jobs=2)
         answers = worker_answers(tmp_path)  # one per block, from two pools of two workers
         assert len(answers) == 2 * 3
         assert [builds for _, builds in answers] == [0] * len(answers)
@@ -519,7 +521,7 @@ class TestOutcomeTable:
         # every replicate of the fixed scenario is one row of the table
         config = DesignConfig(design, ALL_DESIGNS[design])
         family = [GROUPED_NULL, GROUPED_FIXED, GROUPED_ASC]
-        lam, ocs = study(config, family, GROUPED_NULL, 50, 12)
+        lam, ocs = study(config, outcome_table(family, 50, 12))
         stats = {}
         for scenario in family:
             bank = DesignBank(design, generate_responses(scenario, 50, 12),
@@ -543,9 +545,9 @@ class TestCrossingCounts:
     def test_fixed_lambda_off_the_grid_matches_decisions(self, design, lam):
         config = DesignConfig(design, ALL_DESIGNS[design], lambda_=lam)
         family = [GROUPED_ASC, GROUPED_ALT, GROUPED_ALL_RESPOND]
-        got, ocs = study(config, family, GROUPED_NULL, 200, 6)
-        assert got == lam
         table = outcome_table(family, 200, 6)
+        got, ocs = study(config, table)
+        assert got == lam
         tails, means = table_tails_means(config, table)
         assert (tails == 1.0).any()  # a tail on the threshold 1.0
         decisions = decisions_from_tails(tails, lam, config.strict)

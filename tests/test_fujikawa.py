@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from basketsim.core import EDGE_EPS, BasketData, BetaShape, beta_log_pdf, beta_tails
+from basketsim.core import EDGE_EPS, BasketData, BetaShape, beta_tails
 from basketsim.engine import DesignBank, DesignConfig, run_design
 from basketsim.fujikawa import (
     FujikawaParams,
@@ -16,6 +16,7 @@ from basketsim.fujikawa import (
     jsd_matrices,
     weights_from_jsd,
 )
+from scalar_reference import beta_log_pdf
 
 shapes = st.builds(
     BetaShape,

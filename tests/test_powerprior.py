@@ -11,7 +11,6 @@ from basketsim.core import (
     BetaShape,
     ConfigurationError,
     EDGE_EPS,
-    beta_log_pdf,
     integrate,
 )
 from basketsim.engine import DesignBank, DesignConfig, run_design
@@ -24,7 +23,7 @@ from basketsim.powerprior import (
     scaled_ks_matrix,
 )
 from basketsim.tuning import default_grid
-from scalar_reference import cpp_weight, edge_case_banks, power_prior_weights
+from scalar_reference import beta_log_pdf, cpp_weight, edge_case_banks, power_prior_weights
 
 
 def hellinger_gamma_by_quadrature(d_k, d_i, tol=1e-10):

@@ -30,7 +30,6 @@ from basketsim import engine, tuning
 from basketsim.tuning import (
     default_grid,
     grid_search,
-    null_scenario,
     smallest_lambda,
     study,
 )
@@ -187,7 +186,7 @@ class TestSmallestLambda:
 class TestCalibrateLambda:
     def test_cpp_calibration_minimality(self):
         cfg = DesignConfig("CPP", CppParams(4, 4.5))
-        lam, _ = study(cfg, [], GROUPED_NULL, 1500, 5, alpha=0.05)
+        lam, _ = study(cfg, outcome_table([GROUPED_NULL], 1500, 5), alpha=0.05)
         tails, _ = bank_tails_means(cfg, GROUPED_NULL, 1500, 5)
         max_tails = tails.max(axis=1)
         assert empirical_fwer(max_tails, lam, strict=False) <= 0.05
@@ -196,7 +195,7 @@ class TestCalibrateLambda:
     def test_rejects_non_null_scenario(self):
         cfg = DesignConfig("CPP", CppParams(4, 4.5))
         with pytest.raises(ValueError):
-            study(cfg, [GROUPED_ASC], GROUPED_ASC, 100, 1)
+            study(cfg, outcome_table([GROUPED_ASC], 100, 1))
 
 
 class TestStudy:
@@ -215,7 +214,7 @@ class TestStudy:
     def test_null_bank_evaluated_once(self, monkeypatch):
         rows = self.count_rows(monkeypatch)
         cfg = DesignConfig("CPP", CppParams(4, 4.5))
-        lam, ocs = study(cfg, MINI_FAMILY, GROUPED_NULL, 300, 9)
+        lam, ocs = study(cfg, outcome_table(MINI_FAMILY, 300, 9))
         # each distinct row of the three banks once, the null's included
         assert len(rows) == len(set(rows))
         assert set(rows) == distinct_rows(MINI_FAMILY, 300, 9)
@@ -226,17 +225,27 @@ class TestStudy:
     def test_fixed_lambda_skips_calibration(self, monkeypatch):
         rows = self.count_rows(monkeypatch)
         cfg = DesignConfig("CPP", CppParams(4, 4.5), lambda_=0.5)
-        lam, _ = study(cfg, [GROUPED_ASC], GROUPED_NULL, 300, 9)
+        lam, _ = study(cfg, outcome_table([GROUPED_ASC], 300, 9))
         assert lam == 0.5
         assert sorted(rows) == sorted(distinct_rows([GROUPED_ASC], 300, 9))
+
+    @pytest.mark.parametrize("design,params", [("CPP", CppParams(4, 4.5)),
+                                               ("BMA", BmaParams(-2.0)),
+                                               ("EXNEX", ExnexParams(phi=0.661, q=0.9))])
+    def test_fixed_lambda_ignores_other_banks(self, design, params):
+        # simulate's table holds the null's bank for every design, a fixed lambda's included
+        cfg = DesignConfig(design, params, lambda_=0.8125)
+        own = study(cfg, outcome_table([GROUPED_ASC, GROUPED_SGN], 300, 9))
+        lam, ocs = study(cfg, outcome_table(MINI_FAMILY, 300, 9))
+        assert (lam, ocs[1:]) == own
 
     @pytest.mark.parametrize("design", ["CPP", "APP", "LCPP", "Fujikawa", "BMA"])
     def test_one_point_grid_search_matches_study(self, design):
         linear = [s for s in builtin_catalog() if s.size_family == "Linear"]
         params = TUNED_PARAMS["Linear"][design]
-        record = grid_search(design, linear, 200, seed=4, grid=[params]).records[0]
-        lam, ocs = study(DesignConfig(design, params), linear, null_scenario(linear, 0.15),
-                         200, 4)
+        table = outcome_table(linear, 200, 4)
+        record = grid_search(design, table, grid=[params]).records[0]
+        lam, ocs = study(DesignConfig(design, params), table)
         assert record.lambda_ == lam
         assert record.pattern_ecd == {s.pattern: oc.ecd_mean for s, oc in zip(linear, ocs)}
 
@@ -295,7 +304,7 @@ class TestBankEvaluator:
 class TestGridSearch:
     def test_single_point_grid_is_selected(self):
         result = grid_search(
-            "CPP", MINI_FAMILY, n_reps=300, seed=3, grid=[CppParams(4, 4.5)]
+            "CPP", outcome_table(MINI_FAMILY, 300, 3), grid=[CppParams(4, 4.5)]
         )
         assert result.selected_index == 0
         assert result.selected.params == CppParams(4, 4.5)
@@ -306,8 +315,9 @@ class TestGridSearch:
         # the type check used to come from the weights, after every bank was built
         built = []
         monkeypatch.setattr(engine, "DesignBank", lambda *args: built.append(args))
+        table = outcome_table(MINI_FAMILY, 50, 3)
         with pytest.raises(ConfigurationError, match="needs params of type CppParams"):
-            grid_search("CPP", MINI_FAMILY, n_reps=50, seed=3, grid=grid)
+            grid_search("CPP", table, grid=grid)
         assert built == []
 
     def test_one_bank_alive_at_a_time(self, monkeypatch):
@@ -323,40 +333,41 @@ class TestGridSearch:
                 weakref.finalize(self, live.remove, token)
 
         grid = [CppParams(a, 4.5) for a in (1.0, 2.0, 4.0)]
-        whole = grid_search("CPP", MINI_FAMILY, n_reps=100, seed=3, grid=grid)
+        table = outcome_table(MINI_FAMILY, 100, 3)
+        whole = grid_search("CPP", table, grid=grid)
         monkeypatch.setattr(engine, "DesignBank", Counted)
         monkeypatch.setattr(tuning, "DesignBank", Counted, raising=False)
         monkeypatch.setattr(engine, "_BLOCK_ROWS", 40)
-        blocks = outcome_table(MINI_FAMILY, 100, 3).blocks()
+        blocks = table.blocks()
         assert len(blocks) >= 3
-        assert grid_search("CPP", MINI_FAMILY, n_reps=100, seed=3, grid=grid) == whole
+        assert grid_search("CPP", table, grid=grid) == whole
         assert len(peaks) == len(blocks)  # one bank per block for the whole grid
         assert max(peaks) == 1
 
     def test_exnex_jobs_keep_every_record(self):
         grid = [ExnexParams(phi=0.59, q=0.5), ExnexParams(phi=0.8, q=0.9)]
-        serial, fanned = (grid_search("EXNEX", MINI_FAMILY, n_reps=40, seed=6, grid=grid,
-                                      jobs=jobs) for jobs in (1, 2))
+        table = outcome_table(MINI_FAMILY, 40, 6)
+        serial, fanned = (grid_search("EXNEX", table, grid=grid, jobs=jobs) for jobs in (1, 2))
         assert serial == fanned
 
     def test_app_has_exactly_one_combination(self):
-        result = grid_search("APP", MINI_FAMILY, n_reps=300, seed=3)
+        result = grid_search("APP", outcome_table(MINI_FAMILY, 300, 3))
         assert len(result.records) == 1
 
     def test_selected_attains_maximum(self):
         grid = [CppParams(a, b) for a in (1.0, 4.0) for b in (1.0, 4.5)]
-        result = grid_search("CPP", MINI_FAMILY, n_reps=400, seed=11, grid=grid)
+        result = grid_search("CPP", outcome_table(MINI_FAMILY, 400, 11), grid=grid)
         best = result.records[result.selected_index].mean_ecd
         assert all(best >= rec.mean_ecd for rec in result.records)
 
     def test_deterministic_rerun(self):
         grid = [FujikawaParams(e, t) for e in (1.0, 2.0) for t in (0.0, 0.3)]
-        a = grid_search("Fujikawa", MINI_FAMILY, n_reps=150, seed=23, grid=grid)
-        b = grid_search("Fujikawa", MINI_FAMILY, n_reps=150, seed=23, grid=grid)
+        a = grid_search("Fujikawa", outcome_table(MINI_FAMILY, 150, 23), grid=grid)
+        b = grid_search("Fujikawa", outcome_table(MINI_FAMILY, 150, 23), grid=grid)
         assert a == b
 
     def test_lambda_reported_on_grid(self):
-        result = grid_search("BMA", MINI_FAMILY, n_reps=300, seed=3,
+        result = grid_search("BMA", outcome_table(MINI_FAMILY, 300, 3),
                              grid=[BmaParams(-2.0), BmaParams(0.0)])
         for rec in result.records:
             assert rec.lambda_ == round(rec.lambda_, 3)
@@ -367,8 +378,9 @@ class TestGridSearch:
         family = [Scenario(1, sizes, (0.15,) * 5, "Null", "Linear"),
                   Scenario(2, sizes, (0.35,) * 5, "Alternative", "Linear"),
                   Scenario(3, sizes, (0.25,) * 5, "Alternative", "Linear")]
-        record = grid_search("APP", family, 200, seed=5).records[0]
-        lam, ocs = study(DesignConfig("APP"), family, family[0], 200, 5)
+        table = outcome_table(family, 200, 5)
+        record = grid_search("APP", table).records[0]
+        lam, ocs = study(DesignConfig("APP"), table)
         null, alt2, alt3 = (oc.ecd_mean for oc in ocs)
         assert alt2 != alt3
         assert record.lambda_ == lam
@@ -377,7 +389,7 @@ class TestGridSearch:
 
     def test_exact_ties_break_toward_earliest_point(self):
         linear = [s for s in builtin_catalog() if s.size_family == "Linear"]
-        result = grid_search("Fujikawa", linear, 100, seed=1008)
+        result = grid_search("Fujikawa", outcome_table(linear, 100, 1008))
         early, late = result.records[7], result.records[12]
         assert early.params == FujikawaParams(1.0, 0.1)
         assert late.params == FujikawaParams(1.5, 0.0)
