@@ -3,6 +3,11 @@ simulation machinery to calibrate, tune and compare them."""
 
 __version__ = "0.1.0"
 
+# BLAS on one thread, set before numpy loads, so --jobs is a run's only parallelism
+import os as _os
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
+
 from .bma import BmaParams, Partition, enumerate_partitions
 from .core import (
     BasketData,

@@ -34,18 +34,19 @@ def fresh_env():
         src, os.environ.get("PYTHONPATH")]))}
 
 
-def run_fresh(script, *args):
+def run_fresh(script, *args, env=None):
     """stdout of a Python script run in a fresh interpreter that imports this basketsim."""
-    done = subprocess.run([sys.executable, "-c", script, *args], env=fresh_env(),
+    done = subprocess.run([sys.executable, "-c", script, *args],
+                          env=fresh_env() if env is None else env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
 
-# the head of run_fresh scripts: after watch_workers(directory), every forked worker
-# records its scipy modules after each block it evaluates, in a file of its own under
-# directory; a worker's first block waits at a barrier for a second worker's, so both
-# workers of a pool of two answer
+# the head of run_fresh scripts: after watch_workers(directory, answer), every forked
+# worker records answer() (by default its pid and scipy modules) after each block it
+# evaluates, in a file of its own under directory; a worker's first block waits at a
+# barrier for a second worker's, so both workers of a pool of two answer
 PROBE = """
 import functools, json, os, sys
 from multiprocessing import get_context
@@ -54,7 +55,10 @@ from basketsim import cli, engine
 def scipy_modules():
     return os.getpid(), sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-def watch_workers(directory):
+def threads():
+    return os.getpid(), len(os.listdir("/proc/self/task"))
+
+def watch_workers(directory, answer=scipy_modules):
     parent, waited = os.getpid(), []
     barrier = get_context("fork").Barrier(2, timeout=60)
     evaluate_block = engine._evaluate_block
@@ -67,7 +71,7 @@ def watch_workers(directory):
         result = evaluate_block(args)
         if os.getpid() != parent:
             with open(os.path.join(directory, f"{os.getpid()}.json"), "a") as fh:
-                fh.write(json.dumps(scipy_modules()) + "\\n")
+                fh.write(json.dumps(answer()) + "\\n")
         return result
 
     engine._evaluate_block = watched
@@ -786,6 +790,53 @@ class TestCommands:
         args = build_parser().parse_args(["simulate", "--jobs", "-3"])
         cli._check_args(args)
         assert args.jobs == 1
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts a process's threads in /proc/self/task")
+class TestOneBlasThread:
+    """basketsim sets BLAS to one thread before numpy loads, so --jobs N bounds the cores
+    a run uses to N. The test process has imported basketsim, so its environment already
+    carries the setting; each fresh process here starts without it."""
+
+    def env(self, **variables):
+        env = {k: v for k, v in fresh_env().items() if k not in BLAS_THREADS}
+        return {**env, **variables}
+
+    def test_importing_the_cli_keeps_blas_on_one_thread(self):
+        script = PROBE + """
+import numpy as np
+a = np.ones((300, 300))
+a @ a
+print(threads()[1])
+"""
+        assert run_fresh(script, env=self.env()).split() == ["1"]
+
+    def test_each_worker_runs_one_thread(self, tmp_path):
+        watched = tmp_path / "answers"
+        watched.mkdir()
+        script = PROBE + f"""
+watch_workers({str(watched)!r}, threads)
+assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(worker_answers({str(watched)!r})))
+"""
+        out = run_fresh(script, "simulate", "--scenario", "grouped", "--design", "BHM",
+                        "--reps", "8", "--seed", "4", "--jobs", "2", "--out", str(tmp_path),
+                        env=self.env())
+        answers = json.loads(out)
+        assert answers and {count for _, count in answers} == {1}
+        if (os.cpu_count() or 1) >= 2:
+            assert len({pid for pid, _ in answers}) == 2
+
+    def test_a_callers_setting_is_kept(self):
+        script = "import os, basketsim; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert run_fresh(script, env=self.env(OPENBLAS_NUM_THREADS="2")).split() == ["2"]
+
+    def test_no_public_name_added(self):
+        assert "os" not in basketsim.__all__
 
 
 class TestScipyStaysOut:
