@@ -16,10 +16,8 @@ from .core import (
     CalibrationError,
     ConfigurationError,
     NumericError,
-    QuadratureError,
     Scenario,
     beta_tails,
-    integrate,
 )
 from .engine import (
     DESIGNS,

@@ -15,13 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (
-    BetaShape,
-    ConfigurationError,
-    beta_tails,
-    log_beta,
-    row_sums,
-)
+from .core import BetaShape, ConfigurationError, beta_tails, guarded_exp, log_beta, row_sums
 from .hierarchical import MAX_TABLE_BYTES
 
 MAX_BASKETS = 12  # Bell(12) is ~4.2M models; beyond this enumeration is hopeless
@@ -153,7 +147,7 @@ class _ModelSpace:
         """Posterior model probabilities [..., M], each row normalized to sum 1."""
         log_w = self.block_counts * psi + log_marginals
         log_w -= log_w.max(axis=-1, keepdims=True)
-        probs = np.exp(log_w)
+        probs = guarded_exp(log_w)
         return probs / row_sums(probs)[..., None]
 
 

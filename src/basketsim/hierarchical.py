@@ -11,9 +11,8 @@ integrated in z = (eta - nu) / sigma, wide ones on eta panels with the cut
 on a panel boundary plus the likelihood's flat mass beyond them (r = 0 or
 r = n) in closed form.  The whole-line z rule factors into one matrix
 product per sigma; the mass above the cut takes its own z nodes only where
-the cut is within the rule's reach.  Exponentials whose result would fall
-below e^-700 are taken as 0 without calling exp, whose underflow path is
-slow.  One pass per (phi, offset) serves every basket
+the cut is within the rule's reach.  Exponentials below e^-700 are taken as
+0 by ``core.guarded_exp``.  One pass per (phi, offset) serves every basket
 size: with M = max(n) + 1, every likelihood row p^r (1 - p)^(n - r), and p
 times it for the mean, is a nonnegative combination of the Bernstein basis
 B_j(p) = C(M, j) p^j (1 - p)^(M - j), so only the basis's mass and its mass
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigurationError, NumericError
+from .core import EXP_FLOOR, ConfigurationError, NumericError, guarded_exp
 
 _CUT_LEVELS = 7  # mu panels halve this many times toward a cut
 _MU_HALF = 8  # unit-width mu panels on either side of a cut
@@ -43,7 +42,6 @@ _Z_SIGMA = 0.25  # kernels up to this sigma are integrated in z
 _Z_LIMIT = 9.0
 _Z_ORDER = 48
 _Z_SPAN = 300.0  # a block of the factored z rule spans at most e^300 in e^(j sigma z)
-_EXP_FLOOR = -700.0  # exp results below e^-700, all negligible here, are taken as 0
 _NDTR_FLAT = 38.6  # beyond |x| = 38.6 the normal CDF rounds to exactly 0 or 1
 _CHUNK_BYTES = 1 << 19  # one [rows, grid] temporary of the posterior sums
 MAX_PHI = math.sqrt(np.finfo(float).max) / _S_EDGES[-1]  # (phi * s)**2 stays finite, s < 8.5
@@ -192,17 +190,6 @@ def _bernstein_terms(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return terms
 
 
-def _exp(x: np.ndarray) -> np.ndarray:
-    """exp(x) in place, 0 where x < _EXP_FLOOR: numpy's exp is never handed an argument
-    whose result is subnormal or 0, which costs it 15 to 150 times a normal result."""
-    keep = x >= _EXP_FLOOR
-    if keep.all():
-        return np.exp(x, out=x)
-    np.exp(np.maximum(x, _EXP_FLOOR, out=x), out=x)
-    x *= keep
-    return x
-
-
 def _log_bernstein(degree: int, eta: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """ln B_j(expit(eta)) [degree + 1, *eta.shape], from ln p and ln(1 - p): both are
     negative, so no large terms cancel.  ``out`` and ``scratch``, of that shape, are
@@ -215,9 +202,9 @@ def _log_bernstein(degree: int, eta: np.ndarray, out=None, scratch=None) -> np.n
 
 
 def _bernstein(degree: int, eta: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """B_j(expit(eta)) [degree + 1, *eta.shape], 0 below e^_EXP_FLOOR; the buffers are
+    """B_j(expit(eta)) [degree + 1, *eta.shape], 0 below e^EXP_FLOOR; the buffers are
     those of ``_log_bernstein``."""
-    return _exp(_log_bernstein(degree, eta, out, scratch))
+    return guarded_exp(_log_bernstein(degree, eta, out, scratch))
 
 
 def _softplus_change(nu: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -225,7 +212,7 @@ def _softplus_change(nu: np.ndarray, t: np.ndarray) -> np.ndarray:
     and the change of max(x, 0) taken from t, so a large |nu| rounds nothing in."""
     eta = nu + t[:, None]
     ramp = np.where(nu >= 0.0, np.maximum(t[:, None], -nu), np.maximum(eta, 0.0))
-    return ramp + np.log1p(_exp(-np.abs(eta))) - np.log1p(_exp(-np.abs(nu)))
+    return ramp + np.log1p(guarded_exp(-np.abs(eta))) - np.log1p(guarded_exp(-np.abs(nu)))
 
 
 def _z_rule_mass(log_basis: np.ndarray, nu: np.ndarray, sigma: float, z, w_z) -> np.ndarray:
@@ -242,8 +229,8 @@ def _z_rule_mass(log_basis: np.ndarray, nu: np.ndarray, sigma: float, z, w_z) ->
     while a < t.size:
         b = max(a + 1, int(np.searchsorted(t, t[a] + _Z_SPAN / degree, side="right")))
         top = log_g[a:b].max(axis=0)
-        sums = np.exp(j * (t[a:b] - t[b - 1])) @ _exp(log_g[a:b] - top)
-        mass = mass + _exp(log_basis + top + j * t[b - 1]) * sums
+        sums = np.exp(j * (t[a:b] - t[b - 1])) @ guarded_exp(log_g[a:b] - top)
+        mass = mass + guarded_exp(log_basis + top + j * t[b - 1]) * sums
         a = b
     return mass
 
@@ -268,13 +255,13 @@ def _basis_mass(degree: int, nu: np.ndarray, sigmas, cut: float) -> np.ndarray:
     mass = np.zeros((2, degree + 1, len(sigmas), nu.size))  # the basis's mass, and above the cut
     for i, sigma in enumerate(sigmas):
         if sigma > _Z_SIGMA:
-            # only kernels with an entry above e^_EXP_FLOOR; reach peaks within the eta
+            # only kernels with an entry above e^EXP_FLOOR; reach peaks within the eta
             # panels and falls off on either side, so they are one run of nu
-            live = np.flatnonzero(reach / (sigma * sigma) >= _EXP_FLOOR)
+            live = np.flatnonzero(reach / (sigma * sigma) >= EXP_FLOOR)
             if live.size:
                 a, b = live[0], live[-1] + 1
                 k = kernel[:eta.size * (b - a)].reshape(eta.size, b - a)
-                _exp(np.divide(half_sq[:, a:b], sigma * sigma, out=k))
+                guarded_exp(np.divide(half_sq[:, a:b], sigma * sigma, out=k))
                 mass[1, :, i, a:b] = basis[:, above:] @ k[above:]
                 mass[0, :, i, a:b] = basis[:, :above] @ k[:above] + mass[1, :, i, a:b]
                 mass[:, :, i, a:b] /= sigma * math.sqrt(2 * math.pi)
@@ -382,11 +369,11 @@ def posterior_tails_means(design: str, responses, sample_sizes, params,
             bad = rows[chunk][~np.isfinite(top[:, 0])][0].tolist()
             raise NumericError(f"{design} posterior of responses {bad} with sizes "
                                f"{list(sizes)} underflows to 0 at every grid node")
-        # a weight below e^_EXP_FLOOR set to 0 moves a tail or mean by at most ~1e-304 per
+        # a weight below e^EXP_FLOOR set to 0 moves a tail or mean by at most ~1e-304 per
         # node, as the total is at least 1: over ~13k nodes only results below ~1e-284 move
         log_post -= top
         tails[chunk], means[chunk] = _posterior(
-            rows[chunk], codes[chunk], _exp(log_post), divisors, tables, nex, q)
+            rows[chunk], codes[chunk], guarded_exp(log_post), divisors, tables, nex, q)
     return tails, means
 
 

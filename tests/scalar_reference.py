@@ -1,6 +1,6 @@
 """Scalar formulas of the published designs, one basket pair or one partition at a
-time, and earlier formulations of the bank kernels, kept as independent references
-for the bank kernels in ``basketsim``.
+time, earlier formulations of the bank kernels, and a batched adaptive Gauss-Kronrod
+integrator, kept as independent references for the bank kernels in ``basketsim``.
 
 Nothing in ``basketsim`` calls these; the tests compare the kernels against them.
 """
@@ -10,7 +10,14 @@ import math
 import numpy as np
 
 from basketsim import bma
-from basketsim.core import BetaShape, beta_tails, log_beta, row_sums, set_unit_diagonal
+from basketsim.core import (
+    BetaShape,
+    NumericError,
+    beta_tails,
+    log_beta,
+    row_sums,
+    set_unit_diagonal,
+)
 from basketsim.powerprior import (
     CppParams,
     alpha0_matrix,
@@ -18,6 +25,25 @@ from basketsim.powerprior import (
     gamma_matrix,
     scaled_ks_matrix,
 )
+
+
+# Quadrature defaults: beta-type integrands are smooth away from the
+# endpoints, so densities unbounded at 0 or 1 are integrated on a domain
+# truncated by EDGE_EPS on each side.
+EDGE_EPS = 1e-12
+DEFAULT_QUAD_TOL = 1e-8
+MAX_SUBINTERVALS = 2 ** 14
+
+
+class QuadratureError(NumericError):
+    """Adaptive quadrature ran out of subdivision budget.
+
+    The best available estimate is attached as ``partial``.
+    """
+
+    def __init__(self, message: str, partial: float):
+        super().__init__(message)
+        self.partial = partial
 
 
 def beta_log_pdf(shape: BetaShape, x: np.ndarray) -> np.ndarray:
@@ -158,3 +184,83 @@ def edge_case_banks(k: int, seed: int = 0) -> list[tuple[np.ndarray, tuple[int, 
         rows = rng.integers(0, n + 1, size=(12, k))
         banks.append((np.vstack([rows, np.zeros(k, dtype=int), rows[3], n, n]), sizes))
     return banks
+
+
+# ---------------------------------------------------------------------------
+# Adaptive quadrature (Gauss-Kronrod 7/15 with bisection refinement)
+# ---------------------------------------------------------------------------
+
+# Nodes/weights of the 15-point Kronrod extension of 7-point Gauss-Legendre.
+_XGK = np.array([0.991455371120813, 0.949107912342759, 0.864864423359769, 0.741531185599394,
+                 0.586087235467691, 0.405845151377397, 0.207784955007898, 0.0])
+_WGK = np.array([0.022935322010529, 0.063092092629979, 0.104790010322250, 0.140653259715525,
+                 0.169004726639267, 0.190350578064785, 0.204432940075298, 0.209482141084728])
+_WG = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119, 0.417959183673469])
+
+# Full 15-point layout: -x7..-x1, 0, x1..x7 (node 7 is the centre).
+_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_KRONROD_W = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])  # embedded 7-point subset
+_GAUSS_W = np.concatenate([_WG[:-1], _WG[::-1]])
+
+
+def _gauss_kronrod(f, a, b, which) -> tuple[np.ndarray, np.ndarray]:
+    """7/15 Gauss-Kronrod estimates and error gauges per interval, each summed in
+    node order so that its bits depend on that interval alone."""
+    half = 0.5 * (b - a)
+    xs = (0.5 * (a + b))[:, None] + half[:, None] * _NODES[None, :]
+    fv = np.asarray(f(xs, which), dtype=float)
+    k15 = half * row_sums(fv * _KRONROD_W)
+    g7 = half * row_sums(fv[:, _GAUSS_IDX] * _GAUSS_W)
+    return k15, np.abs(k15 - g7)
+
+
+def integrate(f, lo, hi, tol: float = DEFAULT_QUAD_TOL,
+              max_subintervals: int = MAX_SUBINTERVALS):
+    """Globally adaptive quadrature of one integral over [lo, hi], or in one pass of a
+    batch of N integrals whose bounds ``lo`` and ``hi`` are arrays [N].
+
+    ``f(x)`` returns the integrand at abscissae [M, 15], one row per interval; a
+    batch's ``f(x, which)`` also receives each row's integral [M].  All nodes are
+    strictly interior, so integrable endpoint singularities are tolerated.  Each
+    integral keeps its own intervals, so its bits ignore the batch: each round
+    bisects every interval holding more than its share of the error budget until
+    the summed error estimate falls below ``tol``.  Exceeding ``max_subintervals``
+    raises :class:`QuadratureError` carrying that integral's partial estimate.
+    """
+    single = np.ndim(lo) == 0
+    lo, hi = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi))
+    if not np.all(lo < hi):
+        raise ValueError(f"integration bounds must satisfy lo < hi, got [{lo}, {hi}]")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    kernel = (lambda x, which: f(x)) if single else f
+    a, b, which = lo, hi, np.arange(lo.size)  # intervals, grouped by integral
+    k15, err = _gauss_kronrod(kernel, a, b, which)
+    out = np.empty(lo.size)
+    while which.size:
+        starts = np.flatnonzero(np.r_[True, which[1:] != which[:-1]])
+        bounds = starts.tolist() + [which.size]
+        sizes, errs, ests = np.diff(bounds), err.tolist(), k15.tolist()
+        global_err = np.array([math.fsum(errs[i:j]) for i, j in zip(bounds, bounds[1:])])
+        done = global_err <= tol
+        for i in np.flatnonzero(done).tolist():
+            out[which[starts[i]]] = math.fsum(ests[bounds[i]:bounds[i + 1]])
+        split = err > tol / (2.0 * np.repeat(sizes, sizes))
+        # sum over tol yet no single offender: split the worst
+        worst = err == np.repeat(np.maximum.reduceat(err, starts), sizes)
+        split |= worst & np.repeat(~np.logical_or.reduceat(split, starts), sizes)
+        split &= np.repeat(~done, sizes)
+        failed = ~done & ((sizes + np.add.reduceat(split, starts) > max_subintervals)
+                          | ~np.isfinite(global_err))
+        if failed.any():
+            i = int(np.argmax(failed))
+            raise QuadratureError(f"quadrature did not converge within {max_subintervals} "
+                                  "subintervals", math.fsum(ests[bounds[i]:bounds[i + 1]]))
+        keep, mid = np.repeat(~done, sizes) & ~split, 0.5 * (a[split] + b[split])
+        ca, cb, cw = np.r_[a[split], mid], np.r_[mid, b[split]], np.tile(which[split], 2)
+        ck15, cerr = _gauss_kronrod(kernel, ca, cb, cw)
+        order = np.argsort(np.r_[which[keep], cw], kind="stable")  # regroup by integral
+        a, b, which, k15, err = (np.r_[v[keep], c][order] for v, c in (
+            (a, ca), (b, cb), (which, cw), (k15, ck15), (err, cerr)))
+    return float(out[0]) if single else out

@@ -20,15 +20,13 @@ from basketsim.cli import TUNED_PARAMS, builtin_catalog, main
 from basketsim.core import (
     BasketData,
     BetaShape,
-    EDGE_EPS,
     PATTERNS,
-    integrate,
 )
 from basketsim.engine import DESIGNS, DesignBank, DesignConfig, outcome_table
 from basketsim.fujikawa import FujikawaParams, jsd
 from basketsim.powerprior import gamma_matrix
 from basketsim.tuning import grid_search, smallest_lambda, study
-from scalar_reference import beta_log_pdf
+from scalar_reference import EDGE_EPS, beta_log_pdf, integrate
 
 # Threshold calibration is grid-quantized and bank-dependent: the design
 # tails are atomic (finitely many data sets), so one 0.001 step of lambda

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import basketsim
-from basketsim import bma, cli, engine, hierarchical, tuning
+from basketsim import bma, cli, engine, fujikawa, hierarchical, tuning
 from basketsim.cli import (
     CatalogError,
     build_parser,
@@ -648,6 +648,21 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: BHM posterior of responses [0, 30] ")
         assert err.count("\n") == 1
+        assert not (tmp_path / "oc.csv").exists()
+
+    def test_jsd_rule_over_the_node_bound_is_a_numeric_failure(self, tmp_path, capsys):
+        # two baskets of 10^12 patients need a JSD rule of ~5e7 nodes, which used to end
+        # in a ~400 MiB allocation; the rule's size is checked before any node is built
+        scenario = {"id": 1, "sample_sizes": [10 ** 12] * 2, "true_rates": [0.15, 0.15],
+                    "pattern": "Null", "size_family": "Linear"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenarios": [scenario]}))
+        code = main(["simulate", "--config", str(path), "--design", "Fujikawa",
+                     "--reps", "5", "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: JSD of Beta(")
+        assert f"more than {fujikawa.MAX_RULE_NODES} nodes" in err and err.count("\n") == 1
         assert not (tmp_path / "oc.csv").exists()
 
     @pytest.mark.parametrize("content, message", [

@@ -10,16 +10,14 @@ from basketsim.core import (
     BasketData,
     BetaShape,
     NumericError,
-    QuadratureError,
     Scenario,
     beta_tails,
-    integrate,
     log_beta,
     unique_rows,
 )
 from basketsim.engine import DesignConfig, run_design
 from basketsim.fujikawa import FujikawaParams
-from scalar_reference import beta_log_pdf
+from scalar_reference import QuadratureError, beta_log_pdf, integrate
 
 def integrate_beta_density(shape, lo=0.0, hi=1.0, tol=1e-8):
     """Quadrature oracle: the integral of a beta density over [lo, hi].

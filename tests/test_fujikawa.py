@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from basketsim.core import EDGE_EPS, BasketData, BetaShape, beta_tails
+from basketsim.core import BasketData, BetaShape, NumericError, beta_tails, unique_rows
 from basketsim.engine import DesignBank, DesignConfig, run_design
 from basketsim.fujikawa import (
     FujikawaParams,
     _jsd_integrand,
     _pair_jsds,
+    _rule_keys,
     jsd,
     jsd_matrices,
     weights_from_jsd,
@@ -42,8 +43,9 @@ def jsd_riemann(f, g, points=10 ** 6):
 
 
 def jsd_quad(f, g):
-    """scipy.integrate.quad oracle for the base-2 JSD over the same edge-truncated
-    interval: shapes below 1 put up to ~1e-6 of their mass outside it."""
+    """scipy.integrate.quad oracle for the base-2 JSD over (0, 1), for shapes of at
+    least 0.5: a density unbounded at an edge is integrable there, and quad's nodes
+    are interior."""
     cf, cg = special.betaln(f.alpha, f.beta), special.betaln(g.alpha, g.beta)
 
     def integrand(lx, l1x):
@@ -54,7 +56,7 @@ def jsd_quad(f, g):
 
     # pieces shrink geometrically towards each edge, and the upper half runs in
     # t = 1 - x, where floats resolve the edge, so quad meets no rough stretch
-    cuts = [EDGE_EPS, 1e-9, 1e-6, 1e-3, 0.5]
+    cuts = [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.5]
     halves = [lambda t: integrand(math.log(t), math.log1p(-t)),
               lambda t: integrand(math.log1p(-t), math.log(t))]
     return math.fsum(integrate.quad(h, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=400)[0]
@@ -128,13 +130,13 @@ class TestJsd:
     @settings(max_examples=200, deadline=None)
     @given(f=shapes, g=shapes)
     def test_integrand_bitwise_symmetric(self, f, g):
-        # integrate() sees the same values in either order, so jsd(f, g) and
+        # the rule sees the same values in either order, so jsd(f, g) and
         # jsd(g, f) share bits and a bank may order each pair as it likes
-        kernel = _jsd_integrand(np.array([[f.alpha, f.beta, g.alpha, g.beta],
-                                          [g.alpha, g.beta, f.alpha, f.beta]]))
-        xs = np.linspace(EDGE_EPS, 1.0 - EDGE_EPS, 4005).reshape(-1, 15)
-        which = np.zeros(len(xs), dtype=int)
-        np.testing.assert_array_equal(kernel(xs, which), kernel(xs, which + 1))
+        u = np.linspace(-80.0, 80.0, 4005)
+        terms = _jsd_integrand(np.array([[f.alpha, f.beta, g.alpha, g.beta],
+                                         [g.alpha, g.beta, f.alpha, f.beta]]),
+                               -np.logaddexp(0.0, -u), -np.logaddexp(0.0, u))
+        np.testing.assert_array_equal(terms[:, 0], terms[:, 1])
 
     @pytest.mark.parametrize("f, g", [
         (BetaShape(1, 61), BetaShape(61, 1)),
@@ -154,7 +156,7 @@ class TestJsd:
 
 
 class TestPairJsds:
-    """The batch kernel: each pair on its own intervals, in one pass."""
+    """The batch kernel: each pair on the rule of its own shapes, in one call."""
 
     def test_study_shapes_agree_with_quad(self):
         pairs = study_shape_pairs(150, seed=11)
@@ -163,15 +165,33 @@ class TestPairJsds:
             assert value == pytest.approx(jsd_quad(f, g), abs=1e-8)
 
     def test_bits_do_not_depend_on_the_batch(self):
-        pairs = study_shape_pairs(400, seed=3)
-        pairs[::37, 2:] = pairs[::37, :2]  # some equal shapes ride along
-        batch = _pair_jsds(pairs)
-        order = np.random.default_rng(5).permutation(len(pairs))
-        np.testing.assert_array_equal(_pair_jsds(pairs[order]), batch[order])
-        np.testing.assert_array_equal(_pair_jsds(pairs[order[:60]]), batch[order[:60]])
-        alone = [_pair_jsds(pair[None])[0] for pair in pairs]
-        np.testing.assert_array_equal(alone, batch)
-        assert np.all(batch[::37] == 0.0) and np.all(batch[1::37] > 0.0)
+        study = study_shape_pairs(400, seed=3)
+        # posteriors of n = 10 and n = 1000 and shapes below 1: pairs on several
+        # (level, reach) rules share one call
+        rng = np.random.default_rng(6)
+        pool = np.concatenate([[(1.0 + r, 1.0 + n - r) for n in (10, 1000)
+                                for r in rng.integers(0, n + 1, 300).tolist()],
+                               rng.uniform(0.05, 1.0, (300, 2))])
+        mixed = pool[rng.integers(0, len(pool), (400, 2))].reshape(-1, 4)
+        assert len(unique_rows(_rule_keys(mixed))[0]) > 3
+        for pairs in (study, mixed):
+            pairs[::37, 2:] = pairs[::37, :2]  # some equal shapes ride along
+            batch = _pair_jsds(pairs)
+            order = np.random.default_rng(5).permutation(len(pairs))
+            np.testing.assert_array_equal(_pair_jsds(pairs[order]), batch[order])
+            np.testing.assert_array_equal(_pair_jsds(pairs[order[:60]]), batch[order[:60]])
+            alone = [_pair_jsds(pair[None])[0] for pair in pairs]
+            np.testing.assert_array_equal(alone, batch)
+            assert np.all(batch[::37] == 0.0) and np.all(batch[1::37] > 0.0)
+
+
+    @pytest.mark.parametrize("pair", [[1e6, 1e6, 2e6, 1e6], [1e-300, 1.0, 2.0, 1.0]],
+                             ids=["over-the-node-bound", "shape-below-the-floor"])
+    def test_pair_out_of_the_rules_range_is_a_numeric_error(self, pair):
+        # raised before any rule is built; below a shape of 1e-280 the edge weights would
+        # pass e^650, where the exp floor of e^-700 drops mass that counts
+        with pytest.raises(NumericError, match=r"^JSD of Beta\("):
+            _pair_jsds(np.array([[1.0, 2.0, 3.0, 4.0], pair]))
 
 
 class TestJsdMatrices:

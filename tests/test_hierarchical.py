@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from basketsim import hierarchical
+from basketsim import core, hierarchical
 from basketsim.engine import DesignBank
 from basketsim.hierarchical import (
     MAX_PHI,
@@ -231,8 +231,8 @@ class TestBernsteinBuild:
     def test_exp_never_underflows(self):
         x = np.concatenate([np.linspace(-800.0, 5.0, 10_001), [-np.inf]])
         with np.errstate(under="raise"):
-            got = hierarchical._exp(x.copy())
-        kept = x >= hierarchical._EXP_FLOOR
+            got = core.guarded_exp(x.copy())
+        kept = x >= core.EXP_FLOOR
         assert_same_bits(got[kept], np.exp(x[kept]))
         assert np.all(got[~kept] == 0.0)
 
@@ -327,7 +327,7 @@ class TestPosteriorReference:
     @pytest.mark.parametrize("sizes", PAPER_SIZES.values(), ids=PAPER_SIZES)
     @pytest.mark.parametrize("phi", [0.125, 0.661, 2.0])
     def test_reference_banks_reach_the_weight_cut(self, phi, sizes):
-        # at q = 1 the banks above have finite grid weights below e^_EXP_FLOOR, which the
+        # at q = 1 the banks above have finite grid weights below e^EXP_FLOOR, which the
         # bank posterior sets to 0 and the reference keeps, so their bitwise match covers
         # the cut
         bank, _ = self.bank(sizes)
@@ -337,7 +337,7 @@ class TestPosteriorReference:
             for k, table in enumerate(tables):
                 log_post += np.log(table[0, bank[:, k]])
         gap = log_post - log_post.max(axis=1, keepdims=True)
-        assert np.any((gap < hierarchical._EXP_FLOOR) & (np.exp(gap) > 0.0))
+        assert np.any((gap < core.EXP_FLOOR) & (np.exp(gap) > 0.0))
 
 
 class TestTableCache:

@@ -10,8 +10,6 @@ from basketsim.core import (
     BasketData,
     BetaShape,
     ConfigurationError,
-    EDGE_EPS,
-    integrate,
 )
 from basketsim.engine import DesignBank, DesignConfig, run_design
 from basketsim.fujikawa import jsd_matrices, weights_from_jsd
@@ -23,7 +21,14 @@ from basketsim.powerprior import (
     scaled_ks_matrix,
 )
 from basketsim.tuning import default_grid
-from scalar_reference import beta_log_pdf, cpp_weight, edge_case_banks, power_prior_weights
+from scalar_reference import (
+    EDGE_EPS,
+    beta_log_pdf,
+    cpp_weight,
+    edge_case_banks,
+    integrate,
+    power_prior_weights,
+)
 
 
 def hellinger_gamma_by_quadrature(d_k, d_i, tol=1e-10):
