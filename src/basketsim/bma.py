@@ -15,7 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import BetaShape, ConfigurationError, beta_tails, guarded_exp, log_beta, row_sums
+from .core import (BetaShape, ConfigurationError, Design, beta_tails, guarded_exp, log_beta,
+                   row_sums)
 from .hierarchical import MAX_TABLE_BYTES
 
 MAX_BASKETS = 12  # Bell(12) is ~4.2M models; beyond this enumeration is hopeless
@@ -23,6 +24,7 @@ MAX_BASKETS = 12  # Bell(12) is ~4.2M models; beyond this enumeration is hopeles
 BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597)
 # a model has at most MAX_BASKETS blocks, so C * psi stays within half the float range
 MAX_PSI = sys.float_info.max / (2 * MAX_BASKETS)
+_ENTRY_BYTES = 216  # peak bytes per pooled-count table entry, mostly beta tail temporaries
 
 
 @dataclass(frozen=True)
@@ -158,18 +160,22 @@ class BmaBank:
     for an integer r_S in 0..n_S: every subset's log marginal, tail and mean are
     tabulated once per r_S, and each row reads them at the table's offset plus its r_S.
     ``tails_means`` averages them over the models for one psi.  A bank whose [R, K, M]
-    arrays would pass ``MAX_TABLE_BYTES`` raises ConfigurationError before any is built.
+    arrays or tables would pass ``MAX_TABLE_BYTES`` raises ConfigurationError first.
     """
 
     def __init__(self, responses, sample_sizes, prior: BetaShape, p0: float):
         responses = np.asarray(responses, dtype=np.int64)
-        k = responses.shape[-1]
+        k, sizes = responses.shape[-1], np.asarray(sample_sizes, dtype=np.int64)
         if len(responses) > block_rows(k):
             raise ConfigurationError(f"BMA over {k} baskets needs {_row_bytes(k) * len(responses)}"
                                      f" bytes for a block of {len(responses)} rows > "
                                      f"{MAX_TABLE_BYTES}")
+        entries = 2 ** (k - 1) * int(sizes.sum()) + 2 ** k - 1  # n_S + 1 over every subset S
+        if _ENTRY_BYTES * entries > MAX_TABLE_BYTES:
+            raise ConfigurationError(f"BMA pooled-count tables of sample sizes {sizes.tolist()} "
+                                     f"need {_ENTRY_BYTES * entries} bytes > {MAX_TABLE_BYTES}")
         self._space = space = _model_space(k)
-        pooled = space.member @ np.asarray(sample_sizes, dtype=np.int64)
+        pooled = space.member @ sizes
         r = np.concatenate([np.arange(n + 1, dtype=float) for n in pooled.tolist()])
         alphas, betas = prior.alpha + r, prior.beta + (np.repeat(pooled, pooled + 1) - r)
         # [R, S]: each row's entry in the table of every subset
@@ -191,3 +197,7 @@ class BmaBank:
 @lru_cache(maxsize=None)
 def _model_space(k: int) -> _ModelSpace:
     return _ModelSpace(k)
+
+
+DECLARED = (Design("BMA", BmaParams, tuple(BmaParams(i / 2.0) for i in range(-8, 9)),  # -4 .. 4
+                   strict=True, priors="shared", bank=BmaBank, block_rows=block_rows),)

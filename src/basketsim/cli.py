@@ -29,7 +29,7 @@ from .core import (
     SIZE_FAMILIES,
     Scenario,
 )
-from .engine import DESIGNS, PARAM_TYPES, DesignConfig, outcome_table
+from .engine import DESIGNS, REGISTRY, DesignConfig, outcome_table
 from .fujikawa import FujikawaParams
 from .hierarchical import BhmParams, ExnexParams
 from .powerprior import CppParams, cpp_weights_from_scaled, scaled_ks_matrix
@@ -213,11 +213,11 @@ def load_config(path: str) -> tuple[dict, str]:
 def design_params_from_mapping(design: str, raw: dict):
     """Parse one design's parameter object from a config file entry: the fields of
     its parameter type that have no default, each a finite JSON number."""
-    if design not in PARAM_TYPES:
+    if design not in REGISTRY:
         raise CatalogError(f"designs.{design}: unknown design")
     if not isinstance(raw, dict):
         raise CatalogError(f"designs.{design}: expected an object, got {raw!r}")
-    param_type = PARAM_TYPES[design]
+    param_type = REGISTRY[design].params
     fields = () if param_type is type(None) else tuple(
         f.name for f in dataclasses.fields(param_type) if f.default is dataclasses.MISSING)
     unknown = set(raw) - set(fields) - {"lambda"}

@@ -7,6 +7,7 @@ safe to call concurrently from any number of workers.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,3 +252,37 @@ def unique_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(len(table), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
     return ordered[first], inverse
+
+
+@dataclass(frozen=True)
+class Design:
+    """One design, declared once in the module that implements it."""
+
+    name: str
+    params: type  # its parameter type; type(None) if it takes none
+    grid: tuple  # its tuning grid, in lexicographic order
+    strict: bool  # rejects on tail > lambda, else on tail >= lambda
+    priors: str  # "each" basket its own Beta prior, one "shared" (the bank gets it alone), "none"
+    bank: Callable  # (responses, sizes, priors, p0) -> statistics with tails_means(params)
+    block_rows: Callable | None = None  # (K) -> the most rows one bank may hold
+    tables_key: Callable = lambda sizes, p0, params: None  # -> the key of shared tables, if any
+    tables: Callable | None = None  # (design, sizes, p0, params) builds and caches them
+
+
+class BorrowingBank:
+    """Beta posteriors of a bank: each prior, if any, plus ``counts`` summed under ``weights``."""
+
+    def __init__(self, priors: list[BetaShape] | None, counts, p0: float, weights: Callable):
+        self._prior = ((np.array([p.alpha for p in priors]), np.array([p.beta for p in priors]))
+                       if priors is not None else (0.0, 0.0))
+        self._counts, self.p0, self.weights = counts, p0, weights
+
+    def tails_means(self, params) -> tuple[np.ndarray, np.ndarray]:
+        """Tails Pr(p > p0) and posterior means, both [R, K], at one parameter set."""
+        alphas, betas = self.posterior_shapes(self.weights(params))
+        return beta_tails(alphas, betas, self.p0), alphas / (alphas + betas)
+
+    def posterior_shapes(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Beta shapes [R, K] of the posterior under borrowing weights [R, K, K]."""
+        return (self._prior[0] + weighted_sums(weights, self._counts[0]),
+                self._prior[1] + weighted_sums(weights, self._counts[1]))

@@ -19,34 +19,20 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .bma import BmaBank, BmaParams, block_rows
-from .core import (
-    BasketData,
-    BetaShape,
-    ConfigurationError,
-    Scenario,
-    beta_tails,
-    set_unit_diagonal,
-    unique_rows,
-    weighted_sums,
-)
-from .fujikawa import FujikawaParams, jsd_matrices, weights_from_jsd
-from .hierarchical import BhmParams, ExnexParams, design_tables, posterior_tails_means, tables_key
-from .powerprior import (CppParams, alpha0_matrix, cpp_weights_from_scaled, gamma_matrix,
-                         scaled_ks_matrix)
+from . import bma, fujikawa, hierarchical, powerprior
+from .core import BasketData, BetaShape, ConfigurationError, Scenario, unique_rows
 
-DESIGNS = ("CPP", "APP", "LCPP", "Fujikawa", "BMA", "BHM", "EXNEX")
-STRICT_DESIGNS = frozenset({"BMA", "BHM", "EXNEX"})
 
-PARAM_TYPES = {
-    "CPP": CppParams,
-    "LCPP": CppParams,
-    "APP": type(None),
-    "Fujikawa": FujikawaParams,
-    "BMA": BmaParams,
-    "BHM": BhmParams,
-    "EXNEX": ExnexParams,
-}
+class _Registry(dict):
+    """Each design as its module declares it; an unknown name raises ConfigurationError."""
+
+    def __missing__(self, design: str):
+        raise ConfigurationError(f"unknown design {design!r}")
+
+
+REGISTRY = _Registry((d.name, d) for m in (powerprior, fujikawa, bma, hierarchical)
+                     for d in m.DECLARED)
+DESIGNS = tuple(REGISTRY)  # the paper's order
 
 _STREAM_DATA = 0
 _STREAM_MCMC = 1
@@ -58,8 +44,8 @@ LAMBDA_GRID = np.arange(1, 1000) / 1000.0  # 0.001 .. 0.999, three-decimal resol
 class DesignConfig:
     """One fully specified analysis: design, parameters, priors, threshold.
 
-    The decision rule is non-strict (tail >= lambda) for the beta-posterior
-    designs and strict (tail > lambda) for BMA/BHM/EXNEX.
+    The design's declaration gives its parameter type, its prior rule and its
+    decision rule: non-strict (tail >= lambda) or strict (tail > lambda).
     """
 
     design: str
@@ -68,25 +54,23 @@ class DesignConfig:
     lambda_: float | None = None
 
     def __post_init__(self):
-        if self.design not in DESIGNS:
-            raise ConfigurationError(f"unknown design {self.design!r}")
-        expected = PARAM_TYPES[self.design]
-        if not isinstance(self.params, expected):
+        spec = REGISTRY[self.design]
+        if not isinstance(self.params, spec.params):
             raise ConfigurationError(
-                f"design {self.design} needs params of type {expected.__name__}, "
+                f"design {self.design} needs params of type {spec.params.__name__}, "
                 f"got {type(self.params).__name__}"
             )
         if self.lambda_ is not None and not 0.0 < self.lambda_ <= 1.0:
             raise ConfigurationError(f"lambda {self.lambda_} outside (0, 1]")
-        # priors the design would ignore: BHM/EXNEX set theirs by params, BMA pools under one
-        if self.priors is not None and self.design in ("BHM", "EXNEX"):
+        # priors the design would ignore: its parameters set them, or it pools under one
+        if self.priors is not None and spec.priors == "none":
             raise ConfigurationError(f"design {self.design} takes no priors")
-        if self.design == "BMA" and self.priors and len(set(self.priors)) > 1:
-            raise ConfigurationError("design BMA needs one prior shared by every basket")
+        if spec.priors == "shared" and self.priors and len(set(self.priors)) > 1:
+            raise ConfigurationError(f"design {self.design} needs every basket to share one prior")
 
     @property
     def strict(self) -> bool:
-        return self.design in STRICT_DESIGNS
+        return REGISTRY[self.design].strict
 
     def prior_list(self, k: int) -> list[BetaShape]:
         if self.priors is None:
@@ -220,69 +204,25 @@ def generate_responses(scenario: Scenario, n_reps: int, master_seed: int,
 class DesignBank:
     """One design's statistics over a bank of integer count vectors [R, K].
 
-    The constructor computes what does not depend on the design parameters
-    (scaled rate differences, the LCPP size cap, APP's whole weight matrix,
-    JSD matrices, BMA subset marginals and tails); ``tails_means`` finishes the
-    tails and posterior means of the whole bank for one parameter set.  BHM and
-    EXNEX take their quadrature tables from a per-process cache keyed by the
-    parameters and basket sizes.  Every row is computed on its own, so a bank
-    of one gives the same bits as that replicate inside any larger bank.
+    The design's declared bank computes what does not depend on the parameters
+    once; this lends that bank's ``tails_means`` (the tails and posterior means of
+    the whole bank at one parameter set) and, for a beta-posterior design, its
+    ``weights`` and ``posterior_shapes``.  Every row is computed on its own, so a
+    bank of one gives the same bits as that replicate inside any larger bank.
     """
 
     def __init__(self, design: str, responses, sample_sizes,
                  priors: list[BetaShape], p0: float):
+        spec = REGISTRY[design]
         r = np.asarray(responses, dtype=float)
         n = np.asarray(sample_sizes, dtype=float)
         # BMA tabulates by count and BHM/EXNEX index by it: every design reads whole counts
         if not (np.all(r % 1 == 0) and np.all(n % 1 == 0) and np.all((0 <= r) & (r <= n))):
             raise ConfigurationError(f"design {design} needs integer counts 0 <= r <= n")
-        self.design = design
-        self.p0 = p0
-        prior_alpha = np.array([p.alpha for p in priors])
-        prior_beta = np.array([p.beta for p in priors])
-        if design in ("CPP", "APP", "LCPP"):
-            self._prior = (prior_alpha, prior_beta)
-            self._counts = (r, n - r)
-            if design == "APP":
-                self._app = set_unit_diagonal(alpha0_matrix(n) * (1.0 - gamma_matrix(r, n)))
-            else:
-                self._scaled = scaled_ks_matrix(r, n)
-                self._cap = alpha0_matrix(n) if design == "LCPP" else 1.0
-        elif design == "Fujikawa":
-            # the weighted sum runs over basket-wise posteriors, priors included
-            self._prior = (0.0, 0.0)
-            self._counts = (prior_alpha + r, prior_beta + (n - r))
-            self._jsd = jsd_matrices(*self._counts)
-        elif design == "BMA":
-            self._bma = BmaBank(r, n, priors[0], p0)
-        elif design in ("BHM", "EXNEX"):
-            self._hierarchical = (responses, sample_sizes)
-        else:
-            raise ConfigurationError(f"unknown design {design!r}")
+        self._bank = spec.bank(r, n, priors[0] if spec.priors == "shared" else priors, p0)
 
-    def weights(self, params) -> np.ndarray:
-        """Borrowing weights [R, K, K] of CPP, APP, LCPP or Fujikawa at one parameter set."""
-        if self.design == "Fujikawa":
-            return weights_from_jsd(self._jsd, params)
-        if self.design == "APP":
-            return self._app
-        return set_unit_diagonal(self._cap * cpp_weights_from_scaled(self._scaled, params))
-
-    def tails_means(self, params) -> tuple[np.ndarray, np.ndarray]:
-        """Tails Pr(p > p0) and posterior means, both [R, K], at one parameter set."""
-        if self.design == "BMA":
-            return self._bma.tails_means(params)
-        if self.design in ("BHM", "EXNEX"):
-            return posterior_tails_means(self.design, *self._hierarchical, params, self.p0)
-        alphas, betas = self.posterior_shapes(self.weights(params))
-        return beta_tails(alphas, betas, self.p0), alphas / (alphas + betas)
-
-    def posterior_shapes(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Beta shapes [R, K] of the CPP, APP, LCPP or Fujikawa posterior under borrowing
-        weights [R, K, K]: the weighted sums of the counts (of the basket-wise posteriors,
-        priors included, for Fujikawa), plus each basket's own prior for the power priors."""
-        return (self._prior[0] + weighted_sums(weights, self._counts[0]),
-                self._prior[1] + weighted_sums(weights, self._counts[1]))
+    def __getattr__(self, name):
+        return getattr(vars(self).get("_bank"), name)  # None, before _bank is set, has none
 
 
 _BLOCK_ROWS = 4096  # rows per DesignBank: bounds the statistics and temporaries of one bank
@@ -298,12 +238,11 @@ class OutcomeTable:
     counts: dict
 
     def blocks(self, jobs: int = 1, design: str = "") -> list[np.ndarray]:
-        """Contiguous row blocks of at most ``_BLOCK_ROWS`` rows, and for BMA at most the
-        rows whose statistics fit its memory bound; ``jobs`` or more of them when the
-        table has that many rows."""
-        rows = _BLOCK_ROWS
-        if design == "BMA":  # raises ConfigurationError when not one row fits
-            rows = min(rows, block_rows(len(self.sizes)))
+        """Contiguous row blocks of at most ``_BLOCK_ROWS`` rows, and at most the design's
+        ``block_rows(K)`` if it declares one (which raises ConfigurationError when not one
+        row fits); ``jobs`` or more of them when the table has that many rows."""
+        bound = getattr(REGISTRY.get(design), "block_rows", None)
+        rows = min(_BLOCK_ROWS, bound(len(self.sizes))) if bound else _BLOCK_ROWS
         n_rows = len(self.rows)
         count = min(n_rows, max(jobs, -(-n_rows // rows))) or 1
         bounds = np.linspace(0, n_rows, count + 1, dtype=int).tolist()
@@ -376,22 +315,22 @@ def evaluate_table(configs, table: OutcomeTable, p0: float, jobs: int = 1,
     ``per_basket``, each basket's rejections and the rows' posterior means [U, K], else None.
 
     Each block builds its DesignBank once and walks the configs, here or on ``jobs``
-    workers forked for each run of configs that share BHM/EXNEX quadrature tables, which
-    the parent builds first.  No bit depends on the blocks or the workers.
+    workers forked for each run of configs that share one declared ``tables_key``, whose
+    tables the parent builds first.  No bit depends on the blocks or the workers.
     """
-    blocks = table.blocks(jobs, configs[0].design)
+    spec = REGISTRY[configs[0].design]
+    blocks = table.blocks(jobs, spec.name)
     reps = list(table.counts.values())
     truth = np.array([s.active_truth(p0) for s in table.counts])
     # no count or sum of counts exceeds 2 K n in magnitude: hand back int32 when that fits
     dtype = np.int32 if 2 * truth.shape[1] * max(r.sum() for r in reps) < 2**31 else np.int64
     ends = np.cumsum([len(rows) for rows in blocks]).tolist()
-    hierarchical = configs[0].design in ("BHM", "EXNEX")
     results = []
-    for _, run in itertools.groupby(
-            configs, lambda c: tables_key(table.sizes, p0, c.params) if hierarchical else None):
+    for key, run in itertools.groupby(
+            configs, lambda c: spec.tables_key(table.sizes, p0, c.params)):
         run = tuple(run)
-        if hierarchical:
-            design_tables(run[0].design, table.sizes, p0, run[0].params)
+        if key is not None:
+            spec.tables(spec.name, table.sizes, p0, run[0].params)
         tasks = [(run, rows, table.sizes, p0, [r[end - len(rows):end] for r in reps], truth,
                   per_basket, dtype) for rows, end in zip(blocks, ends)]
         with (ProcessPoolExecutor(max_workers=jobs, mp_context=get_context("fork"))

@@ -4,9 +4,9 @@ The JSD of every distinct pair of posterior shapes in a bank is summed on a fixe
 tanh-sinh rule (Takahasi and Mori 1974) whose step and reach follow from the pair's
 own shapes, so each pair's bits depend on that pair alone.
 
-Unlike the power-prior posterior, ``engine.DesignBank`` sums the basket-wise
-posterior parameters under these weights, priors included, so prior
-information is shared alongside the data.
+Unlike the power-prior posterior, the bank sums the basket-wise posterior
+parameters under these weights, priors included, so prior information is
+shared alongside the data.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import numpy as np
 
 from .core import (
     BetaShape,
+    BorrowingBank,
+    Design,
     NumericError,
     guarded_exp,
     log_beta,
@@ -143,3 +145,16 @@ def weights_from_jsd(jsd_mat: np.ndarray, params: FujikawaParams) -> np.ndarray:
     w = (1.0 - np.asarray(jsd_mat)) ** params.epsilon
     w[w <= params.tau] = 0.0
     return set_unit_diagonal(w)
+
+
+def fujikawa_bank(responses, sizes, priors, p0) -> BorrowingBank:
+    """Fujikawa's weights of a bank, summing the basket-wise posteriors, priors included."""
+    alphas, betas = np.array([p.alpha for p in priors]), np.array([p.beta for p in priors])
+    counts = (alphas + responses, betas + (sizes - responses))
+    jsd = jsd_matrices(*counts)
+    return BorrowingBank(None, counts, p0, lambda params: weights_from_jsd(jsd, params))
+
+
+DECLARED = (Design("Fujikawa", FujikawaParams, tuple(FujikawaParams(i / 2.0, j / 10.0)
+                   for i in range(1, 7) for j in range(6)),  # epsilon 0.5 .. 3, tau 0 .. 0.5
+                   strict=False, priors="each", bank=fujikawa_bank),)

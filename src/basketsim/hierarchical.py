@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EXP_FLOOR, ConfigurationError, NumericError, guarded_exp
+from .core import EXP_FLOOR, ConfigurationError, Design, NumericError, guarded_exp
 
 _CUT_LEVELS = 7  # mu panels halve this many times toward a cut
 _MU_HALF = 8  # unit-width mu panels on either side of a cut
@@ -64,6 +64,7 @@ class BhmParams:
     response rate expressed relative to a common 0.35 target.
     """
 
+    q = 1.0  # BHM is EXNEX at q = 1 with target offsets; a class attribute, not a field
     phi: float
     target_rates: tuple[float, ...] | float = 0.35
     mu_mean: float = -1.1156
@@ -335,12 +336,12 @@ def design_tables(design: str, sizes: tuple, p0: float, params):
         _TABLES[key] = {o: _integrals(ns, mu + o, phi * s, cut) for o, ns in groups}
         table_builds += len(groups)
     offsets = params.offsets(len(sizes)).tolist()
-    if design == "BHM":
-        q, nex = 1.0, [np.zeros((3, n + 1)) for n in sizes]
+    if params.q == 1.0:  # the nonexchangeable part has no weight
+        nex = [np.zeros((3, n + 1)) for n in sizes]
     else:
-        q, (nex_means, nex_sds) = params.q, params.nex_arrays(len(sizes))
+        nex_means, nex_sds = params.nex_arrays(len(sizes))
         nex = [_nex(cut, n, float(m), float(sd)) for n, m, sd in zip(sizes, nex_means, nex_sds)]
-    return [_TABLES[key][o][n] for o, n in zip(offsets, sizes)], nex, q, log_w
+    return [_TABLES[key][o][n] for o, n in zip(offsets, sizes)], nex, params.q, log_w
 
 
 def posterior_tails_means(design: str, responses, sample_sizes, params,
@@ -402,3 +403,21 @@ def exnex_posterior_batch(responses, sample_sizes, params: ExnexParams, mcmc=Non
                           p0: float = 0.15):
     """(tails, means, ()) of a bank, kept for the benchmark; ``mcmc`` and ``seeds`` are ignored."""
     return (*posterior_tails_means("EXNEX", responses, sample_sizes, params, p0), ())
+
+
+class HierarchicalBank:
+    """BHM or EXNEX tails and means of a bank, from the quadrature tables of its model."""
+
+    def __init__(self, design: str, rows, sizes, priors, p0: float):
+        self.tails_means = lambda params: posterior_tails_means(design, rows, sizes, params, p0)
+
+
+PHI_GRID = tuple(0.125 + j * (1.875 / 7.0) for j in range(8))
+_SHARED = dict(strict=True, priors="none", tables_key=tables_key, tables=design_tables)
+DECLARED = (
+    Design("BHM", BhmParams, tuple(BhmParams(phi=phi) for phi in PHI_GRID),
+           bank=functools.partial(HierarchicalBank, "BHM"), **_SHARED),
+    Design("EXNEX", ExnexParams, tuple(ExnexParams(phi=phi, q=i / 10.0)  # q 0.1 .. 0.9
+                                       for phi in PHI_GRID for i in range(1, 10)),
+           bank=functools.partial(HierarchicalBank, "EXNEX"), **_SHARED),
+)

@@ -1,6 +1,6 @@
-"""Power-prior borrowing: the statistics of the CPP, APP and LCPP weights of a bank.
+"""Power-prior borrowing: the CPP, APP and LCPP designs.
 
-``engine.DesignBank`` assembles the weights from them and adds each basket's
+Each bank assembles its weights from these statistics and adds each basket's
 prior to the weighted sums of the observed counts under these weights.
 """
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import log_beta
+from .core import BorrowingBank, Design, log_beta, set_unit_diagonal
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,10 @@ def cpp_weights_from_scaled(s: np.ndarray, params: CppParams) -> np.ndarray:
     """
     out = np.ones_like(s)
     pos = s > 0.0
-    z = params.a + params.b * np.log(s, where=pos, out=np.zeros_like(s))
+    # extreme a and b overflow b ln s, or exp(z), to inf: a is finite, so z is never nan, and
+    # z = +-inf, like any |z| > 745, gives a weight of exactly 0 or 1
     with np.errstate(over="ignore"):
+        z = params.a + params.b * np.log(s, where=pos, out=np.zeros_like(s))
         out[pos] = 1.0 / (1.0 + np.exp(z[pos]))
     return out
 
@@ -84,3 +86,24 @@ def gamma_matrix(responses, sample_sizes) -> np.ndarray:
     gam = np.triu(np.sqrt(np.clip(1.0 - bc, 0.0, 1.0)), 1)
     return gam + np.swapaxes(gam, -1, -2)
 
+
+def cpp_bank(responses, sizes, priors, p0, capped: bool = False) -> BorrowingBank:
+    """CPP weights of a bank, each capped by ``alpha0_matrix`` for LCPP."""
+    scaled, cap = scaled_ks_matrix(responses, sizes), alpha0_matrix(sizes) if capped else 1.0
+    return BorrowingBank(priors, (responses, sizes - responses), p0, lambda params:
+                         set_unit_diagonal(cap * cpp_weights_from_scaled(scaled, params)))
+
+
+def app_bank(responses, sizes, priors, p0) -> BorrowingBank:
+    """APP weights of a bank, built whole: they take no parameters."""
+    app = set_unit_diagonal(alpha0_matrix(sizes) * (1.0 - gamma_matrix(responses, sizes)))
+    return BorrowingBank(priors, (responses, sizes - responses), p0, lambda params: app)
+
+
+_GRID = tuple(CppParams(a / 2.0, b / 2.0) for a in range(1, 11) for b in range(1, 11))  # 0.5 .. 5
+DECLARED = (
+    Design("CPP", CppParams, _GRID, strict=False, priors="each", bank=cpp_bank),
+    Design("APP", type(None), (None,), strict=False, priors="each", bank=app_bank),
+    Design("LCPP", CppParams, _GRID, strict=False, priors="each",
+           bank=lambda *bank: cpp_bank(*bank, capped=True)),
+)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bma import BmaParams
 from .core import (
     CalibrationError,
     ConfigurationError,
@@ -29,6 +28,7 @@ from .core import (
 )
 from .engine import (
     LAMBDA_GRID,
+    REGISTRY,
     DesignConfig,
     OperatingCharacteristics,
     OutcomeTable,
@@ -36,9 +36,6 @@ from .engine import (
     crossing_counts,
     evaluate_table,
 )
-from .fujikawa import FujikawaParams
-from .hierarchical import BhmParams, ExnexParams
-from .powerprior import CppParams
 
 
 def _smallest_step(errors: np.ndarray, alpha: float) -> int:
@@ -120,36 +117,13 @@ def _protocol(config: DesignConfig, counts: np.ndarray, null: int | None,
 
 
 # ---------------------------------------------------------------------------
-# Parameter grids
+# Grid search
 # ---------------------------------------------------------------------------
-
-PHI_GRID = tuple(0.125 + j * (1.875 / 7.0) for j in range(8))
 
 
 def default_grid(design: str) -> list:
-    """The tuning grid of each design, in lexicographic order."""
-    if design in ("CPP", "LCPP"):
-        values = [i / 2.0 for i in range(1, 11)]  # 0.5 .. 5
-        return [CppParams(a, b) for a in values for b in values]
-    if design == "Fujikawa":
-        eps = [i / 2.0 for i in range(1, 7)]  # 0.5 .. 3
-        taus = [i / 10.0 for i in range(6)]  # 0 .. 0.5
-        return [FujikawaParams(e, t) for e in eps for t in taus]
-    if design == "BMA":
-        return [BmaParams(i / 2.0) for i in range(-8, 9)]  # -4 .. 4
-    if design == "BHM":
-        return [BhmParams(phi=phi) for phi in PHI_GRID]
-    if design == "EXNEX":
-        qs = [i / 10.0 for i in range(1, 10)]  # 0.1 .. 0.9
-        return [ExnexParams(phi=phi, q=q) for phi in PHI_GRID for q in qs]
-    if design == "APP":
-        return [None]
-    raise ConfigurationError(f"unknown design {design!r}")
-
-
-# ---------------------------------------------------------------------------
-# Grid search
-# ---------------------------------------------------------------------------
+    """The tuning grid that the design declares, in lexicographic order."""
+    return list(REGISTRY[design].grid)
 
 
 @dataclass(frozen=True)

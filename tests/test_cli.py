@@ -615,6 +615,24 @@ class TestCommands:
         assert "bytes" in done.stderr and done.stderr.count("\n") == 1
         assert not (tmp_path / "oc.csv").exists()
 
+    def test_bma_pooled_count_tables_over_the_bound_are_a_usage_error(self, monkeypatch,
+                                                                     tmp_path, capsys):
+        # two baskets of 10^7 patients pool 4e7 table entries, whose build used to end in an
+        # allocation error of 916 MiB, exit 1; their bytes are checked before anything is built
+        monkeypatch.setattr(bma, "_model_space", lambda k: pytest.fail("enumerated"))
+        scenario = {"id": 1, "sample_sizes": [10 ** 7] * 2, "true_rates": [0.15, 0.15],
+                    "pattern": "Null", "size_family": "Linear"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenarios": [scenario]}))
+        code = main(["simulate", "--config", str(path), "--design", "BMA",
+                     "--reps", "5", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: BMA pooled-count tables of sample sizes "
+                              "[10000000, 10000000] need 8640000648 bytes > ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "oc.csv").exists()
+
     def test_bma_blocks_fit_the_memory_bound_at_every_jobs(self, monkeypatch, tmp_path):
         # blocks used to be sized by rows alone, so whether a table passed the bound
         # depended on --jobs: one block of every row at 1 job, two smaller ones at 2

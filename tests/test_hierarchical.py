@@ -446,8 +446,8 @@ class TestExnexLimits:
         bhm = tails_means("BHM", DATA, SIZES,
                           BhmParams(phi=0.661, target_rates=0.5, mu_mean=-1.7346))
         exnex = tails_means("EXNEX", DATA, SIZES, ExnexParams(phi=0.661, q=1.0))
-        np.testing.assert_allclose(exnex[0], bhm[0], atol=1e-10)
-        np.testing.assert_allclose(exnex[1], bhm[1], atol=1e-10)
+        np.testing.assert_array_equal(exnex[0], bhm[0])
+        np.testing.assert_array_equal(exnex[1], bhm[1])
 
 
 class TestBruteForceOracle:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -104,6 +105,13 @@ class TestCppWeight:
     def test_vanishes_for_huge_statistic(self):
         w = cpp_pair((0, 10 ** 6), (10 ** 6, 10 ** 6), CppParams(4, 4.5))
         assert w < 1e-6
+        # b ln s overflows for extreme a and b; it used to warn, and fail under -W error.
+        # a is finite, so no weight is nan: each is exactly 0 or 1
+        scaled = scaled_ks_matrix([[0, 10 ** 6], [0, 1], [0, 0]], (10 ** 6, 10 ** 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights = cpp_weights_from_scaled(scaled, CppParams(-1e308, 1e308))
+        assert weights[:, 0, 1].tolist() == [0.0, 1.0, 1.0]
 
     def test_symmetric(self):
         params = CppParams(2.5, 3)

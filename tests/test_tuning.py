@@ -17,6 +17,7 @@ from basketsim.core import (
     beta_tails,
 )
 from basketsim.engine import (
+    DESIGNS,
     DesignBank,
     DesignConfig,
     generate_responses,
@@ -257,6 +258,10 @@ class TestDefaultGrids:
     )
     def test_grid_sizes(self, design, size):
         assert len(default_grid(design)) == size
+        for point in default_grid(design):  # a mistyped point raises ConfigurationError
+            DesignConfig(design, point)
+        # the registry keeps the paper's order, which the CSV rows and report tables follow
+        assert DESIGNS == ("CPP", "APP", "LCPP", "Fujikawa", "BMA", "BHM", "EXNEX")
 
     def test_phi_grid_contains_published_optimum(self):
         phis = [p.phi for p in default_grid("BHM")]
