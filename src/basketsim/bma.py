@@ -200,4 +200,5 @@ def _model_space(k: int) -> _ModelSpace:
 
 
 DECLARED = (Design("BMA", BmaParams, tuple(BmaParams(i / 2.0) for i in range(-8, 9)),  # -4 .. 4
-                   strict=True, priors="shared", bank=BmaBank, block_rows=block_rows),)
+                   strict=True, priors="shared", block_rows=block_rows,
+                   bank=lambda r, n, priors, p0: BmaBank(r, n, priors[0], p0)),)

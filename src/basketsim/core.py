@@ -262,9 +262,9 @@ class Design:
     params: type  # its parameter type; type(None) if it takes none
     grid: tuple  # its tuning grid, in lexicographic order
     strict: bool  # rejects on tail > lambda, else on tail >= lambda
-    priors: str  # "each" basket its own Beta prior, one "shared" (the bank gets it alone), "none"
+    priors: str  # "each" basket its own Beta prior, one "shared" by all, or "none"
     bank: Callable  # (responses, sizes, priors, p0) -> statistics with tails_means(params)
-    block_rows: Callable | None = None  # (K) -> the most rows one bank may hold
+    block_rows: Callable = lambda k: None  # -> the most rows one bank may hold, if bounded
     tables_key: Callable = lambda sizes, p0, params: None  # -> the key of shared tables, if any
     tables: Callable | None = None  # (design, sizes, p0, params) builds and caches them
 

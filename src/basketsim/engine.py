@@ -201,31 +201,22 @@ def generate_responses(scenario: Scenario, n_reps: int, master_seed: int,
 # ---------------------------------------------------------------------------
 
 
-class DesignBank:
-    """One design's statistics over a bank of integer count vectors [R, K].
-
-    The design's declared bank computes what does not depend on the parameters
-    once; this lends that bank's ``tails_means`` (the tails and posterior means of
-    the whole bank at one parameter set) and, for a beta-posterior design, its
-    ``weights`` and ``posterior_shapes``.  Every row is computed on its own, so a
-    bank of one gives the same bits as that replicate inside any larger bank.
-    """
-
-    def __init__(self, design: str, responses, sample_sizes,
-                 priors: list[BetaShape], p0: float):
-        spec = REGISTRY[design]
-        r = np.asarray(responses, dtype=float)
-        n = np.asarray(sample_sizes, dtype=float)
-        # BMA tabulates by count and BHM/EXNEX index by it: every design reads whole counts
-        if not (np.all(r % 1 == 0) and np.all(n % 1 == 0) and np.all((0 <= r) & (r <= n))):
-            raise ConfigurationError(f"design {design} needs integer counts 0 <= r <= n")
-        self._bank = spec.bank(r, n, priors[0] if spec.priors == "shared" else priors, p0)
-
-    def __getattr__(self, name):
-        return getattr(vars(self).get("_bank"), name)  # None, before _bank is set, has none
+def design_bank(design: str, responses, sample_sizes, priors: list[BetaShape], p0: float):
+    """One design's statistics over a bank of integer count vectors [R, K]: the bank its
+    declaration builds, which computes what does not depend on the parameters once.  Its
+    ``tails_means`` gives the tails and posterior means of the whole bank at one parameter
+    set; every row is computed on its own, so a bank of one gives the same bits as that
+    replicate inside any larger bank."""
+    build = REGISTRY[design].bank
+    r = np.asarray(responses, dtype=float)
+    n = np.asarray(sample_sizes, dtype=float)
+    # BMA tabulates by count and BHM/EXNEX index by it: every design reads whole counts
+    if not (np.all(r % 1 == 0) and np.all(n % 1 == 0) and np.all((0 <= r) & (r <= n))):
+        raise ConfigurationError(f"design {design} needs integer counts 0 <= r <= n")
+    return build(r, n, priors, p0)
 
 
-_BLOCK_ROWS = 4096  # rows per DesignBank: bounds the statistics and temporaries of one bank
+_BLOCK_ROWS = 4096  # rows per bank: bounds the statistics and temporaries of one bank
 
 
 @dataclass(frozen=True)
@@ -237,12 +228,10 @@ class OutcomeTable:
     sizes: tuple[int, ...]
     counts: dict
 
-    def blocks(self, jobs: int = 1, design: str = "") -> list[np.ndarray]:
-        """Contiguous row blocks of at most ``_BLOCK_ROWS`` rows, and at most the design's
-        ``block_rows(K)`` if it declares one (which raises ConfigurationError when not one
-        row fits); ``jobs`` or more of them when the table has that many rows."""
-        bound = getattr(REGISTRY.get(design), "block_rows", None)
-        rows = min(_BLOCK_ROWS, bound(len(self.sizes))) if bound else _BLOCK_ROWS
+    def blocks(self, jobs: int = 1, rows: int | None = None) -> list[np.ndarray]:
+        """Contiguous row blocks of at most ``_BLOCK_ROWS`` rows, and at most ``rows`` if
+        given; ``jobs`` or more of them when the table has that many rows."""
+        rows = min(_BLOCK_ROWS, rows or _BLOCK_ROWS)
         n_rows = len(self.rows)
         count = min(n_rows, max(jobs, -(-n_rows // rows))) or 1
         bounds = np.linspace(0, n_rows, count + 1, dtype=int).tolist()
@@ -291,11 +280,11 @@ def crossing_counts(tails: np.ndarray, weights: np.ndarray, truth: np.ndarray,
 
 def _evaluate_block(args) -> tuple[np.ndarray, list]:
     """The crossing counts [configs, S, rows, T + 1] of one block's rows at every config,
-    from one DesignBank, and per config the rows' posterior means if per basket, else None."""
+    from one bank, and per config the rows' posterior means if per basket, else None."""
     configs, rows, sizes, p0, reps, truth, per_basket, dtype = args
     weights = np.array(reps, dtype=float)  # [S, R]
     first = configs[0]
-    bank = DesignBank(first.design, rows, sizes, first.prior_list(len(sizes)), p0)
+    bank = design_bank(first.design, rows, sizes, first.prior_list(len(sizes)), p0)
     thresholds = LAMBDA_GRID if first.lambda_ is None else np.array([first.lambda_])
     counts = np.empty((len(configs), len(weights), 2 + per_basket * len(sizes),
                        len(thresholds) + 1), dtype)
@@ -314,12 +303,12 @@ def evaluate_table(configs, table: OutcomeTable, p0: float, jobs: int = 1,
     every grid step if it is calibrated, summed over the blocks as they arrive; with
     ``per_basket``, each basket's rejections and the rows' posterior means [U, K], else None.
 
-    Each block builds its DesignBank once and walks the configs, here or on ``jobs``
+    Each block builds its bank once and walks the configs, here or on ``jobs``
     workers forked for each run of configs that share one declared ``tables_key``, whose
     tables the parent builds first.  No bit depends on the blocks or the workers.
     """
     spec = REGISTRY[configs[0].design]
-    blocks = table.blocks(jobs, spec.name)
+    blocks = table.blocks(jobs, spec.block_rows(len(table.sizes)))
     reps = list(table.counts.values())
     truth = np.array([s.active_truth(p0) for s in table.counts])
     # no count or sum of counts exceeds 2 K n in magnitude: hand back int32 when that fits
@@ -358,8 +347,8 @@ def run_design(config: DesignConfig, data: BasketData, p0: float = 0.15) -> Repl
     """Analyze one observed data set with one design: a bank of one."""
     if config.lambda_ is None:
         raise ConfigurationError("run_design needs lambda on the config")
-    bank = DesignBank(config.design, [data.responses], data.sample_sizes,
-                      config.prior_list(data.k), p0)
+    bank = design_bank(config.design, [data.responses], data.sample_sizes,
+                       config.prior_list(data.k), p0)
     tails, means = (stat[0] for stat in bank.tails_means(config.params))
     return ReplicateResult(
         tail_probs=tails,

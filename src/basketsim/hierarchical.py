@@ -73,6 +73,9 @@ class BhmParams:
     def __post_init__(self):
         if not 0 < self.phi <= MAX_PHI:
             raise ValueError(f"phi must lie in (0, {MAX_PHI:.4g}], got {self.phi}")
+        _require(self, 0.0, 1.0, "target_rates")
+        _require(self, -math.inf, math.inf, "mu_mean")
+        _require(self, 0.0, math.inf, "mu_sd")
 
     def offsets(self, k: int) -> np.ndarray:
         return np.array([logit(p) for p in _per_basket(self.target_rates, k)])
@@ -95,12 +98,22 @@ class ExnexParams:
             raise ValueError(f"phi must lie in (0, {MAX_PHI:.4g}], got {self.phi}")
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"q (the exchangeability weight) must lie in (0, 1], got {self.q}")
+        _require(self, -math.inf, math.inf, "mu_mean", "nex_means")
+        _require(self, 0.0, math.inf, "mu_sd", "nex_sds")
 
     def offsets(self, k: int) -> np.ndarray:
         return np.zeros(k)
 
     def nex_arrays(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         return _per_basket(self.nex_means, k), _per_basket(self.nex_sds, k)
+
+
+def _require(params, lo: float, hi: float, *fields: str) -> None:
+    """Raise ValueError, naming the field first, unless each field's values lie in (lo, hi)."""
+    for field in fields:
+        value = getattr(params, field)
+        if not all(lo < v < hi for v in np.ravel(value).tolist()):
+            raise ValueError(f"{field} must lie in ({lo}, {hi}), got {value}")
 
 
 def _per_basket(value, k: int) -> np.ndarray:

@@ -6,6 +6,7 @@ prior to the weighted sums of the observed counts under these weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,10 @@ class CppParams:
     b: float
 
     def __post_init__(self):
-        if not self.b > 0:
-            raise ValueError(f"b (the CPP slope) must be positive, got {self.b}")
+        if not math.isfinite(self.a):
+            raise ValueError(f"a (the CPP intercept) must be finite, got {self.a}")
+        if not 0 < self.b < math.inf:
+            raise ValueError(f"b (the CPP slope) must be positive and finite, got {self.b}")
 
 
 def scaled_ks_matrix(responses, sample_sizes) -> np.ndarray:

@@ -8,10 +8,10 @@ and scores it by mean ECD over the table's scenarios, so all combinations
 see the same data.  The table (``engine.outcome_table``) is built once per
 size family and handed to every design.  Both take every number from one
 reduction, ``engine.evaluate_table`` over a list of configs: each block of
-the table builds its ``DesignBank`` once, walks the configs and returns
-integer counts of each scenario's crossings of the lambda grid, which add
-up exactly over the blocks, here or on forked workers.  Points that share
-BHM/EXNEX quadrature tables share a pool and one build of them.
+the table builds its bank once, walks the configs and returns integer counts
+of each scenario's crossings of the lambda grid, which add up exactly over
+the blocks, here or on forked workers.  Points that share BHM/EXNEX
+quadrature tables share a pool and one build of them.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from basketsim.core import (
     BetaShape,
     PATTERNS,
 )
-from basketsim.engine import DESIGNS, DesignBank, DesignConfig, outcome_table
+from basketsim.engine import DESIGNS, DesignConfig, design_bank, outcome_table
 from basketsim.fujikawa import FujikawaParams, jsd
 from basketsim.powerprior import gamma_matrix
 from basketsim.tuning import grid_search, smallest_lambda, study
@@ -208,7 +208,7 @@ class TestCriterion03JsdProperties:
 
 class TestCriterion04DegenerateWeights:
     def test_identity_and_pooling_reductions(self):
-        # the weighted-sum step DesignBank.tails_means runs, priors added as each design adds them
+        # the weighted-sum step a bank's tails_means runs, priors added as each design adds them
         start = time.perf_counter()
         data = BasketData((3, 7, 0, 5, 2), (10, 20, 5, 15, 25))
         priors = [BetaShape(1, 1)] * 5
@@ -220,7 +220,7 @@ class TestCriterion04DegenerateWeights:
         total_m = sum(n - r for r, n in zip(data.responses, data.sample_sizes))
         ok = True
         for design, prior_mass in (("CPP", 1), ("APP", 1), ("LCPP", 1), ("Fujikawa", 5)):
-            bank = DesignBank(design, [data.responses], data.sample_sizes, priors, 0.15)
+            bank = design_bank(design, [data.responses], data.sample_sizes, priors, 0.15)
             alphas, betas = bank.posterior_shapes(identity)
             ok &= alphas[0].tolist() == stratified[0].tolist()
             ok &= betas[0].tolist() == stratified[1].tolist()
@@ -336,7 +336,7 @@ class TestCriterion09TuningProtocol:
         failures = []
         for design in DESIGNS:
             config = DesignConfig(design, TUNED_PARAMS["Grouped"][design])
-            bank = DesignBank(design, table.rows, table.sizes, config.prior_list(5), 0.15)
+            bank = design_bank(design, table.rows, table.sizes, config.prior_list(5), 0.15)
             tails, _ = bank.tails_means(config.params)
             counts = table.counts[null_scenario]
             lam = smallest_lambda(tails.max(axis=1), counts, 0.05, config.strict)

@@ -6,8 +6,11 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import basketsim
 from basketsim import bma, cli, engine, fujikawa, hierarchical, tuning
@@ -923,3 +926,79 @@ print(len({{pid for pid, _ in answers}}), sum(len(modules) for _, modules in ans
         assert scipy_modules == 0
         if (os.cpu_count() or 1) >= 2:
             assert processes >= 3  # the parent and at least two workers answered
+
+
+def _edges(lo, hi, typical):
+    """A parameter's bounds, the floats just inside them and one typical value; an open
+    bound itself lies outside the range, so drawing it tests the refusal.  Each value
+    inside is three times as likely as a bound, so most runs get past the checks."""
+    inside = [math.nextafter(lo, hi), math.nextafter(hi, lo), typical]
+    return st.sampled_from(inside * 3 + [lo, hi])
+
+
+_MAX = sys.float_info.max
+# each design's config fields, drawn at and just inside their bounds
+_FIELDS = {
+    "CPP": {"a": _edges(-_MAX, _MAX, 4.0), "b": _edges(0.0, _MAX, 4.5)},
+    "APP": {},
+    "Fujikawa": {"epsilon": _edges(0.0, _MAX, 2.0), "tau": _edges(0.0, 1.0, 0.2)},
+    "BMA": {"psi": _edges(-bma.MAX_PSI, bma.MAX_PSI, 0.0)},
+    "BHM": {"phi": _edges(0.0, hierarchical.MAX_PHI, 0.661)},
+    "EXNEX": {"phi": _edges(0.0, hierarchical.MAX_PHI, 0.661),
+              "q": _edges(0.0, 1.0, 0.5)},
+}
+_UNIT = _edges(0.0, 1.0, 0.15)  # --p0, --alpha and lambda
+
+
+@st.composite
+def cli_runs(draw):
+    """The argv and config of one simulate run: K from 2 to 12, sizes from 1 to 10^9, a
+    null at rates 0 and p0 and an alternative at 0, 1 and between, one design at its
+    bounds, and extreme --p0 and --alpha."""
+    k = draw(st.integers(2, 12))
+    size = st.one_of(st.integers(1, 30), st.sampled_from([1, 10 ** 9]), st.integers(1, 10 ** 9))
+    sizes = draw(st.lists(size, min_size=k, max_size=k))
+    p0, alpha = draw(_UNIT), draw(_UNIT)
+    null = draw(st.lists(st.sampled_from([0.0, p0]), min_size=k, max_size=k))
+    alternative = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0, p0]), st.floats(0.0, 1.0)),
+                                min_size=k, max_size=k))
+    design = draw(st.sampled_from(sorted(_FIELDS)))
+    params = {name: draw(values) for name, values in _FIELDS[design].items()}
+    if draw(st.booleans()):
+        params["lambda"] = draw(_UNIT)
+    config = {"scenarios": [
+        {"id": i, "sample_sizes": sizes, "true_rates": rates, "pattern": pattern,
+         "size_family": "Linear"}
+        for i, (rates, pattern) in enumerate([(null, "Null"), (alternative, "Alternative")])],
+        "designs": {design: params}}
+    argv = ["--design", design, "--reps", str(draw(st.integers(1, 4))), "--p0", repr(p0),
+            "--alpha", repr(alpha), "--seed", str(draw(st.integers(0, 2 ** 32)))]
+    return argv, config
+
+
+class TestContractOverTheInputSpace:
+    """The README's exit contract on drawn inputs: 0, 2 for a usage error or 3 for a
+    numeric failure, each failure on one stderr line, and never a traceback or a warning."""
+
+    LIMIT = 3 << 30  # each child's address space
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(run=cli_runs())
+    def test_simulate_keeps_the_exit_contract(self, run):
+        argv, config = run
+        with tempfile.TemporaryDirectory() as out:
+            path = os.path.join(out, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            done = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "basketsim.cli", "simulate",
+                 "--config", path, "--out", out, *argv],
+                env=fresh_env(), capture_output=True, text=True, timeout=120,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                      (self.LIMIT, self.LIMIT)))
+        assert done.returncode in (0, 2, 3), done.stderr
+        assert "Traceback" not in done.stderr
+        if done.returncode:
+            assert done.stderr.count("\n") == 1, done.stderr
+        else:
+            assert done.stderr == ""

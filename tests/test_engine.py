@@ -16,12 +16,12 @@ from basketsim.core import BasketData, BetaShape, ConfigurationError, Scenario, 
 from basketsim.engine import (
     DESIGNS,
     LAMBDA_GRID,
-    DesignBank,
     DesignConfig,
     OperatingCharacteristics,
     aggregate,
     crossing_counts,
     decisions_from_tails,
+    design_bank,
     evaluate_table,
     generate_responses,
     outcome_table,
@@ -43,9 +43,9 @@ BMA_CFG = DesignConfig("BMA", BmaParams(-2.0), lambda_=0.9)
 
 
 def table_tails_means(config, table):
-    """The tails and posterior means [U, K] of a table's rows, from one DesignBank."""
-    bank = DesignBank(config.design, table.rows, table.sizes,
-                      config.prior_list(len(table.sizes)), 0.15)
+    """The tails and posterior means [U, K] of a table's rows, from one design_bank."""
+    bank = design_bank(config.design, table.rows, table.sizes,
+                       config.prior_list(len(table.sizes)), 0.15)
     return bank.tails_means(config.params)
 
 
@@ -337,7 +337,7 @@ class TestRunDesign:
     def test_counts_outside_their_sizes_rejected(self, design):
         for rows in ([[11, 3]], [[-1, 3]], [[2, 3], [np.nan, 3]]):
             with pytest.raises(ConfigurationError, match="integer counts"):
-                DesignBank(design, rows, (10, 10), [BetaShape(1, 1)] * 2, 0.15)
+                design_bank(design, rows, (10, 10), [BetaShape(1, 1)] * 2, 0.15)
 
     def test_mcmc_design_runs(self):
         cfg = DesignConfig("BHM", BhmParams(phi=0.661), lambda_=0.9)
@@ -524,8 +524,8 @@ class TestOutcomeTable:
         lam, ocs = study(config, outcome_table(family, 50, 12))
         stats = {}
         for scenario in family:
-            bank = DesignBank(design, generate_responses(scenario, 50, 12),
-                              scenario.sample_sizes, config.prior_list(scenario.k), 0.15)
+            bank = design_bank(design, generate_responses(scenario, 50, 12),
+                               scenario.sample_sizes, config.prior_list(scenario.k), 0.15)
             stats[scenario] = bank.tails_means(config.params)
         assert lam == smallest_lambda(stats[GROUPED_NULL][0].max(axis=1), ones(50), 0.05,
                                       config.strict)
@@ -620,7 +620,7 @@ class TestAggregate:
 
 
 class TestClosedFormBank:
-    """engine.DesignBank, the one bank kernel of all seven designs."""
+    """engine.design_bank, the one bank kernel of all seven designs."""
 
     @pytest.mark.parametrize("design", sorted(ALL_DESIGNS))
     def test_bank_of_one_is_bitwise_a_row_of_the_bank(self, design):
@@ -628,10 +628,10 @@ class TestClosedFormBank:
         priors = [BetaShape(1, 1)] * 5
         responses = generate_responses(GROUPED_ASC, 40, 19)
         sizes = GROUPED_ASC.sample_sizes
-        tails, means = DesignBank(design, responses, sizes, priors, 0.15).tails_means(params)
+        tails, means = design_bank(design, responses, sizes, priors, 0.15).tails_means(params)
         config = DesignConfig(design, params, lambda_=0.9)
         for i, row in enumerate(responses):
-            one_t, one_m = DesignBank(design, row[None], sizes, priors, 0.15).tails_means(params)
+            one_t, one_m = design_bank(design, row[None], sizes, priors, 0.15).tails_means(params)
             np.testing.assert_array_equal(one_t[0], tails[i])
             np.testing.assert_array_equal(one_m[0], means[i])
             single = run_design(config, BasketData(tuple(map(int, row)), sizes), 0.15)
@@ -641,7 +641,7 @@ class TestClosedFormBank:
     def test_unknown_design_rejected(self):
         assert set(ALL_DESIGNS) == set(DESIGNS)
         with pytest.raises(ConfigurationError):
-            DesignBank("Nope", [[1, 2]], (5, 5), [BetaShape(1, 1)] * 2, 0.15)
+            design_bank("Nope", [[1, 2]], (5, 5), [BetaShape(1, 1)] * 2, 0.15)
 
     @pytest.mark.parametrize("design", sorted(CLOSED_FORM))
     @settings(max_examples=25, deadline=None)
@@ -650,9 +650,9 @@ class TestClosedFormBank:
         responses, sizes, perm = trial
         params = CLOSED_FORM[design]
         priors = [BetaShape(1, 1)] * len(sizes)
-        tails, means = DesignBank(
+        tails, means = design_bank(
             design, responses[None], sizes, priors, 0.15).tails_means(params)
-        tails_p, means_p = DesignBank(
+        tails_p, means_p = design_bank(
             design, responses[perm][None], sizes[perm], priors, 0.15).tails_means(params)
         np.testing.assert_allclose(tails_p[0], tails[0][perm], atol=1e-12)
         np.testing.assert_allclose(means_p[0], means[0][perm], atol=1e-12)
@@ -663,7 +663,7 @@ class TestClosedFormBank:
         if design == "Fujikawa":
             weights = weights_from_jsd(jsd_matrices(1.0 + responses, 1.0 + sizes - responses), params)
         else:
-            weights = DesignBank(design, responses[None], sizes, priors, 0.15).weights(params)[0]
+            weights = design_bank(design, responses[None], sizes, priors, 0.15).weights(params)[0]
         assert np.all((weights >= 0.0) & (weights <= 1.0))
         assert np.all(np.diag(weights) == 1.0)
 
@@ -674,8 +674,8 @@ class TestClosedFormBank:
     def test_hierarchical_label_permutation_equivariance(self, design, trial):
         responses, sizes, perm = trial
         params = HIERARCHICAL[design]
-        tails, means = DesignBank(design, responses[None], sizes, [], 0.15).tails_means(params)
-        tails_p, means_p = DesignBank(
+        tails, means = design_bank(design, responses[None], sizes, [], 0.15).tails_means(params)
+        tails_p, means_p = design_bank(
             design, responses[perm][None], sizes[perm], [], 0.15).tails_means(params)
         np.testing.assert_allclose(tails_p[0], tails[0][perm], atol=1e-12)
         np.testing.assert_allclose(means_p[0], means[0][perm], atol=1e-12)

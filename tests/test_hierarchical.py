@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate, special, stats
 
 from basketsim import core, hierarchical
-from basketsim.engine import DesignBank
+from basketsim.engine import design_bank
 from basketsim.hierarchical import (
     MAX_PHI,
     BhmParams,
@@ -439,6 +439,23 @@ class TestShrinkageAndDegenerateChecks:
         with pytest.raises(ValueError, match="^phi "):
             BhmParams(phi) if design == "BHM" else ExnexParams(phi, q=0.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("target_rates", 1.0), ("target_rates", 0.0), ("target_rates", (0.35, math.nan)),
+        ("mu_mean", math.inf), ("mu_mean", math.nan), ("mu_sd", 0.0), ("mu_sd", -1.0),
+        ("mu_sd", math.inf)])
+    def test_bhm_prior_out_of_range_rejected(self, field, value):
+        # a zero sd or a target rate of 1 divided by zero in the quadrature
+        with pytest.raises(ValueError, match=f"^{field} "):
+            BhmParams(phi=0.661, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("mu_mean", -math.inf), ("nex_means", (0.0, math.nan)), ("mu_sd", 0.0),
+        ("nex_sds", 0.0), ("nex_sds", (1.0, -1.0)), ("nex_sds", math.inf)])
+    def test_exnex_prior_out_of_range_rejected(self, field, value):
+        # a zero nonexchangeable sd divided by zero in the quadrature
+        with pytest.raises(ValueError, match=f"^{field} "):
+            ExnexParams(phi=0.661, q=0.5, **{field: value})
+
 
 class TestExnexLimits:
     def test_q_one_matches_bhm_with_zero_offset(self):
@@ -470,7 +487,7 @@ class TestBruteForceOracle:
     def test_varying_targets_match_dense_grid(self):
         # per-basket offsets put two cuts on the mu grid
         params = BhmParams(phi=0.661, target_rates=(0.3, 0.45), mu_sd=2.0)
-        tails, means = DesignBank("BHM", [(2, 7)], (10, 25), [], 0.15).tails_means(params)
+        tails, means = design_bank("BHM", [(2, 7)], (10, 25), [], 0.15).tails_means(params)
         want_tails, want_means = brute_force("BHM", (2, 7), (10, 25), params)
         np.testing.assert_allclose(tails[0], want_tails, atol=2e-3)
         np.testing.assert_allclose(means[0], want_means, atol=2e-3)

@@ -12,7 +12,7 @@ from basketsim.core import (
     BetaShape,
     ConfigurationError,
 )
-from basketsim.engine import DesignBank, DesignConfig, run_design
+from basketsim.engine import DesignConfig, design_bank, run_design
 from basketsim.fujikawa import jsd_matrices, weights_from_jsd
 from basketsim.powerprior import (
     CppParams,
@@ -64,13 +64,13 @@ def gamma_pair(d_k, d_i):
 
 def bank_weights(design, responses, sizes, params):
     """The borrowing weights [R, K, K] of a bank kernel under uniform priors."""
-    return DesignBank(design, responses, sizes, [BetaShape(1, 1)] * len(sizes), 0.15).weights(
-        params)
+    bank = design_bank(design, responses, sizes, [BetaShape(1, 1)] * len(sizes), 0.15)
+    return bank.weights(params)
 
 
 def power_prior_shapes(data, priors, weights):
     """The power-prior posterior step of the bank kernel under a given weight matrix."""
-    bank = DesignBank("CPP", [data.responses], data.sample_sizes, priors, 0.15)
+    bank = design_bank("CPP", [data.responses], data.sample_sizes, priors, 0.15)
     alphas, betas = bank.posterior_shapes(np.asarray(weights, dtype=float)[None])
     return [BetaShape(a, b) for a, b in zip(alphas[0].tolist(), betas[0].tolist())]
 
@@ -127,6 +127,15 @@ class TestCppWeight:
     def test_b_must_be_positive(self):
         with pytest.raises(ValueError):
             CppParams(1.0, 0.0)
+
+    @pytest.mark.parametrize("a, b, field", [(-math.inf, 1.0, "a"), (math.inf, 1.0, "a"),
+                                             (math.nan, 1.0, "a"), (1.0, math.inf, "b"),
+                                             (1.0, math.nan, "b")])
+    def test_non_finite_params_rejected(self, a, b, field):
+        # a = -inf gave nan weights (a RuntimeWarning under -W error) and a = nan a beta
+        # tail that did not converge: each is refused by name before any weight is formed
+        with pytest.raises(ValueError, match=f"^{field} "):
+            CppParams(a, b)
 
     @pytest.mark.parametrize("params", [CppParams(4, 4.5), CppParams(-3, 0.5),
                                         CppParams(0.5, 5), CppParams(800, 0.5)])
@@ -228,7 +237,7 @@ class TestBuildWeights:
             n = np.array(sizes)
             jsd = jsd_matrices(prior.alpha + rows, prior.beta + (n - rows))
             for design in ("APP", "CPP", "LCPP", "Fujikawa"):
-                banks = [DesignBank(design, bank_rows, sizes, [prior] * k, 0.15)
+                banks = [design_bank(design, bank_rows, sizes, [prior] * k, 0.15)
                          for bank_rows in [rows, rows[shuffle]] + [[row] for row in rows]]
                 for params in default_grid(design):
                     expected = (weights_from_jsd(jsd, params) if design == "Fujikawa" else
@@ -240,7 +249,7 @@ class TestBuildWeights:
 
 
 class TestPowerPriorPosterior:
-    """The weighted-sum step of ``DesignBank.posterior_shapes`` for CPP, APP and LCPP."""
+    """The weighted-sum step of a bank's ``posterior_shapes`` for CPP, APP and LCPP."""
 
     def test_identity_weights_give_stratified_analysis(self):
         data = BasketData((3, 7, 0), (10, 20, 5))

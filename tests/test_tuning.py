@@ -18,8 +18,8 @@ from basketsim.core import (
 )
 from basketsim.engine import (
     DESIGNS,
-    DesignBank,
     DesignConfig,
+    design_bank,
     generate_responses,
     outcome_table,
     run_design,
@@ -105,7 +105,7 @@ def bank_tails_means(config, scenario, n_reps, seed):
     """The tails and posterior means [R, K] of one scenario's replicates, each row as often
     as its count, through the scenario's own outcome table."""
     table = outcome_table([scenario], n_reps, seed)
-    bank = DesignBank(config.design, table.rows, table.sizes, config.prior_list(scenario.k), 0.15)
+    bank = design_bank(config.design, table.rows, table.sizes, config.prior_list(scenario.k), 0.15)
     tails, means = bank.tails_means(config.params)
     counts = table.counts[scenario]
     return np.repeat(tails, counts, axis=0), np.repeat(means, counts, axis=0)
@@ -287,11 +287,11 @@ class TestBankEvaluator:
         ],
     )
     def test_fast_path_matches_engine(self, design, params):
-        """The tuning bank (engine.DesignBank) against the scalar formulas for the
+        """The tuning bank (engine.design_bank) against the scalar formulas for the
         closed-form designs and against one-replicate analyses for BHM and EXNEX."""
         responses = generate_responses(GROUPED_ASC, 50, 37)
         sizes = GROUPED_ASC.sample_sizes
-        bank = DesignBank(design, responses, sizes, [BetaShape(1, 1)] * 5, 0.15)
+        bank = design_bank(design, responses, sizes, [BetaShape(1, 1)] * 5, 0.15)
         tails_fast, means_fast = bank.tails_means(params)
         data = [BasketData(tuple(map(int, r)), sizes) for r in responses]
         if design in ("BHM", "EXNEX"):
@@ -319,7 +319,7 @@ class TestGridSearch:
     def test_mistyped_grid_rejected_before_any_bank(self, grid, monkeypatch):
         # the type check used to come from the weights, after every bank was built
         built = []
-        monkeypatch.setattr(engine, "DesignBank", lambda *args: built.append(args))
+        monkeypatch.setattr(engine, "design_bank", lambda *args: built.append(args))
         table = outcome_table(MINI_FAMILY, 50, 3)
         with pytest.raises(ConfigurationError, match="needs params of type CppParams"):
             grid_search("CPP", table, grid=grid)
@@ -329,19 +329,19 @@ class TestGridSearch:
         # grid_search used to build every block's bank up front and keep them all for the grid
         live, peaks = [], []
 
-        class Counted(DesignBank):
-            def __init__(self, *args):
-                super().__init__(*args)
-                token = object()
-                live.append(token)
-                peaks.append(len(live))
-                weakref.finalize(self, live.remove, token)
+        def counted(*args):
+            bank = design_bank(*args)
+            token = object()
+            live.append(token)
+            peaks.append(len(live))
+            weakref.finalize(bank, live.remove, token)
+            return bank
 
         grid = [CppParams(a, 4.5) for a in (1.0, 2.0, 4.0)]
         table = outcome_table(MINI_FAMILY, 100, 3)
         whole = grid_search("CPP", table, grid=grid)
-        monkeypatch.setattr(engine, "DesignBank", Counted)
-        monkeypatch.setattr(tuning, "DesignBank", Counted, raising=False)
+        monkeypatch.setattr(engine, "design_bank", counted)
+        monkeypatch.setattr(tuning, "design_bank", counted, raising=False)
         monkeypatch.setattr(engine, "_BLOCK_ROWS", 40)
         blocks = table.blocks()
         assert len(blocks) >= 3
