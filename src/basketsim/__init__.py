@@ -8,7 +8,7 @@ import os as _os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
 
-from .bma import BmaParams, Partition, enumerate_partitions
+from .bma import BmaParams, enumerate_partitions
 from .core import (
     BasketData,
     BasketSimError,

@@ -28,38 +28,6 @@ _ENTRY_BYTES = 216  # peak bytes per pooled-count table entry, mostly beta tail 
 
 
 @dataclass(frozen=True)
-class Partition:
-    """One classification of baskets into blocks sharing a response rate.
-
-    ``assignment`` is a restricted-growth string: block labels appear in
-    first-occurrence order, so e.g. (0, 1, 0) is canonical and (1, 0, 1)
-    is not.
-    """
-
-    assignment: tuple[int, ...]
-
-    def __post_init__(self):
-        seen = -1
-        for label in self.assignment:
-            if label > seen + 1:
-                raise ValueError(
-                    f"assignment {self.assignment} is not a restricted-growth string"
-                )
-            seen = max(seen, label)
-
-    @property
-    def block_count(self) -> int:
-        return max(self.assignment) + 1
-
-    def blocks(self) -> list[tuple[int, ...]]:
-        """Basket indices of each block, in label order."""
-        out = [[] for _ in range(self.block_count)]
-        for basket, label in enumerate(self.assignment):
-            out[label].append(basket)
-        return [tuple(b) for b in out]
-
-
-@dataclass(frozen=True)
 class BmaParams:
     """Model-space prior weight: pi(M_j) proportional to exp(C_j * psi)."""
 
@@ -71,18 +39,17 @@ class BmaParams:
 
 
 @lru_cache(maxsize=None)
-def _partition_assignments(k: int) -> tuple[tuple[int, ...], ...]:
-    out: list[tuple[int, ...]] = []
-
-    def grow(prefix: tuple[int, ...], top: int):
-        if len(prefix) == k:
-            out.append(prefix)
-            return
-        for label in range(top + 2):
-            grow(prefix + (label,), max(top, label))
-
-    grow((0,), 0)
-    return tuple(out)
+def _labels(k: int) -> np.ndarray:
+    """[Bell(k), k]: every partition of k baskets as a restricted-growth string (a basket
+    takes one of the labels before it or the next new one), in lexicographic order."""
+    labels = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(k - 1):
+        choices = labels.max(axis=1) + 2  # labels 0 .. max + 1 for the next basket
+        first = np.repeat(np.cumsum(choices) - choices, choices)
+        labels = np.column_stack([np.repeat(labels, choices, axis=0),
+                                  np.arange(len(first)) - first])
+    labels.flags.writeable = False  # shared by every caller through the cache
+    return labels
 
 
 def _check_basket_count(k: int) -> None:
@@ -108,42 +75,37 @@ def block_rows(k: int) -> int:
     return MAX_TABLE_BYTES // _row_bytes(k)
 
 
-def enumerate_partitions(k: int) -> list[Partition]:
-    """All set partitions of k baskets in deterministic canonical order."""
+def enumerate_partitions(k: int) -> list[tuple[int, ...]]:
+    """All set partitions of k baskets as restricted-growth strings, in the model order."""
     _check_basket_count(k)
-    return [Partition(a) for a in _partition_assignments(k)]
+    return [tuple(a) for a in _labels(k).tolist()]
 
 
 class _ModelSpace:
     """Partition bookkeeping reused across data sets of the same K.
 
-    ``subsets`` lists every distinct block appearing in any partition;
-    ``member`` pools per-basket counts into per-subset counts;
-    ``partition_index[j]`` lists the subsets of partition j, padded with
-    the index one past the last subset; ``basket_subset[j, k]`` names the
-    subset containing basket k in model j.
+    Subsets are the distinct blocks of all partitions, numbered in order of first
+    appearance; ``member[s]`` is subset s's 0/1 basket row, which pools per-basket counts
+    into per-subset counts; ``partition_index[j]`` lists the subsets of partition j in
+    label order, padded with the index one past the last subset; ``basket_subset[j, k]``
+    names the subset containing basket k in model j.
     """
 
     def __init__(self, k: int):
-        assignments = _partition_assignments(k)
-        subset_index: dict[tuple[int, ...], int] = {}
-        partition_subsets: list[list[int]] = []
-        basket_subset = np.empty((len(assignments), k), dtype=np.intp)
-        for j, assignment in enumerate(assignments):
-            indices = []
-            for block in Partition(assignment).blocks():
-                idx = subset_index.setdefault(block, len(subset_index))
-                indices.append(idx)
-                for basket in block:
-                    basket_subset[j, basket] = idx
-            partition_subsets.append(indices)
-        self.block_counts = np.array([max(a) + 1 for a in assignments], dtype=float)
-        self.subsets = list(subset_index)
-        self.member = np.array([[b in block for b in range(k)] for block in self.subsets],
-                               dtype=np.int64)
-        self.partition_index = np.array(
-            [ix + [len(self.subsets)] * (k - len(ix)) for ix in partition_subsets])
-        self.basket_subset = basket_subset
+        labels = _labels(k)
+        rows = np.arange(len(labels))
+        masks = np.zeros(labels.shape, dtype=np.int64)  # [j, l]: the baskets of block l
+        for basket in range(k):
+            masks[rows, labels[:, basket]] |= 1 << basket
+        used = masks != 0  # blocks 0 .. max label of each row
+        distinct, first, inverse = np.unique(masks[used], return_index=True,
+                                             return_inverse=True)
+        order = np.argsort(first)  # the subsets in order of first appearance
+        self.block_counts = (labels.max(axis=1) + 1).astype(float)
+        self.member = (distinct[order, None] >> np.arange(k)) & 1
+        self.partition_index = np.full(labels.shape, len(distinct), dtype=np.int64)
+        self.partition_index[used] = np.argsort(order)[inverse]
+        self.basket_subset = np.take_along_axis(self.partition_index, labels, axis=1)
 
     def model_probs(self, log_marginals: np.ndarray, psi: float) -> np.ndarray:
         """Posterior model probabilities [..., M], each row normalized to sum 1."""

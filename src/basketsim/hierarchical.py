@@ -45,6 +45,11 @@ _Z_SPAN = 300.0  # a block of the factored z rule spans at most e^300 in e^(j si
 _NDTR_FLAT = 38.6  # beyond |x| = 38.6 the normal CDF rounds to exactly 0 or 1
 _CHUNK_BYTES = 1 << 19  # one [rows, grid] temporary of the posterior sums
 MAX_PHI = math.sqrt(np.finfo(float).max) / _S_EDGES[-1]  # (phi * s)**2 stays finite, s < 8.5
+# prior means within +-MAX_PRIOR and sds within (1 / MAX_PRIOR, MAX_PRIOR): every cut lies
+# within 800 of 0 and the mu panels reach at most 3 times past mean +- 10 sd, so mu and nu
+# stay within 40 MAX_PRIOR of the mean and each squared distance over an sd in _grid and
+# _basis_mass within 1,600 MAX_PRIOR^4, a 650th of the float range
+MAX_PRIOR = np.finfo(float).max ** 0.25 / 32
 MAX_TABLE_BYTES = 1 << 30  # the quadrature tables of one size set
 
 _TABLES: dict = {}
@@ -74,8 +79,8 @@ class BhmParams:
         if not 0 < self.phi <= MAX_PHI:
             raise ValueError(f"phi must lie in (0, {MAX_PHI:.4g}], got {self.phi}")
         _require(self, 0.0, 1.0, "target_rates")
-        _require(self, -math.inf, math.inf, "mu_mean")
-        _require(self, 0.0, math.inf, "mu_sd")
+        _require(self, -MAX_PRIOR, MAX_PRIOR, "mu_mean")
+        _require(self, 1.0 / MAX_PRIOR, MAX_PRIOR, "mu_sd")
 
     def offsets(self, k: int) -> np.ndarray:
         return np.array([logit(p) for p in _per_basket(self.target_rates, k)])
@@ -98,8 +103,8 @@ class ExnexParams:
             raise ValueError(f"phi must lie in (0, {MAX_PHI:.4g}], got {self.phi}")
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"q (the exchangeability weight) must lie in (0, 1], got {self.q}")
-        _require(self, -math.inf, math.inf, "mu_mean", "nex_means")
-        _require(self, 0.0, math.inf, "mu_sd", "nex_sds")
+        _require(self, -MAX_PRIOR, MAX_PRIOR, "mu_mean", "nex_means")
+        _require(self, 1.0 / MAX_PRIOR, MAX_PRIOR, "mu_sd", "nex_sds")
 
     def offsets(self, k: int) -> np.ndarray:
         return np.zeros(k)
@@ -113,7 +118,7 @@ def _require(params, lo: float, hi: float, *fields: str) -> None:
     for field in fields:
         value = getattr(params, field)
         if not all(lo < v < hi for v in np.ravel(value).tolist()):
-            raise ValueError(f"{field} must lie in ({lo}, {hi}), got {value}")
+            raise ValueError(f"{field} must lie in ({lo:.4g}, {hi:.4g}), got {value}")
 
 
 def _per_basket(value, k: int) -> np.ndarray:

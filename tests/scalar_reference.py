@@ -90,11 +90,17 @@ def hellinger_gamma(d_k: tuple[int, int], d_i: tuple[int, int]) -> float:
     return math.sqrt(min(1.0, max(0.0, 1.0 - bc)))
 
 
+def blocks(assignment) -> list[tuple[int, ...]]:
+    """Basket indices of each block of a restricted-growth string, in label order."""
+    return [tuple(k for k, label in enumerate(assignment) if label == b)
+            for b in range(max(assignment) + 1)]
+
+
 def log_marginal_likelihood(partition, data, prior: BetaShape) -> float:
     """Sum over the partition's blocks of the pooled beta-binomial log marginal,
     binomial coefficients omitted (they cancel across models)."""
     total, base = 0.0, log_beta(prior.alpha, prior.beta)
-    for block in partition.blocks():
+    for block in blocks(partition):
         r = sum(data.responses[i] for i in block)
         n = sum(data.sample_sizes[i] for i in block)
         total += log_beta(prior.alpha + r, prior.beta + (n - r)) - base
@@ -155,9 +161,7 @@ class BmaBankByShapes:
     def __init__(self, responses, sample_sizes, prior: BetaShape, p0: float):
         responses = np.asarray(responses, dtype=float)
         self.space = bma._model_space(responses.shape[-1])
-        member = np.zeros((len(self.space.subsets), responses.shape[-1]))
-        for idx, block in enumerate(self.space.subsets):
-            member[idx, list(block)] = 1.0
+        member = self.space.member.astype(float)
         r = responses @ member.T
         n = np.asarray(sample_sizes, dtype=float) @ member.T
         alphas, betas = prior.alpha + r, prior.beta + (n - r)

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from basketsim import bma
-from basketsim.bma import BmaBank, BmaParams, Partition, enumerate_partitions
+from basketsim.bma import BmaBank, BmaParams, enumerate_partitions
 from basketsim.core import BasketData, BetaShape, ConfigurationError, beta_tails
 from basketsim.engine import DesignConfig, run_design
 from basketsim.tuning import default_grid
-from scalar_reference import BmaBankByShapes, edge_case_banks, log_marginal_likelihood
+from scalar_reference import BmaBankByShapes, blocks, edge_case_banks, log_marginal_likelihood
 
 
 def brute_force_partitions(k):
@@ -33,7 +33,7 @@ def log_marginal_by_grid(partition, data, points=10 ** 5):
     ps = (np.arange(points) + 0.5) / points
     log_ps, log_qs = np.log(ps), np.log1p(-ps)
     total = 0.0
-    for block in partition.blocks():
+    for block in blocks(partition):
         r = sum(data.responses[i] for i in block)
         n = sum(data.sample_sizes[i] for i in block)
         log_vals = r * log_ps + (n - r) * log_qs
@@ -66,15 +66,15 @@ class TestEnumeratePartitions:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_matches_brute_force_filter(self, k):
-        got = [p.assignment for p in enumerate_partitions(k)]
+        got = enumerate_partitions(k)
         assert sorted(got) == sorted(brute_force_partitions(k))
         assert len(set(got)) == len(got)
 
     def test_deterministic_order_and_pooled_first(self):
         parts = enumerate_partitions(4)
         assert parts == enumerate_partitions(4)
-        assert parts[0].assignment == (0, 0, 0, 0)
-        assert parts[0].block_count == 1
+        assert parts[0] == (0, 0, 0, 0)
+        assert max(parts[0]) + 1 == 1
 
     def test_cap_enforced(self):
         with pytest.raises(ConfigurationError):
@@ -90,7 +90,7 @@ class TestEnumeratePartitions:
             BmaBank([[1] * k], (5,) * k, BetaShape(1, 1), 0.15)
 
     def test_bell_numbers_count_the_partitions(self):
-        assert [len(bma._partition_assignments(k)) for k in range(1, 10)] == list(bma.BELL[1:10])
+        assert [len(bma._labels(k)) for k in range(1, 10)] == list(bma.BELL[1:10])
 
     def test_bank_checks_its_memory_before_enumerating(self, monkeypatch):
         # 24 bytes per row, basket and model: 4,096 rows of K = 8 need 3,255,828,480 bytes
@@ -98,9 +98,19 @@ class TestEnumeratePartitions:
         with pytest.raises(ConfigurationError, match="BMA over 8 baskets needs 3255828480 "):
             BmaBank([[1] * 8] * 4096, (5,) * 8, BetaShape(1, 1), 0.15)
 
-    def test_non_canonical_assignment_rejected(self):
-        with pytest.raises(ValueError):
-            Partition((1, 0, 1))
+
+class TestModelSpace:
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_arrays_name_each_partitions_blocks(self, k):
+        space = bma._model_space(k)
+        subsets = [tuple(np.flatnonzero(row).tolist()) for row in space.member]
+        assert len(set(subsets)) == len(subsets)
+        for j, partition in enumerate(enumerate_partitions(k)):
+            parts, index = blocks(partition), space.partition_index[j].tolist()
+            # the partition's blocks as basket sets, in label order, then the padding
+            assert [subsets[s] for s in index[:len(parts)]] == parts
+            assert index[len(parts):] == [len(subsets)] * (k - len(parts))
+            assert space.basket_subset[j].tolist() == [index[label] for label in partition]
 
 
 class TestLogMarginalLikelihood:
@@ -173,14 +183,14 @@ class TestBmaTailProbs:
         psi = 0.0
         partitions = enumerate_partitions(3)
         log_w = np.array([
-            p.block_count * psi + log_marginal_by_grid(p, data) for p in partitions
+            (max(p) + 1) * psi + log_marginal_by_grid(p, data) for p in partitions
         ])
         w = np.exp(log_w - log_w.max())
         w /= w.sum()
         expected = np.zeros(3)
         model_tails = np.zeros((len(partitions), 3))
         for j, partition in enumerate(partitions):
-            for block in partition.blocks():
+            for block in blocks(partition):
                 r = sum(data.responses[i] for i in block)
                 n = sum(data.sample_sizes[i] for i in block)
                 tail = beta_tails(1 + r, 1 + (n - r), p0)

@@ -9,9 +9,11 @@ from basketsim import core, hierarchical
 from basketsim.engine import design_bank
 from basketsim.hierarchical import (
     MAX_PHI,
+    MAX_PRIOR,
     BhmParams,
     ExnexParams,
     bhm_posterior_batch,
+    design_tables,
     exnex_posterior_batch,
     logit,
     posterior_tails_means,
@@ -442,19 +444,41 @@ class TestShrinkageAndDegenerateChecks:
     @pytest.mark.parametrize("field, value", [
         ("target_rates", 1.0), ("target_rates", 0.0), ("target_rates", (0.35, math.nan)),
         ("mu_mean", math.inf), ("mu_mean", math.nan), ("mu_sd", 0.0), ("mu_sd", -1.0),
-        ("mu_sd", math.inf)])
+        ("mu_sd", math.inf), ("mu_sd", 1e-300), ("mu_sd", 1e300), ("mu_sd", 1e308),
+        ("mu_mean", 1e300)])
     def test_bhm_prior_out_of_range_rejected(self, field, value):
-        # a zero sd or a target rate of 1 divided by zero in the quadrature
+        # a zero sd or a target rate of 1 divided by zero in the quadrature, and an sd or
+        # mean past MAX_PRIOR overflowed the grid's squared distances or its panel edges
         with pytest.raises(ValueError, match=f"^{field} "):
             BhmParams(phi=0.661, **{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("mu_mean", -math.inf), ("nex_means", (0.0, math.nan)), ("mu_sd", 0.0),
-        ("nex_sds", 0.0), ("nex_sds", (1.0, -1.0)), ("nex_sds", math.inf)])
+        ("nex_sds", 0.0), ("nex_sds", (1.0, -1.0)), ("nex_sds", math.inf), ("mu_sd", 1e-300),
+        ("nex_means", 1e300)])
     def test_exnex_prior_out_of_range_rejected(self, field, value):
-        # a zero nonexchangeable sd divided by zero in the quadrature
+        # a zero nonexchangeable sd divided by zero in the quadrature, and a mean past
+        # MAX_PRIOR overflowed its squared distance from the eta nodes
         with pytest.raises(ValueError, match=f"^{field} "):
             ExnexParams(phi=0.661, q=0.5, **{field: value})
+
+    @pytest.mark.parametrize("design", ["BHM", "EXNEX"])
+    @pytest.mark.parametrize("mean", [-1.0, 1.0])
+    @pytest.mark.parametrize("sd", [math.nextafter(MAX_PRIOR, 0.0),
+                                    math.nextafter(1.0 / MAX_PRIOR, 1.0)])
+    def test_prior_bounds_keep_the_tables_finite(self, design, mean, sd):
+        # means and sds just inside their bounds; BHM's cut as far from 0 as a p0 and a
+        # target rate can put it
+        mean *= math.nextafter(MAX_PRIOR, 0.0)
+        if design == "BHM":
+            params = BhmParams(0.661, math.nextafter(1.0, 0.0), mean, sd)
+            p0 = math.ulp(0.0)
+        else:
+            params, p0 = ExnexParams(0.661, 0.5, mean, sd, mean, sd), 0.15
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tables, nex, _, log_w = design_tables(design, (3, 10), p0, params)
+        assert all(np.isfinite(t).all() for t in tables + nex) and np.isfinite(log_w).all()
 
 
 class TestExnexLimits:

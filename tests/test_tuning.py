@@ -34,7 +34,7 @@ from basketsim.tuning import (
     smallest_lambda,
     study,
 )
-from scalar_reference import alpha0, cpp_weight, hellinger_gamma, log_marginal_likelihood
+from scalar_reference import alpha0, blocks, cpp_weight, hellinger_gamma, log_marginal_likelihood
 
 GROUPED_NULL = Scenario(2, (10, 10, 25, 25, 30), (0.15,) * 5, "Null", "Grouped")
 GROUPED_ASC = Scenario(8, (10, 10, 25, 25, 30), (0.15, 0.15, 0.25, 0.35, 0.35),
@@ -56,14 +56,14 @@ def reference_tails_means(design, params, data, p0=0.15):
         prior = BetaShape(1, 1)
         partitions = enumerate_partitions(k)
         log_w = np.array([
-            p.block_count * params.psi + log_marginal_likelihood(p, data, prior)
+            (max(p) + 1) * params.psi + log_marginal_likelihood(p, data, prior)
             for p in partitions
         ])
         w = np.exp(log_w - log_w.max())
         w /= w.sum()
         tails, means = np.zeros(k), np.zeros(k)
         for w_j, partition in zip(w, partitions):
-            for block in partition.blocks():
+            for block in blocks(partition):
                 r = sum(baskets[i][0] for i in block)
                 n = sum(baskets[i][1] for i in block)
                 shape = BetaShape(1 + r, 1 + n - r)
