@@ -17,7 +17,8 @@ size: with M = max(n) + 1, every likelihood row p^r (1 - p)^(n - r), and p
 times it for the mean, is a nonnegative combination of the Bernstein basis
 B_j(p) = C(M, j) p^j (1 - p)^(M - j), so only the basis's mass and its mass
 above the cut are integrated, and each size's rows are lifted from them by
-one matrix product per part.  The cache is keyed by size set.
+one matrix product per part.  The cache is keyed by size set.  A posterior
+tail or mean is the grid-weighted average of the one given each grid node.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ MAX_PHI = math.sqrt(np.finfo(float).max) / _S_EDGES[-1]  # (phi * s)**2 stays fi
 # stay within 40 MAX_PRIOR of the mean and each squared distance over an sd in _grid and
 # _basis_mass within 1,600 MAX_PRIOR^4, a 650th of the float range
 MAX_PRIOR = np.finfo(float).max ** 0.25 / 32
+# every cut - nu lies within 42 MAX_PRIOR, so from MIN_PHI up (cut - nu) / (phi * s) stays
+# finite on the smallest s node, and so do the z rule's nodes taken from it
+MIN_PHI = 64 * MAX_PRIOR / np.finfo(float).max / (
+    0.5 * _S_EDGES[1] * (1.0 + np.polynomial.legendre.leggauss(_S_ORDER)[0][0]))
 MAX_TABLE_BYTES = 1 << 30  # the quadrature tables of one size set
 
 _TABLES: dict = {}
@@ -76,8 +81,8 @@ class BhmParams:
     mu_sd: float = 100.0
 
     def __post_init__(self):
-        if not 0 < self.phi <= MAX_PHI:
-            raise ValueError(f"phi must lie in (0, {MAX_PHI:.4g}], got {self.phi}")
+        if not MIN_PHI <= self.phi <= MAX_PHI:
+            raise ValueError(f"phi must lie in [{MIN_PHI:.4g}, {MAX_PHI:.4g}], got {self.phi}")
         _require(self, 0.0, 1.0, "target_rates")
         _require(self, -MAX_PRIOR, MAX_PRIOR, "mu_mean")
         _require(self, 1.0 / MAX_PRIOR, MAX_PRIOR, "mu_sd")
@@ -99,8 +104,8 @@ class ExnexParams:
     nex_sds: tuple[float, ...] | float = 100.0
 
     def __post_init__(self):
-        if not 0 < self.phi <= MAX_PHI:
-            raise ValueError(f"phi must lie in (0, {MAX_PHI:.4g}], got {self.phi}")
+        if not MIN_PHI <= self.phi <= MAX_PHI:
+            raise ValueError(f"phi must lie in [{MIN_PHI:.4g}, {MAX_PHI:.4g}], got {self.phi}")
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"q (the exchangeability weight) must lie in (0, 1], got {self.q}")
         _require(self, -MAX_PRIOR, MAX_PRIOR, "mu_mean", "nex_means")
@@ -369,20 +374,24 @@ def posterior_tails_means(design: str, responses, sample_sizes, params,
     rows = np.asarray(responses, dtype=np.int64)
     sizes = tuple(int(v) for v in np.broadcast_to(sample_sizes, rows.shape[1:]))
     tables, nex, q, log_w = design_tables(design, sizes, p0, params)
-    codes, logs, divisors = np.empty(rows.shape, dtype=np.intp), [], []
+    codes, mixtures = np.empty(rows.shape, dtype=np.intp), []
     for k, table in enumerate(tables):  # each basket's mixture once per response count seen
         seen, codes[:, k] = np.unique(rows[:, k], return_inverse=True)
-        m = q * table[0, seen] + (1.0 - q) * nex[k][0, seen, None]
+        m = table[:, seen]  # a copy, so q * table + (1 - q) * nex takes no second one
+        m *= q
+        m += (1.0 - q) * nex[k][:, seen, None]
+        # m becomes [log mass, tail, mean] given each node; where the mass is 0, so is w
+        np.divide(m[1:], m[0], out=m[1:], where=m[0] > 0.0)
         with np.errstate(divide="ignore"):
-            logs.append(np.log(m))
-        divisors.append(np.where(m == 0.0, 1.0, m))  # where m is 0, w is 0 and w / 1 is 0
+            np.log(m[0], out=m[0])
+        mixtures.append(m)
     tails, means = np.empty((2, *rows.shape))
     step = max(1, _CHUNK_BYTES // (8 * log_w.size))
     for a in range(0, len(rows), step):
         chunk = slice(a, a + step)
         log_post = np.tile(log_w, (len(rows[chunk]), 1))
-        for k, log_m in enumerate(logs):
-            log_post += log_m[codes[chunk, k]]
+        for k, m in enumerate(mixtures):
+            log_post += m[0, codes[chunk, k]]
         top = log_post.max(axis=1, keepdims=True)
         if not np.isfinite(top).all():  # at every grid node some basket's mass underflows
             bad = rows[chunk][~np.isfinite(top[:, 0])][0].tolist()
@@ -390,24 +399,12 @@ def posterior_tails_means(design: str, responses, sample_sizes, params,
                                f"{list(sizes)} underflows to 0 at every grid node")
         # a weight below e^EXP_FLOOR set to 0 moves a tail or mean by at most ~1e-304 per
         # node, as the total is at least 1: over ~13k nodes only results below ~1e-284 move
-        log_post -= top
-        tails[chunk], means[chunk] = _posterior(
-            rows[chunk], codes[chunk], guarded_exp(log_post), divisors, tables, nex, q)
-    return tails, means
-
-
-def _posterior(rows, codes, w, divisors, tables, nex, q) -> tuple[np.ndarray, np.ndarray]:
-    """Tails and means [C, K] of C data sets from their grid weights w [C, grid], each
-    summed over the grid in its own row."""
-    total = w.sum(axis=1)
-    tails, means = np.empty((2, *rows.shape))
-    for k, table in enumerate(tables):
-        r = rows[:, k]
-        v = w / divisors[k][codes[:, k]]
-        v_total = v.sum(axis=1) if q < 1.0 else 0.0  # at q = 1 its term is 0 either way
-        for out, part in ((tails, 1), (means, 2)):
-            out[:, k] = (q * (v * table[part, r]).sum(axis=1)
-                         + (1.0 - q) * nex[k][part, r] * v_total) / total
+        w = guarded_exp(np.subtract(log_post, top, out=log_post))
+        total = w.sum(axis=1)
+        for k, m in enumerate(mixtures):
+            given = m[1:, codes[chunk, k]]
+            given *= w  # in place: a second [2, rows, grid] array nearly doubles this loop's time
+            tails[chunk, k], means[chunk, k] = given.sum(axis=2) / total
     return np.minimum(tails, 1.0), means
 
 

@@ -109,9 +109,30 @@ def log_marginal_likelihood(partition, data, prior: BetaShape) -> float:
 
 def hierarchical_posterior(rows, tables, nex, q, log_w):
     """BHM or EXNEX tails and means [C, K] of data rows [C, K] from a model's
-    ``hierarchical.design_tables``: every row's mixture q * table + (1 - q) * nex gathered
-    and its log taken over the whole grid, and each basket's grid weights divided by its
-    mixture only where the weight is positive."""
+    ``hierarchical.design_tables``, row by row: given a grid node the baskets are
+    independent, so each basket's tail and mean given the node are its mixture
+    q * table + (1 - q) * nex's tail and mean over its mass, and the posterior's are their
+    averages under the row's grid weights.  A node where a mass is 0 has weight 0."""
+    tails, means = np.empty((2, *rows.shape))
+    for i, row in enumerate(rows):
+        mixed = [q * table[:, r] + (1.0 - q) * nex[k][:, r, None]
+                 for k, (table, r) in enumerate(zip(tables, row))]
+        log_post = log_w.copy()
+        with np.errstate(divide="ignore"):
+            for m in mixed:
+                log_post += np.log(m[0])
+        w = np.exp(log_post - log_post.max())
+        for k, m in enumerate(mixed):
+            given = np.zeros_like(m[1:])
+            np.divide(m[1:], m[0], out=given, where=m[0] > 0.0)
+            tails[i, k], means[i, k] = (given * w).sum(axis=1) / w.sum()
+    return np.minimum(tails, 1.0), means
+
+
+def leave_one_out_posterior(rows, tables, nex, q, log_w):
+    """The same tails and means in another order of operations: each basket's grid
+    weights divided by its own mixture mass, only where the weight is positive, and
+    multiplied back into its tail and mean parts."""
     log_post = np.tile(log_w, (len(rows), 1))
     mixed = []
     with np.errstate(divide="ignore"):

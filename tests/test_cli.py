@@ -943,8 +943,8 @@ _FIELDS = {
     "APP": {},
     "Fujikawa": {"epsilon": _edges(0.0, _MAX, 2.0), "tau": _edges(0.0, 1.0, 0.2)},
     "BMA": {"psi": _edges(-bma.MAX_PSI, bma.MAX_PSI, 0.0)},
-    "BHM": {"phi": _edges(0.0, hierarchical.MAX_PHI, 0.661)},
-    "EXNEX": {"phi": _edges(0.0, hierarchical.MAX_PHI, 0.661),
+    "BHM": {"phi": _edges(hierarchical.MIN_PHI, hierarchical.MAX_PHI, 0.661)},
+    "EXNEX": {"phi": _edges(hierarchical.MIN_PHI, hierarchical.MAX_PHI, 0.661),
               "q": _edges(0.0, 1.0, 0.5)},
 }
 _UNIT = _edges(0.0, 1.0, 0.15)  # --p0, --alpha and lambda
@@ -982,23 +982,38 @@ class TestContractOverTheInputSpace:
 
     LIMIT = 3 << 30  # each child's address space
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(run=cli_runs())
-    def test_simulate_keeps_the_exit_contract(self, run):
-        argv, config = run
+    def simulate(self, argv, config) -> subprocess.CompletedProcess:
+        """A simulate run under -W error in a fresh interpreter with its address space capped."""
         with tempfile.TemporaryDirectory() as out:
             path = os.path.join(out, "cfg.json")
             with open(path, "w") as fh:
                 json.dump(config, fh)
-            done = subprocess.run(
+            return subprocess.run(
                 [sys.executable, "-W", "error", "-m", "basketsim.cli", "simulate",
                  "--config", path, "--out", out, *argv],
                 env=fresh_env(), capture_output=True, text=True, timeout=120,
                 preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
                                                       (self.LIMIT, self.LIMIT)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(run=cli_runs())
+    def test_simulate_keeps_the_exit_contract(self, run):
+        done = self.simulate(*run)
         assert done.returncode in (0, 2, 3), done.stderr
         assert "Traceback" not in done.stderr
         if done.returncode:
+            assert done.stderr.count("\n") == 1, done.stderr
+        else:
+            assert done.stderr == ""
+
+    @pytest.mark.parametrize("phi, code", [(5e-324, 2), (hierarchical.MIN_PHI, 0)])
+    def test_tiny_phi_keeps_the_exit_contract(self, phi, code):
+        # phi = 5e-324 rounded sigma = phi * s to 0 and divided by it in the quadrature
+        done = self.simulate(["--scenario", "grouped", "--design", "BHM", "--reps", "20",
+                              "--seed", "7"], {"designs": {"BHM": {"phi": phi}}})
+        assert done.returncode == code, done.stderr
+        if code:
+            assert done.stderr.startswith("error: designs.BHM.phi ")
             assert done.stderr.count("\n") == 1, done.stderr
         else:
             assert done.stderr == ""

@@ -10,6 +10,7 @@ from basketsim.engine import design_bank
 from basketsim.hierarchical import (
     MAX_PHI,
     MAX_PRIOR,
+    MIN_PHI,
     BhmParams,
     ExnexParams,
     bhm_posterior_batch,
@@ -18,7 +19,7 @@ from basketsim.hierarchical import (
     logit,
     posterior_tails_means,
 )
-from scalar_reference import hierarchical_posterior
+from scalar_reference import hierarchical_posterior, leave_one_out_posterior
 
 SIZES = (10, 10, 25, 25, 30)
 DATA = (2, 5, 1, 4, 9)
@@ -296,8 +297,12 @@ class TestDeterminismAndInvariants:
 
 
 class TestPosteriorReference:
-    """The bank posterior, which takes each basket's mixture log once per response count,
-    against the reference that takes it for every data row, bit for bit."""
+    """The bank posterior, which forms each basket's mixture once per response count,
+    against the reference that forms it for every data row, bit for bit; and against the
+    leave-one-out form, which divides each basket's mixture mass out of the grid weights,
+    within LEAVE_ONE_OUT_ATOL."""
+
+    LEAVE_ONE_OUT_ATOL = 2e-15  # the two orders of operations round apart
 
     @staticmethod
     def bank(sizes):
@@ -315,9 +320,10 @@ class TestPosteriorReference:
         for q in [1.0] if design == "BHM" else [0.2, 0.9, 1.0]:
             params = BhmParams(phi=phi) if design == "BHM" else ExnexParams(phi=phi, q=q)
             tables, nex, _, log_w = hierarchical.design_tables(design, sizes, 0.15, params)
-            if design == "BHM" and sizes == HIGH_VARIANCE:  # the w / 1 path runs
+            if design == "BHM" and sizes == HIGH_VARIANCE:  # the m = 0 path runs
                 assert all(np.any(t[0, bank[:, k]] == 0.0) for k, t in enumerate(tables))
             want = hierarchical_posterior(bank, tables, nex, q, log_w)
+            old = leave_one_out_posterior(bank, tables, nex, q, log_w)
             got = posterior_tails_means(design, bank, sizes, params, 0.15)
             shuffled = posterior_tails_means(design, bank[order], sizes, params, 0.15)
             single = posterior_tails_means(design, bank[7:8], sizes, params, 0.15)
@@ -325,6 +331,8 @@ class TestPosteriorReference:
                 assert_same_bits(got[part], want[part])
                 assert_same_bits(shuffled[part], want[part][order])
                 assert_same_bits(single[part], want[part][7:8])
+                np.testing.assert_allclose(got[part], old[part], rtol=0.0,
+                                           atol=self.LEAVE_ONE_OUT_ATOL)
 
     @pytest.mark.parametrize("sizes", PAPER_SIZES.values(), ids=PAPER_SIZES)
     @pytest.mark.parametrize("phi", [0.125, 0.661, 2.0])
@@ -435,11 +443,28 @@ class TestShrinkageAndDegenerateChecks:
         np.testing.assert_allclose(tails[2], 1.0)
 
     @pytest.mark.parametrize("design", ["BHM", "EXNEX"])
+    @pytest.mark.parametrize("mu_mean", [-MAX_PRIOR, MAX_PRIOR])
+    def test_smallest_phi_stays_finite(self, design, mu_mean):
+        # (cut - nu) / sigma stays finite on every s node with the prior mean at its bounds
+        mu_mean = math.nextafter(mu_mean, 0.0)
+        params = (BhmParams(MIN_PHI, mu_mean=mu_mean) if design == "BHM"
+                  else ExnexParams(MIN_PHI, q=0.5, mu_mean=mu_mean))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tails, means = posterior_tails_means(design, [DATA, (0,) * 5, SIZES], SIZES,
+                                                 params, 0.15)
+        assert np.isfinite(tails).all() and np.isfinite(means).all()
+
+    @pytest.mark.parametrize("design", ["BHM", "EXNEX"])
     @pytest.mark.parametrize("phi", [math.nextafter(MAX_PHI, math.inf), 1e308, math.inf,
-                                     math.nan, 0.0])
+                                     math.nan, 0.0, 5e-324, 1e-300,
+                                     math.nextafter(MIN_PHI, 0.0)])
     def test_phi_out_of_range_rejected(self, design, phi):
+        # below MIN_PHI, sigma = phi * s rounded to 0 or, with the mean 1e10 from the cut,
+        # (cut - nu) / sigma overflowed
         with pytest.raises(ValueError, match="^phi "):
-            BhmParams(phi) if design == "BHM" else ExnexParams(phi, q=0.5)
+            BhmParams(phi, mu_mean=1e10) if design == "BHM" else ExnexParams(
+                phi, q=0.5, mu_mean=1e10)
 
     @pytest.mark.parametrize("field, value", [
         ("target_rates", 1.0), ("target_rates", 0.0), ("target_rates", (0.35, math.nan)),
@@ -479,6 +504,16 @@ class TestShrinkageAndDegenerateChecks:
             warnings.simplefilter("error")
             tables, nex, _, log_w = design_tables(design, (3, 10), p0, params)
         assert all(np.isfinite(t).all() for t in tables + nex) and np.isfinite(log_w).all()
+
+    @pytest.mark.parametrize("mu_mean", [1e6, -1e40, math.nextafter(-MAX_PRIOR, 0.0)])
+    def test_subnormal_mixture_mass_stays_finite(self, mu_mean):
+        # the grid weight peaks where a basket's mixture mass is subnormal; dividing the
+        # weight by that mass overflowed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tails, means = posterior_tails_means("BHM", [(2, 3)], (10, 10),
+                                                 BhmParams(phi=0.661, mu_mean=mu_mean), 0.15)
+        assert ((0.0 <= tails) & (tails <= 1.0) & (0.0 <= means) & (means <= 1.0)).all()
 
 
 class TestExnexLimits:
