@@ -8,7 +8,7 @@ import os as _os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
 
-from .bma import BmaParams, enumerate_partitions
+from .bma import BmaParams
 from .core import (
     BasketData,
     BasketSimError,
@@ -27,9 +27,9 @@ from .engine import (
     outcome_table,
     run_design,
 )
-from .fujikawa import FujikawaParams, jsd
+from .fujikawa import FujikawaParams
 from .hierarchical import BhmParams, ExnexParams
 from .powerprior import CppParams
-from .tuning import TuningResult, default_grid, grid_search, null_scenario, study
+from .tuning import TuningResult, grid_search, null_scenario, study
 
 __all__ = [name for name in dir() if not name.startswith("_")]

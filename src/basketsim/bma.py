@@ -52,13 +52,6 @@ def _labels(k: int) -> np.ndarray:
     return labels
 
 
-def _check_basket_count(k: int) -> None:
-    if not 2 <= k <= MAX_BASKETS:
-        raise ConfigurationError(
-            f"partition enumeration supports 2..{MAX_BASKETS} baskets, got {k}"
-        )
-
-
 def _row_bytes(k: int) -> int:
     """Bytes a bank row of k baskets takes: its [k, Bell(k)] tails and means, and the product
     of one with the model probabilities."""
@@ -68,17 +61,13 @@ def _row_bytes(k: int) -> int:
 def block_rows(k: int) -> int:
     """The most rows a bank of k baskets holds within ``MAX_TABLE_BYTES``; raises
     ConfigurationError if not even one row fits."""
-    _check_basket_count(k)
+    if not 2 <= k <= MAX_BASKETS:
+        raise ConfigurationError(f"partition enumeration supports 2..{MAX_BASKETS} baskets, "
+                                 f"got {k}")
     if _row_bytes(k) > MAX_TABLE_BYTES:
         raise ConfigurationError(f"BMA over {k} baskets needs {_row_bytes(k)} bytes for one "
                                  f"row > {MAX_TABLE_BYTES}")
     return MAX_TABLE_BYTES // _row_bytes(k)
-
-
-def enumerate_partitions(k: int) -> list[tuple[int, ...]]:
-    """All set partitions of k baskets as restricted-growth strings, in the model order."""
-    _check_basket_count(k)
-    return [tuple(a) for a in _labels(k).tolist()]
 
 
 class _ModelSpace:

@@ -309,9 +309,10 @@ def design_configs(config: dict) -> dict[str, DesignConfig]:
         fixed_lambda = None
         if "lambda" in raw:
             fixed_lambda = _json_number(raw["lambda"], f"designs.{design}.lambda")
-            if not 0.0 < fixed_lambda <= 1.0:
-                raise CatalogError(f"designs.{design}.lambda: {fixed_lambda} outside (0, 1]")
-        configs[design] = DesignConfig(design, params, lambda_=fixed_lambda)
+        try:
+            configs[design] = DesignConfig(design, params, lambda_=fixed_lambda)
+        except ConfigurationError as exc:  # a parsed entry can fail only lambda's range
+            raise CatalogError(f"designs.{design}.{exc}") from exc
     return configs
 
 
@@ -446,59 +447,44 @@ def _read_oc_csv(path: str) -> list[dict]:
     return rows
 
 
-def render_ecd_table(rows: list[dict], family: str) -> str:
-    designs = [d for d in DESIGNS if any(
-        r["design"] == d and r["size_family"] == family for r in rows
-    )]
-    ecd = {}
+def render_table(rows: list[dict], family: str, table: str) -> str:
+    """One of report's tables of a size family's oc.csv rows: ``ecd`` has a row per design
+    with its ECD under each pattern and their mean; ``rejection`` and ``bias`` have a row per
+    pattern and design with each basket's rate or bias, and the rejection rates end in the
+    FWER."""
+    cells = {}  # (pattern, design, basket index) -> the last oc.csv row read for it
     for r in rows:
-        if r["size_family"] == family and r["basket_index"] == "1":
-            ecd[(r["design"], r["pattern"])] = float(r["ecd_mean"])
-    header = ["Design"] + list(PATTERNS) + ["Mean"]
-    out = [f"ECD, {family} scenario", "  ".join(f"{h:>11s}" for h in header)]
-    for design in designs:
-        values = [ecd[(design, p)] for p in PATTERNS if (design, p) in ecd]
-        cells = [f"{design:>11s}"]
-        for pattern in PATTERNS:
-            cells.append(
-                f"{ecd[(design, pattern)]:>11.3f}" if (design, pattern) in ecd
-                else f"{'-':>11s}"
-            )
-        mean = sum(values) / len(values) if values else math.nan
-        cells.append(f"{mean:>11.3f}")
-        out.append("  ".join(cells))
-    return "\n".join(out) + "\n"
-
-
-def _basket_table(rows: list[dict], family: str, value_column: str,
-                  with_fwer: bool, title: str) -> str:
-    designs = [d for d in DESIGNS if any(
-        r["design"] == d and r["size_family"] == family for r in rows
-    )]
-    sizes = {}
-    cells = {}
-    fwer = {}
-    for r in rows:
-        if r["size_family"] != family:
-            continue
-        key = (r["pattern"], r["design"], int(r["basket_index"]))
-        cells[key] = float(r[value_column])
-        sizes[int(r["basket_index"])] = r["n"]
-        fwer[(r["pattern"], r["design"])] = float(r["fwer"])
-    baskets = sorted(sizes)
-    header = ["Pattern", "Design"] + [f"Basket {k} (n={sizes[k]})" for k in baskets]
-    if with_fwer:
-        header.append("FWER")
-    out = [f"{title}, {family} scenario", "  ".join(f"{h:>15s}" for h in header)]
-    for pattern in PATTERNS:
+        if r["size_family"] == family:
+            cells[r["pattern"], r["design"], int(r["basket_index"])] = r
+    designs = [d for d in DESIGNS if any(key[1] == d for key in cells)]
+    body = []  # (label cells, value cells), a missing value as None
+    if table == "ecd":
+        width, header = 11, ["Design", *PATTERNS, "Mean"]
         for design in designs:
-            if (pattern, design, baskets[0]) not in cells:
-                continue
-            row = [f"{pattern:>15s}", f"{design:>15s}"]
-            row += [f"{cells[(pattern, design, k)]:>15.3f}" for k in baskets]
-            if with_fwer:
-                row.append(f"{fwer[(pattern, design)]:>15.3f}")
-            out.append("  ".join(row))
+            ecd = [float(cells[p, design, 1]["ecd_mean"]) if (p, design, 1) in cells else None
+                   for p in PATTERNS]
+            values = [v for v in ecd if v is not None]
+            body.append(([design], ecd + [sum(values) / len(values) if values else math.nan]))
+    else:
+        sizes = {k: r["n"] for (_, _, k), r in cells.items()}
+        baskets = sorted(sizes)
+        width = 15
+        header = ["Pattern", "Design", *(f"Basket {k} (n={sizes[k]})" for k in baskets)]
+        column = "rejection_rate" if table == "rejection" else "bias"
+        for pattern, design in itertools.product(PATTERNS, designs):
+            if (pattern, design, baskets[0]) in cells:
+                row = [cells[pattern, design, k] for k in baskets]
+                values = [float(r[column]) for r in row]
+                if table == "rejection":
+                    values.append(float(row[-1]["fwer"]))
+                body.append(([pattern, design], values))
+        if table == "rejection":
+            header.append("FWER")
+    title = {"ecd": "ECD", "rejection": "Rejection rates", "bias": "Bias"}[table]
+    out = [f"{title}, {family} scenario", "  ".join(f"{h:>{width}s}" for h in header)]
+    for labels, values in body:
+        out.append("  ".join([f"{x:>{width}s}" for x in labels] + [
+            f"{'-':>{width}s}" if v is None else f"{v:>{width}.3f}" for v in values]))
     return "\n".join(out) + "\n"
 
 
@@ -540,14 +526,7 @@ def command_report(args: argparse.Namespace) -> None:
     if family is None:
         raise CatalogError(f"unknown size family {args.family!r}")
     rows = _read_oc_csv(os.path.join(args.out, "oc.csv"))
-    if args.table == "ecd":
-        sys.stdout.write(render_ecd_table(rows, family))
-    elif args.table == "rejection":
-        sys.stdout.write(
-            _basket_table(rows, family, "rejection_rate", True, "Rejection rates")
-        )
-    else:
-        sys.stdout.write(_basket_table(rows, family, "bias", False, "Bias"))
+    sys.stdout.write(render_table(rows, family, args.table))
 
 
 # ---------------------------------------------------------------------------

@@ -70,10 +70,6 @@ class BasketData:
     def k(self) -> int:
         return len(self.responses)
 
-    def basket(self, index: int) -> tuple[int, int]:
-        """(responses, sample_size) pair of one basket."""
-        return self.responses[index], self.sample_sizes[index]
-
 
 @dataclass(frozen=True)
 class BetaShape:

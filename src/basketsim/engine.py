@@ -61,7 +61,7 @@ class DesignConfig:
                 f"got {type(self.params).__name__}"
             )
         if self.lambda_ is not None and not 0.0 < self.lambda_ <= 1.0:
-            raise ConfigurationError(f"lambda {self.lambda_} outside (0, 1]")
+            raise ConfigurationError(f"lambda: {self.lambda_} outside (0, 1]")
         # priors the design would ignore: its parameters set them, or it pools under one
         if self.priors is not None and spec.priors == "none":
             raise ConfigurationError(f"design {self.design} takes no priors")

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BetaShape,
     BorrowingBank,
     Design,
     NumericError,
@@ -114,11 +113,6 @@ def _pair_jsds(pairs: np.ndarray) -> np.ndarray:
             terms *= weights[:, None]
             out[chunk] = row_sums(terms.T)
     return np.clip(out, 0.0, 1.0)
-
-
-def jsd(f: BetaShape, g: BetaShape) -> float:
-    """Jensen-Shannon divergence between two beta densities, base-2 logs: a batch of one."""
-    return float(_pair_jsds(np.array([[f.alpha, f.beta, g.alpha, g.beta]]))[0])
 
 
 def jsd_matrices(alphas, betas) -> np.ndarray:

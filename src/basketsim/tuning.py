@@ -33,7 +33,6 @@ from .engine import (
     OperatingCharacteristics,
     OutcomeTable,
     aggregate,
-    crossing_counts,
     evaluate_table,
 )
 
@@ -51,22 +50,6 @@ def _smallest_step(errors: np.ndarray, alpha: float) -> int:
         raise CalibrationError("no grid threshold attains the requested error rate",
                                min_fwer=int(errors[-1]) / n)
     return int(within[0])
-
-
-def smallest_lambda(max_tails: np.ndarray, counts: np.ndarray, alpha: float,
-                    strict: bool) -> float:
-    """Smallest grid threshold whose FWER over a bank is at most alpha.
-
-    On a global-null bank a replicate is a family-wise error iff its maximal
-    tail statistic clears the threshold; ``counts`` holds the bank's replicate
-    count on each maximal tail.  The histogram of the maxima over the grid
-    gives the integer error count at every step, and the first step within
-    alpha wins.
-    """
-    errors = crossing_counts(np.asarray(max_tails, dtype=float)[:, None],
-                             np.asarray(counts, dtype=float)[None], np.zeros((1, 1), bool),
-                             LAMBDA_GRID, strict, per_basket=False)[0, 0]
-    return float(LAMBDA_GRID[_smallest_step(errors, alpha)])
 
 
 def null_scenario(scenarios: list[Scenario], p0: float) -> Scenario:
@@ -121,11 +104,6 @@ def _protocol(config: DesignConfig, counts: np.ndarray, null: int | None,
 # ---------------------------------------------------------------------------
 
 
-def default_grid(design: str) -> list:
-    """The tuning grid that the design declares, in lexicographic order."""
-    return list(REGISTRY[design].grid)
-
-
 @dataclass(frozen=True)
 class TuningRecord:
     """One grid point: parameters, calibrated threshold, per-pattern ECD."""
@@ -139,13 +117,8 @@ class TuningRecord:
 
 @dataclass(frozen=True)
 class TuningResult:
-    design: str
     records: tuple[TuningRecord, ...]
     selected_index: int
-
-    @property
-    def selected(self) -> TuningRecord:
-        return self.records[self.selected_index]
 
 
 def grid_search(
@@ -165,7 +138,7 @@ def grid_search(
     point).
     """
     null = _null_index(table, p0)
-    grid = default_grid(design) if grid is None else list(grid)
+    grid = list(REGISTRY[design].grid if grid is None else grid)
     if not grid:
         raise ConfigurationError("grid_search needs a nonempty parameter grid")
     configs = tuple(DesignConfig(design, params) for params in grid)  # a mistyped point raises
@@ -193,4 +166,4 @@ def grid_search(
     # every bank of an outcome table has the same replicate count, so the integer total
     # orders the mean ECDs exactly, and max() keeps the earliest index on ties
     best = max(feasible, key=totals.__getitem__)
-    return TuningResult(design=design, records=tuple(records), selected_index=best)
+    return TuningResult(records=tuple(records), selected_index=best)

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from basketsim import bma
-from basketsim.bma import BmaBank, BmaParams, enumerate_partitions
+from basketsim.bma import BmaBank, BmaParams
 from basketsim.core import BasketData, BetaShape, ConfigurationError, beta_tails
-from basketsim.engine import DesignConfig, run_design
-from basketsim.tuning import default_grid
+from basketsim.engine import REGISTRY, DesignConfig, run_design
 from scalar_reference import BmaBankByShapes, blocks, edge_case_banks, log_marginal_likelihood
 
 
@@ -44,7 +43,7 @@ def log_marginal_by_grid(partition, data, points=10 ** 5):
 
 def kernel_log_marginals(data, prior=BetaShape(1, 1)):
     """Log marginal likelihood of every partition from the BMA kernel, in the order
-    of ``enumerate_partitions``: those of a bank of one."""
+    of ``bma._labels``: those of a bank of one."""
     return BmaBank([data.responses], data.sample_sizes, prior, 0.15)._log_marginals[0]
 
 
@@ -62,25 +61,25 @@ def bma_tails_means(data, psi, p0=0.15, prior=BetaShape(1, 1)):
 class TestEnumeratePartitions:
     @pytest.mark.parametrize("k,bell", [(2, 2), (3, 5), (4, 15), (5, 52), (6, 203)])
     def test_bell_counts(self, k, bell):
-        assert len(enumerate_partitions(k)) == bell
+        assert len(bma._labels(k).tolist()) == bell
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_matches_brute_force_filter(self, k):
-        got = enumerate_partitions(k)
+        got = [tuple(p) for p in bma._labels(k).tolist()]
         assert sorted(got) == sorted(brute_force_partitions(k))
         assert len(set(got)) == len(got)
 
     def test_deterministic_order_and_pooled_first(self):
-        parts = enumerate_partitions(4)
-        assert parts == enumerate_partitions(4)
+        parts = [tuple(p) for p in bma._labels(4).tolist()]
+        assert parts == [tuple(p) for p in bma._labels(4).tolist()]
         assert parts[0] == (0, 0, 0, 0)
         assert max(parts[0]) + 1 == 1
 
     def test_cap_enforced(self):
         with pytest.raises(ConfigurationError):
-            enumerate_partitions(13)
+            bma.block_rows(13)
         with pytest.raises(ConfigurationError):
-            enumerate_partitions(1)
+            bma.block_rows(1)
 
     @pytest.mark.parametrize("k", [1, 5])
     def test_bank_checks_the_cap_before_enumerating(self, k, monkeypatch):
@@ -105,7 +104,7 @@ class TestModelSpace:
         space = bma._model_space(k)
         subsets = [tuple(np.flatnonzero(row).tolist()) for row in space.member]
         assert len(set(subsets)) == len(subsets)
-        for j, partition in enumerate(enumerate_partitions(k)):
+        for j, partition in enumerate(bma._labels(k).tolist()):
             parts, index = blocks(partition), space.partition_index[j].tolist()
             # the partition's blocks as basket sets, in label order, then the padding
             assert [subsets[s] for s in index[:len(parts)]] == parts
@@ -134,7 +133,7 @@ class TestLogMarginalLikelihood:
         data = BasketData((2, 3, 8), (10, 10, 10))
         prior = BetaShape(1, 1)
         got = kernel_log_marginals(data, prior)
-        for partition, value in zip(enumerate_partitions(3), got):
+        for partition, value in zip(bma._labels(3).tolist(), got):
             assert value == pytest.approx(log_marginal_by_grid(partition, data), abs=1e-6)
             assert value == pytest.approx(
                 log_marginal_likelihood(partition, data, prior), abs=1e-12)
@@ -155,7 +154,7 @@ class TestPosteriorModelProbs:
         data = BasketData((2, 3, 8), (10, 10, 10))
         prior = BetaShape(1, 1)
         probs = kernel_model_probs(data, psi=0.0, prior=prior)
-        partitions = enumerate_partitions(3)
+        partitions = bma._labels(3).tolist()
         lm = np.array([log_marginal_likelihood(p, data, prior) for p in partitions])
         expected = np.exp(lm - lm.max())
         expected /= expected.sum()
@@ -181,7 +180,7 @@ class TestBmaTailProbs:
         data = BasketData((2, 3, 8), (10, 10, 10))
         p0 = 0.15
         psi = 0.0
-        partitions = enumerate_partitions(3)
+        partitions = bma._labels(3).tolist()
         log_w = np.array([
             (max(p) + 1) * psi + log_marginal_by_grid(p, data) for p in partitions
         ])
@@ -259,7 +258,7 @@ class TestTableBank:
             assert_bits_equal(bank._log_marginals, ref.log_marginals)
             assert_bits_equal(bank._tails, ref.tails)
             assert_bits_equal(bank._means, ref.means)
-            for params in default_grid("BMA"):
+            for params in REGISTRY["BMA"].grid:
                 expected = ref.tails_means(params.psi)
                 for got, want in zip(bank.tails_means(params), expected):
                     assert_bits_equal(got, want)

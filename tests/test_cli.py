@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import basketsim
-from basketsim import bma, cli, engine, fujikawa, hierarchical, tuning
+from basketsim import bma, cli, engine, fujikawa, hierarchical
 from basketsim.cli import (
     CatalogError,
     build_parser,
@@ -92,6 +93,63 @@ def read_rows(path):
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line for line in fh if not line.startswith("#")]
     return list(csv.DictReader(io.StringIO("".join(lines))))
+
+
+# report's three tables for a Null and a BGN scenario of three baskets, simulated under
+# every design at seed 5 with 20 replicates (test_report_tables_are_pinned): byte for byte
+REPORT_SCENARIOS = [{"id": i, "sample_sizes": [8, 12, 20], "true_rates": rates,
+                     "pattern": pattern, "size_family": "Grouped"}
+                    for i, (pattern, rates) in enumerate([("Null", [0.15, 0.15, 0.15]),
+                                                          ("BGN", [0.15, 0.15, 0.4])], 1)]
+REPORT_TABLES = {
+    "ecd": """\
+ECD, Grouped scenario
+     Design         Null  Alternative    Ascending   Descending          BGN          SGN         Mean
+        CPP        2.900            -            -            -        2.100            -        2.500
+        APP        2.900            -            -            -        2.200            -        2.550
+       LCPP        2.900            -            -            -        2.200            -        2.550
+   Fujikawa        2.900            -            -            -        2.150            -        2.525
+        BMA        2.900            -            -            -        2.300            -        2.600
+        BHM        2.900            -            -            -        2.300            -        2.600
+      EXNEX        2.900            -            -            -        2.200            -        2.550
+""",
+    "rejection": """\
+Rejection rates, Grouped scenario
+        Pattern           Design   Basket 1 (n=8)  Basket 2 (n=12)  Basket 3 (n=20)             FWER
+           Null              CPP            0.050            0.000            0.050            0.050
+           Null              APP            0.050            0.000            0.050            0.050
+           Null             LCPP            0.050            0.000            0.050            0.050
+           Null         Fujikawa            0.050            0.000            0.050            0.050
+           Null              BMA            0.050            0.000            0.050            0.050
+           Null              BHM            0.050            0.000            0.050            0.050
+           Null            EXNEX            0.050            0.000            0.050            0.050
+            BGN              CPP            0.150            0.300            0.550            0.400
+            BGN              APP            0.100            0.250            0.550            0.350
+            BGN             LCPP            0.100            0.250            0.550            0.350
+            BGN         Fujikawa            0.150            0.300            0.600            0.400
+            BGN              BMA            0.100            0.150            0.550            0.200
+            BGN              BHM            0.050            0.150            0.500            0.200
+            BGN            EXNEX            0.100            0.200            0.500            0.300
+""",
+    "bias": """\
+Bias, Grouped scenario
+        Pattern           Design   Basket 1 (n=8)  Basket 2 (n=12)  Basket 3 (n=20)
+           Null              CPP            0.024            0.013            0.018
+           Null              APP            0.038            0.018            0.021
+           Null             LCPP            0.034            0.017            0.017
+           Null         Fujikawa            0.053            0.041            0.044
+           Null              BMA            0.023            0.017            0.018
+           Null              BHM            0.008           -0.006            0.000
+           Null            EXNEX            0.006           -0.007            0.002
+            BGN              CPP            0.105            0.109           -0.041
+            BGN              APP            0.113            0.107           -0.053
+            BGN             LCPP            0.102            0.107           -0.050
+            BGN         Fujikawa            0.141            0.126           -0.037
+            BGN              BMA            0.131            0.114           -0.063
+            BGN              BHM            0.102            0.095           -0.068
+            BGN            EXNEX            0.099            0.086           -0.062
+""",
+}
 
 
 class TestCatalog:
@@ -240,8 +298,9 @@ class TestCommands:
 
         monkeypatch.setattr(engine, "generate_responses", counted)
         # the first point of each grid: which banks a search reads does not depend on its grid
-        default_grid = tuning.default_grid
-        monkeypatch.setattr(tuning, "default_grid", lambda design: default_grid(design)[:1])
+        for design, spec in engine.REGISTRY.items():
+            monkeypatch.setitem(engine.REGISTRY, design,
+                                dataclasses.replace(spec, grid=spec.grid[:1]))
         # at seed 3 every design finds a threshold with no family-wise error in 5 replicates
         assert main([command, "--scenario", "all", "--design", "all", "--reps", "5",
                      "--seed", "3", "--out", str(tmp_path)]) == 0
@@ -425,6 +484,15 @@ class TestCommands:
         assert main(["report", "--table", "bias", "--family", "grouped",
                      "--out", str(out)]) == 0
         assert "Basket 1" in capsys.readouterr().out
+
+    def test_report_tables_are_pinned(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"scenarios": REPORT_SCENARIOS}))
+        args = ["--config", str(config), "--out", str(tmp_path)]
+        assert main(["simulate", "--design", "all", "--reps", "20", "--seed", "5", *args]) == 0
+        for table, text in REPORT_TABLES.items():
+            assert main(["report", "--table", table, "--family", "grouped", *args]) == 0
+            assert capsys.readouterr().out == text
 
     def test_report_weights_csv(self, tmp_path):
         out = tmp_path / "out"

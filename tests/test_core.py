@@ -55,7 +55,7 @@ class TestDomainTypes:
     def test_basket_data_valid(self):
         d = BasketData((3, 0), (10, 5))
         assert d.k == 2
-        assert d.basket(0) == (3, 10)
+        assert (d.responses[0], d.sample_sizes[0]) == (3, 10)
 
     def test_basket_data_rejects_single_basket(self):
         with pytest.raises(ValueError):

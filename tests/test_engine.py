@@ -30,7 +30,7 @@ from basketsim.engine import (
 from basketsim.fujikawa import FujikawaParams, jsd_matrices, weights_from_jsd
 from basketsim.hierarchical import BhmParams, ExnexParams
 from basketsim.powerprior import CppParams
-from basketsim.tuning import grid_search, smallest_lambda, study
+from basketsim.tuning import grid_search, study
 
 LINEAR_NULL = Scenario(1, (10, 15, 20, 25, 30), (0.15,) * 5, "Null", "Linear")
 GROUPED_ASC = Scenario(8, (10, 10, 25, 25, 30), (0.15, 0.15, 0.25, 0.35, 0.35),
@@ -527,8 +527,7 @@ class TestOutcomeTable:
             bank = design_bank(design, generate_responses(scenario, 50, 12),
                                scenario.sample_sizes, config.prior_list(scenario.k), 0.15)
             stats[scenario] = bank.tails_means(config.params)
-        assert lam == smallest_lambda(stats[GROUPED_NULL][0].max(axis=1), ones(50), 0.05,
-                                      config.strict)
+        assert lam == study(config, outcome_table([GROUPED_NULL], 50, 12))[0]
         for scenario, oc in zip(family, ocs):
             tails, means = stats[scenario]
             decisions = decisions_from_tails(tails, lam, config.strict)

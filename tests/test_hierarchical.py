@@ -515,6 +515,17 @@ class TestShrinkageAndDegenerateChecks:
                                                  BhmParams(phi=0.661, mu_mean=mu_mean), 0.15)
         assert ((0.0 <= tails) & (tails <= 1.0) & (0.0 <= means) & (means <= 1.0)).all()
 
+    @pytest.mark.xfail(strict=True, reason="the mu panels double in width away from the cut, "
+                       "so a prior mean of -1e20 falls between nodes ~1e19 apart")
+    def test_far_prior_mean_gives_the_right_tail_or_a_numeric_error(self):
+        # with mu far below the cut every log-odds sits near -1e20: both tails are about 0
+        try:
+            tails, _ = posterior_tails_means("BHM", [(2, 3)], (10, 10),
+                                             BhmParams(phi=0.661, mu_mean=-1e20), 0.15)
+        except core.NumericError:
+            return
+        assert (tails < 1e-6).all(), tails
+
 
 class TestExnexLimits:
     def test_q_one_matches_bhm_with_zero_offset(self):

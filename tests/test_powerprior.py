@@ -12,7 +12,7 @@ from basketsim.core import (
     BetaShape,
     ConfigurationError,
 )
-from basketsim.engine import DesignConfig, design_bank, run_design
+from basketsim.engine import REGISTRY, DesignConfig, design_bank, run_design
 from basketsim.fujikawa import jsd_matrices, weights_from_jsd
 from basketsim.powerprior import (
     CppParams,
@@ -21,7 +21,6 @@ from basketsim.powerprior import (
     gamma_matrix,
     scaled_ks_matrix,
 )
-from basketsim.tuning import default_grid
 from scalar_reference import (
     EDGE_EPS,
     beta_log_pdf,
@@ -239,7 +238,7 @@ class TestBuildWeights:
             for design in ("APP", "CPP", "LCPP", "Fujikawa"):
                 banks = [design_bank(design, bank_rows, sizes, [prior] * k, 0.15)
                          for bank_rows in [rows, rows[shuffle]] + [[row] for row in rows]]
-                for params in default_grid(design):
+                for params in REGISTRY[design].grid:
                     expected = (weights_from_jsd(jsd, params) if design == "Fujikawa" else
                                 power_prior_weights(design, rows, n, params)).view(np.int64)
                     got = [bank.weights(params).view(np.int64) for bank in banks]
@@ -256,7 +255,7 @@ class TestPowerPriorPosterior:
         priors = [BetaShape(1, 1), BetaShape(2, 3), BetaShape(0.5, 0.5)]
         post = power_prior_shapes(data, priors, np.eye(3))
         for k, (shape, prior) in enumerate(zip(post, priors)):
-            r, n = data.basket(k)
+            r, n = data.responses[k], data.sample_sizes[k]
             assert shape.alpha == prior.alpha + r  # bit-identical
             assert shape.beta == prior.beta + (n - r)
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from basketsim.bma import BmaParams, enumerate_partitions
+from basketsim import bma
+from basketsim.bma import BmaParams
 from basketsim.cli import TUNED_PARAMS, builtin_catalog
 from basketsim.core import (
     BasketData,
@@ -18,22 +19,20 @@ from basketsim.core import (
 )
 from basketsim.engine import (
     DESIGNS,
+    LAMBDA_GRID,
+    REGISTRY,
     DesignConfig,
+    crossing_counts,
     design_bank,
     generate_responses,
     outcome_table,
     run_design,
 )
-from basketsim.fujikawa import FujikawaParams, jsd
+from basketsim.fujikawa import FujikawaParams, _pair_jsds
 from basketsim.hierarchical import BhmParams, ExnexParams
 from basketsim.powerprior import CppParams
 from basketsim import engine, tuning
-from basketsim.tuning import (
-    default_grid,
-    grid_search,
-    smallest_lambda,
-    study,
-)
+from basketsim.tuning import grid_search, study
 from scalar_reference import alpha0, blocks, cpp_weight, hellinger_gamma, log_marginal_likelihood
 
 GROUPED_NULL = Scenario(2, (10, 10, 25, 25, 30), (0.15,) * 5, "Null", "Grouped")
@@ -51,10 +50,10 @@ def beta_tail_mean(shape, p0):
 def reference_tails_means(design, params, data, p0=0.15):
     """One replicate's tails and means from the scalar formulas, pair by pair."""
     k = data.k
-    baskets = [data.basket(i) for i in range(k)]
+    baskets = list(zip(data.responses, data.sample_sizes))
     if design == "BMA":
         prior = BetaShape(1, 1)
-        partitions = enumerate_partitions(k)
+        partitions = bma._labels(k).tolist()
         log_w = np.array([
             (max(p) + 1) * params.psi + log_marginal_likelihood(p, data, prior)
             for p in partitions
@@ -80,7 +79,8 @@ def reference_tails_means(design, params, data, p0=0.15):
             if a == b:
                 w = 1.0
             elif design == "Fujikawa":
-                w = (1.0 - jsd(singles[a], singles[b])) ** params.epsilon
+                pair = [singles[a].alpha, singles[a].beta, singles[b].alpha, singles[b].beta]
+                w = (1.0 - _pair_jsds(np.array([pair]))[0]) ** params.epsilon
                 w = 0.0 if w <= params.tau else w
             elif design == "APP":
                 w = alpha0(baskets[a][1], baskets[b][1]) * (
@@ -118,6 +118,13 @@ def ones(n):
 
 def distinct_rows(scenarios, n_reps, seed):
     return {tuple(row) for s in scenarios for row in generate_responses(s, n_reps, seed).tolist()}
+
+
+def smallest_lambda(max_tails, counts, alpha, strict):
+    """A global-null bank's calibrated threshold from its rows' largest tails and counts."""
+    errors = crossing_counts(np.asarray(max_tails, float)[:, None], np.asarray(counts, float)[None],
+                             np.zeros((1, 1), bool), LAMBDA_GRID, strict, per_basket=False)[0, 0]
+    return float(LAMBDA_GRID[tuning._smallest_step(errors, alpha)])
 
 
 def empirical_fwer(max_tails, lam, strict):
@@ -257,19 +264,19 @@ class TestDefaultGrids:
                         ("BMA", 17), ("BHM", 8), ("EXNEX", 72), ("APP", 1)],
     )
     def test_grid_sizes(self, design, size):
-        assert len(default_grid(design)) == size
-        for point in default_grid(design):  # a mistyped point raises ConfigurationError
+        assert len(REGISTRY[design].grid) == size
+        for point in REGISTRY[design].grid:  # a mistyped point raises ConfigurationError
             DesignConfig(design, point)
         # the registry keeps the paper's order, which the CSV rows and report tables follow
         assert DESIGNS == ("CPP", "APP", "LCPP", "Fujikawa", "BMA", "BHM", "EXNEX")
 
     def test_phi_grid_contains_published_optimum(self):
-        phis = [p.phi for p in default_grid("BHM")]
+        phis = [p.phi for p in REGISTRY["BHM"].grid]
         assert phis[0] == 0.125 and phis[-1] == 2.0
         assert round(phis[2], 3) == 0.661
 
     def test_fujikawa_grid_contains_linear_optimum(self):
-        grid = default_grid("Fujikawa")
+        grid = REGISTRY["Fujikawa"].grid
         assert any(g.epsilon == 1.5 and g.tau == 0.2 for g in grid)
 
 
@@ -312,8 +319,9 @@ class TestGridSearch:
             "CPP", outcome_table(MINI_FAMILY, 300, 3), grid=[CppParams(4, 4.5)]
         )
         assert result.selected_index == 0
-        assert result.selected.params == CppParams(4, 4.5)
-        assert set(result.selected.pattern_ecd) == {"Null", "Ascending", "SGN"}
+        selected = result.records[result.selected_index]
+        assert selected.params == CppParams(4, 4.5)
+        assert set(selected.pattern_ecd) == {"Null", "Ascending", "SGN"}
 
     @pytest.mark.parametrize("grid", [[None], [CppParams(4, 4.5), None]])
     def test_mistyped_grid_rejected_before_any_bank(self, grid, monkeypatch):
