@@ -15,9 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (BetaShape, ConfigurationError, Design, beta_tails, guarded_exp, log_beta,
-                   row_sums)
-from .hierarchical import MAX_TABLE_BYTES
+from .core import (MAX_TABLE_BYTES, SIZE_FAMILIES, BetaShape, ConfigurationError, Design,
+                   beta_tails, guarded_exp, log_beta, row_sums)
 
 MAX_BASKETS = 12  # Bell(12) is ~4.2M models; beyond this enumeration is hopeless
 # Bell(k), the number of partitions of k baskets, for k = 0 .. MAX_BASKETS
@@ -151,5 +150,6 @@ def _model_space(k: int) -> _ModelSpace:
 
 
 DECLARED = (Design("BMA", BmaParams, tuple(BmaParams(i / 2.0) for i in range(-8, 9)),  # -4 .. 4
+                   dict.fromkeys(SIZE_FAMILIES, BmaParams(-2.0)),
                    strict=True, priors="shared", block_rows=block_rows,
                    bank=lambda r, n, priors, p0: BmaBank(r, n, priors[0], p0)),)

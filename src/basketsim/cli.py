@@ -21,7 +21,6 @@ import os
 import sys
 
 from . import __version__
-from .bma import BmaParams
 from .core import (
     BasketSimError,
     ConfigurationError,
@@ -30,8 +29,6 @@ from .core import (
     Scenario,
 )
 from .engine import DESIGNS, REGISTRY, DesignConfig, outcome_table
-from .fujikawa import FujikawaParams
-from .hierarchical import BhmParams, ExnexParams
 from .powerprior import CppParams, cpp_weights_from_scaled, scaled_ks_matrix
 from .tuning import grid_search, null_scenario, study
 
@@ -48,38 +45,6 @@ FAMILY_SIZES = {
     "Linear": (10, 15, 20, 25, 30),
     "Grouped": (10, 10, 25, 25, 30),
     "HighVariance": (10, 10, 10, 20, 50),
-}
-
-# per-family optima found by the tuning protocol; shipped as presets so the
-# comparison tables regenerate without re-tuning
-TUNED_PARAMS = {
-    "Linear": {
-        "CPP": CppParams(4.0, 4.5),
-        "LCPP": CppParams(3.0, 4.0),
-        "APP": None,
-        "Fujikawa": FujikawaParams(1.5, 0.2),
-        "BMA": BmaParams(-2.0),
-        "BHM": BhmParams(phi=0.661),
-        "EXNEX": ExnexParams(phi=0.661, q=0.9),
-    },
-    "Grouped": {
-        "CPP": CppParams(4.0, 4.5),
-        "LCPP": CppParams(3.0, 4.5),
-        "APP": None,
-        "Fujikawa": FujikawaParams(1.5, 0.0),
-        "BMA": BmaParams(-2.0),
-        "BHM": BhmParams(phi=0.661),
-        "EXNEX": ExnexParams(phi=0.661, q=0.9),
-    },
-    "HighVariance": {
-        "CPP": CppParams(4.0, 4.0),
-        "LCPP": CppParams(2.5, 5.0),
-        "APP": None,
-        "Fujikawa": FujikawaParams(2.5, 0.2),
-        "BMA": BmaParams(-2.0),
-        "BHM": BhmParams(phi=0.661),
-        "EXNEX": ExnexParams(phi=0.661, q=0.8),
-    },
 }
 
 CSV_COLUMNS = (
@@ -130,6 +95,20 @@ def _json_int(value, where: str) -> int:
     return value
 
 
+def _object(raw, where: str, required, optional) -> dict:
+    """A JSON object with every ``required`` key and no key outside ``required`` and
+    ``optional``; an ``optional`` of None admits any other key."""
+    if not isinstance(raw, dict):
+        raise CatalogError(f"{where}: expected an object, got {raw!r}")
+    unknown = set() if optional is None else set(raw) - set(required) - set(optional)
+    if unknown:
+        raise CatalogError(f"{where}: unknown field(s) {sorted(unknown)}")
+    missing = set(required) - set(raw)
+    if missing:
+        raise CatalogError(f"{where}: missing field(s) {sorted(missing)}")
+    return raw
+
+
 def _json_list(value, where: str, item) -> tuple:
     if not isinstance(value, list):
         raise CatalogError(f"{where}: expected a list, got {value!r}")
@@ -138,16 +117,8 @@ def _json_list(value, where: str, item) -> tuple:
 
 def _scenario_from_mapping(index: int, raw: dict) -> Scenario:
     where = f"scenarios[{index}]"
-    if not isinstance(raw, dict):
-        raise CatalogError(f"{where}: expected an object")
-    allowed = {"id", "sample_sizes", "true_rates", "pattern", "size_family",
-               "fixed_responses"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise CatalogError(f"{where}: unknown field(s) {sorted(unknown)}")
-    missing = {"id", "sample_sizes", "true_rates", "pattern", "size_family"} - set(raw)
-    if missing:
-        raise CatalogError(f"{where}: missing field(s) {sorted(missing)}")
+    _object(raw, where, ("id", "sample_sizes", "true_rates", "pattern", "size_family"),
+            ("fixed_responses",))
     # the id keys the scenario's data streams: a JSON integer, never truncated
     sid = raw["id"]
     if type(sid) is not int or sid < 0:
@@ -174,6 +145,8 @@ def load_catalog(path: str | None = None, config: dict | None = None) -> list[Sc
         return builtin_catalog()
     if not isinstance(config["scenarios"], list):
         raise CatalogError(f"config {path}: scenarios must be a list")
+    if not config["scenarios"]:
+        raise CatalogError(f"config {path}: scenarios is an empty list")
     scenarios = [_scenario_from_mapping(i, raw) for i, raw in enumerate(config["scenarios"])]
     # ids key the data streams, so they must be unique; a family is calibrated
     # on its null and evaluated as one outcome table, so it has one size vector
@@ -202,11 +175,7 @@ def load_config(path: str) -> tuple[dict, str]:
         raise CatalogError(
             f"config {path} is not valid JSON (line {exc.lineno}): {exc.msg}"
         ) from exc
-    if not isinstance(config, dict):
-        raise CatalogError(f"config {path}: top level must be an object")
-    unknown = sorted(set(config) - {"scenarios", "designs"})
-    if unknown:
-        raise CatalogError(f"config {path}: unknown top-level key(s) {unknown}")
+    _object(config, f"config {path}", (), ("scenarios", "designs"))
     return config, hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -215,17 +184,10 @@ def design_params_from_mapping(design: str, raw: dict):
     its parameter type that have no default, each a finite JSON number."""
     if design not in REGISTRY:
         raise CatalogError(f"designs.{design}: unknown design")
-    if not isinstance(raw, dict):
-        raise CatalogError(f"designs.{design}: expected an object, got {raw!r}")
     param_type = REGISTRY[design].params
     fields = () if param_type is type(None) else tuple(
         f.name for f in dataclasses.fields(param_type) if f.default is dataclasses.MISSING)
-    unknown = set(raw) - set(fields) - {"lambda"}
-    if unknown:
-        raise CatalogError(f"designs.{design}: unknown field(s) {sorted(unknown)}")
-    missing = set(fields) - set(raw)
-    if missing:
-        raise CatalogError(f"designs.{design}: missing field(s) {sorted(missing)}")
+    _object(raw, f"designs.{design}", fields, ("lambda",))
     values = {name: _json_number(raw[name], f"designs.{design}.{name}") for name in fields}
     try:
         return None if param_type is type(None) else param_type(**values)
@@ -244,32 +206,33 @@ def _params_to_json(params) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _named(selector: str, names, what: str) -> str:
+    """The one of ``names`` that ``selector`` spells, in any case."""
+    by_lower = {name.lower(): name for name in names}
+    if selector.lower() not in by_lower:
+        raise CatalogError(f"unknown {what} {selector!r}")
+    return by_lower[selector.lower()]
+
+
 def select_scenarios(catalog: list[Scenario], selector: str) -> list[Scenario]:
+    """The scenarios of ``catalog`` that ``selector`` names: ``all``, an id or a size
+    family; a selector that names none of them is a usage error."""
     if selector == "all":
         return list(catalog)
-    by_family = {f.lower(): f for f in SIZE_FAMILIES}
-    if selector.lower() in by_family:
-        family = by_family[selector.lower()]
-        return [s for s in catalog if s.size_family == family]
     try:
         wanted = int(selector)
     except ValueError:
-        raise CatalogError(
-            f"scenario selector {selector!r} is neither an id, a size family, nor 'all'"
-        ) from None
-    matches = [s for s in catalog if s.id == wanted]
-    if not matches:
-        raise CatalogError(f"no scenario with id {wanted}")
-    return matches
+        family = _named(selector, SIZE_FAMILIES, "scenario selector")
+        chosen, what = [s for s in catalog if s.size_family == family], f"in size family {family}"
+    else:
+        chosen, what = [s for s in catalog if s.id == wanted], f"with id {wanted}"
+    if not chosen:
+        raise CatalogError(f"no scenario {what}")
+    return chosen
 
 
 def select_designs(selector: str) -> tuple[str, ...]:
-    if selector == "all":
-        return DESIGNS
-    by_name = {d.lower(): d for d in DESIGNS}
-    if selector.lower() not in by_name:
-        raise CatalogError(f"unknown design {selector!r}")
-    return (by_name[selector.lower()],)
+    return DESIGNS if selector == "all" else (_named(selector, DESIGNS, "design"),)
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +263,12 @@ def _fmt_lambda(lam: float) -> str:
 
 def design_configs(config: dict) -> dict[str, DesignConfig]:
     """Every entry of a config's ``designs`` object, each checked up front."""
-    designs = config.get("designs") or {}
-    if not isinstance(designs, dict):
-        raise CatalogError(f"designs: expected an object, got {designs!r}")
     configs = {}
-    for design, raw in designs.items():
+    for design, raw in _object(config.get("designs", {}), "designs", (), None).items():
         params = design_params_from_mapping(design, raw)
-        fixed_lambda = None
-        if "lambda" in raw:
-            fixed_lambda = _json_number(raw["lambda"], f"designs.{design}.lambda")
+        lam = _json_number(raw["lambda"], f"designs.{design}.lambda") if "lambda" in raw else None
         try:
-            configs[design] = DesignConfig(design, params, lambda_=fixed_lambda)
+            configs[design] = DesignConfig(design, params, lambda_=lam)
         except ConfigurationError as exc:  # a parsed entry can fail only lambda's range
             raise CatalogError(f"designs.{design}.{exc}") from exc
     return configs
@@ -358,7 +316,7 @@ def command_study(args: argparse.Namespace) -> None:
         null = null_scenario(members, args.p0)
         table = outcome_table([null] if calibrate else [null, *scenarios], args.reps, args.seed)
         for design in args.designs:
-            config = configured.get(design, DesignConfig(design, TUNED_PARAMS[family][design]))
+            config = configured.get(design, DesignConfig(design, REGISTRY[design].presets[family]))
             lam, ocs = study(config.with_lambda(None) if calibrate else config, table,
                              args.p0, args.alpha, args.jobs)
             param_json = _params_to_json(config.params)
@@ -449,20 +407,24 @@ def _read_oc_csv(path: str) -> list[dict]:
 
 def render_table(rows: list[dict], family: str, table: str) -> str:
     """One of report's tables of a size family's oc.csv rows: ``ecd`` has a row per design
-    with its ECD under each pattern and their mean; ``rejection`` and ``bias`` have a row per
-    pattern and design with each basket's rate or bias, and the rejection rates end in the
-    FWER."""
-    cells = {}  # (pattern, design, basket index) -> the last oc.csv row read for it
+    with its ECD under each pattern, the mean over the pattern's scenarios, and the mean over
+    patterns; ``rejection`` and ``bias`` have a row per scenario and design with each basket's
+    rate or bias, and the rejection rates end in the FWER."""
+    cells = {}  # (scenario id, design, basket index) -> the last oc.csv row read for it
     for r in rows:
-        if r["size_family"] == family:
-            cells[r["pattern"], r["design"], int(r["basket_index"])] = r
+        cells[r["scenario_id"], r["design"], int(r["basket_index"])] = r
+    patterns = {r["scenario_id"]: r["pattern"] for r in rows}
+    by_pattern = {p: [s for s in patterns if patterns[s] == p] for p in PATTERNS}
     designs = [d for d in DESIGNS if any(key[1] == d for key in cells)]
     body = []  # (label cells, value cells), a missing value as None
     if table == "ecd":
         width, header = 11, ["Design", *PATTERNS, "Mean"]
         for design in designs:
-            ecd = [float(cells[p, design, 1]["ecd_mean"]) if (p, design, 1) in cells else None
-                   for p in PATTERNS]
+            ecd = []
+            for pattern, scenarios in by_pattern.items():
+                values = [float(cells[s, design, 1]["ecd_mean"]) for s in scenarios
+                          if (s, design, 1) in cells]
+                ecd.append(math.fsum(values) / len(values) if values else None)
             values = [v for v in ecd if v is not None]
             body.append(([design], ecd + [sum(values) / len(values) if values else math.nan]))
     else:
@@ -471,13 +433,15 @@ def render_table(rows: list[dict], family: str, table: str) -> str:
         width = 15
         header = ["Pattern", "Design", *(f"Basket {k} (n={sizes[k]})" for k in baskets)]
         column = "rejection_rate" if table == "rejection" else "bias"
-        for pattern, design in itertools.product(PATTERNS, designs):
-            if (pattern, design, baskets[0]) in cells:
-                row = [cells[pattern, design, k] for k in baskets]
-                values = [float(r[column]) for r in row]
-                if table == "rejection":
-                    values.append(float(row[-1]["fwer"]))
-                body.append(([pattern, design], values))
+        for pattern, scenarios in by_pattern.items():
+            for s, design in itertools.product(scenarios, designs):
+                if (s, design, baskets[0]) in cells:
+                    row = [cells[s, design, k] for k in baskets]
+                    values = [float(r[column]) for r in row]
+                    if table == "rejection":
+                        values.append(float(row[-1]["fwer"]))
+                    body.append(([pattern if len(scenarios) == 1 else f"{pattern} #{s}",
+                                  design], values))
         if table == "rejection":
             header.append("FWER")
     title = {"ecd": "ECD", "rejection": "Rejection rates", "bias": "Bias"}[table]
@@ -521,11 +485,11 @@ def command_report(args: argparse.Namespace) -> None:
             ("design", "param_json", "n_k", "n_i", "statistic", "weight"), rows,
         )
         return
-    by_name = {f.lower(): f for f in SIZE_FAMILIES}
-    family = by_name.get(args.family.lower())
-    if family is None:
-        raise CatalogError(f"unknown size family {args.family!r}")
-    rows = _read_oc_csv(os.path.join(args.out, "oc.csv"))
+    family = _named(args.family, SIZE_FAMILIES, "size family")
+    path = os.path.join(args.out, "oc.csv")
+    rows = [r for r in _read_oc_csv(path) if r["size_family"] == family]
+    if not rows:
+        raise CatalogError(f"{path} holds no {family} rows")
     sys.stdout.write(render_table(rows, family, args.table))
 
 

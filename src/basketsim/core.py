@@ -14,6 +14,7 @@ import numpy as np
 
 PATTERNS = ("Null", "Alternative", "Ascending", "Descending", "BGN", "SGN")
 SIZE_FAMILIES = ("Linear", "Grouped", "HighVariance")
+MAX_TABLE_BYTES = 1 << 30  # the largest table a bank or its shared tables may allocate
 
 
 class BasketSimError(Exception):
@@ -257,6 +258,7 @@ class Design:
     name: str
     params: type  # its parameter type; type(None) if it takes none
     grid: tuple  # its tuning grid, in lexicographic order
+    presets: dict  # size family -> the parameters the CLI runs it at, as tuning chose them
     strict: bool  # rejects on tail > lambda, else on tail >= lambda
     priors: str  # "each" basket its own Beta prior, one "shared" by all, or "none"
     bank: Callable  # (responses, sizes, priors, p0) -> statistics with tails_means(params)

@@ -151,4 +151,6 @@ def fujikawa_bank(responses, sizes, priors, p0) -> BorrowingBank:
 
 DECLARED = (Design("Fujikawa", FujikawaParams, tuple(FujikawaParams(i / 2.0, j / 10.0)
                    for i in range(1, 7) for j in range(6)),  # epsilon 0.5 .. 3, tau 0 .. 0.5
+                   dict(Linear=FujikawaParams(1.5, 0.2), Grouped=FujikawaParams(1.5, 0.0),
+                        HighVariance=FujikawaParams(2.5, 0.2)),
                    strict=False, priors="each", bank=fujikawa_bank),)

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EXP_FLOOR, ConfigurationError, Design, NumericError, guarded_exp
+from .core import (EXP_FLOOR, MAX_TABLE_BYTES, SIZE_FAMILIES, ConfigurationError, Design,
+                   NumericError, guarded_exp)
 
 _CUT_LEVELS = 7  # mu panels halve this many times toward a cut
 _MU_HALF = 8  # unit-width mu panels on either side of a cut
@@ -55,7 +56,6 @@ MAX_PRIOR = np.finfo(float).max ** 0.25 / 32
 # finite on the smallest s node, and so do the z rule's nodes taken from it
 MIN_PHI = 64 * MAX_PRIOR / np.finfo(float).max / (
     0.5 * _S_EDGES[1] * (1.0 + np.polynomial.legendre.leggauss(_S_ORDER)[0][0]))
-MAX_TABLE_BYTES = 1 << 30  # the quadrature tables of one size set
 
 _TABLES: dict = {}
 table_builds = 0  # quadrature table builds in this process; a forked child starts at 0
@@ -431,8 +431,11 @@ PHI_GRID = tuple(0.125 + j * (1.875 / 7.0) for j in range(8))
 _SHARED = dict(strict=True, priors="none", tables_key=tables_key, tables=design_tables)
 DECLARED = (
     Design("BHM", BhmParams, tuple(BhmParams(phi=phi) for phi in PHI_GRID),
+           dict.fromkeys(SIZE_FAMILIES, BhmParams(phi=0.661)),
            bank=functools.partial(HierarchicalBank, "BHM"), **_SHARED),
     Design("EXNEX", ExnexParams, tuple(ExnexParams(phi=phi, q=i / 10.0)  # q 0.1 .. 0.9
                                        for phi in PHI_GRID for i in range(1, 10)),
+           dict(Linear=ExnexParams(phi=0.661, q=0.9), Grouped=ExnexParams(phi=0.661, q=0.9),
+                HighVariance=ExnexParams(phi=0.661, q=0.8)),
            bank=functools.partial(HierarchicalBank, "EXNEX"), **_SHARED),
 )

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BorrowingBank, Design, log_beta, set_unit_diagonal
+from .core import SIZE_FAMILIES, BorrowingBank, Design, log_beta, set_unit_diagonal
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,12 @@ def app_bank(responses, sizes, priors, p0) -> BorrowingBank:
 
 _GRID = tuple(CppParams(a / 2.0, b / 2.0) for a in range(1, 11) for b in range(1, 11))  # 0.5 .. 5
 DECLARED = (
-    Design("CPP", CppParams, _GRID, strict=False, priors="each", bank=cpp_bank),
-    Design("APP", type(None), (None,), strict=False, priors="each", bank=app_bank),
-    Design("LCPP", CppParams, _GRID, strict=False, priors="each",
-           bank=lambda *bank: cpp_bank(*bank, capped=True)),
+    Design("CPP", CppParams, _GRID, dict(Linear=CppParams(4.0, 4.5), Grouped=CppParams(4.0, 4.5),
+                                         HighVariance=CppParams(4.0, 4.0)),
+           strict=False, priors="each", bank=cpp_bank),
+    Design("APP", type(None), (None,), dict.fromkeys(SIZE_FAMILIES),
+           strict=False, priors="each", bank=app_bank),
+    Design("LCPP", CppParams, _GRID, dict(Linear=CppParams(3.0, 4.0), Grouped=CppParams(3.0, 4.5),
+                                          HighVariance=CppParams(2.5, 5.0)),
+           strict=False, priors="each", bank=lambda *bank: cpp_bank(*bank, capped=True)),
 )

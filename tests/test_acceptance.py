@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 
 from basketsim import bma
-from basketsim.cli import TUNED_PARAMS, builtin_catalog, main
+from basketsim.cli import builtin_catalog, main
 from basketsim.core import (
     BasketData,
     BetaShape,
     PATTERNS,
 )
-from basketsim.engine import DESIGNS, DesignConfig, design_bank, outcome_table
+from basketsim.engine import DESIGNS, REGISTRY, DesignConfig, design_bank, outcome_table
 from basketsim.fujikawa import FujikawaParams, _pair_jsds
 from basketsim.powerprior import gamma_matrix
 from basketsim.tuning import grid_search, study
@@ -119,7 +119,7 @@ def grouped_table():
 def grouped_study(design):
     """The study protocol at 10,000 replicates on the grouped family: the calibrated
     threshold and the operating characteristics by pattern."""
-    config = DesignConfig(design, TUNED_PARAMS["Grouped"][design])
+    config = DesignConfig(design, REGISTRY[design].presets["Grouped"])
     lam, ocs = study(config, grouped_table(), jobs=JOBS)
     return lam, {s.pattern: oc for s, oc in zip(grouped_scenarios(), ocs)}
 
@@ -335,7 +335,7 @@ class TestCriterion09TuningProtocol:
         table = outcome_table([null_scenario], 2000, SEED)
         failures = []
         for design in DESIGNS:
-            config = DesignConfig(design, TUNED_PARAMS["Grouped"][design])
+            config = DesignConfig(design, REGISTRY[design].presets["Grouped"])
             bank = design_bank(design, table.rows, table.sizes, config.prior_list(5), 0.15)
             tails, _ = bank.tails_means(config.params)
             counts = table.counts[null_scenario]

@@ -151,6 +151,36 @@ Bias, Grouped scenario
 """,
 }
 
+# two scenarios under one pattern, simulated under CPP at seed 5 with 50 replicates
+# (test_report_keeps_every_scenario_of_a_pattern): BGN's ECD cell is the mean of the two
+# scenarios' 1.100 and 1.760, and each has its own rows, labelled with its id
+SHARED_PATTERN_SCENARIOS = [{"id": i, "sample_sizes": [8, 12], "true_rates": rates,
+                             "pattern": pattern, "size_family": "Grouped"}
+                            for i, (pattern, rates) in enumerate([("Null", [0.15, 0.15]),
+                                                                  ("BGN", [0.35, 0.35]),
+                                                                  ("BGN", [0.15, 0.6])], 1)]
+SHARED_PATTERN_TABLES = {
+    "ecd": """\
+ECD, Grouped scenario
+     Design         Null  Alternative    Ascending   Descending          BGN          SGN         Mean
+        CPP        1.940            -            -            -        1.430            -        1.685
+""",
+    "rejection": """\
+Rejection rates, Grouped scenario
+        Pattern           Design   Basket 1 (n=8)  Basket 2 (n=12)             FWER
+           Null              CPP            0.040            0.020            0.040
+         BGN #2              CPP            0.520            0.580            0.000
+         BGN #3              CPP            0.040            0.800            0.040
+""",
+    "bias": """\
+Bias, Grouped scenario
+        Pattern           Design   Basket 1 (n=8)  Basket 2 (n=12)
+           Null              CPP            0.045            0.029
+         BGN #2              CPP            0.034            0.046
+         BGN #3              CPP            0.061           -0.043
+""",
+}
+
 
 class TestCatalog:
     def test_eighteen_scenarios_all_sum_100(self):
@@ -494,6 +524,35 @@ class TestCommands:
             assert main(["report", "--table", table, "--family", "grouped", *args]) == 0
             assert capsys.readouterr().out == text
 
+    def test_report_keeps_every_scenario_of_a_pattern(self, tmp_path, capsys):
+        # report used to keep only the last scenario of each pattern
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"scenarios": SHARED_PATTERN_SCENARIOS}))
+        args = ["--config", str(config), "--out", str(tmp_path)]
+        assert main(["simulate", "--design", "CPP", "--reps", "50", "--seed", "5", *args]) == 0
+        for table, text in SHARED_PATTERN_TABLES.items():
+            assert main(["report", "--table", table, "--family", "grouped", *args]) == 0
+            assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate", "tune", "report"])
+    def test_selecting_no_scenario_is_a_usage_error(self, command, tmp_path, capsys):
+        # a family with no scenario in the catalog, or no rows in oc.csv, used to write a
+        # CSV of its header alone, or print table headers, with exit 0
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"scenarios": REPORT_SCENARIOS}))
+        args = ["--config", str(config), "--design", "CPP", "--reps", "5", "--out", str(tmp_path)]
+        if command == "report":
+            assert main(["simulate", *args]) == 0
+            code = main(["report", "--family", "linear", *args])
+            message = f"error: {tmp_path / 'oc.csv'} holds no Linear rows\n"
+        else:
+            code = main([command, "--scenario", "linear", *args])
+            message = "error: no scenario in size family Linear\n"
+            assert not list(tmp_path.glob("*.csv"))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == message and captured.out == ""
+
     def test_report_weights_csv(self, tmp_path):
         out = tmp_path / "out"
         assert main(["report", "--table", "weights", "--out", str(out)]) == 0
@@ -725,8 +784,9 @@ class TestCommands:
         # every replicate is (0, 30): under opposed targets and phi 1e-6 one basket's
         # likelihood mass underflows at every grid node; the nan tails used to surface
         # as a calibration failure that named no data set
-        monkeypatch.setitem(cli.TUNED_PARAMS["Grouped"], "BHM",
-                            BhmParams(phi=1e-6, target_rates=(1 - 1e-12, 1e-12)))
+        spec = engine.REGISTRY["BHM"]
+        monkeypatch.setitem(engine.REGISTRY, "BHM", dataclasses.replace(spec, presets={
+            **spec.presets, "Grouped": BhmParams(phi=1e-6, target_rates=(1 - 1e-12, 1e-12))}))
         scenario = {"id": 1, "sample_sizes": [30, 30], "true_rates": [0.15, 0.15],
                     "pattern": "Null", "size_family": "Grouped", "fixed_responses": [0, 30]}
         path = tmp_path / "cfg.json"
@@ -759,8 +819,17 @@ class TestCommands:
         (b'{"scenarios": 5}', "scenarios must be a list"),
         (b'{"designs": [1]}', "designs: expected an object"),
         (b'{"designs": {"CPP": 5}}', "designs.CPP: expected an object"),
+        # a falsy designs value used to read as no designs, and the run went on
+        (b'{"designs": []}', "designs: expected an object"),
+        (b'{"designs": null}', "designs: expected an object"),
+        (b'{"designs": 0}', "designs: expected an object"),
+        (b'{"designs": false}', "designs: expected an object"),
+        (b'{"designs": ""}', "designs: expected an object"),
+        # an empty catalog used to write an oc.csv of its header alone
+        (b'{"scenarios": []}', "scenarios is an empty list"),
     ], ids=["not-utf8", "scenarios-not-a-list", "designs-not-an-object",
-            "design-not-an-object"])
+            "design-not-an-object", "designs-empty-list", "designs-null", "designs-zero",
+            "designs-false", "designs-empty-string", "scenarios-empty"])
     def test_malformed_config_is_a_usage_error(self, content, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_bytes(content)

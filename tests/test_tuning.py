@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from basketsim import bma
 from basketsim.bma import BmaParams
-from basketsim.cli import TUNED_PARAMS, builtin_catalog
+from basketsim.cli import builtin_catalog
 from basketsim.core import (
     BasketData,
     BetaShape,
     CalibrationError,
     ConfigurationError,
+    SIZE_FAMILIES,
     Scenario,
     beta_tails,
 )
@@ -250,7 +251,7 @@ class TestStudy:
     @pytest.mark.parametrize("design", ["CPP", "APP", "LCPP", "Fujikawa", "BMA"])
     def test_one_point_grid_search_matches_study(self, design):
         linear = [s for s in builtin_catalog() if s.size_family == "Linear"]
-        params = TUNED_PARAMS["Linear"][design]
+        params = REGISTRY[design].presets["Linear"]
         table = outcome_table(linear, 200, 4)
         record = grid_search(design, table, grid=[params]).records[0]
         lam, ocs = study(DesignConfig(design, params), table)
@@ -269,6 +270,14 @@ class TestDefaultGrids:
             DesignConfig(design, point)
         # the registry keeps the paper's order, which the CSV rows and report tables follow
         assert DESIGNS == ("CPP", "APP", "LCPP", "Fujikawa", "BMA", "BHM", "EXNEX")
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_presets_cover_every_size_family(self, design):
+        # the CLI runs a design without a config entry at its family's preset, so a family
+        # missing here would end in a KeyError traceback
+        spec = REGISTRY[design]
+        assert tuple(spec.presets) == SIZE_FAMILIES
+        assert all(isinstance(params, spec.params) for params in spec.presets.values())
 
     def test_phi_grid_contains_published_optimum(self):
         phis = [p.phi for p in REGISTRY["BHM"].grid]
