@@ -30,7 +30,7 @@ from .core import (
 )
 from .engine import DESIGNS, REGISTRY, DesignConfig, outcome_table
 from .powerprior import CppParams, cpp_weights_from_scaled, scaled_ks_matrix
-from .tuning import grid_search, null_scenario, study
+from .tuning import ecd_summary, grid_search, null_scenario, study
 
 PATTERN_RATES = {
     "Null": (0.15, 0.15, 0.15, 0.15, 0.15),
@@ -321,7 +321,7 @@ def command_study(args: argparse.Namespace) -> None:
                              args.p0, args.alpha, args.jobs)
             param_json = _params_to_json(config.params)
             if calibrate:  # the table holds the null alone
-                rows.append([family, design, f"{lam:.3f}", _fmt(ocs[0].fwer), param_json])
+                rows.append([family, design, _fmt_lambda(lam), _fmt(ocs[0].fwer), param_json])
                 continue
             by_scenario = dict(zip(table.counts, ocs))
             for scenario in scenarios:
@@ -351,17 +351,11 @@ def command_tune(args: argparse.Namespace) -> None:
         for design in args.designs:
             result = grid_search(design, table, alpha=args.alpha, p0=args.p0, jobs=args.jobs)
             for i, rec in enumerate(result.records):
-                row = [
-                    family, design, _params_to_json(rec.params),
-                    "" if not rec.feasible else f"{rec.lambda_:.3f}",
-                ]
-                for pattern in PATTERNS:
-                    row.append(
-                        _fmt(rec.pattern_ecd[pattern]) if pattern in rec.pattern_ecd else ""
-                    )
-                row.append(_fmt(rec.mean_ecd) if rec.feasible else "")
-                row.append(int(i == result.selected_index))
-                rows.append(row)
+                ecds = [*(rec.pattern_ecd.get(pattern) for pattern in PATTERNS), rec.mean_ecd]
+                rows.append([family, design, _params_to_json(rec.params),
+                             "" if rec.lambda_ is None else _fmt_lambda(rec.lambda_),
+                             *("" if ecd is None else _fmt(ecd) for ecd in ecds),
+                             int(i == result.selected_index)])
     _write_csv(
         os.path.join(args.out, "tuning.csv"), header,
         ("size_family", "design", "param_json", "lambda",
@@ -407,9 +401,9 @@ def _read_oc_csv(path: str) -> list[dict]:
 
 def render_table(rows: list[dict], family: str, table: str) -> str:
     """One of report's tables of a size family's oc.csv rows: ``ecd`` has a row per design
-    with its ECD under each pattern, the mean over the pattern's scenarios, and the mean over
-    patterns; ``rejection`` and ``bias`` have a row per scenario and design with each basket's
-    rate or bias, and the rejection rates end in the FWER."""
+    with its ECD under each pattern and the mean ECD, as ``tuning.ecd_summary`` gives them;
+    ``rejection`` and ``bias`` have a row per scenario and design with each basket's rate or
+    bias, and the rejection rates end in the FWER."""
     cells = {}  # (scenario id, design, basket index) -> the last oc.csv row read for it
     for r in rows:
         cells[r["scenario_id"], r["design"], int(r["basket_index"])] = r
@@ -420,13 +414,11 @@ def render_table(rows: list[dict], family: str, table: str) -> str:
     if table == "ecd":
         width, header = 11, ["Design", *PATTERNS, "Mean"]
         for design in designs:
-            ecd = []
-            for pattern, scenarios in by_pattern.items():
-                values = [float(cells[s, design, 1]["ecd_mean"]) for s in scenarios
-                          if (s, design, 1) in cells]
-                ecd.append(math.fsum(values) / len(values) if values else None)
-            values = [v for v in ecd if v is not None]
-            body.append(([design], ecd + [sum(values) / len(values) if values else math.nan]))
+            pattern_ecd, mean = ecd_summary(
+                (pattern, float(cells[s, design, 1]["ecd_mean"]))
+                for pattern, scenarios in by_pattern.items() for s in scenarios
+                if (s, design, 1) in cells)
+            body.append(([design], [*map(pattern_ecd.get, PATTERNS), mean]))
     else:
         sizes = {k: r["n"] for (_, _, k), r in cells.items()}
         baskets = sorted(sizes)

@@ -232,11 +232,6 @@ def row_sums(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def weighted_sums(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """sum_i weights[..., k, i] * values[..., i] for every k."""
-    return row_sums(weights * values[..., None, :])
-
-
 def unique_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``table`` [N, C] in lexicographic order, and each row's index
     into them: ``np.unique(table, axis=0, return_inverse=True)`` by one lexsort, where
@@ -281,6 +276,7 @@ class BorrowingBank:
         return beta_tails(alphas, betas, self.p0), alphas / (alphas + betas)
 
     def posterior_shapes(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Beta shapes [R, K] of the posterior under borrowing weights [R, K, K]."""
-        return (self._prior[0] + weighted_sums(weights, self._counts[0]),
-                self._prior[1] + weighted_sums(weights, self._counts[1]))
+        """Beta shapes [R, K] of the posterior under borrowing weights [R, K, K]: each
+        prior plus sum_i weights[..., k, i] * counts[..., i] for every k."""
+        return (self._prior[0] + row_sums(weights * self._counts[0][..., None, :]),
+                self._prior[1] + row_sums(weights * self._counts[1][..., None, :]))

@@ -4,13 +4,13 @@
 grid threshold holding the family-wise error rate at alpha on the table's
 global null, then scores every scenario of the table at that threshold.
 ``grid_search`` runs the same protocol at each point of a parameter grid
-and scores it by mean ECD over the table's scenarios, so all combinations
-see the same data.  The table (``engine.outcome_table``) is built once per
-size family and handed to every design.  Both take every number from one
-reduction, ``engine.evaluate_table`` over a list of configs: each block of
-the table builds its bank once, walks the configs and returns integer counts
-of each scenario's crossings of the lambda grid, which add up exactly over
-the blocks, here or on forked workers.  Points that share BHM/EXNEX
+and scores it by mean ECD over patterns (``ecd_summary``), so all
+combinations see the same data.  The table (``engine.outcome_table``) is
+built once per size family and handed to every design.  Both take every
+number from one reduction, ``engine.evaluate_table`` over a list of configs:
+each block of the table builds its bank once, walks the configs and returns
+integer counts of each scenario's crossings of the lambda grid, which add up
+exactly over the blocks, here or on forked workers.  Points that share BHM/EXNEX
 quadrature tables share a pool and one build of them.
 """
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -104,15 +105,31 @@ def _protocol(config: DesignConfig, counts: np.ndarray, null: int | None,
 # ---------------------------------------------------------------------------
 
 
+def ecd_summary(pairs) -> tuple[dict, object]:
+    """Each pattern's ECD, the mean over its scenarios, and the mean ECD, the mean over the
+    patterns present, from (pattern, ECD) pairs; no pairs give a mean of nan.  Float ECDs
+    are summed by ``math.fsum``, Fractions exactly, so their mean orders grid points."""
+    by_pattern = {}
+    for pattern, ecd in pairs:
+        by_pattern.setdefault(pattern, []).append(ecd)
+
+    def mean(values):
+        exact = isinstance(values[0], Fraction)
+        return (sum(values) if exact else math.fsum(values)) / len(values)
+
+    pattern_ecd = {pattern: mean(values) for pattern, values in by_pattern.items()}
+    return pattern_ecd, mean(list(pattern_ecd.values())) if pattern_ecd else math.nan
+
+
 @dataclass(frozen=True)
 class TuningRecord:
-    """One grid point: parameters, calibrated threshold, per-pattern ECD."""
+    """One grid point: parameters, calibrated threshold and ECDs (``ecd_summary``); where
+    no grid threshold holds the FWER, the threshold and mean are None, pattern_ecd empty."""
 
     params: object
-    lambda_: float
+    lambda_: float | None
     pattern_ecd: dict
-    mean_ecd: float
-    feasible: bool = True
+    mean_ecd: float | None
 
 
 @dataclass(frozen=True)
@@ -133,9 +150,8 @@ def grid_search(
 
     Each grid point is calibrated on the table's global null and scored by ECD on every
     scenario of the table, from that one table shared by all points, in blocks here or on
-    ``jobs`` workers.  A pattern's ECD is the mean over its scenarios, and the combination
-    maximizing the mean ECD over all scenarios wins (ties break toward the earliest grid
-    point).
+    ``jobs`` workers.  The combination with the highest mean ECD (``ecd_summary``, in exact
+    arithmetic) wins; ties break toward the earliest grid point.
     """
     null = _null_index(table, p0)
     grid = list(REGISTRY[design].grid if grid is None else grid)
@@ -144,26 +160,19 @@ def grid_search(
     configs = tuple(DesignConfig(design, params) for params in grid)  # a mistyped point raises
     n_reps = [int(c.sum()) for c in table.counts.values()]
     records = []
-    totals = []  # correct decisions summed over scenarios, exact in integers
+    exact = {}  # each calibrated point's index -> its mean ECD as a Fraction
     for config, (counts, _) in zip(configs, evaluate_table(configs, table, p0, jobs)):
         try:
             lam, crossed = _protocol(config, counts, null, alpha)
         except CalibrationError:
-            records.append(TuningRecord(config.params, math.nan, {}, -math.inf, feasible=False))
-            totals.append(None)
+            records.append(TuningRecord(config.params, None, {}, None))
             continue
-        correct = crossed[:, 1].tolist()
-        ecds = [count / n for count, n in zip(correct, n_reps)]
-        by_pattern = {}
-        for scenario, ecd in zip(table.counts, ecds):
-            by_pattern.setdefault(scenario.pattern, []).append(ecd)
-        pattern_ecd = {pattern: math.fsum(v) / len(v) for pattern, v in by_pattern.items()}
-        records.append(TuningRecord(config.params, lam, pattern_ecd, math.fsum(ecds) / len(ecds)))
-        totals.append(sum(correct))
-    feasible = [i for i, rec in enumerate(records) if rec.feasible]
-    if not feasible:
+        ecds = [(scenario.pattern, Fraction(correct, n)) for scenario, correct, n
+                in zip(table.counts, crossed[:, 1].tolist(), n_reps)]
+        exact[len(records)] = ecd_summary(ecds)[1]
+        records.append(TuningRecord(config.params, lam,
+                                    *ecd_summary((pattern, float(ecd)) for pattern, ecd in ecds)))
+    if not exact:
         raise CalibrationError("no grid combination could be calibrated", min_fwer=math.nan)
-    # every bank of an outcome table has the same replicate count, so the integer total
-    # orders the mean ECDs exactly, and max() keeps the earliest index on ties
-    best = max(feasible, key=totals.__getitem__)
-    return TuningResult(records=tuple(records), selected_index=best)
+    # max() keeps the earliest index on ties
+    return TuningResult(records=tuple(records), selected_index=max(exact, key=exact.get))

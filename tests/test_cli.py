@@ -534,6 +534,27 @@ class TestCommands:
             assert main(["report", "--table", table, "--family", "grouped", *args]) == 0
             assert capsys.readouterr().out == text
 
+    def test_tune_and_report_share_one_mean_ecd(self, tmp_path, capsys):
+        # tune's mean ECD used to average scenarios, report's Mean the patterns: with two
+        # BGN scenarios no tuning.csv row's mean_ecd was the mean of its own pattern columns
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"scenarios": SHARED_PATTERN_SCENARIOS}))
+        args = ["--config", str(config), "--reps", "50", "--seed", "5", "--out", str(tmp_path)]
+        assert main(["tune", "--design", "all", *args]) == 0
+        rows = [r for r in read_rows(tmp_path / "tuning.csv") if r["lambda"]]
+        assert len(rows) == 334
+        for row in rows:
+            ecds = [float(v) for k, v in row.items() if k.startswith("ecd_") and v]
+            assert len(ecds) == 2
+            assert float(row["mean_ecd"]) == pytest.approx(sum(ecds) / 2, abs=1e-6)
+        [selected] = [r for r in rows if r["design"] == "CPP" and r["selected"] == "1"]
+        config.write_text(json.dumps({"scenarios": SHARED_PATTERN_SCENARIOS, "designs": {
+            "CPP": json.loads(selected["param_json"])}}))
+        assert main(["simulate", "--design", "CPP", *args]) == 0
+        assert main(["report", "--table", "ecd", "--family", "grouped", *args]) == 0
+        cpp = capsys.readouterr().out.splitlines()[-1].split()
+        assert cpp[0] == "CPP" and cpp[-1] == f"{float(selected['mean_ecd']):.3f}"
+
     @pytest.mark.parametrize("command", ["simulate", "calibrate", "tune", "report"])
     def test_selecting_no_scenario_is_a_usage_error(self, command, tmp_path, capsys):
         # a family with no scenario in the catalog, or no rows in oc.csv, used to write a

@@ -407,7 +407,7 @@ class TestGridSearch:
         assert alt2 != alt3
         assert record.lambda_ == lam
         assert record.pattern_ecd == {"Null": null, "Alternative": (alt2 + alt3) / 2}
-        assert record.mean_ecd == math.fsum([null, alt2, alt3]) / 3
+        assert record.mean_ecd == math.fsum([null, (alt2 + alt3) / 2]) / 2
 
     def test_exact_ties_break_toward_earliest_point(self):
         linear = [s for s in builtin_catalog() if s.size_family == "Linear"]
