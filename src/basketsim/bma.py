@@ -151,5 +151,4 @@ def _model_space(k: int) -> _ModelSpace:
 
 DECLARED = (Design("BMA", BmaParams, tuple(BmaParams(i / 2.0) for i in range(-8, 9)),  # -4 .. 4
                    dict.fromkeys(SIZE_FAMILIES, BmaParams(-2.0)),
-                   strict=True, priors="shared", block_rows=block_rows,
-                   bank=lambda r, n, priors, p0: BmaBank(r, n, priors[0], p0)),)
+                   strict=True, bank=BmaBank, block_rows=block_rows),)

@@ -255,19 +255,18 @@ class Design:
     grid: tuple  # its tuning grid, in lexicographic order
     presets: dict  # size family -> the parameters the CLI runs it at, as tuning chose them
     strict: bool  # rejects on tail > lambda, else on tail >= lambda
-    priors: str  # "each" basket its own Beta prior, one "shared" by all, or "none"
-    bank: Callable  # (responses, sizes, priors, p0) -> statistics with tails_means(params)
+    bank: Callable  # (responses, sizes, prior, p0) -> statistics with tails_means(params)
+    takes_prior: bool = True  # takes one Beta prior, shared by every basket
     block_rows: Callable = lambda k: None  # -> the most rows one bank may hold, if bounded
     tables_key: Callable = lambda sizes, p0, params: None  # -> the key of shared tables, if any
     tables: Callable | None = None  # (design, sizes, p0, params) builds and caches them
 
 
 class BorrowingBank:
-    """Beta posteriors of a bank: each prior, if any, plus ``counts`` summed under ``weights``."""
+    """Beta posteriors of a bank: the prior, if any, plus ``counts`` summed under ``weights``."""
 
-    def __init__(self, priors: list[BetaShape] | None, counts, p0: float, weights: Callable):
-        self._prior = ((np.array([p.alpha for p in priors]), np.array([p.beta for p in priors]))
-                       if priors is not None else (0.0, 0.0))
+    def __init__(self, prior: BetaShape | None, counts, p0: float, weights: Callable):
+        self._prior = (prior.alpha, prior.beta) if prior is not None else (0.0, 0.0)
         self._counts, self.p0, self.weights = counts, p0, weights
 
     def tails_means(self, params) -> tuple[np.ndarray, np.ndarray]:
@@ -276,7 +275,7 @@ class BorrowingBank:
         return beta_tails(alphas, betas, self.p0), alphas / (alphas + betas)
 
     def posterior_shapes(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Beta shapes [R, K] of the posterior under borrowing weights [R, K, K]: each
+        """Beta shapes [R, K] of the posterior under borrowing weights [R, K, K]: the
         prior plus sum_i weights[..., k, i] * counts[..., i] for every k."""
         return (self._prior[0] + row_sums(weights * self._counts[0][..., None, :]),
                 self._prior[1] + row_sums(weights * self._counts[1][..., None, :]))

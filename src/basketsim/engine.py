@@ -42,15 +42,15 @@ LAMBDA_GRID = np.arange(1, 1000) / 1000.0  # 0.001 .. 0.999, three-decimal resol
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """One fully specified analysis: design, parameters, priors, threshold.
+    """One fully specified analysis: design, parameters, prior, threshold.
 
-    The design's declaration gives its parameter type, its prior rule and its
-    decision rule: non-strict (tail >= lambda) or strict (tail > lambda).
+    The design's declaration gives its parameter type, whether it takes a prior
+    and its decision rule: non-strict (tail >= lambda) or strict (tail > lambda).
     """
 
     design: str
     params: object = None
-    priors: tuple[BetaShape, ...] | None = None
+    prior: BetaShape | None = None  # shared by every basket; None is Beta(1, 1)
     lambda_: float | None = None
 
     def __post_init__(self):
@@ -62,22 +62,13 @@ class DesignConfig:
             )
         if self.lambda_ is not None and not 0.0 < self.lambda_ <= 1.0:
             raise ConfigurationError(f"lambda: {self.lambda_} outside (0, 1]")
-        # priors the design would ignore: its parameters set them, or it pools under one
-        if self.priors is not None and spec.priors == "none":
-            raise ConfigurationError(f"design {self.design} takes no priors")
-        if spec.priors == "shared" and self.priors and len(set(self.priors)) > 1:
-            raise ConfigurationError(f"design {self.design} needs every basket to share one prior")
+        # a prior the design would ignore: its parameters set its priors
+        if self.prior is not None and not spec.takes_prior:
+            raise ConfigurationError(f"design {self.design} takes no prior")
 
     @property
     def strict(self) -> bool:
         return REGISTRY[self.design].strict
-
-    def prior_list(self, k: int) -> list[BetaShape]:
-        if self.priors is None:
-            return [BetaShape(1.0, 1.0)] * k
-        if len(self.priors) != k:
-            raise ConfigurationError(f"expected {k} priors, got {len(self.priors)}")
-        return list(self.priors)
 
     def with_lambda(self, lambda_: float) -> "DesignConfig":
         return replace(self, lambda_=lambda_)
@@ -201,19 +192,19 @@ def generate_responses(scenario: Scenario, n_reps: int, master_seed: int,
 # ---------------------------------------------------------------------------
 
 
-def design_bank(design: str, responses, sample_sizes, priors: list[BetaShape], p0: float):
-    """One design's statistics over a bank of integer count vectors [R, K]: the bank its
-    declaration builds, which computes what does not depend on the parameters once.  Its
-    ``tails_means`` gives the tails and posterior means of the whole bank at one parameter
-    set; every row is computed on its own, so a bank of one gives the same bits as that
-    replicate inside any larger bank."""
+def design_bank(design: str, responses, sample_sizes, prior: BetaShape | None, p0: float):
+    """One design's statistics over a bank of integer count vectors [R, K] under one prior
+    for every basket, Beta(1, 1) if None: the bank its declaration builds, which computes
+    what does not depend on the parameters once.  Its ``tails_means`` gives the tails and
+    posterior means of the whole bank at one parameter set; every row is computed on its
+    own, so a bank of one gives the same bits as that replicate inside any larger bank."""
     build = REGISTRY[design].bank
     r = np.asarray(responses, dtype=float)
     n = np.asarray(sample_sizes, dtype=float)
     # BMA tabulates by count and BHM/EXNEX index by it: every design reads whole counts
     if not (np.all(r % 1 == 0) and np.all(n % 1 == 0) and np.all((0 <= r) & (r <= n))):
         raise ConfigurationError(f"design {design} needs integer counts 0 <= r <= n")
-    return build(r, n, priors, p0)
+    return build(r, n, prior or BetaShape(1.0, 1.0), p0)
 
 
 _BLOCK_ROWS = 4096  # rows per bank: bounds the statistics and temporaries of one bank
@@ -284,7 +275,7 @@ def _evaluate_block(args) -> tuple[np.ndarray, list]:
     configs, rows, sizes, p0, reps, truth, per_basket, dtype = args
     weights = np.array(reps, dtype=float)  # [S, R]
     first = configs[0]
-    bank = design_bank(first.design, rows, sizes, first.prior_list(len(sizes)), p0)
+    bank = design_bank(first.design, rows, sizes, first.prior, p0)
     thresholds = LAMBDA_GRID if first.lambda_ is None else np.array([first.lambda_])
     counts = np.empty((len(configs), len(weights), 2 + per_basket * len(sizes),
                        len(thresholds) + 1), dtype)
@@ -347,8 +338,7 @@ def run_design(config: DesignConfig, data: BasketData, p0: float = 0.15) -> Repl
     """Analyze one observed data set with one design: a bank of one."""
     if config.lambda_ is None:
         raise ConfigurationError("run_design needs lambda on the config")
-    bank = design_bank(config.design, [data.responses], data.sample_sizes,
-                       config.prior_list(data.k), p0)
+    bank = design_bank(config.design, [data.responses], data.sample_sizes, config.prior, p0)
     tails, means = (stat[0] for stat in bank.tails_means(config.params))
     return ReplicateResult(
         tail_probs=tails,

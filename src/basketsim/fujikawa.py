@@ -141,10 +141,9 @@ def weights_from_jsd(jsd_mat: np.ndarray, params: FujikawaParams) -> np.ndarray:
     return set_unit_diagonal(w)
 
 
-def fujikawa_bank(responses, sizes, priors, p0) -> BorrowingBank:
+def fujikawa_bank(responses, sizes, prior, p0) -> BorrowingBank:
     """Fujikawa's weights of a bank, summing the basket-wise posteriors, priors included."""
-    alphas, betas = np.array([p.alpha for p in priors]), np.array([p.beta for p in priors])
-    counts = (alphas + responses, betas + (sizes - responses))
+    counts = (prior.alpha + responses, prior.beta + (sizes - responses))
     jsd = jsd_matrices(*counts)
     return BorrowingBank(None, counts, p0, lambda params: weights_from_jsd(jsd, params))
 
@@ -153,4 +152,4 @@ DECLARED = (Design("Fujikawa", FujikawaParams, tuple(FujikawaParams(i / 2.0, j /
                    for i in range(1, 7) for j in range(6)),  # epsilon 0.5 .. 3, tau 0 .. 0.5
                    dict(Linear=FujikawaParams(1.5, 0.2), Grouped=FujikawaParams(1.5, 0.0),
                         HighVariance=FujikawaParams(2.5, 0.2)),
-                   strict=False, priors="each", bank=fujikawa_bank),)
+                   strict=False, bank=fujikawa_bank),)

@@ -6,13 +6,13 @@ log-odds eta (the low-dimensional integration idea of INLA).  The 1-D
 integrals -- the likelihood's mass, its mass above the cut logit(p0) and
 its mean of expit(eta) under N(mu + offset, sigma) -- are tabulated for
 r = 0..n on a fixed tensor grid of Gauss-Legendre panels: mu panels halve
-toward each cut, sigma = phi * s on fixed s nodes.  Narrow kernels are
+toward the cut, sigma = phi * s on fixed s nodes.  Narrow kernels are
 integrated in z = (eta - nu) / sigma, wide ones on eta panels with the cut
 on a panel boundary plus the likelihood's flat mass beyond them (r = 0 or
 r = n) in closed form.  The whole-line z rule factors into one matrix
 product per sigma; the mass above the cut takes its own z nodes only where
 the cut is within the rule's reach.  Exponentials below e^-700 are taken as
-0 by ``core.guarded_exp``.  One pass per (phi, offset) serves every basket
+0 by ``core.guarded_exp``.  One pass per phi serves every basket
 size: with M = max(n) + 1, every likelihood row p^r (1 - p)^(n - r), and p
 times it for the mean, is a nonnegative combination of the Bernstein basis
 B_j(p) = C(M, j) p^j (1 - p)^(M - j), so only the basis's mass and its mass
@@ -68,15 +68,15 @@ def logit(p: float) -> float:
 
 @dataclass(frozen=True)
 class BhmParams:
-    """Hierarchical log-odds model with target-rate offsets.
+    """Hierarchical log-odds model with a target-rate offset.
 
     The default mu prior mean is logit(0.15) - logit(0.35): the null
-    response rate expressed relative to a common 0.35 target.
+    response rate expressed relative to the 0.35 target every basket shares.
     """
 
-    q = 1.0  # BHM is EXNEX at q = 1 with target offsets; a class attribute, not a field
+    q = 1.0  # BHM is EXNEX at q = 1 with a target offset; a class attribute, not a field
     phi: float
-    target_rates: tuple[float, ...] | float = 0.35
+    target_rates: float = 0.35
     mu_mean: float = -1.1156
     mu_sd: float = 100.0
 
@@ -87,21 +87,23 @@ class BhmParams:
         _require(self, -MAX_PRIOR, MAX_PRIOR, "mu_mean")
         _require(self, 1.0 / MAX_PRIOR, MAX_PRIOR, "mu_sd")
 
-    def offsets(self, k: int) -> np.ndarray:
-        return np.array([logit(p) for p in _per_basket(self.target_rates, k)])
+    @property
+    def offset(self) -> float:
+        return logit(self.target_rates)
 
 
 @dataclass(frozen=True)
 class ExnexParams:
-    """Mixture of an exchangeable component (weight q) and basket-specific
-    nonexchangeable priors, on plain log-odds (no target offset)."""
+    """Mixture of an exchangeable component (weight q) and one nonexchangeable prior,
+    the same for every basket, on plain log-odds (no target offset)."""
 
+    offset = 0.0  # a class attribute, not a field
     phi: float
     q: float
     mu_mean: float = -1.7346
     mu_sd: float = 100.0
-    nex_means: tuple[float, ...] | float = -1.7346
-    nex_sds: tuple[float, ...] | float = 100.0
+    nex_means: float = -1.7346
+    nex_sds: float = 100.0
 
     def __post_init__(self):
         if not MIN_PHI <= self.phi <= MAX_PHI:
@@ -111,26 +113,13 @@ class ExnexParams:
         _require(self, -MAX_PRIOR, MAX_PRIOR, "mu_mean", "nex_means")
         _require(self, 1.0 / MAX_PRIOR, MAX_PRIOR, "mu_sd", "nex_sds")
 
-    def offsets(self, k: int) -> np.ndarray:
-        return np.zeros(k)
-
-    def nex_arrays(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        return _per_basket(self.nex_means, k), _per_basket(self.nex_sds, k)
-
 
 def _require(params, lo: float, hi: float, *fields: str) -> None:
-    """Raise ValueError, naming the field first, unless each field's values lie in (lo, hi)."""
+    """Raise ValueError, naming the field first, unless each field lies in (lo, hi)."""
     for field in fields:
         value = getattr(params, field)
-        if not all(lo < v < hi for v in np.ravel(value).tolist()):
+        if not lo < value < hi:
             raise ValueError(f"{field} must lie in ({lo:.4g}, {hi:.4g}), got {value}")
-
-
-def _per_basket(value, k: int) -> np.ndarray:
-    values = (float(value),) * k if isinstance(value, (int, float)) else tuple(value)
-    if len(values) != k:
-        raise ValueError(f"expected one prior value per basket ({k}), got {len(values)}")
-    return np.asarray(values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -153,24 +142,21 @@ def _gauss_panels(edges, orders) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _mu_panels(cuts, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Panel edges covering [lo, hi]: halving toward each cut, unit width
+def _mu_panels(cut: float, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Panel edges covering [lo, hi]: halving toward the cut, unit width
     near it, doubling beyond; and a Gauss-Legendre order per panel."""
-    edges = set()
-    for cut in cuts:
-        reach = [2.0 ** -j for j in range(_CUT_LEVELS, 0, -1)] + list(range(1, _MU_HALF + 1))
-        while cut - reach[-1] > lo or cut + reach[-1] < hi:
-            reach.append(reach[-1] + 2 * (reach[-1] - reach[-2]))
-        edges.update(cut + sign * d for d in [0.0] + reach for sign in (-1.0, 1.0))
-    edges = np.array(sorted(edges))
+    reach = [2.0 ** -j for j in range(_CUT_LEVELS, 0, -1)] + list(range(1, _MU_HALF + 1))
+    while cut - reach[-1] > lo or cut + reach[-1] < hi:
+        reach.append(reach[-1] + 2 * (reach[-1] - reach[-2]))
+    edges = np.array(sorted({cut + sign * d for d in [0.0] + reach for sign in (-1.0, 1.0)}))
     widths = np.diff(edges)
     return edges, np.where(widths < 0.4, 4, np.where(widths < 1.5, 8, 6))
 
 
 @functools.lru_cache(maxsize=8)
-def _grid(cuts: tuple, mu_mean: float, mu_sd: float):
+def _grid(cut: float, mu_mean: float, mu_sd: float):
     """mu nodes, s nodes and the log prior-times-quadrature weights [s, mu]."""
-    mu, w_mu = _gauss_panels(*_mu_panels(cuts, mu_mean - 10 * mu_sd, mu_mean + 10 * mu_sd))
+    mu, w_mu = _gauss_panels(*_mu_panels(cut, mu_mean - 10 * mu_sd, mu_mean + 10 * mu_sd))
     s, w_s = _gauss_panels(_S_EDGES, [_S_ORDER] * (len(_S_EDGES) - 1))
     log_w = (np.log(w_s) - 0.5 * s * s)[:, None] + (
         np.log(w_mu) - 0.5 * ((mu - mu_mean) / mu_sd) ** 2)[None, :]
@@ -333,12 +319,11 @@ def _nex(cut: float, n: int, mean: float, sd: float) -> np.ndarray:
 
 
 def tables_key(sizes: tuple, p0: float, params) -> tuple:
-    """The key that a BHM or EXNEX model's quadrature tables are cached and shared under."""
-    cut, offsets = logit(p0), params.offsets(len(sizes)).tolist()
-    grid_key = (tuple(sorted({cut - o for o in offsets})), params.mu_mean, params.mu_sd)
-    groups = tuple((o, tuple(sorted({n for p, n in zip(offsets, sizes) if p == o})))
-                   for o in sorted(set(offsets)))
-    return cut, grid_key, params.phi, groups
+    """The key that a BHM or EXNEX model's quadrature tables are cached and shared under:
+    the cut, the mu grid's key (its cut, prior mean and sd), phi, the offset and the sizes."""
+    cut = logit(p0)
+    return (cut, (cut - params.offset, params.mu_mean, params.mu_sd), params.phi,
+            params.offset, tuple(sorted(set(sizes))))
 
 
 def design_tables(design: str, sizes: tuple, p0: float, params):
@@ -347,24 +332,19 @@ def design_tables(design: str, sizes: tuple, p0: float, params):
     size set included, so no table depends on which tables were built before it.  Tables
     above ``MAX_TABLE_BYTES`` raise ConfigurationError before any is allocated."""
     global table_builds
-    key = cut, grid_key, phi, groups = tables_key(sizes, p0, params)
+    key = cut, grid_key, phi, offset, distinct = tables_key(sizes, p0, params)
     mu, s, log_w = _grid(*grid_key)
     if key not in _TABLES:
-        need = 8 * log_w.size * (3 * sum(n + 1 for _, ns in groups for n in ns)
-                                 + 2 * (max(sizes) + 2))
+        need = 8 * log_w.size * (3 * sum(n + 1 for n in distinct) + 2 * (max(sizes) + 2))
         if need > MAX_TABLE_BYTES:
             raise ConfigurationError(f"{design} quadrature tables of sample sizes {list(sizes)} "
                                      f"need {need} bytes ({log_w.size} nodes) > {MAX_TABLE_BYTES}")
         _TABLES.clear()
-        _TABLES[key] = {o: _integrals(ns, mu + o, phi * s, cut) for o, ns in groups}
-        table_builds += len(groups)
-    offsets = params.offsets(len(sizes)).tolist()
-    if params.q == 1.0:  # the nonexchangeable part has no weight
-        nex = [np.zeros((3, n + 1)) for n in sizes]
-    else:
-        nex_means, nex_sds = params.nex_arrays(len(sizes))
-        nex = [_nex(cut, n, float(m), float(sd)) for n, m, sd in zip(sizes, nex_means, nex_sds)]
-    return [_TABLES[key][o][n] for o, n in zip(offsets, sizes)], nex, params.q, log_w
+        _TABLES[key] = _integrals(distinct, mu + offset, phi * s, cut)
+        table_builds += 1
+    nex = {n: np.zeros((3, n + 1)) if params.q == 1.0  # the nonexchangeable part has no weight
+           else _nex(cut, n, float(params.nex_means), float(params.nex_sds)) for n in distinct}
+    return [_TABLES[key][n] for n in sizes], [nex[n] for n in sizes], params.q, log_w
 
 
 def posterior_tails_means(design: str, responses, sample_sizes, params,
@@ -423,12 +403,12 @@ def exnex_posterior_batch(responses, sample_sizes, params: ExnexParams, mcmc=Non
 class HierarchicalBank:
     """BHM or EXNEX tails and means of a bank, from the quadrature tables of its model."""
 
-    def __init__(self, design: str, rows, sizes, priors, p0: float):
+    def __init__(self, design: str, rows, sizes, prior, p0: float):
         self.tails_means = lambda params: posterior_tails_means(design, rows, sizes, params, p0)
 
 
 PHI_GRID = tuple(0.125 + j * (1.875 / 7.0) for j in range(8))
-_SHARED = dict(strict=True, priors="none", tables_key=tables_key, tables=design_tables)
+_SHARED = dict(strict=True, takes_prior=False, tables_key=tables_key, tables=design_tables)
 DECLARED = (
     Design("BHM", BhmParams, tuple(BhmParams(phi=phi) for phi in PHI_GRID),
            dict.fromkeys(SIZE_FAMILIES, BhmParams(phi=0.661)),

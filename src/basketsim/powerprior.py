@@ -1,7 +1,7 @@
 """Power-prior borrowing: the CPP, APP and LCPP designs.
 
-Each bank assembles its weights from these statistics and adds each basket's
-prior to the weighted sums of the observed counts under these weights.
+Each bank assembles its weights from these statistics and adds the prior
+to the weighted sums of the observed counts under these weights.
 """
 
 from __future__ import annotations
@@ -90,27 +90,27 @@ def gamma_matrix(responses, sample_sizes) -> np.ndarray:
     return gam + np.swapaxes(gam, -1, -2)
 
 
-def cpp_bank(responses, sizes, priors, p0, capped: bool = False) -> BorrowingBank:
+def cpp_bank(responses, sizes, prior, p0, capped: bool = False) -> BorrowingBank:
     """CPP weights of a bank, each capped by ``alpha0_matrix`` for LCPP."""
     scaled, cap = scaled_ks_matrix(responses, sizes), alpha0_matrix(sizes) if capped else 1.0
-    return BorrowingBank(priors, (responses, sizes - responses), p0, lambda params:
+    return BorrowingBank(prior, (responses, sizes - responses), p0, lambda params:
                          set_unit_diagonal(cap * cpp_weights_from_scaled(scaled, params)))
 
 
-def app_bank(responses, sizes, priors, p0) -> BorrowingBank:
+def app_bank(responses, sizes, prior, p0) -> BorrowingBank:
     """APP weights of a bank, built whole: they take no parameters."""
     app = set_unit_diagonal(alpha0_matrix(sizes) * (1.0 - gamma_matrix(responses, sizes)))
-    return BorrowingBank(priors, (responses, sizes - responses), p0, lambda params: app)
+    return BorrowingBank(prior, (responses, sizes - responses), p0, lambda params: app)
 
 
 _GRID = tuple(CppParams(a / 2.0, b / 2.0) for a in range(1, 11) for b in range(1, 11))  # 0.5 .. 5
 DECLARED = (
     Design("CPP", CppParams, _GRID, dict(Linear=CppParams(4.0, 4.5), Grouped=CppParams(4.0, 4.5),
                                          HighVariance=CppParams(4.0, 4.0)),
-           strict=False, priors="each", bank=cpp_bank),
+           strict=False, bank=cpp_bank),
     Design("APP", type(None), (None,), dict.fromkeys(SIZE_FAMILIES),
-           strict=False, priors="each", bank=app_bank),
+           strict=False, bank=app_bank),
     Design("LCPP", CppParams, _GRID, dict(Linear=CppParams(3.0, 4.0), Grouped=CppParams(3.0, 4.5),
                                           HighVariance=CppParams(2.5, 5.0)),
-           strict=False, priors="each", bank=lambda *bank: cpp_bank(*bank, capped=True)),
+           strict=False, bank=lambda *bank: cpp_bank(*bank, capped=True)),
 )

@@ -211,7 +211,6 @@ class TestCriterion04DegenerateWeights:
         # the weighted-sum step a bank's tails_means runs, priors added as each design adds them
         start = time.perf_counter()
         data = BasketData((3, 7, 0, 5, 2), (10, 20, 5, 15, 25))
-        priors = [BetaShape(1, 1)] * 5
         identity = np.eye(5)[None]
         ones = np.ones((1, 5, 5))
         stratified = (1.0 + np.array(data.responses),
@@ -220,7 +219,7 @@ class TestCriterion04DegenerateWeights:
         total_m = sum(n - r for r, n in zip(data.responses, data.sample_sizes))
         ok = True
         for design, prior_mass in (("CPP", 1), ("APP", 1), ("LCPP", 1), ("Fujikawa", 5)):
-            bank = design_bank(design, [data.responses], data.sample_sizes, priors, 0.15)
+            bank = design_bank(design, [data.responses], data.sample_sizes, BetaShape(1, 1), 0.15)
             alphas, betas = bank.posterior_shapes(identity)
             ok &= alphas[0].tolist() == stratified[0].tolist()
             ok &= betas[0].tolist() == stratified[1].tolist()
@@ -336,7 +335,7 @@ class TestCriterion09TuningProtocol:
         failures = []
         for design in DESIGNS:
             config = DesignConfig(design, REGISTRY[design].presets["Grouped"])
-            bank = design_bank(design, table.rows, table.sizes, config.prior_list(5), 0.15)
+            bank = design_bank(design, table.rows, table.sizes, config.prior, 0.15)
             tails, _ = bank.tails_means(config.params)
             counts = table.counts[null_scenario]
             lam, _ = study(config, table)

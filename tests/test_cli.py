@@ -26,7 +26,6 @@ from basketsim.cli import (
     select_designs,
     select_scenarios,
 )
-from basketsim.hierarchical import BhmParams
 from basketsim.powerprior import CppParams
 from scalar_reference import cpp_weight
 
@@ -802,12 +801,19 @@ class TestCommands:
 
     def test_posterior_without_finite_mass_is_a_numeric_failure(self, tmp_path, capsys,
                                                                  monkeypatch):
-        # every replicate is (0, 30): under opposed targets and phi 1e-6 one basket's
-        # likelihood mass underflows at every grid node; the nan tails used to surface
-        # as a calibration failure that named no data set
-        spec = engine.REGISTRY["BHM"]
-        monkeypatch.setitem(engine.REGISTRY, "BHM", dataclasses.replace(spec, presets={
-            **spec.presets, "Grouped": BhmParams(phi=1e-6, target_rates=(1 - 1e-12, 1e-12))}))
+        # every replicate is (0, 30), and a fake table build sets the mass of r = 0 to 0
+        # at every grid node, as only baskets of about 1,000 patients underflow it: the
+        # nan tails used to surface as a calibration failure that named no data set
+        integrals = hierarchical._integrals
+
+        def massless_r0(*args):
+            tables = integrals(*args)
+            for table in tables.values():
+                table[0, 0] = 0.0
+            return tables
+
+        monkeypatch.setattr(hierarchical, "_TABLES", {})
+        monkeypatch.setattr(hierarchical, "_integrals", massless_r0)
         scenario = {"id": 1, "sample_sizes": [30, 30], "true_rates": [0.15, 0.15],
                     "pattern": "Null", "size_family": "Grouped", "fixed_responses": [0, 30]}
         path = tmp_path / "cfg.json"

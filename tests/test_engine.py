@@ -44,8 +44,7 @@ BMA_CFG = DesignConfig("BMA", BmaParams(-2.0), lambda_=0.9)
 
 def table_tails_means(config, table):
     """The tails and posterior means [U, K] of a table's rows, from one design_bank."""
-    bank = design_bank(config.design, table.rows, table.sizes,
-                       config.prior_list(len(table.sizes)), 0.15)
+    bank = design_bank(config.design, table.rows, table.sizes, config.prior, 0.15)
     return bank.tails_means(config.params)
 
 
@@ -182,23 +181,34 @@ class TestDesignConfig:
         assert DesignConfig("BHM", BhmParams(phi=0.661)).strict
 
     def test_default_priors_uniform(self):
-        cfg = DesignConfig("APP")
-        assert cfg.prior_list(3) == [BetaShape(1, 1)] * 3
+        cfg = DesignConfig("APP", lambda_=0.9)
+        assert cfg.prior is None
+        data = BasketData((3, 7, 0), (10, 20, 5))
+        want = design_bank("APP", [data.responses], data.sample_sizes, BetaShape(1, 1),
+                           0.15).tails_means(None)
+        assert run_design(cfg, data).tail_probs.tolist() == want[0][0].tolist()
+
+    @pytest.mark.parametrize("design", sorted(CLOSED_FORM))
+    def test_configured_prior_reaches_the_bank(self, design):
+        # one Beta(2, 3) for every basket: run_design must give the bank's bits under it,
+        # not the Beta(1, 1) a prior accepted and then ignored would give
+        params, data = ALL_DESIGNS[design], BasketData((3, 7, 0, 5, 2), (10, 20, 5, 15, 25))
+        prior = BetaShape(2, 3)
+        tails, means = design_bank(design, [data.responses], data.sample_sizes, prior,
+                                   0.15).tails_means(params)
+        got = run_design(DesignConfig(design, params, prior=prior, lambda_=0.9), data)
+        assert got.tail_probs.tolist() == tails[0].tolist()
+        assert got.posterior_means.tolist() == means[0].tolist()
+        uniform = run_design(DesignConfig(design, params, lambda_=0.9), data)
+        assert got.tail_probs.tolist() != uniform.tail_probs.tolist()
+        assert got.posterior_means.tolist() != uniform.posterior_means.tolist()
 
     @pytest.mark.parametrize("design,params", [("BHM", BhmParams(phi=0.661)),
                                                ("EXNEX", ExnexParams(phi=0.661, q=0.9))])
     def test_hierarchical_designs_reject_priors(self, design, params):
         # their priors are set by params; basket priors used to be accepted and ignored
         with pytest.raises(ConfigurationError):
-            DesignConfig(design, params, priors=(BetaShape(1, 1),) * 5)
-
-    def test_bma_rejects_unequal_priors(self):
-        # BMA pools every subset under one prior; the others used to be ignored
-        with pytest.raises(ConfigurationError):
-            DesignConfig("BMA", BmaParams(0.0),
-                         priors=(BetaShape(1, 1),) + (BetaShape(20, 1),) * 4)
-        equal = DesignConfig("BMA", BmaParams(0.0), priors=(BetaShape(2, 3),) * 5)
-        assert equal.prior_list(5) == [BetaShape(2, 3)] * 5
+            DesignConfig(design, params, prior=BetaShape(1, 1))
 
 
 class TestGenerateTrial:
@@ -337,7 +347,7 @@ class TestRunDesign:
     def test_counts_outside_their_sizes_rejected(self, design):
         for rows in ([[11, 3]], [[-1, 3]], [[2, 3], [np.nan, 3]]):
             with pytest.raises(ConfigurationError, match="integer counts"):
-                design_bank(design, rows, (10, 10), [BetaShape(1, 1)] * 2, 0.15)
+                design_bank(design, rows, (10, 10), BetaShape(1, 1), 0.15)
 
     def test_mcmc_design_runs(self):
         cfg = DesignConfig("BHM", BhmParams(phi=0.661), lambda_=0.9)
@@ -525,7 +535,7 @@ class TestOutcomeTable:
         stats = {}
         for scenario in family:
             bank = design_bank(design, generate_responses(scenario, 50, 12),
-                               scenario.sample_sizes, config.prior_list(scenario.k), 0.15)
+                               scenario.sample_sizes, config.prior, 0.15)
             stats[scenario] = bank.tails_means(config.params)
         assert lam == study(config, outcome_table([GROUPED_NULL], 50, 12))[0]
         for scenario, oc in zip(family, ocs):
@@ -624,13 +634,13 @@ class TestClosedFormBank:
     @pytest.mark.parametrize("design", sorted(ALL_DESIGNS))
     def test_bank_of_one_is_bitwise_a_row_of_the_bank(self, design):
         params = ALL_DESIGNS[design]
-        priors = [BetaShape(1, 1)] * 5
+        prior = BetaShape(1, 1)
         responses = generate_responses(GROUPED_ASC, 40, 19)
         sizes = GROUPED_ASC.sample_sizes
-        tails, means = design_bank(design, responses, sizes, priors, 0.15).tails_means(params)
+        tails, means = design_bank(design, responses, sizes, prior, 0.15).tails_means(params)
         config = DesignConfig(design, params, lambda_=0.9)
         for i, row in enumerate(responses):
-            one_t, one_m = design_bank(design, row[None], sizes, priors, 0.15).tails_means(params)
+            one_t, one_m = design_bank(design, row[None], sizes, prior, 0.15).tails_means(params)
             np.testing.assert_array_equal(one_t[0], tails[i])
             np.testing.assert_array_equal(one_m[0], means[i])
             single = run_design(config, BasketData(tuple(map(int, row)), sizes), 0.15)
@@ -640,7 +650,7 @@ class TestClosedFormBank:
     def test_unknown_design_rejected(self):
         assert set(ALL_DESIGNS) == set(DESIGNS)
         with pytest.raises(ConfigurationError):
-            design_bank("Nope", [[1, 2]], (5, 5), [BetaShape(1, 1)] * 2, 0.15)
+            design_bank("Nope", [[1, 2]], (5, 5), BetaShape(1, 1), 0.15)
 
     @pytest.mark.parametrize("design", sorted(CLOSED_FORM))
     @settings(max_examples=25, deadline=None)
@@ -648,11 +658,11 @@ class TestClosedFormBank:
     def test_label_permutation_equivariance_and_ranges(self, design, trial):
         responses, sizes, perm = trial
         params = CLOSED_FORM[design]
-        priors = [BetaShape(1, 1)] * len(sizes)
+        prior = BetaShape(1, 1)
         tails, means = design_bank(
-            design, responses[None], sizes, priors, 0.15).tails_means(params)
+            design, responses[None], sizes, prior, 0.15).tails_means(params)
         tails_p, means_p = design_bank(
-            design, responses[perm][None], sizes[perm], priors, 0.15).tails_means(params)
+            design, responses[perm][None], sizes[perm], prior, 0.15).tails_means(params)
         np.testing.assert_allclose(tails_p[0], tails[0][perm], atol=1e-12)
         np.testing.assert_allclose(means_p[0], means[0][perm], atol=1e-12)
         assert np.all((tails >= 0.0) & (tails <= 1.0))
@@ -662,7 +672,7 @@ class TestClosedFormBank:
         if design == "Fujikawa":
             weights = weights_from_jsd(jsd_matrices(1.0 + responses, 1.0 + sizes - responses), params)
         else:
-            weights = design_bank(design, responses[None], sizes, priors, 0.15).weights(params)[0]
+            weights = design_bank(design, responses[None], sizes, prior, 0.15).weights(params)[0]
         assert np.all((weights >= 0.0) & (weights <= 1.0))
         assert np.all(np.diag(weights) == 1.0)
 
@@ -673,9 +683,9 @@ class TestClosedFormBank:
     def test_hierarchical_label_permutation_equivariance(self, design, trial):
         responses, sizes, perm = trial
         params = HIERARCHICAL[design]
-        tails, means = design_bank(design, responses[None], sizes, [], 0.15).tails_means(params)
+        tails, means = design_bank(design, responses[None], sizes, None, 0.15).tails_means(params)
         tails_p, means_p = design_bank(
-            design, responses[perm][None], sizes[perm], [], 0.15).tails_means(params)
+            design, responses[perm][None], sizes[perm], None, 0.15).tails_means(params)
         np.testing.assert_allclose(tails_p[0], tails[0][perm], atol=1e-12)
         np.testing.assert_allclose(means_p[0], means[0][perm], atol=1e-12)
         assert np.all((tails >= 0.0) & (tails <= 1.0))

@@ -102,9 +102,9 @@ def jsd_of(posteriors):
     return jsd_matrices([[p.alpha for p in posteriors]], [[p.beta for p in posteriors]])[0]
 
 
-def bank_shapes(design, data, priors, weights):
+def bank_shapes(design, data, prior, weights):
     """The posterior step of one design's bank kernel under a given weight matrix."""
-    bank = design_bank(design, [data.responses], data.sample_sizes, priors, 0.15)
+    bank = design_bank(design, [data.responses], data.sample_sizes, prior, 0.15)
     alphas, betas = bank.posterior_shapes(np.asarray(weights, dtype=float)[None])
     return [BetaShape(a, b) for a, b in zip(alphas[0].tolist(), betas[0].tolist())]
 
@@ -120,12 +120,12 @@ class TestIndividualPosteriors:
         assert res.tail_probs.tolist() == [pytest.approx(0.85, abs=1e-12)] * 2
 
     def test_conjugate_update(self):
-        config = DesignConfig("Fujikawa", FujikawaParams(1.0, 1.0),
-                              priors=(BetaShape(1, 1), BetaShape(2, 3)), lambda_=0.9)
+        config = DesignConfig("Fujikawa", FujikawaParams(1.0, 1.0), prior=BetaShape(2, 3),
+                              lambda_=0.9)
         res = run_design(config, BasketData((5, 2), (10, 30)), 0.15)
-        # Beta(6, 6) and Beta(4, 31)
-        assert res.posterior_means.tolist() == [6 / 12, 4 / 35]
-        assert res.tail_probs.tolist() == beta_tails([6.0, 4.0], [6.0, 31.0], 0.15).tolist()
+        # Beta(7, 8) and Beta(4, 31)
+        assert res.posterior_means.tolist() == [7 / 15, 4 / 35]
+        assert res.tail_probs.tolist() == beta_tails([7.0, 4.0], [8.0, 31.0], 0.15).tolist()
 
 
 class TestJsd:
@@ -293,14 +293,14 @@ class TestFujikawaPosterior:
 
     def test_identity_weights_match_individual_bitwise(self):
         data = BasketData((3, 7, 0), (10, 20, 5))
-        priors = [BetaShape(1, 1), BetaShape(2, 3), BetaShape(0.5, 0.5)]
-        post = bank_shapes("Fujikawa", data, priors, np.eye(3))
-        assert post == [BetaShape(p.alpha + r, p.beta + (n - r))
-                        for p, r, n in zip(priors, data.responses, data.sample_sizes)]
+        for prior in [BetaShape(1, 1), BetaShape(2, 3), BetaShape(0.5, 0.5)]:
+            post = bank_shapes("Fujikawa", data, prior, np.eye(3))
+            assert post == [BetaShape(prior.alpha + r, prior.beta + (n - r))
+                            for r, n in zip(data.responses, data.sample_sizes)]
 
     def test_all_ones_weights_pool_including_priors(self):
         data = BasketData((2, 3, 1, 0, 4), (10, 15, 20, 25, 30))
-        post = bank_shapes("Fujikawa", data, [BetaShape(1, 1)] * 5, np.ones((5, 5)))
+        post = bank_shapes("Fujikawa", data, BetaShape(1, 1), np.ones((5, 5)))
         total_r = sum(data.responses)
         total_miss = sum(n - r for r, n in zip(data.responses, data.sample_sizes))
         for shape in post:
@@ -310,7 +310,7 @@ class TestFujikawaPosterior:
     def test_hand_worked_example(self):
         data = BasketData((3, 4), (10, 10))
         w = np.array([[1.0, 0.5], [0.5, 1.0]])
-        post = bank_shapes("Fujikawa", data, [BetaShape(1, 1)] * 2, w)
+        post = bank_shapes("Fujikawa", data, BetaShape(1, 1), w)
         assert post[0].alpha == pytest.approx(6.5, abs=1e-12)
         assert post[0].beta == pytest.approx(11.5, abs=1e-12)
 
@@ -325,9 +325,8 @@ class TestFujikawaPosterior:
         data = BasketData((r1, r2, r3), (10, 20, 15))
         matrix = np.full((3, 3), w)
         np.fill_diagonal(matrix, 1.0)
-        priors = [BetaShape(1, 1)] * 3
-        fuji = bank_shapes("Fujikawa", data, priors, matrix)
-        power = bank_shapes("CPP", data, priors, matrix)
+        fuji = bank_shapes("Fujikawa", data, BetaShape(1, 1), matrix)
+        power = bank_shapes("CPP", data, BetaShape(1, 1), matrix)
         for f, p in zip(fuji, power):
             assert f.alpha - p.alpha == pytest.approx(2 * w, abs=1e-9)
             assert f.beta - p.beta == pytest.approx(2 * w, abs=1e-9)

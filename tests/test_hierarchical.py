@@ -6,7 +6,8 @@ import pytest
 from scipy import integrate, special, stats
 
 from basketsim import core, hierarchical
-from basketsim.engine import design_bank
+from basketsim.cli import builtin_catalog
+from basketsim.engine import REGISTRY, outcome_table
 from basketsim.hierarchical import (
     MAX_PHI,
     MAX_PRIOR,
@@ -62,7 +63,7 @@ def brute_force(design, responses, sizes, params):
     lik = [np.exp(r * eta - n * np.logaddexp(0.0, eta)) * w_eta
            for r, n in zip(responses, sizes)]
     if design == "BHM":
-        centres, q = params.mu_mean + params.offsets(2), 1.0
+        centres, q = (params.mu_mean + params.offset,) * 2, 1.0
         nex = [np.zeros_like(eta)] * 2
     else:
         centres, q = (params.mu_mean,) * 2, params.q
@@ -179,7 +180,7 @@ class TestBernsteinBuild:
     @pytest.mark.parametrize("phi", [0.001, 0.661, 1000.0])
     def test_tables_match_per_row_build(self, sizes, phi):
         # every third mu node: the columns of a table are independent of each other
-        mu, s, _ = hierarchical._grid((C,), -1.7346, 100.0)
+        mu, s, _ = hierarchical._grid(C, -1.7346, 100.0)
         nu = mu[::3]
         got = hierarchical._integrals(sizes, nu, phi * s, C)
         want = per_row_integrals(sizes, nu, phi * s, C)
@@ -197,7 +198,7 @@ class TestBernsteinBuild:
     def test_tables_do_not_depend_on_the_slice_budget(self, monkeypatch):
         # at phi 0.661, 13 sigma nodes take the z rule; by default its 59 nu nodes
         # span two slices, the second one partial
-        mu, s, _ = hierarchical._grid((C,), -1.7346, 100.0)
+        mu, s, _ = hierarchical._grid(C, -1.7346, 100.0)
         sizes, nu, sigmas = (10, 25, 30), mu[::5], 0.661 * s
         default = hierarchical._integrals(sizes, nu, sigmas, C)
         monkeypatch.setattr(hierarchical, "_CHUNK_BYTES", 1)  # one nu node per slice
@@ -244,7 +245,7 @@ class TestBernsteinBuild:
         # degree 401: at phi 0.661 the widest z sigma splits the z nodes into 6 blocks.
         # Tolerance 2e-12: the reference's own r eta - n softplus(eta) rounds by about
         # n * 2.4e-15 of its row's largest entry, 9.5e-13 at n = 400
-        mu, s, _ = hierarchical._grid((C,), -1.7346, 100.0)
+        mu, s, _ = hierarchical._grid(C, -1.7346, 100.0)
         sizes, nu, sigmas = (100, 200, 400), mu[::5], phi * s[phi * s <= hierarchical._Z_SIGMA]
         if phi > 0.5:
             assert 401 * sigmas.max() * 2 * hierarchical._Z_LIMIT > 5 * hierarchical._Z_SPAN
@@ -254,7 +255,7 @@ class TestBernsteinBuild:
             assert_rows_close(got[n], want[n], rtol=2e-12)
 
     def test_tail_is_the_mass_or_zero_beyond_the_z_rule_reach(self):
-        mu, s, _ = hierarchical._grid((C,), -1.7346, 100.0)
+        mu, s, _ = hierarchical._grid(C, -1.7346, 100.0)
         sigmas = 0.661 * s[0.661 * s <= hierarchical._Z_SIGMA]
         tables = hierarchical._integrals((10, 25, 30), mu, sigmas, C)
         reach = hierarchical._Z_LIMIT * (1 + 1e-9) * np.repeat(sigmas, mu.size)
@@ -467,7 +468,7 @@ class TestShrinkageAndDegenerateChecks:
                 phi, q=0.5, mu_mean=1e10)
 
     @pytest.mark.parametrize("field, value", [
-        ("target_rates", 1.0), ("target_rates", 0.0), ("target_rates", (0.35, math.nan)),
+        ("target_rates", 1.0), ("target_rates", 0.0), ("target_rates", math.nan),
         ("mu_mean", math.inf), ("mu_mean", math.nan), ("mu_sd", 0.0), ("mu_sd", -1.0),
         ("mu_sd", math.inf), ("mu_sd", 1e-300), ("mu_sd", 1e300), ("mu_sd", 1e308),
         ("mu_mean", 1e300)])
@@ -478,8 +479,8 @@ class TestShrinkageAndDegenerateChecks:
             BhmParams(phi=0.661, **{field: value})
 
     @pytest.mark.parametrize("field, value", [
-        ("mu_mean", -math.inf), ("nex_means", (0.0, math.nan)), ("mu_sd", 0.0),
-        ("nex_sds", 0.0), ("nex_sds", (1.0, -1.0)), ("nex_sds", math.inf), ("mu_sd", 1e-300),
+        ("mu_mean", -math.inf), ("nex_means", math.nan), ("mu_sd", 0.0),
+        ("nex_sds", 0.0), ("nex_sds", -1.0), ("nex_sds", math.inf), ("mu_sd", 1e-300),
         ("nex_means", 1e300)])
     def test_exnex_prior_out_of_range_rejected(self, field, value):
         # a zero nonexchangeable sd divided by zero in the quadrature, and a mean past
@@ -554,10 +555,33 @@ class TestBruteForceOracle:
         np.testing.assert_allclose(tails, want_tails, atol=2e-3)
         np.testing.assert_allclose(means, want_means, atol=2e-3)
 
-    def test_varying_targets_match_dense_grid(self):
-        # per-basket offsets put two cuts on the mu grid
-        params = BhmParams(phi=0.661, target_rates=(0.3, 0.45), mu_sd=2.0)
-        tails, means = design_bank("BHM", [(2, 7)], (10, 25), [], 0.15).tails_means(params)
-        want_tails, want_means = brute_force("BHM", (2, 7), (10, 25), params)
-        np.testing.assert_allclose(tails[0], want_tails, atol=2e-3)
-        np.testing.assert_allclose(means[0], want_means, atol=2e-3)
+
+class TestMeansAcrossP0:
+    """The model does not depend on p0, so neither should a posterior mean; but the mu
+    panels refine toward the cut logit(p0) alone, so data far from the cut fall in panels
+    2 or more wide of 6 nodes each, and the means move with p0."""
+
+    TOLERANCE = 1e-6
+
+    @staticmethod
+    def drift(design, p0s):
+        """The largest change of any posterior mean, from p0 = 0.15 to each of ``p0s``,
+        over the Grouped scenarios' table at 200 replicates and seed 7."""
+        table = outcome_table([s for s in builtin_catalog() if s.size_family == "Grouped"],
+                              200, 7)
+        params = REGISTRY[design].presets["Grouped"]
+        _, base = posterior_tails_means(design, table.rows, table.sizes, params, 0.15)
+        return {p0: float(np.abs(posterior_tails_means(
+            design, table.rows, table.sizes, params, p0)[1] - base).max()) for p0 in p0s}
+
+    @pytest.mark.parametrize("design", ["BHM", "EXNEX"])
+    def test_means_hold_from_p0_0_001_to_0_99(self, design):
+        drift = self.drift(design, (0.001, 0.5, 0.99))
+        assert max(drift.values()) < self.TOLERANCE, drift
+
+    @pytest.mark.xfail(strict=True, reason="the mu panels refine toward the cut alone: at p0 "
+                       "1e-4 and 0.9999 the means move by about 5e-3 and 1e-2")
+    @pytest.mark.parametrize("design", ["BHM", "EXNEX"])
+    def test_means_hold_at_a_far_p0(self, design):
+        drift = self.drift(design, (1e-4, 0.9999))
+        assert max(drift.values()) < self.TOLERANCE, drift

@@ -12,7 +12,7 @@ from basketsim.core import (
     BetaShape,
     ConfigurationError,
 )
-from basketsim.engine import REGISTRY, DesignConfig, design_bank, run_design
+from basketsim.engine import REGISTRY, DesignConfig, design_bank
 from basketsim.fujikawa import jsd_matrices, weights_from_jsd
 from basketsim.powerprior import (
     CppParams,
@@ -63,13 +63,13 @@ def gamma_pair(d_k, d_i):
 
 def bank_weights(design, responses, sizes, params):
     """The borrowing weights [R, K, K] of a bank kernel under uniform priors."""
-    bank = design_bank(design, responses, sizes, [BetaShape(1, 1)] * len(sizes), 0.15)
+    bank = design_bank(design, responses, sizes, BetaShape(1, 1), 0.15)
     return bank.weights(params)
 
 
-def power_prior_shapes(data, priors, weights):
+def power_prior_shapes(data, prior, weights):
     """The power-prior posterior step of the bank kernel under a given weight matrix."""
-    bank = design_bank("CPP", [data.responses], data.sample_sizes, priors, 0.15)
+    bank = design_bank("CPP", [data.responses], data.sample_sizes, prior, 0.15)
     alphas, betas = bank.posterior_shapes(np.asarray(weights, dtype=float)[None])
     return [BetaShape(a, b) for a, b in zip(alphas[0].tolist(), betas[0].tolist())]
 
@@ -236,7 +236,7 @@ class TestBuildWeights:
             n = np.array(sizes)
             jsd = jsd_matrices(prior.alpha + rows, prior.beta + (n - rows))
             for design in ("APP", "CPP", "LCPP", "Fujikawa"):
-                banks = [design_bank(design, bank_rows, sizes, [prior] * k, 0.15)
+                banks = [design_bank(design, bank_rows, sizes, prior, 0.15)
                          for bank_rows in [rows, rows[shuffle]] + [[row] for row in rows]]
                 for params in REGISTRY[design].grid:
                     expected = (weights_from_jsd(jsd, params) if design == "Fujikawa" else
@@ -252,16 +252,16 @@ class TestPowerPriorPosterior:
 
     def test_identity_weights_give_stratified_analysis(self):
         data = BasketData((3, 7, 0), (10, 20, 5))
-        priors = [BetaShape(1, 1), BetaShape(2, 3), BetaShape(0.5, 0.5)]
-        post = power_prior_shapes(data, priors, np.eye(3))
-        for k, (shape, prior) in enumerate(zip(post, priors)):
-            r, n = data.responses[k], data.sample_sizes[k]
-            assert shape.alpha == prior.alpha + r  # bit-identical
-            assert shape.beta == prior.beta + (n - r)
+        for prior in [BetaShape(1, 1), BetaShape(2, 3), BetaShape(0.5, 0.5)]:
+            post = power_prior_shapes(data, prior, np.eye(3))
+            for k, shape in enumerate(post):
+                r, n = data.responses[k], data.sample_sizes[k]
+                assert shape.alpha == prior.alpha + r  # bit-identical
+                assert shape.beta == prior.beta + (n - r)
 
     def test_all_ones_weights_pool(self):
         data = BasketData((3, 7, 2), (10, 20, 5))
-        post = power_prior_shapes(data, [BetaShape(1, 1)] * 3, np.ones((3, 3)))
+        post = power_prior_shapes(data, BetaShape(1, 1), np.ones((3, 3)))
         total_r = sum(data.responses)
         total_miss = sum(n - r for r, n in zip(data.responses, data.sample_sizes))
         for shape in post:
@@ -271,18 +271,14 @@ class TestPowerPriorPosterior:
     def test_hand_worked_example(self):
         data = BasketData((3, 4), (10, 10))
         w = np.array([[1.0, 0.5], [0.5, 1.0]])
-        post = power_prior_shapes(data, [BetaShape(1, 1)] * 2, w)
+        post = power_prior_shapes(data, BetaShape(1, 1), w)
         assert post[0].alpha == pytest.approx(6.0, abs=1e-12)
         assert post[0].beta == pytest.approx(11.0, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         data = BasketData((3, 4), (10, 10))
         with pytest.raises(ValueError):
-            power_prior_shapes(data, [BetaShape(1, 1)] * 2, np.eye(3))
-        config = DesignConfig("CPP", CppParams(4, 4.5), priors=(BetaShape(1, 1),) * 3,
-                              lambda_=0.9)
-        with pytest.raises(ConfigurationError):
-            run_design(config, data)
+            power_prior_shapes(data, BetaShape(1, 1), np.eye(3))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -293,8 +289,7 @@ class TestPowerPriorPosterior:
         data = BasketData((r1, r2, r3), (10, 20, 15))
         matrix = np.full((3, 3), w)
         np.fill_diagonal(matrix, 1.0)
-        priors = [BetaShape(1, 1)] * 3
-        post = power_prior_shapes(data, priors, matrix)
+        post = power_prior_shapes(data, BetaShape(1, 1), matrix)
         n = np.asarray(data.sample_sizes, dtype=float)
         for k, shape in enumerate(post):
             expected = 2.0 + float(matrix[k] @ n)

@@ -106,7 +106,7 @@ def bank_tails_means(config, scenario, n_reps, seed):
     """The tails and posterior means [R, K] of one scenario's replicates, each row as often
     as its count, through the scenario's own outcome table."""
     table = outcome_table([scenario], n_reps, seed)
-    bank = design_bank(config.design, table.rows, table.sizes, config.prior_list(scenario.k), 0.15)
+    bank = design_bank(config.design, table.rows, table.sizes, config.prior, 0.15)
     tails, means = bank.tails_means(config.params)
     counts = table.counts[scenario]
     return np.repeat(tails, counts, axis=0), np.repeat(means, counts, axis=0)
@@ -307,7 +307,7 @@ class TestBankEvaluator:
         closed-form designs and against one-replicate analyses for BHM and EXNEX."""
         responses = generate_responses(GROUPED_ASC, 50, 37)
         sizes = GROUPED_ASC.sample_sizes
-        bank = design_bank(design, responses, sizes, [BetaShape(1, 1)] * 5, 0.15)
+        bank = design_bank(design, responses, sizes, BetaShape(1, 1), 0.15)
         tails_fast, means_fast = bank.tails_means(params)
         data = [BasketData(tuple(map(int, r)), sizes) for r in responses]
         if design in ("BHM", "EXNEX"):
