@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_args(args: argparse.Namespace) -> None:
     """Reject out-of-range numeric flags and an unknown design as usage errors; set
-    ``args.designs`` to the selected designs and clamp ``--jobs`` to [1, number of CPUs]."""
+    ``args.designs`` to the selected designs."""
     if not 1 <= args.reps <= MAX_REPS:
         raise CatalogError(f"--reps must lie in [1, {MAX_REPS}], got {args.reps}")
     if args.seed < 0:
@@ -530,7 +530,6 @@ def _check_args(args: argparse.Namespace) -> None:
     if not 0.0 < args.alpha < 1.0:
         raise CatalogError(f"--alpha must lie in (0, 1), got {args.alpha}")
     args.designs = select_designs(args.design)
-    args.jobs = max(1, min(args.jobs, os.cpu_count() or 1))
 
 
 def main(argv: list[str] | None = None) -> int:

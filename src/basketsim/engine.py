@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -109,6 +108,7 @@ def mcmc_seed_sequence(
 
 
 _MASK32 = 0xFFFFFFFF
+_DRAW_ROWS = 8192  # rows per generation pass: bounds its [bound + 1, rows] chains
 
 
 def _hashmix(init: int, mult: int):
@@ -162,29 +162,81 @@ def _philox_keys(master_seed: int, scenario_id: int, replicates: np.ndarray) -> 
     return np.stack([lo0 | hi0 << 32, lo1 | hi1 << 32], axis=1)
 
 
-def generate_responses(scenario: Scenario, n_reps: int, master_seed: int,
-                       start: int = 0) -> np.ndarray:
-    """Response counts [n_reps, K] for replicates [start, start + n_reps).
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low words of the 128-bit products m · x, from 32-bit halves."""
+    m_lo, m_hi, x_lo, x_hi = np.uint64(m & _MASK32), np.uint64(m >> 32), x & _MASK32, x >> 32
+    lo_hi, hi_lo = m_lo * x_hi, m_hi * x_lo
+    mid = (m_lo * x_lo >> 32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
+    return m_hi * x_hi + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32), x * np.uint64(m)
 
-    Replicate i draws its baskets in order from ``Philox(SeedSequence(master_seed,
-    spawn_key=(0, scenario.id, i)))``: one Philox is reset to each replicate's key
-    with counter 0 and an empty buffer, as a freshly seeded one starts.
-    """
-    if scenario.fixed_responses is not None:
-        return np.tile(np.asarray(scenario.fixed_responses, dtype=np.int64), (n_reps, 1))
+
+def _philox_uniforms(keys: np.ndarray, counter: int) -> np.ndarray:
+    """numpy's ``next_double`` [R, 4] of Philox4x64-10 block (counter, 0, 0, 0), keys [R, 2]."""
+    k0, k1 = keys.T
+    c0, c1, c2, c3 = np.full_like(k0, counter), *np.zeros((3, len(keys)), np.uint64)
+    for _ in range(10):
+        (hi0, lo0), (hi1, lo1) = _mulhilo(0xD2E7470EE14C6C93, c0), _mulhilo(0xCA5A826395121157, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        k0, k1 = k0 + 0x9E3779B97F4A7C15, k1 + 0xBB67AE8584CAA73B
+    return (np.stack([c0, c1, c2, c3], axis=1) >> 11) * 2.0**-53
+
+
+def _draw(keys: np.ndarray, sizes, rates: np.ndarray) -> np.ndarray:
+    """Counts [R, K] of numpy's binomial inversion under Philox keys [R, 2] at rates [R, K],
+    basket by basket: X is the first j at which U - px_0 - ... - px_{j-1}, subtracted in the
+    C loop's order, is at most px_j; a chain that runs past the bound starts on a new U."""
+    out, used = np.zeros(rates.shape, np.int64), np.zeros(len(keys), np.intp)
+    stream = np.empty((len(keys), 0))  # each row's uniforms, four per Philox block
+    for k, n in enumerate(sizes):
+        for rate in np.unique(rates[:, k][rates[:, k] > 0.0]).tolist():
+            rows, p = np.flatnonzero(rates[:, k] == rate), min(rate, 1.0 - rate)
+            q, mean, px = 1.0 - p, n * p, [math.exp(n * math.log(1.0 - p))]
+            for j in range(1, int(min(n, mean + 10.0 * math.sqrt(mean * q + 1))) + 1):
+                px.append((n - j + 1) * p * px[-1] / (j * q))
+            px, x = np.array(px), np.full(len(rows), -1)
+            while (short := rows[x < 0]).size:
+                while used[short].max() >= stream.shape[1]:
+                    stream = np.hstack([stream, _philox_uniforms(keys, stream.shape[1] // 4 + 1)])
+                chain = np.empty((len(px), len(short)))
+                chain[0], chain[1:] = stream[short, used[short]], -px[:-1, None]
+                hit = np.add.accumulate(chain, axis=0, out=chain) <= px[:, None]
+                x[x < 0] = np.where(hit.any(axis=0), hit.argmax(axis=0), -1)
+                used[short] += 1
+            out[rows, k] = n - x if rate > 0.5 else x
+    return out
+
+
+def _generate_banks(scenarios: list[Scenario], n_reps: int, master_seed: int, start: int = 0):
+    """Each scenario's counts [n_reps, K] of replicates [start, start + n_reps), stacked: row i
+    is ``Generator(Philox(SeedSequence(master_seed, spawn_key=(0, id, i)))).binomial(n, p)``."""
     if start < 0 or start + n_reps > _MASK32 + 1:
         raise ConfigurationError(f"replicates [{start}, {start + n_reps}) outside [0, 2**32)")
-    bitgen = np.random.Philox(0)
-    binomial = np.random.Generator(bitgen).binomial
-    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
-             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    draws = list(zip(scenario.sample_sizes, scenario.true_rates))
-    rows = []
-    for key in _philox_keys(master_seed, scenario.id, np.arange(start, start + n_reps)).tolist():
-        state["state"]["key"] = key
-        bitgen.state = state
-        rows.append([binomial(n, p) for n, p in draws])
-    return np.array(rows, dtype=np.int64).reshape(n_reps, scenario.k)
+    out = np.empty((len(scenarios), n_reps, scenarios[0].k), np.int64)
+    inverted = [s.fixed_responses is None and all(n * min(p, 1.0 - p) <= 30.0 for n, p in zip(
+        s.sample_sizes, s.true_rates)) for s in scenarios]
+    for bank, s, inverts in zip(out, scenarios, inverted):
+        if s.fixed_responses is not None:
+            bank[:] = s.fixed_responses
+        elif not inverts:  # a BTPE basket: one Philox, reset to each key as a fresh one starts
+            bitgen = np.random.Philox(0)
+            binomial, state = np.random.Generator(bitgen).binomial, bitgen.state
+            keys = _philox_keys(master_seed, s.id, start + np.arange(n_reps))
+            for row, key in zip(bank, keys.tolist()):
+                state["state"]["key"] = key
+                bitgen.state = state
+                row[:] = [binomial(n, p) for n, p in zip(s.sample_sizes, s.true_rates)]
+    index, rates = np.flatnonzero(inverted), np.array([s.true_rates for s in scenarios])
+    for a in range(0, len(index) * n_reps, _DRAW_ROWS):
+        which, rep = np.divmod(np.arange(a, min(a + _DRAW_ROWS, len(index) * n_reps)), n_reps)
+        keys = np.concatenate([_philox_keys(master_seed, scenarios[index[i]].id,
+                                            start + rep[which == i]) for i in np.unique(which)])
+        out[index[which], rep] = _draw(keys, scenarios[0].sample_sizes, rates[index[which]])
+    return out.reshape(-1, out.shape[2])
+
+
+def generate_responses(scenario: Scenario, n_reps: int, master_seed: int, start: int = 0):
+    """Response counts [n_reps, K] for replicates [start, start + n_reps)."""
+    return _generate_banks([scenario], n_reps, master_seed, start)
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +289,9 @@ def outcome_table(scenarios: list[Scenario], n_reps: int, master_seed: int) -> O
     sizes = {s.sample_sizes for s in scenarios}
     if len(sizes) != 1:
         raise ConfigurationError(f"the banks do not share one size vector: {sorted(sizes)}")
-    banks = [generate_responses(s, n_reps, master_seed) for s in scenarios]
-    rows, inverse = unique_rows(np.concatenate(banks))
+    rows, inverse = unique_rows(_generate_banks(scenarios, n_reps, master_seed))
     counts = {s: np.bincount(bank, minlength=len(rows))
-              for s, bank in zip(scenarios, inverse.reshape(len(banks), n_reps))}
+              for s, bank in zip(scenarios, inverse.reshape(len(scenarios), n_reps))}
     return OutcomeTable(rows, sizes.pop(), counts)
 
 
@@ -294,12 +345,17 @@ def evaluate_table(configs, table: OutcomeTable, p0: float, jobs: int = 1,
     every grid step if it is calibrated, summed over the blocks as they arrive; with
     ``per_basket``, each basket's rejections and the rows' posterior means [U, K], else None.
 
-    Each block builds its bank once and walks the configs, here or on ``jobs``
-    workers forked for each run of configs that share one declared ``tables_key``, whose
-    tables the parent builds first.  No bit depends on the blocks or the workers.
+    Each block builds its bank once and walks the configs, here or on min(``jobs``, CPUs,
+    blocks) workers forked for each run of configs that share one declared ``tables_key``,
+    whose tables the parent builds first.  No bit depends on the blocks or the workers.
     """
     spec = REGISTRY[configs[0].design]
+    jobs = max(1, min(jobs, os.cpu_count() or 1))
     blocks = table.blocks(jobs, spec.block_rows(len(table.sizes)))
+    jobs = min(jobs, len(blocks))
+    if jobs > 1:  # the pool's modules load only when one is forked
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
     reps = list(table.counts.values())
     truth = np.array([s.active_truth(p0) for s in table.counts])
     # no count or sum of counts exceeds 2 K n in magnitude: hand back int32 when that fits

@@ -6,12 +6,13 @@ to the weighted sums of the observed counts under these weights.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIZE_FAMILIES, BorrowingBank, Design, log_beta, set_unit_diagonal
+from .core import SIZE_FAMILIES, BorrowingBank, Design, log_beta, set_unit_diagonal, unique_rows
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,12 @@ def cpp_bank(responses, sizes, prior, p0, capped: bool = False) -> BorrowingBank
 
 
 def app_bank(responses, sizes, prior, p0) -> BorrowingBank:
-    """APP weights of a bank, built whole: they take no parameters."""
-    app = set_unit_diagonal(alpha0_matrix(sizes) * (1.0 - gamma_matrix(responses, sizes)))
+    """APP weights of a bank, built whole from each basket pair's distinct (r_k, r_i)."""
+    gamma = np.zeros(responses.shape + responses.shape[-1:])
+    for k, i in itertools.combinations(range(len(sizes)), 2):
+        pairs, inverse = unique_rows(responses[:, [k, i]])
+        gamma[:, k, i] = gamma[:, i, k] = gamma_matrix(pairs, sizes[[k, i]])[inverse, 0, 1]
+    app = set_unit_diagonal(alpha0_matrix(sizes) * (1.0 - gamma))
     return BorrowingBank(prior, (responses, sizes - responses), p0, lambda params: app)
 
 

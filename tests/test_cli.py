@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -319,13 +320,13 @@ class TestCommands:
         # every study and grid search used to generate its family's banks again: 126, 21
         # and 126 banks for the seven designs on the three families
         generated = []  # the scenario id of each bank
-        generate = engine.generate_responses
+        generate = engine._generate_banks
 
-        def counted(scenario, *args):
-            generated.append(scenario.id)
-            return generate(scenario, *args)
+        def counted(scenarios, *args):
+            generated.extend(s.id for s in scenarios)
+            return generate(scenarios, *args)
 
-        monkeypatch.setattr(engine, "generate_responses", counted)
+        monkeypatch.setattr(engine, "_generate_banks", counted)
         # the first point of each grid: which banks a search reads does not depend on its grid
         for design, spec in engine.REGISTRY.items():
             monkeypatch.setitem(engine.REGISTRY, design,
@@ -481,12 +482,12 @@ class TestCommands:
         # tune used to ignore --jobs and run every block in the parent
         pools = []
 
-        class Counted(engine.ProcessPoolExecutor):
+        class Counted(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(kwargs["max_workers"])
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", Counted)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
         outputs = []
         for jobs in ("1", "2"):
             out = tmp_path / jobs
@@ -982,15 +983,6 @@ class TestCommands:
         assert "scenarios[1].id" in capsys.readouterr().err
         assert not (tmp_path / "oc.csv").exists()
 
-    def test_jobs_clamped_to_cpu_count(self):
-        cpus = os.cpu_count() or 1
-        args = build_parser().parse_args(["simulate", "--jobs", str(cpus + 1000)])
-        cli._check_args(args)
-        assert args.jobs == cpus
-        args = build_parser().parse_args(["simulate", "--jobs", "-3"])
-        cli._check_args(args)
-        assert args.jobs == 1
-
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -1037,6 +1029,26 @@ print(json.dumps(worker_answers({str(watched)!r})))
 
     def test_no_public_name_added(self):
         assert "os" not in basketsim.__all__
+
+
+class TestLazyModules:
+    """numpy's random module loads only for a scenario that numpy draws by BTPE, and the
+    process pool's modules only when a pool is forked."""
+
+    def test_closed_form_simulate_loads_no_sampler_or_pool(self, tmp_path):
+        # the replicates are drawn in array passes, and a pool's modules load with a pool;
+        # uint64 wraparound in the Philox rounds raises no warning
+        script = f"""
+import sys, warnings
+warnings.simplefilter("error")
+from basketsim import cli
+for design in ("CPP", "APP", "LCPP", "Fujikawa", "BMA"):
+    assert cli.main(["simulate", "--scenario", "all", "--design", design, "--reps", "20",
+                     "--seed", "4", "--out", {str(tmp_path)!r}]) == 0
+print(sorted(m for m in sys.modules
+             if m.startswith("numpy.random") or m == "concurrent.futures.process"))
+"""
+        assert run_fresh(script).split() == ["[]"]
 
 
 class TestScipyStaysOut:

@@ -2,6 +2,7 @@ import functools
 import math
 import os
 import warnings
+from dataclasses import replace
 from multiprocessing import get_context
 
 import numpy as np
@@ -111,6 +112,29 @@ def per_replicate_responses(scenario, n_reps, master_seed, start=0):
         out[i] = np.random.Generator(np.random.Philox(seq)).binomial(
             scenario.sample_sizes, scenario.true_rates)
     return out
+
+
+def c_binomial(uniforms, n, p):
+    """numpy's ``random_binomial`` on the inversion path, transcribed from its C loop
+    (numpy/random/src/distributions/distributions.c), drawing from an iterator of
+    uniforms."""
+    if p == 0.0:
+        return 0
+    if p > 0.5:
+        return n - c_binomial(uniforms, n, 1.0 - p)
+    q = 1.0 - p
+    qn = math.exp(n * math.log(q))
+    np_ = n * p
+    bound = int(min(n, np_ + 10.0 * math.sqrt(np_ * q + 1)))
+    x, px, u = 0, qn, next(uniforms)
+    while u > px:
+        x += 1
+        if x > bound:
+            x, px, u = 0, qn, next(uniforms)
+        else:
+            u -= px
+            px = ((n - x + 1) * p * px) / (x * q)
+    return x
 
 
 def correct_decisions(decisions, true_rates, p0):
@@ -283,6 +307,105 @@ class TestBulkStreams:
             np.testing.assert_array_equal(generate_responses(s, 40, 11, start=start),
                                           per_replicate_responses(s, 40, 11, start=start))
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_array_passes_match_reference(self, data):
+        # every scenario of a table in one pass: rates at 0, 0.5 and 1, on both sides of
+        # numpy's switch to BTPE at n·min(p, 1 − p) = 30, and several banks of one size vector
+        sizes = tuple(data.draw(st.lists(st.integers(1, 200), min_size=2, max_size=4)))
+
+        def rate(n):
+            edge = min(1.0, 30.0 / n)
+            near = [edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0)]
+            return st.one_of(st.sampled_from([0.0, 0.5, 1.0, *near, *(1.0 - e for e in near)]),
+                             st.floats(0.0, 1.0))
+
+        scenarios = [Scenario(data.draw(st.integers(0, 2**40)), sizes,
+                              tuple(data.draw(rate(n)) for n in sizes), "Null", "Linear")
+                     for _ in range(data.draw(st.integers(1, 3)))]
+        assume(len({s.id for s in scenarios}) == len(scenarios))
+        n_reps = data.draw(st.integers(1, 20))
+        seed = data.draw(st.one_of(st.integers(0, 2**64), st.integers(2**199, 2**200)))
+        start = data.draw(st.one_of(st.integers(0, 100), st.integers(2**32 - 60, 2**32 - 20)))
+        reference = [per_replicate_responses(s, n_reps, seed, start) for s in scenarios]
+        np.testing.assert_array_equal(engine._generate_banks(scenarios, n_reps, seed, start),
+                                      np.concatenate(reference))
+        table = outcome_table(scenarios, n_reps, seed)
+        for s in scenarios:
+            assert (sorted(np.repeat(table.rows, table.counts[s], axis=0).tolist())
+                    == sorted(per_replicate_responses(s, n_reps, seed).tolist()))
+
+    def test_every_builtin_scenario_at_study_scale(self):
+        for scenario in builtin_catalog():
+            np.testing.assert_array_equal(generate_responses(scenario, 10_000, 42),
+                                          per_replicate_responses(scenario, 10_000, 42))
+
+    @pytest.mark.parametrize("sizes, rates", [
+        ((10, 25, 12), (0.15, 0.35, 0.0)),
+        ((30, 200, 7), (0.6, 0.15, 1.0)),  # 0.6 draws 30 − X at 0.4
+    ])
+    def test_short_chains_take_the_next_uniform(self, sizes, rates, monkeypatch):
+        # a uniform of 1 − 2**-53 outlasts px_0 .. px_bound, so numpy's loop starts again
+        # on the next uniform, which may sit in a later block
+        top = 1.0 - 2.0**-53
+        streams = np.array([[top, 0.3, 0.9, 0.05, 0.5, 0.7, 0.2, 0.99, 0.6, 0.1, 0.4, 0.8],
+                            [0.5, top, top, 0.999, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
+                            [top, top, top, top, top, 0.25, 0.75, 0.5, 0.5, 0.5, 0.5, 0.5]])
+        monkeypatch.setattr(engine, "_philox_uniforms",
+                            lambda keys, counter: streams[:, 4 * counter - 4:4 * counter])
+        drawn = engine._draw(np.zeros((3, 2), np.uint64), sizes, np.tile(rates, (3, 1)))
+        for row, stream in zip(drawn.tolist(), streams.tolist()):
+            uniforms = iter(stream)
+            assert row == [c_binomial(uniforms, n, p) for n, p in zip(sizes, rates)]
+        for n, p in ((10, 0.15), (25, 0.35), (30, 0.4), (200, 0.15)):
+            with pytest.raises(StopIteration):  # the chain falls short of the top uniform
+                c_binomial(iter([top]), n, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 200), p=st.floats(0.0, 1.0),
+           stream=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=8, max_size=8),
+           tops=st.sets(st.integers(0, 7), max_size=3))
+    def test_inversion_matches_the_c_loop(self, n, p, stream, tops):
+        # two baskets of one (n, p) on a stream with up to three uniforms of 1 − 2**-53
+        assume(n * min(p, 1.0 - p) <= 30.0)
+        stream = [1.0 - 2.0**-53 if i in tops else u for i, u in enumerate(stream)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_philox_uniforms", lambda keys, counter: np.array(
+                [stream[4 * counter - 4:4 * counter]]))
+            drawn = engine._draw(np.zeros((1, 2), np.uint64), (n, n), np.array([[p, p]]))
+        uniforms = iter(stream)
+        assert drawn.tolist() == [[c_binomial(uniforms, n, p), c_binomial(uniforms, n, p)]]
+
+    @pytest.mark.parametrize("n, p", [(10, 0.15), (10, 0.4), (25, 0.35), (200, 0.15)])
+    def test_inversion_at_every_partial_sum(self, n, p, monkeypatch):
+        # uniforms within one ulp of each px_0 + ... + px_j, where subtracting px one by one
+        # in the C loop's order and comparing U with the partial sums round apart
+        px = [math.exp(n * math.log(1.0 - p))]
+        for x in range(1, n + 1):
+            px.append((n - x + 1) * p * px[-1] / (x * (1.0 - p)))
+        sums = np.cumsum(px)
+        uniforms = [u for s in sums for u in (np.nextafter(s, 0), s, np.nextafter(s, 1)) if u < 1]
+        streams = np.array([[u] + [0.5] * 7 for u in uniforms])
+        monkeypatch.setattr(engine, "_philox_uniforms",
+                            lambda keys, counter: streams[:, 4 * counter - 4:4 * counter])
+        drawn = engine._draw(np.zeros((len(streams), 2), np.uint64), (n,),
+                             np.full((len(streams), 1), p))
+        expected = [c_binomial(iter(stream), n, p) for stream in streams.tolist()]
+        assert drawn[:, 0].tolist() == expected
+        assert expected != [int(np.argmax(u <= sums)) for u in uniforms]
+
+    def test_generation_memory_is_bounded_by_its_passes(self):
+        import tracemalloc
+        generate_responses(LINEAR_NULL, 10, 1)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            bank = generate_responses(LINEAR_NULL, 200_000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one pass of 8,192 rows holds about 5 MB; all 200,000 at once about 100 MB
+        assert peak - bank.nbytes < 8 * 2**20
+
     def test_empty_bank(self):
         fixed = Scenario(92, (10, 20), (0.15, 0.15), "Null", "Linear", fixed_responses=(3, 5))
         for scenario in (LINEAR_NULL, fixed):
@@ -424,6 +547,40 @@ class TestSimulate:
             [(counts2, means2)] = evaluate_table([cfg], table, 0.15, jobs=2, per_basket=True)
             np.testing.assert_array_equal(counts1, counts2)
             np.testing.assert_array_equal(means1, means2)
+
+    @pytest.mark.parametrize("jobs, fixed, workers", [
+        (1000, False, [3]),  # bounded by the CPUs
+        (1000, True, [2]),  # a table of two rows has two blocks
+        (2, False, [2]), (1, False, []), (-3, False, []),
+    ])
+    def test_workers_bounded_by_cpus_and_blocks(self, jobs, fixed, workers, monkeypatch):
+        # a library call used to fork all of its jobs up front, whatever the CPUs or blocks
+        import concurrent.futures
+        pools = []
+
+        class Serial:  # records its size and runs its tasks here, forking nothing
+            def __init__(self, max_workers, mp_context):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Serial)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        scenarios = ([GROUPED_FIXED, replace(GROUPED_FIXED, id=96, fixed_responses=(0,) * 5)]
+                     if fixed else [GROUPED_ASC, GROUPED_ALT])
+        table = outcome_table(scenarios, 30, 21)
+        cfg = DesignConfig("CPP", CppParams(4, 4.5))
+        got = evaluate_table([cfg], table, 0.15, jobs=jobs, per_basket=True)
+        assert pools == workers
+        want = evaluate_table([cfg], table, 0.15, jobs=1, per_basket=True)
+        np.testing.assert_array_equal(got[0][0], want[0][0])
+        np.testing.assert_array_equal(got[0][1], want[0][1])
 
     @pytest.mark.parametrize("config", [
         DesignConfig("BHM", BhmParams(phi=0.59)),
