@@ -187,8 +187,8 @@ def _draw(keys: np.ndarray, sizes, rates: np.ndarray) -> np.ndarray:
     C loop's order, is at most px_j; a chain that runs past the bound starts on a new U."""
     out, used = np.zeros(rates.shape, np.int64), np.zeros(len(keys), np.intp)
     stream = np.empty((len(keys), 0))  # each row's uniforms, four per Philox block
-    for k, n in enumerate(sizes):
-        for rate in np.unique(rates[:, k][rates[:, k] > 0.0]).tolist():
+    for k, (n, col) in enumerate(zip(sizes, np.sort(rates, axis=0).T)):
+        for rate in col[np.diff(col, prepend=0) > 0].tolist():  # p > 0; np.unique loads numpy.ma
             rows, p = np.flatnonzero(rates[:, k] == rate), min(rate, 1.0 - rate)
             q, mean, px = 1.0 - p, n * p, [math.exp(n * math.log(1.0 - p))]
             for j in range(1, int(min(n, mean + 10.0 * math.sqrt(mean * q + 1))) + 1):
@@ -228,8 +228,9 @@ def _generate_banks(scenarios: list[Scenario], n_reps: int, master_seed: int, st
     index, rates = np.flatnonzero(inverted), np.array([s.true_rates for s in scenarios])
     for a in range(0, len(index) * n_reps, _DRAW_ROWS):
         which, rep = np.divmod(np.arange(a, min(a + _DRAW_ROWS, len(index) * n_reps)), n_reps)
-        keys = np.concatenate([_philox_keys(master_seed, scenarios[index[i]].id,
-                                            start + rep[which == i]) for i in np.unique(which)])
+        keys = np.concatenate([
+            _philox_keys(master_seed, scenarios[index[i]].id, start + rep[which == i])
+            for i in range(which[0], which[-1] + 1)])
         out[index[which], rep] = _draw(keys, scenarios[0].sample_sizes, rates[index[which]])
     return out.reshape(-1, out.shape[2])
 
@@ -346,13 +347,12 @@ def evaluate_table(configs, table: OutcomeTable, p0: float, jobs: int = 1,
     ``per_basket``, each basket's rejections and the rows' posterior means [U, K], else None.
 
     Each block builds its bank once and walks the configs, here or on min(``jobs``, CPUs,
-    blocks) workers forked for each run of configs that share one declared ``tables_key``,
+    rows) workers forked for each run of configs that share one declared ``tables_key``,
     whose tables the parent builds first.  No bit depends on the blocks or the workers.
     """
     spec = REGISTRY[configs[0].design]
-    jobs = max(1, min(jobs, os.cpu_count() or 1))
+    jobs = max(1, min(jobs, os.cpu_count() or 1, len(table.rows)))  # each worker gets a block
     blocks = table.blocks(jobs, spec.block_rows(len(table.sizes)))
-    jobs = min(jobs, len(blocks))
     if jobs > 1:  # the pool's modules load only when one is forked
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context

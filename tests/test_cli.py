@@ -1032,8 +1032,9 @@ print(json.dumps(worker_answers({str(watched)!r})))
 
 
 class TestLazyModules:
-    """numpy's random module loads only for a scenario that numpy draws by BTPE, and the
-    process pool's modules only when a pool is forked."""
+    """numpy's random module loads only for a scenario that numpy draws by BTPE, the
+    process pool's modules only when a pool is forked, and numpy.ma (about 15 ms, loaded by a
+    plain ``np.unique``) never."""
 
     def test_closed_form_simulate_loads_no_sampler_or_pool(self, tmp_path):
         # the replicates are drawn in array passes, and a pool's modules load with a pool;
@@ -1046,7 +1047,7 @@ for design in ("CPP", "APP", "LCPP", "Fujikawa", "BMA"):
     assert cli.main(["simulate", "--scenario", "all", "--design", design, "--reps", "20",
                      "--seed", "4", "--out", {str(tmp_path)!r}]) == 0
 print(sorted(m for m in sys.modules
-             if m.startswith("numpy.random") or m == "concurrent.futures.process"))
+             if m.startswith("numpy.random") or m in ("numpy.ma", "concurrent.futures.process")))
 """
         assert run_fresh(script).split() == ["[]"]
 
