@@ -32,4 +32,10 @@ from .hierarchical import BhmParams, ExnexParams
 from .powerprior import CppParams
 from .tuning import TuningResult, grid_search, null_scenario, study
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BasketData", "BasketSimError", "BetaShape", "BhmParams", "BmaParams", "CalibrationError",
+    "ConfigurationError", "CppParams", "DESIGNS", "DesignConfig", "ExnexParams",
+    "FujikawaParams", "NumericError", "OperatingCharacteristics", "ReplicateResult",
+    "Scenario", "TuningResult", "beta_tails", "grid_search", "null_scenario",
+    "outcome_table", "run_design", "study",
+]

@@ -67,10 +67,6 @@ class BasketData:
             if not 0 <= r <= n:
                 raise ValueError(f"responses {r} outside [0, {n}]")
 
-    @property
-    def k(self) -> int:
-        return len(self.responses)
-
 
 @dataclass(frozen=True)
 class BetaShape:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,14 +47,10 @@ _Z_SPAN = 300.0  # a block of the factored z rule spans at most e^300 in e^(j si
 _NDTR_FLAT = 38.6  # beyond |x| = 38.6 the normal CDF rounds to exactly 0 or 1
 _CHUNK_BYTES = 1 << 19  # one [rows, grid] temporary of the posterior sums
 MAX_PHI = math.sqrt(np.finfo(float).max) / _S_EDGES[-1]  # (phi * s)**2 stays finite, s < 8.5
-# prior means within +-MAX_PRIOR and sds within (1 / MAX_PRIOR, MAX_PRIOR): every cut lies
-# within 800 of 0 and the mu panels reach at most 3 times past mean +- 10 sd, so mu and nu
-# stay within 40 MAX_PRIOR of the mean and each squared distance over an sd in _grid and
-# _basis_mass within 1,600 MAX_PRIOR^4, a 650th of the float range
-MAX_PRIOR = np.finfo(float).max ** 0.25 / 32
-# every cut - nu lies within 42 MAX_PRIOR, so from MIN_PHI up (cut - nu) / (phi * s) stays
-# finite on the smallest s node, and so do the z rule's nodes taken from it
-MIN_PHI = 64 * MAX_PRIOR / np.finfo(float).max / (
+# at the fixed priors (mu's mean within 2 of 0, sd 100) and any p0 in (0, 1), |cut| < 745
+# and the mu panels reach at most 2,054 past the cut, so |cut - nu| < 2^12; from MIN_PHI up
+# (cut - nu) / (phi * s) stays finite on the smallest s node, and so do the z rule's nodes
+MIN_PHI = 2.0 ** 12 / np.finfo(float).max / (
     0.5 * _S_EDGES[1] * (1.0 + np.polynomial.legendre.leggauss(_S_ORDER)[0][0]))
 
 _TABLES: dict = {}
@@ -68,24 +64,20 @@ def logit(p: float) -> float:
 
 @dataclass(frozen=True)
 class BhmParams:
-    """Hierarchical log-odds model with a target-rate offset.
-
-    The default mu prior mean is logit(0.15) - logit(0.35): the null
+    """Hierarchical log-odds model with a target-rate offset.  Only phi is set: the
+    priors are fixed fields, and mu's prior mean is logit(0.15) - logit(0.35), the null
     response rate expressed relative to the 0.35 target every basket shares.
     """
 
     q = 1.0  # BHM is EXNEX at q = 1 with a target offset; a class attribute, not a field
     phi: float
-    target_rates: float = 0.35
-    mu_mean: float = -1.1156
-    mu_sd: float = 100.0
+    target_rates: float = field(default=0.35, init=False)
+    mu_mean: float = field(default=-1.1156, init=False)
+    mu_sd: float = field(default=100.0, init=False)
 
     def __post_init__(self):
         if not MIN_PHI <= self.phi <= MAX_PHI:
             raise ValueError(f"phi must lie in [{MIN_PHI:.4g}, {MAX_PHI:.4g}], got {self.phi}")
-        _require(self, 0.0, 1.0, "target_rates")
-        _require(self, -MAX_PRIOR, MAX_PRIOR, "mu_mean")
-        _require(self, 1.0 / MAX_PRIOR, MAX_PRIOR, "mu_sd")
 
     @property
     def offset(self) -> float:
@@ -95,31 +87,22 @@ class BhmParams:
 @dataclass(frozen=True)
 class ExnexParams:
     """Mixture of an exchangeable component (weight q) and one nonexchangeable prior,
-    the same for every basket, on plain log-odds (no target offset)."""
+    the same for every basket, on plain log-odds (no target offset).  Only phi and q are
+    set; the priors are fixed fields, both means at logit(0.15)."""
 
     offset = 0.0  # a class attribute, not a field
     phi: float
     q: float
-    mu_mean: float = -1.7346
-    mu_sd: float = 100.0
-    nex_means: float = -1.7346
-    nex_sds: float = 100.0
+    mu_mean: float = field(default=-1.7346, init=False)
+    mu_sd: float = field(default=100.0, init=False)
+    nex_means: float = field(default=-1.7346, init=False)
+    nex_sds: float = field(default=100.0, init=False)
 
     def __post_init__(self):
         if not MIN_PHI <= self.phi <= MAX_PHI:
             raise ValueError(f"phi must lie in [{MIN_PHI:.4g}, {MAX_PHI:.4g}], got {self.phi}")
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"q (the exchangeability weight) must lie in (0, 1], got {self.q}")
-        _require(self, -MAX_PRIOR, MAX_PRIOR, "mu_mean", "nex_means")
-        _require(self, 1.0 / MAX_PRIOR, MAX_PRIOR, "mu_sd", "nex_sds")
-
-
-def _require(params, lo: float, hi: float, *fields: str) -> None:
-    """Raise ValueError, naming the field first, unless each field lies in (lo, hi)."""
-    for field in fields:
-        value = getattr(params, field)
-        if not lo < value < hi:
-            raise ValueError(f"{field} must lie in ({lo:.4g}, {hi:.4g}), got {value}")
 
 
 @dataclass(frozen=True)
@@ -343,7 +326,7 @@ def design_tables(design: str, sizes: tuple, p0: float, params):
         _TABLES[key] = _integrals(distinct, mu + offset, phi * s, cut)
         table_builds += 1
     nex = {n: np.zeros((3, n + 1)) if params.q == 1.0  # the nonexchangeable part has no weight
-           else _nex(cut, n, float(params.nex_means), float(params.nex_sds)) for n in distinct}
+           else _nex(cut, n, params.nex_means, params.nex_sds) for n in distinct}
     return [_TABLES[key][n] for n in sizes], [nex[n] for n in sizes], params.q, log_w
 
 

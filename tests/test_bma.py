@@ -48,7 +48,7 @@ def kernel_log_marginals(data, prior=BetaShape(1, 1)):
 
 
 def kernel_model_probs(data, psi, prior=BetaShape(1, 1)):
-    return bma._model_space(data.k).model_probs(kernel_log_marginals(data, prior), psi)
+    return bma._model_space(len(data.responses)).model_probs(kernel_log_marginals(data, prior), psi)
 
 
 def bma_tails_means(data, psi, p0=0.15, prior=BetaShape(1, 1)):

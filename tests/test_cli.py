@@ -307,6 +307,17 @@ class TestCommands:
         assert main(args + ["--out", str(out2)]) == 0
         assert (out1 / "oc.csv").read_bytes() == (out2 / "oc.csv").read_bytes()
 
+    @pytest.mark.parametrize("design, param_json", [
+        ("BHM", '{"mu_mean": -1.1156, "mu_sd": 100.0, "phi": 0.661, "target_rates": 0.35}'),
+        ("EXNEX", '{"mu_mean": -1.7346, "mu_sd": 100.0, "nex_means": -1.7346, '
+                  '"nex_sds": 100.0, "phi": 0.661, "q": 0.9}'),
+    ])
+    def test_hierarchical_param_json_names_the_fixed_priors(self, design, param_json,
+                                                             tmp_path):
+        assert main(["simulate", "--scenario", "grouped", "--design", design, "--reps", "5",
+                     "--seed", "3", "--out", str(tmp_path)]) == 0
+        assert {r["param_json"] for r in read_rows(tmp_path / "oc.csv")} == {param_json}
+
     def test_parallel_simulate_builds_tables_once_per_family(self, tmp_path):
         hierarchical._TABLES.clear()  # start with an empty table cache
         before = hierarchical.table_builds
@@ -855,9 +866,12 @@ class TestCommands:
         (b'{"designs": ""}', "designs: expected an object"),
         # an empty catalog used to write an oc.csv of its header alone
         (b'{"scenarios": []}', "scenarios is an empty list"),
+        # the hierarchical priors are fixed: an entry takes phi (and EXNEX's q) alone
+        (b'{"designs": {"BHM": {"phi": 0.661, "mu_sd": 2}}}',
+         "designs.BHM: unknown field(s) ['mu_sd']"),
     ], ids=["not-utf8", "scenarios-not-a-list", "designs-not-an-object",
             "design-not-an-object", "designs-empty-list", "designs-null", "designs-zero",
-            "designs-false", "designs-empty-string", "scenarios-empty"])
+            "designs-false", "designs-empty-string", "scenarios-empty", "bhm-prior"])
     def test_malformed_config_is_a_usage_error(self, content, message, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_bytes(content)
@@ -1028,7 +1042,14 @@ print(json.dumps(worker_answers({str(watched)!r})))
         assert run_fresh(script, env=self.env(OPENBLAS_NUM_THREADS="2")).split() == ["2"]
 
     def test_no_public_name_added(self):
-        assert "os" not in basketsim.__all__
+        # the names README's Library section lists, and no module
+        assert sorted(basketsim.__all__) == sorted([
+            "CppParams", "FujikawaParams", "BmaParams", "BhmParams", "ExnexParams",
+            "BasketData", "BetaShape", "Scenario", "DesignConfig", "ReplicateResult",
+            "OperatingCharacteristics", "TuningResult", "BasketSimError", "ConfigurationError",
+            "CalibrationError", "NumericError", "DESIGNS", "beta_tails", "run_design",
+            "outcome_table", "study", "null_scenario", "grid_search"])
+        assert all(hasattr(basketsim, name) for name in basketsim.__all__)
 
 
 class TestLazyModules:

@@ -54,7 +54,7 @@ shapes = st.builds(
 class TestDomainTypes:
     def test_basket_data_valid(self):
         d = BasketData((3, 0), (10, 5))
-        assert d.k == 2
+        assert len(d.responses) == 2
         assert (d.responses[0], d.sample_sizes[0]) == (3, 10)
 
     def test_basket_data_rejects_single_basket(self):

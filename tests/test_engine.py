@@ -2,7 +2,7 @@ import functools
 import math
 import os
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
 
 import numpy as np
@@ -102,6 +102,13 @@ CLOSED_FORM = {
 }
 HIERARCHICAL = {"BHM": BhmParams(phi=0.661), "EXNEX": ExnexParams(phi=0.661, q=0.9)}
 ALL_DESIGNS = {**CLOSED_FORM, **HIERARCHICAL}
+
+
+@dataclass(frozen=True)
+class NarrowBhm(BhmParams):
+    """BHM with a mu prior sd of 2: its quadrature tables take a key of their own."""
+
+    mu_sd: float = field(default=2.0, init=False)
 
 
 def per_replicate_responses(scenario, n_reps, master_seed, start=0):
@@ -618,7 +625,7 @@ class TestSimulate:
         # grid points of one phi and two mu_sd used to share a pool and, block by block,
         # evict each other's tables: 6 builds for 3 blocks at one job, and worker builds
         grouped = [s for s in builtin_catalog() if s.size_family == "Grouped"]
-        grid = [BhmParams(phi=0.6), BhmParams(phi=0.6, mu_sd=2.0)]
+        grid = [BhmParams(phi=0.6), NarrowBhm(phi=0.6)]
         monkeypatch.setattr(engine, "_BLOCK_ROWS", 100)
         table = outcome_table(grouped, 40, 4)
         assert len(table.blocks()) == 3

@@ -50,7 +50,7 @@ def beta_tail_mean(shape, p0):
 
 def reference_tails_means(design, params, data, p0=0.15):
     """One replicate's tails and means from the scalar formulas, pair by pair."""
-    k = data.k
+    k = len(data.responses)
     baskets = list(zip(data.responses, data.sample_sizes))
     if design == "BMA":
         prior = BetaShape(1, 1)
