@@ -15,6 +15,7 @@ from basketsim.hierarchical import (
     BhmParams,
     ExnexParams,
     bhm_posterior_batch,
+    design_tables,
     exnex_posterior_batch,
     logit,
     posterior_tails_means,
@@ -28,6 +29,11 @@ C = logit(0.15)
 HIGH_VARIANCE = (10, 10, 10, 20, 50)
 PAPER_SIZES = {"Grouped": (10, 10, 25, 25, 30), "Linear": (10, 15, 20, 25, 30),
                "HighVariance": HIGH_VARIANCE, "small": (0, 3, 7)}
+
+
+# a prior mean within +-FAR_PRIOR of the cut keeps every squared distance over an sd in
+# the grid within 1,600 FAR_PRIOR^4, a 650th of the float range
+FAR_PRIOR = np.finfo(float).max ** 0.25 / 32
 
 
 def with_priors(params_type, **priors):
@@ -470,14 +476,46 @@ class TestShrinkageAndDegenerateChecks:
         with pytest.raises(ValueError, match="^phi "):
             BhmParams(phi) if design == "BHM" else ExnexParams(phi, q=0.5)
 
-    @pytest.mark.parametrize("design, prior", [
-        ("BHM", "target_rates"), ("BHM", "mu_mean"), ("BHM", "mu_sd"), ("EXNEX", "mu_mean"),
-        ("EXNEX", "mu_sd"), ("EXNEX", "nex_means"), ("EXNEX", "nex_sds")])
-    def test_priors_are_fixed(self, design, prior):
-        # only phi, and EXNEX's q, are arguments; the priors are fixed fields
-        with pytest.raises(TypeError, match=f"'{prior}'"):
-            BhmParams(0.661, **{prior: 2.0}) if design == "BHM" else ExnexParams(
-                0.661, 0.5, **{prior: 2.0})
+    @pytest.mark.parametrize("field, value", [
+        ("target_rates", 1.0), ("target_rates", 0.0), ("target_rates", math.nan),
+        ("mu_mean", math.inf), ("mu_mean", math.nan), ("mu_sd", 0.0), ("mu_sd", -1.0),
+        ("mu_sd", math.inf), ("mu_sd", 1e-300), ("mu_sd", 1e300), ("mu_sd", 1e308),
+        ("mu_mean", 1e300)])
+    def test_bhm_prior_out_of_range_rejected(self, field, value):
+        # a zero sd or a target rate of 1 would divide by zero in the quadrature, and a huge
+        # sd or mean would overflow the grid; no prior is an argument, so none gets in
+        with pytest.raises(TypeError, match=f"'{field}'"):
+            BhmParams(phi=0.661, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("mu_mean", -math.inf), ("nex_means", math.nan), ("mu_sd", 0.0),
+        ("nex_sds", 0.0), ("nex_sds", -1.0), ("nex_sds", math.inf), ("mu_sd", 1e-300),
+        ("nex_means", 1e300)])
+    def test_exnex_prior_out_of_range_rejected(self, field, value):
+        # only phi and q are arguments; the priors are fixed fields
+        with pytest.raises(TypeError, match=f"'{field}'"):
+            ExnexParams(phi=0.661, q=0.5, **{field: value})
+
+    @pytest.mark.parametrize("design", ["BHM", "EXNEX"])
+    @pytest.mark.parametrize("mean", [-1.0, 1.0])
+    @pytest.mark.parametrize("sd", [math.nextafter(FAR_PRIOR, 0.0),
+                                    math.nextafter(1.0 / FAR_PRIOR, 1.0)])
+    def test_prior_bounds_keep_the_tables_finite(self, design, mean, sd):
+        # the grid holds far past the shipped priors: means and sds near FAR_PRIOR and its
+        # inverse, and BHM's cut as far from 0 as a p0 and a target rate can put it
+        mean *= math.nextafter(FAR_PRIOR, 0.0)
+        if design == "BHM":
+            params = with_priors(BhmParams, target_rates=math.nextafter(1.0, 0.0),
+                                 mu_mean=mean, mu_sd=sd)(0.661)
+            p0 = math.ulp(0.0)
+        else:
+            params = with_priors(ExnexParams, mu_mean=mean, mu_sd=sd, nex_means=mean,
+                                 nex_sds=sd)(0.661, 0.5)
+            p0 = 0.15
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tables, nex, _, log_w = design_tables(design, (3, 10), p0, params)
+        assert all(np.isfinite(t).all() for t in tables + nex) and np.isfinite(log_w).all()
 
     @pytest.mark.parametrize("mu_mean", [1e6, -1e40, -3.6e75])
     def test_subnormal_mixture_mass_stays_finite(self, mu_mean):
